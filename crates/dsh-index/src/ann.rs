@@ -10,17 +10,14 @@
 //!
 //! This structure exists in the library both as the standard point of
 //! comparison for the DSH applications (§6) and to exercise the same
-//! `HashTableIndex` substrate with a symmetric family.
+//! [`Frontend`] substrate with a symmetric family.
 
 use crate::annulus::Measure;
-use crate::batch::WriteError;
-use crate::dynamic::DynamicIndex;
-use crate::parallel;
-use crate::shard::ShardedIndex;
+use crate::frontend::{measured, static_backend, Frontend, Verifier};
 use crate::table::{CandidateBackend, HashTableIndex, QueryStats};
 use dsh_core::combinators::Power;
 use dsh_core::family::DshFamily;
-use dsh_core::points::{AppendStore, AsRow, PointStore};
+use dsh_core::points::PointStore;
 use rand::Rng;
 
 /// Hard ceiling on the repetition count `L` any parameter derivation in
@@ -86,22 +83,84 @@ pub fn ann_params(n: usize, p1: f64, p2: f64, factor: f64) -> AnnParams {
     }
 }
 
-/// `(r1, r2)`-near-neighbor index: if some point is within `r1` of the
-/// query, returns (w.c.p.) a point within `r2`.
-///
-/// Generic over the candidate backend `B`: the static
-/// [`HashTableIndex`] (the default) or the segmented [`DynamicIndex`]
-/// (via [`NearNeighborIndex::build_dynamic`]) for online insert/remove.
-pub struct NearNeighborIndex<S: PointStore, B: CandidateBackend<Row = S::Row> = HashTableIndex<S>> {
-    index: B,
-    measure: Measure<S::Row>,
+/// The near-neighbor [`Verifier`]: keep the first retrieved candidate
+/// within distance `r2`, giving up after `3L` retrieved entries (the
+/// standard Markov cutoff).
+pub struct FirstWithin<R: ?Sized> {
+    measure: Measure<R>,
     r2: f64,
     params: AnnParams,
 }
 
+impl<R: ?Sized + 'static> Verifier<R> for FirstWithin<R> {
+    type Answer = Option<usize>;
+
+    fn retrieval_limit(&self, l: usize) -> Option<usize> {
+        Some(3 * l)
+    }
+
+    fn verify<B: CandidateBackend<Row = R>>(
+        &self,
+        backend: &B,
+        cands: &[usize],
+        q: &R,
+        stats: &mut QueryStats,
+    ) -> Option<usize> {
+        measured(backend, &self.measure, cands, q, stats)
+            .find(|&(_, v)| v <= self.r2)
+            .map(|(i, _)| i)
+    }
+}
+
+/// `(r1, r2)`-near-neighbor index: if some point is within `r1` of the
+/// query, [`Frontend::query`] returns (w.c.p.) a point within `r2`.
+pub type NearNeighborIndex<S, B = HashTableIndex<S>> =
+    Frontend<S, B, FirstWithin<<S as PointStore>::Row>>;
+
+impl<S: PointStore, B: CandidateBackend<Row = S::Row>> NearNeighborIndex<S, B> {
+    /// Derive `(k, L)` for an anticipated live set of `n` points from the
+    /// CPF values `p1 >= f(r1)`, `p2 <= f(r2)` of the base (width-1)
+    /// family `family` at the target radii, and verify over the backend
+    /// `backend` builds from the `k`-powered family and `L` — e.g.
+    /// `|g, l| DynamicIndex::build(g, store, l, rng)`. Grown-then-compacted
+    /// mutable backends answer identically to [`NearNeighborIndex::build`]
+    /// over the same final point set.
+    #[allow(clippy::too_many_arguments)] // mirrors the theorem's parameter list
+    pub fn over<F: DshFamily<S::Row> + ?Sized>(
+        family: &F,
+        measure: Measure<S::Row>,
+        r2: f64,
+        n: usize,
+        p1: f64,
+        p2: f64,
+        factor: f64,
+        backend: impl FnOnce(&Power<&F>, usize) -> B,
+    ) -> Self {
+        assert!(
+            r2.is_finite() && r2 >= 0.0,
+            "NearNeighborIndex: target radius r2 = {r2} must be finite and non-negative"
+        );
+        let params = ann_params(n.max(2), p1, p2, factor);
+        let backend = backend(&Power::new(family, params.k), params.l);
+        Frontend::new(
+            backend,
+            FirstWithin {
+                measure,
+                r2,
+                params,
+            },
+        )
+    }
+
+    /// The derived `(k, L, rho)`.
+    pub fn params(&self) -> AnnParams {
+        self.verifier.params
+    }
+}
+
 impl<S: PointStore> NearNeighborIndex<S> {
-    /// Build over `points` with the base (width-1) family `family` and the
-    /// CPF values `p1 >= f(r1)`, `p2 <= f(r2)` at the target radii.
+    /// Build a static index over the non-empty `points`:
+    /// [`NearNeighborIndex::over`] with `n = points.len()`.
     #[allow(clippy::too_many_arguments)] // mirrors the theorem's parameter list
     pub fn build(
         family: &(impl DshFamily<S::Row> + ?Sized),
@@ -113,275 +172,10 @@ impl<S: PointStore> NearNeighborIndex<S> {
         factor: f64,
         rng: &mut dyn Rng,
     ) -> Self {
-        assert!(
-            !points.is_empty(),
-            "NearNeighborIndex: cannot build over an empty point set"
-        );
-        assert!(
-            r2.is_finite() && r2 >= 0.0,
-            "NearNeighborIndex: target radius r2 = {r2} must be finite and non-negative"
-        );
-        let params = ann_params(points.len().max(2), p1, p2, factor);
-        let powered = Power::new(family, params.k);
-        NearNeighborIndex {
-            index: HashTableIndex::build(&powered, points, params.l, rng),
-            measure,
-            r2,
-            params,
-        }
-    }
-}
-
-impl<S: AppendStore> NearNeighborIndex<S, DynamicIndex<S>> {
-    /// Build over a [`DynamicIndex`] backend: same parameters as
-    /// [`NearNeighborIndex::build`], except the `(k, L)` derivation uses
-    /// `expected_n` (the anticipated live set size — a dynamic index may
-    /// start empty, so the derivation cannot read `points.len()`). The
-    /// returned index supports [`NearNeighborIndex::insert`] /
-    /// [`NearNeighborIndex::remove`] / [`NearNeighborIndex::compact`];
-    /// grown-then-compacted indexes answer queries identically to a
-    /// static build over the same final point set.
-    #[allow(clippy::too_many_arguments)] // mirrors the theorem's parameter list
-    pub fn build_dynamic(
-        family: &(impl DshFamily<S::Row> + ?Sized),
-        measure: Measure<S::Row>,
-        r2: f64,
-        points: S,
-        expected_n: usize,
-        p1: f64,
-        p2: f64,
-        factor: f64,
-        rng: &mut dyn Rng,
-    ) -> Self {
-        assert!(
-            r2.is_finite() && r2 >= 0.0,
-            "NearNeighborIndex: target radius r2 = {r2} must be finite and non-negative"
-        );
-        let params = ann_params(expected_n.max(2), p1, p2, factor);
-        let powered = Power::new(family, params.k);
-        NearNeighborIndex {
-            index: DynamicIndex::build(&powered, points, params.l, rng),
-            measure,
-            r2,
-            params,
-        }
-    }
-
-    /// Insert a point into the backing [`DynamicIndex`], returning its id
-    /// (a full id space rejects with the backend's [`WriteError`]).
-    pub fn insert<Q>(&mut self, p: &Q) -> Result<usize, WriteError>
-    where
-        Q: AsRow<Row = S::Row> + ?Sized,
-    {
-        self.index.insert(p)
-    }
-
-    /// Remove point `id` (tombstone; reclaimed at the next compaction).
-    /// `Ok(false)` means already removed; a never-assigned id rejects
-    /// with [`WriteError::UnknownId`].
-    pub fn remove(&mut self, id: usize) -> Result<bool, WriteError> {
-        self.index.remove(id)
-    }
-
-    /// Insert every point of `points` as one group commit: ids are
-    /// assigned in insertion order and the backend publishes at most
-    /// one new epoch for the whole batch (see the backend's
-    /// `insert_batch`).
-    pub fn insert_batch<QS>(&mut self, points: &QS) -> Result<Vec<usize>, WriteError>
-    where
-        QS: PointStore<Row = S::Row> + ?Sized,
-    {
-        self.index.insert_batch(points)
-    }
-
-    /// Remove every id of `ids` as one group commit: per-id results in
-    /// order, at most one new epoch for the whole batch (see the
-    /// backend's `remove_batch`).
-    pub fn remove_batch(&mut self, ids: &[usize]) -> Result<Vec<bool>, WriteError> {
-        self.index.remove_batch(ids)
-    }
-
-    /// Freeze the delta segment; see [`DynamicIndex::seal`].
-    pub fn seal(&mut self) {
-        self.index.seal();
-    }
-
-    /// Merge all segments, dropping tombstones; see
-    /// [`DynamicIndex::compact`].
-    pub fn compact(&mut self) {
-        self.index.compact();
-    }
-}
-
-impl<S: AppendStore + Clone> NearNeighborIndex<S, ShardedIndex<S>> {
-    /// Build over a [`ShardedIndex`] backend: same parameters as
-    /// [`NearNeighborIndex::build_dynamic`] plus the shard count. Queries
-    /// fan out across shards and answer bit-identically to the
-    /// [`DynamicIndex`]-backed build; the backend (via
-    /// [`NearNeighborIndex::backend`]) additionally hands out wait-free
-    /// snapshots for readers concurrent with writes.
-    #[allow(clippy::too_many_arguments)] // mirrors the theorem's parameter list
-    pub fn build_sharded(
-        family: &(impl DshFamily<S::Row> + ?Sized),
-        measure: Measure<S::Row>,
-        r2: f64,
-        points: S,
-        num_shards: usize,
-        expected_n: usize,
-        p1: f64,
-        p2: f64,
-        factor: f64,
-        rng: &mut dyn Rng,
-    ) -> Self {
-        assert!(
-            r2.is_finite() && r2 >= 0.0,
-            "NearNeighborIndex: target radius r2 = {r2} must be finite and non-negative"
-        );
-        let params = ann_params(expected_n.max(2), p1, p2, factor);
-        let powered = Power::new(family, params.k);
-        NearNeighborIndex {
-            index: ShardedIndex::build(&powered, points, params.l, num_shards, rng),
-            measure,
-            r2,
-            params,
-        }
-    }
-
-    /// Insert a point into the backing [`ShardedIndex`], returning its
-    /// global id (a full id space rejects with the backend's
-    /// [`WriteError`]).
-    pub fn insert<Q>(&mut self, p: &Q) -> Result<usize, WriteError>
-    where
-        Q: AsRow<Row = S::Row> + ?Sized,
-    {
-        self.index.insert(p)
-    }
-
-    /// Remove point `id` (tombstone; reclaimed at the next compaction).
-    /// `Ok(false)` means already removed; a never-assigned id rejects
-    /// with [`WriteError::UnknownId`].
-    pub fn remove(&mut self, id: usize) -> Result<bool, WriteError> {
-        self.index.remove(id)
-    }
-
-    /// Insert every point of `points` as one group commit: ids are
-    /// assigned in insertion order and the backend publishes at most
-    /// one new epoch for the whole batch (see the backend's
-    /// `insert_batch`).
-    pub fn insert_batch<QS>(&mut self, points: &QS) -> Result<Vec<usize>, WriteError>
-    where
-        QS: PointStore<Row = S::Row> + ?Sized,
-    {
-        self.index.insert_batch(points)
-    }
-
-    /// Remove every id of `ids` as one group commit: per-id results in
-    /// order, at most one new epoch for the whole batch (see the
-    /// backend's `remove_batch`).
-    pub fn remove_batch(&mut self, ids: &[usize]) -> Result<Vec<bool>, WriteError> {
-        self.index.remove_batch(ids)
-    }
-
-    /// Freeze every shard's delta segment; see [`ShardedIndex::seal`].
-    pub fn seal(&mut self) {
-        self.index.seal();
-    }
-
-    /// Compact every shard, dropping tombstones; see
-    /// [`ShardedIndex::compact`].
-    pub fn compact(&mut self) {
-        self.index.compact();
-    }
-}
-
-impl<S: PointStore, B: CandidateBackend<Row = S::Row>> NearNeighborIndex<S, B> {
-    /// The derived `(k, L, rho)`.
-    pub fn params(&self) -> AnnParams {
-        self.params
-    }
-
-    /// The candidate backend (e.g. to inspect a [`DynamicIndex`]'s
-    /// segment layout or live count).
-    pub fn backend(&self) -> &B {
-        &self.index
-    }
-
-    /// Mutable access to the candidate backend.
-    pub fn backend_mut(&mut self) -> &mut B {
-        &mut self.index
-    }
-
-    /// Return the first retrieved candidate within distance `r2`, stopping
-    /// early after `3L` retrieved entries (the standard Markov cutoff).
-    pub fn query<Q>(&self, q: &Q) -> (Option<usize>, QueryStats)
-    where
-        Q: AsRow<Row = S::Row> + ?Sized,
-    {
-        let q = q.as_row();
-        let (cands, mut stats) = self.index.candidates_row(
-            q,
-            Some(self.retrieval_limit()),
-            &mut self.index.new_scratch(),
-        );
-        let hit = self.verify(&cands, q, &mut stats);
-        (hit, stats)
-    }
-
-    /// Run [`NearNeighborIndex::query`] for a batch of queries, fanned out
-    /// across worker threads with scratch reuse. Results line up with
-    /// `queries` and are identical to a query-at-a-time loop.
-    pub fn query_batch<QS>(&self, queries: &QS) -> Vec<(Option<usize>, QueryStats)>
-    where
-        QS: PointStore<Row = S::Row> + ?Sized,
-    {
-        self.query_batch_with_threads(queries, parallel::available_threads())
-    }
-
-    /// [`NearNeighborIndex::query_batch`] with an explicit worker-thread
-    /// count (the output does not depend on it; the count is capped so
-    /// each worker serves several queries per scratch buffer).
-    pub fn query_batch_with_threads<QS>(
-        &self,
-        queries: &QS,
-        threads: usize,
-    ) -> Vec<(Option<usize>, QueryStats)>
-    where
-        QS: PointStore<Row = S::Row> + ?Sized,
-    {
-        let limit = self.retrieval_limit();
-        let threads =
-            parallel::capped_threads(queries.len(), threads, crate::table::MIN_QUERIES_PER_WORKER);
-        parallel::map_index_chunks(queries.len(), threads, |range| {
-            let mut scratch = self.index.new_scratch();
-            range
-                .map(|i| {
-                    let q = queries.row(i);
-                    let (cands, mut stats) =
-                        self.index.candidates_row(q, Some(limit), &mut scratch);
-                    let hit = self.verify(&cands, q, &mut stats);
-                    (hit, stats)
-                })
-                .collect()
+        let n = points.len();
+        Self::over(family, measure, r2, n, p1, p2, factor, |g, l| {
+            static_backend(g, points, l, rng)
         })
-    }
-
-    fn retrieval_limit(&self) -> usize {
-        3 * self.index.repetitions()
-    }
-
-    fn verify(&self, cands: &[usize], q: &S::Row, stats: &mut QueryStats) -> Option<usize> {
-        for (j, &i) in cands.iter().enumerate() {
-            // Gather the row a few candidates ahead so its cache misses
-            // overlap this candidate's distance computation.
-            if let Some(&ahead) = cands.get(j + crate::table::ROW_AHEAD) {
-                self.index.prefetch_point(ahead);
-            }
-            stats.distance_computations += 1;
-            if (self.measure)(self.index.point(i), q) <= self.r2 {
-                return Some(i);
-            }
-        }
-        None
     }
 }
 
@@ -476,7 +270,7 @@ mod tests {
                 &mut rng,
             );
             if let (Some(i), _) = idx.query(&inst.query) {
-                let t = dsh_core::points::hamming(idx.index.point(i), inst.query.as_blocks())
+                let t = dsh_core::points::hamming(idx.backend().point(i), inst.query.as_blocks())
                     as f64
                     / d as f64;
                 assert!(t <= r2_rel);

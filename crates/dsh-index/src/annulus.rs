@@ -9,13 +9,10 @@
 //! `O(L)` regardless of how adversarial the data is.
 
 use crate::ann::repetition_count;
-use crate::batch::WriteError;
-use crate::dynamic::DynamicIndex;
-use crate::parallel;
-use crate::shard::ShardedIndex;
+use crate::frontend::{measured, static_backend, Frontend, Verifier};
 use crate::table::{CandidateBackend, HashTableIndex, QueryStats};
 use dsh_core::family::DshFamily;
-use dsh_core::points::{AppendStore, AsRow, PointStore};
+use dsh_core::points::PointStore;
 use rand::Rng;
 
 /// A pairwise measure (distance or similarity — the structure is
@@ -24,21 +21,6 @@ use rand::Rng;
 /// pass stream a flat store's contiguous rows; see [`crate::measures`]
 /// for the stock kernels.
 pub type Measure<R> = Box<dyn Fn(&R, &R) -> f64 + Send + Sync>;
-
-/// Annulus-search data structure: report a point whose measure to the
-/// query lies in `[report_lo, report_hi]`, given that one exists in the
-/// narrower planted interval.
-///
-/// Generic over the candidate backend `B`: the static
-/// [`HashTableIndex`] (the default, built once over a fixed point set)
-/// or the segmented [`DynamicIndex`] (built with
-/// [`AnnulusIndex::build_dynamic`], grown and shrunk online).
-pub struct AnnulusIndex<S: PointStore, B: CandidateBackend<Row = S::Row> = HashTableIndex<S>> {
-    index: B,
-    measure: Measure<S::Row>,
-    report_lo: f64,
-    report_hi: f64,
-}
 
 /// Result of an annulus query.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -49,287 +31,58 @@ pub struct AnnulusMatch {
     pub value: f64,
 }
 
-impl<S: PointStore> AnnulusIndex<S> {
-    /// Build with `l` repetitions of `family`. Per Theorem 6.1,
-    /// `l ~ 1/f(r)` repetitions recover a point at the peak measure `r`
-    /// with constant probability.
-    ///
-    /// Validates its inputs up front: `l >= 1`, a non-empty point set, and
-    /// a finite, non-empty reporting interval.
-    pub fn build(
-        family: &(impl DshFamily<S::Row> + ?Sized),
-        measure: Measure<S::Row>,
-        report_interval: (f64, f64),
-        points: S,
-        l: usize,
-        rng: &mut dyn Rng,
-    ) -> Self {
-        assert!(
-            l >= 1,
-            "AnnulusIndex: need at least one repetition (l >= 1)"
-        );
-        assert!(
-            !points.is_empty(),
-            "AnnulusIndex: cannot build over an empty point set"
-        );
-        assert!(
-            report_interval.0.is_finite() && report_interval.1.is_finite(),
-            "AnnulusIndex: reporting interval ({}, {}) must be finite",
-            report_interval.0,
-            report_interval.1
-        );
-        assert!(
-            report_interval.0 <= report_interval.1,
-            "empty reporting interval"
-        );
-        AnnulusIndex {
-            index: HashTableIndex::build(family, points, l, rng),
-            measure,
-            report_lo: report_interval.0,
-            report_hi: report_interval.1,
-        }
+/// The annulus [`Verifier`]: keep the first retrieved candidate whose
+/// measure lies in the reporting interval `[lo, hi]`, giving up after
+/// `8L` retrieved entries (the Theorem 6.1 termination rule).
+pub struct Interval<R: ?Sized> {
+    measure: Measure<R>,
+    lo: f64,
+    hi: f64,
+}
+
+impl<R: ?Sized + 'static> Verifier<R> for Interval<R> {
+    type Answer = Option<AnnulusMatch>;
+
+    fn retrieval_limit(&self, l: usize) -> Option<usize> {
+        Some(8 * l)
+    }
+
+    fn verify<B: CandidateBackend<Row = R>>(
+        &self,
+        backend: &B,
+        cands: &[usize],
+        q: &R,
+        stats: &mut QueryStats,
+    ) -> Option<AnnulusMatch> {
+        measured(backend, &self.measure, cands, q, stats)
+            .find(|&(_, v)| v >= self.lo && v <= self.hi)
+            .map(|(index, value)| AnnulusMatch { index, value })
     }
 }
 
-impl<S: AppendStore> AnnulusIndex<S, DynamicIndex<S>> {
-    /// Build over a [`DynamicIndex`] backend: same parameters as
-    /// [`AnnulusIndex::build`], but the point set may start empty and the
-    /// returned index supports [`AnnulusIndex::insert`] /
-    /// [`AnnulusIndex::remove`] / [`AnnulusIndex::compact`]. An index
-    /// grown by inserts and compacted answers queries identically to a
-    /// static build over the same final point set.
-    pub fn build_dynamic(
-        family: &(impl DshFamily<S::Row> + ?Sized),
-        measure: Measure<S::Row>,
-        report_interval: (f64, f64),
-        points: S,
-        l: usize,
-        rng: &mut dyn Rng,
-    ) -> Self {
-        assert!(
-            report_interval.0.is_finite() && report_interval.1.is_finite(),
-            "AnnulusIndex: reporting interval ({}, {}) must be finite",
-            report_interval.0,
-            report_interval.1
-        );
-        assert!(
-            report_interval.0 <= report_interval.1,
-            "empty reporting interval"
-        );
-        AnnulusIndex {
-            index: DynamicIndex::build(family, points, l, rng),
-            measure,
-            report_lo: report_interval.0,
-            report_hi: report_interval.1,
-        }
-    }
-
-    /// Insert a point into the backing [`DynamicIndex`], returning its id
-    /// (a full id space rejects with the backend's [`WriteError`]).
-    pub fn insert<Q>(&mut self, p: &Q) -> Result<usize, WriteError>
-    where
-        Q: AsRow<Row = S::Row> + ?Sized,
-    {
-        self.index.insert(p)
-    }
-
-    /// Remove point `id` (tombstone; reclaimed at the next compaction).
-    /// `Ok(false)` means already removed; a never-assigned id rejects
-    /// with [`WriteError::UnknownId`].
-    pub fn remove(&mut self, id: usize) -> Result<bool, WriteError> {
-        self.index.remove(id)
-    }
-
-    /// Insert every point of `points` as one group commit: ids are
-    /// assigned in insertion order and the backend publishes at most
-    /// one new epoch for the whole batch (see the backend's
-    /// `insert_batch`).
-    pub fn insert_batch<QS>(&mut self, points: &QS) -> Result<Vec<usize>, WriteError>
-    where
-        QS: PointStore<Row = S::Row> + ?Sized,
-    {
-        self.index.insert_batch(points)
-    }
-
-    /// Remove every id of `ids` as one group commit: per-id results in
-    /// order, at most one new epoch for the whole batch (see the
-    /// backend's `remove_batch`).
-    pub fn remove_batch(&mut self, ids: &[usize]) -> Result<Vec<bool>, WriteError> {
-        self.index.remove_batch(ids)
-    }
-
-    /// Freeze the delta segment; see [`DynamicIndex::seal`].
-    pub fn seal(&mut self) {
-        self.index.seal();
-    }
-
-    /// Merge all segments, dropping tombstones; see
-    /// [`DynamicIndex::compact`].
-    pub fn compact(&mut self) {
-        self.index.compact();
-    }
-}
-
-impl<S: AppendStore + Clone> AnnulusIndex<S, ShardedIndex<S>> {
-    /// Build over a [`ShardedIndex`] backend: same parameters as
-    /// [`AnnulusIndex::build_dynamic`] plus the shard count. Queries fan
-    /// out across shards and answer bit-identically to the
-    /// [`DynamicIndex`]-backed build.
-    pub fn build_sharded(
-        family: &(impl DshFamily<S::Row> + ?Sized),
-        measure: Measure<S::Row>,
-        report_interval: (f64, f64),
-        points: S,
-        l: usize,
-        num_shards: usize,
-        rng: &mut dyn Rng,
-    ) -> Self {
-        assert!(
-            report_interval.0.is_finite() && report_interval.1.is_finite(),
-            "AnnulusIndex: reporting interval ({}, {}) must be finite",
-            report_interval.0,
-            report_interval.1
-        );
-        assert!(
-            report_interval.0 <= report_interval.1,
-            "empty reporting interval"
-        );
-        AnnulusIndex {
-            index: ShardedIndex::build(family, points, l, num_shards, rng),
-            measure,
-            report_lo: report_interval.0,
-            report_hi: report_interval.1,
-        }
-    }
-
-    /// Insert a point into the backing [`ShardedIndex`], returning its
-    /// global id (a full id space rejects with the backend's
-    /// [`WriteError`]).
-    pub fn insert<Q>(&mut self, p: &Q) -> Result<usize, WriteError>
-    where
-        Q: AsRow<Row = S::Row> + ?Sized,
-    {
-        self.index.insert(p)
-    }
-
-    /// Remove point `id` (tombstone; reclaimed at the next compaction).
-    /// `Ok(false)` means already removed; a never-assigned id rejects
-    /// with [`WriteError::UnknownId`].
-    pub fn remove(&mut self, id: usize) -> Result<bool, WriteError> {
-        self.index.remove(id)
-    }
-
-    /// Insert every point of `points` as one group commit: ids are
-    /// assigned in insertion order and the backend publishes at most
-    /// one new epoch for the whole batch (see the backend's
-    /// `insert_batch`).
-    pub fn insert_batch<QS>(&mut self, points: &QS) -> Result<Vec<usize>, WriteError>
-    where
-        QS: PointStore<Row = S::Row> + ?Sized,
-    {
-        self.index.insert_batch(points)
-    }
-
-    /// Remove every id of `ids` as one group commit: per-id results in
-    /// order, at most one new epoch for the whole batch (see the
-    /// backend's `remove_batch`).
-    pub fn remove_batch(&mut self, ids: &[usize]) -> Result<Vec<bool>, WriteError> {
-        self.index.remove_batch(ids)
-    }
-
-    /// Freeze every shard's delta segment; see [`ShardedIndex::seal`].
-    pub fn seal(&mut self) {
-        self.index.seal();
-    }
-
-    /// Compact every shard, dropping tombstones; see
-    /// [`ShardedIndex::compact`].
-    pub fn compact(&mut self) {
-        self.index.compact();
-    }
-}
+/// Annulus-search data structure: [`Frontend::query`] reports a point
+/// whose measure to the query lies in the reporting interval, given that
+/// one exists in the narrower planted interval.
+pub type AnnulusIndex<S, B = HashTableIndex<S>> = Frontend<S, B, Interval<<S as PointStore>::Row>>;
 
 impl<S: PointStore, B: CandidateBackend<Row = S::Row>> AnnulusIndex<S, B> {
-    /// Number of repetitions `L`.
-    pub fn repetitions(&self) -> usize {
-        self.index.repetitions()
-    }
-
-    /// The candidate backend (e.g. to inspect a [`DynamicIndex`]'s
-    /// segment layout or live count).
-    pub fn backend(&self) -> &B {
-        &self.index
-    }
-
-    /// Mutable access to the candidate backend.
-    pub fn backend_mut(&mut self) -> &mut B {
-        &mut self.index
-    }
-
-    /// Query: return the first retrieved candidate whose measure lies in
-    /// the reporting interval, giving up after `8L` retrieved entries
-    /// (the Theorem 6.1 termination rule).
-    pub fn query<Q>(&self, q: &Q) -> (Option<AnnulusMatch>, QueryStats)
-    where
-        Q: AsRow<Row = S::Row> + ?Sized,
-    {
-        self.query_row(q.as_row())
-    }
-
-    fn query_row(&self, q: &S::Row) -> (Option<AnnulusMatch>, QueryStats) {
-        let (cands, mut stats) = self.index.candidates_row(
-            q,
-            Some(self.retrieval_limit()),
-            &mut self.index.new_scratch(),
+    /// Verify over an already-built `backend` — a [`crate::DynamicIndex`]
+    /// or [`crate::ShardedIndex`] (which may start empty and is written
+    /// through [`Frontend::backend_mut`]), or a [`crate::Snapshot`]. The
+    /// reporting interval must be finite and non-empty.
+    pub fn over(backend: B, measure: Measure<S::Row>, report_interval: (f64, f64)) -> Self {
+        let (lo, hi) = report_interval;
+        assert!(
+            lo.is_finite() && hi.is_finite(),
+            "AnnulusIndex: reporting interval ({lo}, {hi}) must be finite"
         );
-        let hit = self.verify(&cands, q, &mut stats);
-        (hit, stats)
+        assert!(lo <= hi, "empty reporting interval");
+        Frontend::new(backend, Interval { measure, lo, hi })
     }
 
-    /// Run [`AnnulusIndex::query`] for a batch of queries, fanned out
-    /// across worker threads with one reusable scratch buffer per worker.
-    /// Results line up with `queries` and are identical to a
-    /// query-at-a-time loop.
-    pub fn query_batch<QS>(&self, queries: &QS) -> Vec<(Option<AnnulusMatch>, QueryStats)>
-    where
-        QS: PointStore<Row = S::Row> + ?Sized,
-    {
-        self.query_batch_with_threads(queries, parallel::available_threads())
-    }
-
-    /// [`AnnulusIndex::query_batch`] with an explicit worker-thread count
-    /// (the output does not depend on it; the count is capped so each
-    /// worker serves several queries per scratch buffer).
-    pub fn query_batch_with_threads<QS>(
-        &self,
-        queries: &QS,
-        threads: usize,
-    ) -> Vec<(Option<AnnulusMatch>, QueryStats)>
-    where
-        QS: PointStore<Row = S::Row> + ?Sized,
-    {
-        let limit = self.retrieval_limit();
-        let threads =
-            parallel::capped_threads(queries.len(), threads, crate::table::MIN_QUERIES_PER_WORKER);
-        parallel::map_index_chunks(queries.len(), threads, |range| {
-            let mut scratch = self.index.new_scratch();
-            range
-                .map(|i| {
-                    let q = queries.row(i);
-                    let (cands, mut stats) =
-                        self.index.candidates_row(q, Some(limit), &mut scratch);
-                    let hit = self.verify(&cands, q, &mut stats);
-                    (hit, stats)
-                })
-                .collect()
-        })
-    }
-
-    /// Run `reps` independent queries (the structure itself is fixed;
-    /// repetition here means retrying the probabilistic query), returning
-    /// the success count — used by the experiments to measure the success
-    /// probability guarantee (>= 1/2 in Theorem 6.1). Runs the batched
-    /// query path under the hood.
+    /// Run the batched query path over `queries` and return the fraction
+    /// that reported a point — used by the experiments to measure the
+    /// success probability guarantee (>= 1/2 in Theorem 6.1).
     pub fn success_rate<QS>(&self, queries: &QS) -> f64
     where
         QS: PointStore<Row = S::Row> + ?Sized,
@@ -342,25 +95,25 @@ impl<S: PointStore, B: CandidateBackend<Row = S::Row>> AnnulusIndex<S, B> {
             .count();
         hits as f64 / queries.len() as f64
     }
+}
 
-    fn retrieval_limit(&self) -> usize {
-        8 * self.index.repetitions()
-    }
-
-    fn verify(&self, cands: &[usize], q: &S::Row, stats: &mut QueryStats) -> Option<AnnulusMatch> {
-        for (j, &i) in cands.iter().enumerate() {
-            // Gather the row a few candidates ahead so its cache misses
-            // overlap this candidate's distance computation.
-            if let Some(&ahead) = cands.get(j + crate::table::ROW_AHEAD) {
-                self.index.prefetch_point(ahead);
-            }
-            stats.distance_computations += 1;
-            let v = (self.measure)(self.index.point(i), q);
-            if v >= self.report_lo && v <= self.report_hi {
-                return Some(AnnulusMatch { index: i, value: v });
-            }
-        }
-        None
+impl<S: PointStore> AnnulusIndex<S> {
+    /// Build a static index with `l >= 1` repetitions of `family` over
+    /// the non-empty `points`. Per Theorem 6.1, `l ~ 1/f(r)` repetitions
+    /// recover a point at the peak measure `r` with constant probability.
+    pub fn build(
+        family: &(impl DshFamily<S::Row> + ?Sized),
+        measure: Measure<S::Row>,
+        report_interval: (f64, f64),
+        points: S,
+        l: usize,
+        rng: &mut dyn Rng,
+    ) -> Self {
+        Self::over(
+            static_backend(family, points, l, rng),
+            measure,
+            report_interval,
+        )
     }
 }
 

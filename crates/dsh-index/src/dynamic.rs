@@ -712,10 +712,6 @@ impl<S: AppendStore> CandidateBackend for DynamicIndex<S> {
         DynamicIndex::repetitions(self)
     }
 
-    fn indexed_len(&self) -> usize {
-        self.id_bound()
-    }
-
     fn point(&self, i: usize) -> &S::Row {
         DynamicIndex::point(self, i)
     }

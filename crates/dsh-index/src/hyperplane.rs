@@ -8,270 +8,57 @@
 //! `|<x, q>| <= alpha` (§6.1's discussion of hyperplane queries).
 
 use crate::ann::repetition_count;
-use crate::annulus::{AnnulusIndex, AnnulusMatch, Measure};
-use crate::batch::WriteError;
-use crate::dynamic::DynamicIndex;
+use crate::annulus::AnnulusIndex;
+use crate::frontend::static_backend;
 use crate::measures;
-use crate::shard::ShardedIndex;
-use crate::table::{CandidateBackend, HashTableIndex, QueryStats};
-use dsh_core::points::{AppendStore, AsRow, PointStore};
+use crate::table::CandidateBackend;
+use dsh_core::points::PointStore;
 use dsh_core::AnalyticCpf;
 use dsh_sphere::UnimodalFilterDsh;
 use rand::Rng;
 
-/// Hyperplane-query index over unit vectors (any dense store backend):
-/// reports a point with `|<x, q>| <= alpha_report`.
-///
-/// Generic over the candidate backend `B`: the static
-/// [`HashTableIndex`] (the default) or the segmented [`DynamicIndex`]
-/// (via [`HyperplaneIndex::build_dynamic`]) for online insert/remove.
-pub struct HyperplaneIndex<
-    S: PointStore<Row = [f64]>,
-    B: CandidateBackend<Row = [f64]> = HashTableIndex<S>,
-> {
-    inner: AnnulusIndex<S, B>,
+/// Hyperplane-query index over unit vectors in `R^d`: an
+/// [`AnnulusIndex`] reporting a point with `|<x, q>| <= alpha_report`.
+/// Derives the unimodal filter family peaking at inner product 0 with
+/// filter scale `t` and `L = ceil(repetition_factor / f(0))` repetitions
+/// (`f` the family's CPF), and verifies over the backend `backend` builds
+/// from them — e.g. `|family, l| DynamicIndex::build(family, store, l, rng)`.
+pub fn over<S, B>(
+    d: usize,
+    t: f64,
     alpha_report: f64,
+    repetition_factor: f64,
+    backend: impl FnOnce(&UnimodalFilterDsh, usize) -> B,
+) -> AnnulusIndex<S, B>
+where
+    S: PointStore<Row = [f64]>,
+    B: CandidateBackend<Row = [f64]>,
+{
+    assert!(alpha_report > 0.0 && alpha_report < 1.0);
+    assert!(repetition_factor > 0.0);
+    let family = UnimodalFilterDsh::new(d, 0.0, t);
+    let f0 = family.cpf(0.0);
+    assert!(f0 > 0.0, "degenerate CPF at the peak");
+    let l = repetition_count(repetition_factor, f0.min(1.0), 1);
+    AnnulusIndex::over(
+        backend(&family, l),
+        measures::inner_product(),
+        (-alpha_report, alpha_report),
+    )
 }
 
-impl<S: PointStore<Row = [f64]>> HyperplaneIndex<S> {
-    /// Build over `points` (unit vectors in `R^d`) with filter scale `t`
-    /// and reporting bound `alpha_report`. The repetition count is chosen
-    /// as `ceil(repetition_factor / f(0))` where `f` is the family's CPF.
-    pub fn build(
-        points: S,
-        d: usize,
-        t: f64,
-        alpha_report: f64,
-        repetition_factor: f64,
-        rng: &mut dyn Rng,
-    ) -> Self {
-        assert!(alpha_report > 0.0 && alpha_report < 1.0);
-        assert!(repetition_factor > 0.0);
-        assert!(
-            !points.is_empty(),
-            "HyperplaneIndex: cannot build over an empty point set"
-        );
-        let family = UnimodalFilterDsh::new(d, 0.0, t);
-        let f0 = family.cpf(0.0);
-        assert!(f0 > 0.0, "degenerate CPF at the peak");
-        let l = repetition_count(repetition_factor, f0.min(1.0), 1);
-        let measure: Measure<[f64]> = measures::inner_product();
-        let inner = AnnulusIndex::build(
-            &family,
-            measure,
-            (-alpha_report, alpha_report),
-            points,
-            l,
-            rng,
-        );
-        HyperplaneIndex {
-            inner,
-            alpha_report,
-        }
-    }
-}
-
-impl<S: AppendStore + PointStore<Row = [f64]>> HyperplaneIndex<S, DynamicIndex<S>> {
-    /// Build over a [`DynamicIndex`] backend: same parameters as
-    /// [`HyperplaneIndex::build`], but the point set may start empty and
-    /// the returned index supports [`HyperplaneIndex::insert`] /
-    /// [`HyperplaneIndex::remove`] / [`HyperplaneIndex::compact`].
-    pub fn build_dynamic(
-        points: S,
-        d: usize,
-        t: f64,
-        alpha_report: f64,
-        repetition_factor: f64,
-        rng: &mut dyn Rng,
-    ) -> Self {
-        assert!(alpha_report > 0.0 && alpha_report < 1.0);
-        assert!(repetition_factor > 0.0);
-        let family = UnimodalFilterDsh::new(d, 0.0, t);
-        let f0 = family.cpf(0.0);
-        assert!(f0 > 0.0, "degenerate CPF at the peak");
-        let l = repetition_count(repetition_factor, f0.min(1.0), 1);
-        let measure: Measure<[f64]> = measures::inner_product();
-        let inner = AnnulusIndex::build_dynamic(
-            &family,
-            measure,
-            (-alpha_report, alpha_report),
-            points,
-            l,
-            rng,
-        );
-        HyperplaneIndex {
-            inner,
-            alpha_report,
-        }
-    }
-
-    /// Insert a point into the backing [`DynamicIndex`], returning its id
-    /// (a full id space rejects with the backend's [`WriteError`]).
-    pub fn insert<Q>(&mut self, p: &Q) -> Result<usize, WriteError>
-    where
-        Q: AsRow<Row = [f64]> + ?Sized,
-    {
-        self.inner.insert(p)
-    }
-
-    /// Remove point `id` (tombstone; reclaimed at the next compaction).
-    /// `Ok(false)` means already removed; a never-assigned id rejects
-    /// with [`WriteError::UnknownId`].
-    pub fn remove(&mut self, id: usize) -> Result<bool, WriteError> {
-        self.inner.remove(id)
-    }
-
-    /// Insert every point of `points` as one group commit: ids are
-    /// assigned in insertion order and the backend publishes at most
-    /// one new epoch for the whole batch (see the backend's
-    /// `insert_batch`).
-    pub fn insert_batch<QS>(&mut self, points: &QS) -> Result<Vec<usize>, WriteError>
-    where
-        QS: PointStore<Row = [f64]> + ?Sized,
-    {
-        self.inner.insert_batch(points)
-    }
-
-    /// Remove every id of `ids` as one group commit: per-id results in
-    /// order, at most one new epoch for the whole batch (see the
-    /// backend's `remove_batch`).
-    pub fn remove_batch(&mut self, ids: &[usize]) -> Result<Vec<bool>, WriteError> {
-        self.inner.remove_batch(ids)
-    }
-
-    /// Freeze the delta segment; see [`DynamicIndex::seal`].
-    pub fn seal(&mut self) {
-        self.inner.seal();
-    }
-
-    /// Merge all segments, dropping tombstones; see
-    /// [`DynamicIndex::compact`].
-    pub fn compact(&mut self) {
-        self.inner.compact();
-    }
-}
-
-impl<S: AppendStore + PointStore<Row = [f64]> + Clone> HyperplaneIndex<S, ShardedIndex<S>> {
-    /// Build over a [`ShardedIndex`] backend: same parameters as
-    /// [`HyperplaneIndex::build_dynamic`] plus the shard count. Queries
-    /// fan out across shards and answer bit-identically to the
-    /// [`DynamicIndex`]-backed build.
-    pub fn build_sharded(
-        points: S,
-        d: usize,
-        t: f64,
-        alpha_report: f64,
-        repetition_factor: f64,
-        num_shards: usize,
-        rng: &mut dyn Rng,
-    ) -> Self {
-        assert!(alpha_report > 0.0 && alpha_report < 1.0);
-        assert!(repetition_factor > 0.0);
-        let family = UnimodalFilterDsh::new(d, 0.0, t);
-        let f0 = family.cpf(0.0);
-        assert!(f0 > 0.0, "degenerate CPF at the peak");
-        let l = repetition_count(repetition_factor, f0.min(1.0), 1);
-        let measure: Measure<[f64]> = measures::inner_product();
-        let inner = AnnulusIndex::build_sharded(
-            &family,
-            measure,
-            (-alpha_report, alpha_report),
-            points,
-            l,
-            num_shards,
-            rng,
-        );
-        HyperplaneIndex {
-            inner,
-            alpha_report,
-        }
-    }
-
-    /// Insert a point into the backing [`ShardedIndex`], returning its
-    /// global id (a full id space rejects with the backend's
-    /// [`WriteError`]).
-    pub fn insert<Q>(&mut self, p: &Q) -> Result<usize, WriteError>
-    where
-        Q: AsRow<Row = [f64]> + ?Sized,
-    {
-        self.inner.insert(p)
-    }
-
-    /// Remove point `id` (tombstone; reclaimed at the next compaction).
-    /// `Ok(false)` means already removed; a never-assigned id rejects
-    /// with [`WriteError::UnknownId`].
-    pub fn remove(&mut self, id: usize) -> Result<bool, WriteError> {
-        self.inner.remove(id)
-    }
-
-    /// Insert every point of `points` as one group commit: ids are
-    /// assigned in insertion order and the backend publishes at most
-    /// one new epoch for the whole batch (see the backend's
-    /// `insert_batch`).
-    pub fn insert_batch<QS>(&mut self, points: &QS) -> Result<Vec<usize>, WriteError>
-    where
-        QS: PointStore<Row = [f64]> + ?Sized,
-    {
-        self.inner.insert_batch(points)
-    }
-
-    /// Remove every id of `ids` as one group commit: per-id results in
-    /// order, at most one new epoch for the whole batch (see the
-    /// backend's `remove_batch`).
-    pub fn remove_batch(&mut self, ids: &[usize]) -> Result<Vec<bool>, WriteError> {
-        self.inner.remove_batch(ids)
-    }
-
-    /// Freeze every shard's delta segment; see [`ShardedIndex::seal`].
-    pub fn seal(&mut self) {
-        self.inner.seal();
-    }
-
-    /// Compact every shard, dropping tombstones; see
-    /// [`ShardedIndex::compact`].
-    pub fn compact(&mut self) {
-        self.inner.compact();
-    }
-}
-
-impl<S: PointStore<Row = [f64]>, B: CandidateBackend<Row = [f64]>> HyperplaneIndex<S, B> {
-    /// The reporting bound `alpha`.
-    pub fn alpha_report(&self) -> f64 {
-        self.alpha_report
-    }
-
-    /// The candidate backend of the underlying annulus structure.
-    pub fn backend(&self) -> &B {
-        self.inner.backend()
-    }
-
-    /// Mutable access to the candidate backend.
-    pub fn backend_mut(&mut self) -> &mut B {
-        self.inner.backend_mut()
-    }
-
-    /// Number of repetitions used.
-    pub fn repetitions(&self) -> usize {
-        self.inner.repetitions()
-    }
-
-    /// Report a point with `|<x, q>| <= alpha_report`, if the query finds
-    /// one.
-    pub fn query<Q>(&self, q: &Q) -> (Option<AnnulusMatch>, QueryStats)
-    where
-        Q: AsRow<Row = [f64]> + ?Sized,
-    {
-        self.inner.query(q)
-    }
-
-    /// Batched [`HyperplaneIndex::query`]: fans queries out across worker
-    /// threads with scratch reuse; identical to a query-at-a-time loop.
-    pub fn query_batch<QS>(&self, queries: &QS) -> Vec<(Option<AnnulusMatch>, QueryStats)>
-    where
-        QS: PointStore<Row = [f64]> + ?Sized,
-    {
-        self.inner.query_batch(queries)
-    }
+/// [`over`] a static index of the non-empty `points` (any dense store).
+pub fn build<S: PointStore<Row = [f64]>>(
+    points: S,
+    d: usize,
+    t: f64,
+    alpha_report: f64,
+    repetition_factor: f64,
+    rng: &mut dyn Rng,
+) -> AnnulusIndex<S> {
+    over(d, t, alpha_report, repetition_factor, |family, l| {
+        static_backend(family, points, l, rng)
+    })
 }
 
 /// The §6.1 query exponent for guarantee `alpha`:
@@ -295,7 +82,7 @@ mod tests {
         for run in 0..runs {
             let mut rng = seeded(321 + run);
             let inst = sphere_data::planted_sphere_instance(&mut rng, 200, d, 0.0);
-            let idx = HyperplaneIndex::build(inst.points, d, 1.4, 0.4, 1.5, &mut rng);
+            let idx = build(inst.points, d, 1.4, 0.4, 1.5, &mut rng);
             if let (Some(m), _) = idx.query(&inst.query) {
                 assert!(m.value.abs() <= 0.4, "reported alpha {}", m.value);
                 successes += 1;
@@ -321,8 +108,8 @@ mod tests {
     fn accessors() {
         let mut rng = seeded(322);
         let pts = sphere_data::uniform_sphere(&mut rng, 30, 16);
-        let idx = HyperplaneIndex::build(pts, 16, 1.0, 0.5, 1.0, &mut rng);
-        assert_eq!(idx.alpha_report(), 0.5);
+        let idx = build(pts, 16, 1.0, 0.5, 1.0, &mut rng);
         assert!(idx.repetitions() >= 1);
+        assert_eq!(idx.backend().len(), 30);
     }
 }

@@ -3,13 +3,20 @@
 //!
 //! * [`table`] — the `L`-repetition asymmetric hash table underlying
 //!   every structure: points inserted under `h`, queries probed under `g`;
-//! * [`annulus`] — the Theorem 6.1 data structure for approximate annulus
-//!   search with any unimodal CPF, including the `8L` early-termination
-//!   rule from its proof;
-//! * [`hyperplane`] — hyperplane queries (§6.1) as annulus search around
-//!   inner product 0;
+//! * [`frontend`] — the one query surface: a [`Frontend`] retrieves
+//!   candidates from a backend and keeps the ones its [`Verifier`]
+//!   accepts; the named indexes are aliases over three verifiers;
+//! * [`ann`] — `(r1, r2)`-near-neighbor search: the first candidate
+//!   within `r2`, after at most `3L` entries;
+//! * [`annulus`] — approximate annulus search with any unimodal CPF
+//!   (Theorem 6.1): the first candidate inside the reporting interval,
+//!   after at most `8L` entries;
 //! * [`range_reporting`] — approximate spherical range reporting with
-//!   step-function CPFs (Theorem 6.5) and output-sensitivity accounting;
+//!   step-function CPFs (Theorem 6.5): all candidates within `r_plus`,
+//!   with output-sensitivity accounting;
+//! * [`hyperplane`], [`sphere_annulus`] — hyperplane queries (§6.1) and
+//!   the Definition 6.3 / Theorem 6.4 problem on the sphere: parameter
+//!   derivations that return an [`AnnulusIndex`];
 //! * [`linear_scan`] — the exact baseline every experiment compares
 //!   against (including the dynamic path: it supports insert/remove);
 //! * [`dynamic`] — the mutable segmented index: sealed CSR segments plus
@@ -31,12 +38,14 @@
 //! out across threads. Batched results are always identical to a
 //! query-at-a-time loop, for every thread count.
 //!
-//! Every front-end is generic over a [`table::CandidateBackend`] — the
-//! static [`HashTableIndex`] by default, or the segmented
-//! [`DynamicIndex`] (via the `build_dynamic` constructors) when points
-//! must be inserted and retired online. A dynamic index grown by inserts
-//! and then compacted answers queries bit-identically to a static build
-//! over the same final point set.
+//! A [`Frontend`] is generic over its [`table::CandidateBackend`]: the
+//! static [`HashTableIndex`] its `build` constructor makes, or — through
+//! the `over` constructors — the segmented [`DynamicIndex`], the
+//! concurrent [`ShardedIndex`], or a frozen [`Snapshot`] of one. It only
+//! reads; points are inserted and retired online through
+//! [`Frontend::backend_mut`]. A dynamic index grown by inserts and then
+//! compacted answers queries bit-identically to a static build over the
+//! same final point set.
 //!
 //! Points live in a [`dsh_core::points::PointStore`]: the flat
 //! [`dsh_core::points::BitStore`] / [`dsh_core::points::DenseStore`]
@@ -53,6 +62,7 @@ pub mod ann;
 pub mod annulus;
 pub mod batch;
 pub mod dynamic;
+pub mod frontend;
 pub mod hyperplane;
 pub mod linear_scan;
 pub mod measures;
@@ -66,9 +76,9 @@ pub use ann::{ann_params, AnnParams, NearNeighborIndex, MAX_REPETITIONS};
 pub use annulus::AnnulusIndex;
 pub use batch::{BatchError, WriteBatch, WriteError, WriteOutcome, MAX_POINTS};
 pub use dynamic::DynamicIndex;
-pub use hyperplane::HyperplaneIndex;
+pub use frontend::{Frontend, Verifier};
 pub use linear_scan::LinearScan;
 pub use range_reporting::RangeReportingIndex;
 pub use shard::{ReaderHandle, ShardedIndex, Snapshot};
-pub use sphere_annulus::{AnnulusSpec, SphereAnnulusIndex};
+pub use sphere_annulus::AnnulusSpec;
 pub use table::{CandidateBackend, HashTableIndex, QueryScratch, QueryStats};

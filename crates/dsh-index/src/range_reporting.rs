@@ -8,313 +8,72 @@
 //! (Theorem 6.5's `O(d n^rho + d |S| f_max / f_min)` query time).
 
 use crate::annulus::Measure;
-use crate::batch::WriteError;
-use crate::dynamic::DynamicIndex;
-use crate::parallel;
-use crate::shard::ShardedIndex;
+use crate::frontend::{measured, static_backend, Frontend, Verifier};
 use crate::table::{CandidateBackend, HashTableIndex, QueryStats};
 use dsh_core::family::DshFamily;
-use dsh_core::points::{AppendStore, AsRow, PointStore};
+use dsh_core::points::{AsRow, PointStore};
 use rand::Rng;
 
-/// Range-reporting index: returns points with `dist <= r_plus`, and each
-/// point with `dist <= r` is reported with probability at least
-/// `1 - (1 - f_min)^L` (>= 1/2 for `L >= 1/f_min`).
-///
-/// Generic over the candidate backend `B`: the static
-/// [`HashTableIndex`] (the default) or the segmented [`DynamicIndex`]
-/// (via [`RangeReportingIndex::build_dynamic`]) for online
-/// insert/remove.
-pub struct RangeReportingIndex<S: PointStore, B: CandidateBackend<Row = S::Row> = HashTableIndex<S>>
-{
-    index: B,
-    measure: Measure<S::Row>,
+/// The range-reporting [`Verifier`]: keep every retrieved candidate
+/// within `r_plus`, with no retrieval limit. The stats expose the
+/// duplicate count, whose ratio to the output size is the
+/// output-sensitivity overhead bounded by `f_max / f_min`.
+pub struct AllWithin<R: ?Sized> {
+    measure: Measure<R>,
     r: f64,
     r_plus: f64,
 }
 
-impl<S: PointStore> RangeReportingIndex<S> {
-    /// Build with `l` repetitions; `measure` must be the *distance* the
-    /// radii refer to.
-    ///
-    /// Validates its inputs up front: `l >= 1`, a non-empty point set, and
-    /// finite, ordered, non-negative radii.
-    pub fn build(
-        family: &(impl DshFamily<S::Row> + ?Sized),
-        measure: Measure<S::Row>,
-        r: f64,
-        r_plus: f64,
-        points: S,
-        l: usize,
-        rng: &mut dyn Rng,
-    ) -> Self {
-        assert!(
-            l >= 1,
-            "RangeReportingIndex: need at least one repetition (l >= 1)"
-        );
-        assert!(
-            !points.is_empty(),
-            "RangeReportingIndex: cannot build over an empty point set"
-        );
-        assert!(
-            r.is_finite() && r_plus.is_finite() && r >= 0.0,
-            "RangeReportingIndex: radii r = {r}, r_plus = {r_plus} must be finite and non-negative"
-        );
-        assert!(r <= r_plus, "need r <= r_plus");
-        RangeReportingIndex {
-            index: HashTableIndex::build(family, points, l, rng),
-            measure,
-            r,
-            r_plus,
-        }
+impl<R: ?Sized + 'static> Verifier<R> for AllWithin<R> {
+    type Answer = Vec<usize>;
+
+    fn retrieval_limit(&self, _l: usize) -> Option<usize> {
+        None
+    }
+
+    fn verify<B: CandidateBackend<Row = R>>(
+        &self,
+        backend: &B,
+        cands: &[usize],
+        q: &R,
+        stats: &mut QueryStats,
+    ) -> Vec<usize> {
+        measured(backend, &self.measure, cands, q, stats)
+            .filter(|&(_, v)| v <= self.r_plus)
+            .map(|(i, _)| i)
+            .collect()
     }
 }
 
-impl<S: AppendStore> RangeReportingIndex<S, DynamicIndex<S>> {
-    /// Build over a [`DynamicIndex`] backend: same parameters as
-    /// [`RangeReportingIndex::build`], but the point set may start empty
-    /// and the returned index supports [`RangeReportingIndex::insert`] /
-    /// [`RangeReportingIndex::remove`] /
-    /// [`RangeReportingIndex::compact`]. Grown-then-compacted indexes
-    /// report identically to a static build over the same final point
-    /// set.
-    pub fn build_dynamic(
-        family: &(impl DshFamily<S::Row> + ?Sized),
-        measure: Measure<S::Row>,
-        r: f64,
-        r_plus: f64,
-        points: S,
-        l: usize,
-        rng: &mut dyn Rng,
-    ) -> Self {
-        assert!(
-            r.is_finite() && r_plus.is_finite() && r >= 0.0,
-            "RangeReportingIndex: radii r = {r}, r_plus = {r_plus} must be finite and non-negative"
-        );
-        assert!(r <= r_plus, "need r <= r_plus");
-        RangeReportingIndex {
-            index: DynamicIndex::build(family, points, l, rng),
-            measure,
-            r,
-            r_plus,
-        }
-    }
-
-    /// Insert a point into the backing [`DynamicIndex`], returning its id
-    /// (a full id space rejects with the backend's [`WriteError`]).
-    pub fn insert<Q>(&mut self, p: &Q) -> Result<usize, WriteError>
-    where
-        Q: AsRow<Row = S::Row> + ?Sized,
-    {
-        self.index.insert(p)
-    }
-
-    /// Remove point `id` (tombstone; reclaimed at the next compaction).
-    /// `Ok(false)` means already removed; a never-assigned id rejects
-    /// with [`WriteError::UnknownId`].
-    pub fn remove(&mut self, id: usize) -> Result<bool, WriteError> {
-        self.index.remove(id)
-    }
-
-    /// Insert every point of `points` as one group commit: ids are
-    /// assigned in insertion order and the backend publishes at most
-    /// one new epoch for the whole batch (see the backend's
-    /// `insert_batch`).
-    pub fn insert_batch<QS>(&mut self, points: &QS) -> Result<Vec<usize>, WriteError>
-    where
-        QS: PointStore<Row = S::Row> + ?Sized,
-    {
-        self.index.insert_batch(points)
-    }
-
-    /// Remove every id of `ids` as one group commit: per-id results in
-    /// order, at most one new epoch for the whole batch (see the
-    /// backend's `remove_batch`).
-    pub fn remove_batch(&mut self, ids: &[usize]) -> Result<Vec<bool>, WriteError> {
-        self.index.remove_batch(ids)
-    }
-
-    /// Freeze the delta segment; see [`DynamicIndex::seal`].
-    pub fn seal(&mut self) {
-        self.index.seal();
-    }
-
-    /// Merge all segments, dropping tombstones; see
-    /// [`DynamicIndex::compact`].
-    pub fn compact(&mut self) {
-        self.index.compact();
-    }
-}
-
-impl<S: AppendStore + Clone> RangeReportingIndex<S, ShardedIndex<S>> {
-    /// Build over a [`ShardedIndex`] backend: same parameters as
-    /// [`RangeReportingIndex::build_dynamic`] plus the shard count.
-    /// Queries fan out across shards and report bit-identically to the
-    /// [`DynamicIndex`]-backed build.
-    #[allow(clippy::too_many_arguments)] // mirrors the theorem's parameter list
-    pub fn build_sharded(
-        family: &(impl DshFamily<S::Row> + ?Sized),
-        measure: Measure<S::Row>,
-        r: f64,
-        r_plus: f64,
-        points: S,
-        l: usize,
-        num_shards: usize,
-        rng: &mut dyn Rng,
-    ) -> Self {
-        assert!(
-            r.is_finite() && r_plus.is_finite() && r >= 0.0,
-            "RangeReportingIndex: radii r = {r}, r_plus = {r_plus} must be finite and non-negative"
-        );
-        assert!(r <= r_plus, "need r <= r_plus");
-        RangeReportingIndex {
-            index: ShardedIndex::build(family, points, l, num_shards, rng),
-            measure,
-            r,
-            r_plus,
-        }
-    }
-
-    /// Insert a point into the backing [`ShardedIndex`], returning its
-    /// global id (a full id space rejects with the backend's
-    /// [`WriteError`]).
-    pub fn insert<Q>(&mut self, p: &Q) -> Result<usize, WriteError>
-    where
-        Q: AsRow<Row = S::Row> + ?Sized,
-    {
-        self.index.insert(p)
-    }
-
-    /// Remove point `id` (tombstone; reclaimed at the next compaction).
-    /// `Ok(false)` means already removed; a never-assigned id rejects
-    /// with [`WriteError::UnknownId`].
-    pub fn remove(&mut self, id: usize) -> Result<bool, WriteError> {
-        self.index.remove(id)
-    }
-
-    /// Insert every point of `points` as one group commit: ids are
-    /// assigned in insertion order and the backend publishes at most
-    /// one new epoch for the whole batch (see the backend's
-    /// `insert_batch`).
-    pub fn insert_batch<QS>(&mut self, points: &QS) -> Result<Vec<usize>, WriteError>
-    where
-        QS: PointStore<Row = S::Row> + ?Sized,
-    {
-        self.index.insert_batch(points)
-    }
-
-    /// Remove every id of `ids` as one group commit: per-id results in
-    /// order, at most one new epoch for the whole batch (see the
-    /// backend's `remove_batch`).
-    pub fn remove_batch(&mut self, ids: &[usize]) -> Result<Vec<bool>, WriteError> {
-        self.index.remove_batch(ids)
-    }
-
-    /// Freeze every shard's delta segment; see [`ShardedIndex::seal`].
-    pub fn seal(&mut self) {
-        self.index.seal();
-    }
-
-    /// Compact every shard, dropping tombstones; see
-    /// [`ShardedIndex::compact`].
-    pub fn compact(&mut self) {
-        self.index.compact();
-    }
-}
+/// Range-reporting index: [`Frontend::query`] returns points with
+/// `dist <= r_plus`, and each point with `dist <= r` is reported with
+/// probability at least `1 - (1 - f_min)^L` (>= 1/2 for `L >= 1/f_min`).
+pub type RangeReportingIndex<S, B = HashTableIndex<S>> =
+    Frontend<S, B, AllWithin<<S as PointStore>::Row>>;
 
 impl<S: PointStore, B: CandidateBackend<Row = S::Row>> RangeReportingIndex<S, B> {
+    /// Verify over an already-built `backend` — a [`crate::DynamicIndex`]
+    /// or [`crate::ShardedIndex`] (which may start empty and is written
+    /// through [`Frontend::backend_mut`]), or a [`crate::Snapshot`].
+    /// `measure` must be the *distance* the finite, ordered, non-negative
+    /// radii refer to.
+    pub fn over(backend: B, measure: Measure<S::Row>, r: f64, r_plus: f64) -> Self {
+        assert!(
+            r.is_finite() && r_plus.is_finite() && r >= 0.0,
+            "RangeReportingIndex: radii r = {r}, r_plus = {r_plus} must be finite and non-negative"
+        );
+        assert!(r <= r_plus, "need r <= r_plus");
+        Frontend::new(backend, AllWithin { measure, r, r_plus })
+    }
+
     /// Inner radius `r` (the recall target).
     pub fn radius(&self) -> f64 {
-        self.r
-    }
-
-    /// The candidate backend (e.g. to inspect a [`DynamicIndex`]'s
-    /// segment layout or live count).
-    pub fn backend(&self) -> &B {
-        &self.index
-    }
-
-    /// Mutable access to the candidate backend.
-    pub fn backend_mut(&mut self) -> &mut B {
-        &mut self.index
+        self.verifier.r
     }
 
     /// Outer radius `r_plus` (the reporting slack).
     pub fn outer_radius(&self) -> f64 {
-        self.r_plus
-    }
-
-    /// Number of repetitions.
-    pub fn repetitions(&self) -> usize {
-        self.index.repetitions()
-    }
-
-    /// Report all retrieved candidates within `r_plus`. The stats expose
-    /// the duplicate count, whose ratio to the output size is the
-    /// output-sensitivity overhead bounded by `f_max / f_min`.
-    pub fn query<Q>(&self, q: &Q) -> (Vec<usize>, QueryStats)
-    where
-        Q: AsRow<Row = S::Row> + ?Sized,
-    {
-        let q = q.as_row();
-        let (cands, mut stats) = self
-            .index
-            .candidates_row(q, None, &mut self.index.new_scratch());
-        let out = self.verify(&cands, q, &mut stats);
-        (out, stats)
-    }
-
-    /// Run [`RangeReportingIndex::query`] for a batch of queries, fanned
-    /// out across worker threads with one reusable scratch buffer per
-    /// worker. Results line up with `queries` and are identical to a
-    /// query-at-a-time loop.
-    pub fn query_batch<QS>(&self, queries: &QS) -> Vec<(Vec<usize>, QueryStats)>
-    where
-        QS: PointStore<Row = S::Row> + ?Sized,
-    {
-        self.query_batch_with_threads(queries, parallel::available_threads())
-    }
-
-    /// [`RangeReportingIndex::query_batch`] with an explicit worker-thread
-    /// count (the output does not depend on it; the count is capped so
-    /// each worker serves several queries per scratch buffer).
-    pub fn query_batch_with_threads<QS>(
-        &self,
-        queries: &QS,
-        threads: usize,
-    ) -> Vec<(Vec<usize>, QueryStats)>
-    where
-        QS: PointStore<Row = S::Row> + ?Sized,
-    {
-        let threads =
-            parallel::capped_threads(queries.len(), threads, crate::table::MIN_QUERIES_PER_WORKER);
-        parallel::map_index_chunks(queries.len(), threads, |range| {
-            let mut scratch = self.index.new_scratch();
-            range
-                .map(|i| {
-                    let q = queries.row(i);
-                    let (cands, mut stats) = self.index.candidates_row(q, None, &mut scratch);
-                    let out = self.verify(&cands, q, &mut stats);
-                    (out, stats)
-                })
-                .collect()
-        })
-    }
-
-    fn verify(&self, cands: &[usize], q: &S::Row, stats: &mut QueryStats) -> Vec<usize> {
-        let mut out = Vec::new();
-        for (j, &i) in cands.iter().enumerate() {
-            // Gather the row a few candidates ahead so its cache misses
-            // overlap this candidate's distance computation.
-            if let Some(&ahead) = cands.get(j + crate::table::ROW_AHEAD) {
-                self.index.prefetch_point(ahead);
-            }
-            stats.distance_computations += 1;
-            if (self.measure)(self.index.point(i), q) <= self.r_plus {
-                out.push(i);
-            }
-        }
-        out
+        self.verifier.r_plus
     }
 
     /// Recall against a ground-truth set of indices within distance `r`
@@ -329,6 +88,22 @@ impl<S: PointStore, B: CandidateBackend<Row = S::Row>> RangeReportingIndex<S, B>
         let (found, _) = self.query(q);
         let hits = truth.iter().filter(|i| found.contains(i)).count();
         hits as f64 / truth.len() as f64
+    }
+}
+
+impl<S: PointStore> RangeReportingIndex<S> {
+    /// Build a static index with `l >= 1` repetitions of `family` over
+    /// the non-empty `points`.
+    pub fn build(
+        family: &(impl DshFamily<S::Row> + ?Sized),
+        measure: Measure<S::Row>,
+        r: f64,
+        r_plus: f64,
+        points: S,
+        l: usize,
+        rng: &mut dyn Rng,
+    ) -> Self {
+        Self::over(static_backend(family, points, l, rng), measure, r, r_plus)
     }
 }
 
@@ -380,7 +155,8 @@ mod tests {
         // Nothing reported beyond r_plus.
         let (found, _) = idx.query(&q);
         for i in found {
-            let t = dsh_core::points::hamming(idx.index.point(i), q.as_blocks()) as f64 / d as f64;
+            let t =
+                dsh_core::points::hamming(idx.backend().point(i), q.as_blocks()) as f64 / d as f64;
             assert!(t <= 0.2);
         }
     }

@@ -65,8 +65,10 @@ use dsh_core::points::{AppendStore, AsRow, ChunkedStore, PointStore};
 use rand::Rng;
 use std::sync::{Arc, RwLock};
 
-/// The immutable state one epoch of a [`ShardedIndex`] publishes: the
-/// shard indexes plus the logical-segment alignment map.
+/// The plain data one epoch of a [`ShardedIndex`] publishes: the shard
+/// indexes plus the logical-segment alignment map. Writers fork (clone)
+/// it; every read goes through the [`Snapshot`] that owns it.
+#[derive(Clone)]
 struct ShardedState<S: AppendStore + Clone> {
     shards: Vec<Arc<DynamicIndex<ChunkedStore<S>>>>,
     /// One entry per **logical** sealed segment (the segment an unsharded
@@ -80,57 +82,89 @@ struct ShardedState<S: AppendStore + Clone> {
     epoch: u64,
 }
 
-impl<S: AppendStore + Clone> Clone for ShardedState<S> {
-    fn clone(&self) -> Self {
-        ShardedState {
-            shards: self.shards.clone(),
-            segments: self.segments.clone(),
-            total_rows: self.total_rows,
-            epoch: self.epoch,
-        }
-    }
+/// An immutable view of a [`ShardedIndex`] at one publication epoch, and
+/// the one owner of the read path: the index itself answers every read
+/// through its current snapshot.
+///
+/// Holding a snapshot never blocks writers, and no writer activity —
+/// inserts, removals, seals, compactions — changes what it answers: its
+/// candidate lists, stats, live-id set, and rows are frozen at
+/// acquisition time. Cloning is a reference-count bump.
+#[derive(Clone)]
+pub struct Snapshot<S: AppendStore + Clone> {
+    state: Arc<ShardedState<S>>,
 }
 
-impl<S: AppendStore + Clone> ShardedState<S> {
-    fn num_shards(&self) -> usize {
-        self.shards.len()
+impl<S: AppendStore + Clone> Snapshot<S> {
+    /// The publication epoch this snapshot was taken at (the number of
+    /// state-changing writes applied before it).
+    pub fn epoch(&self) -> u64 {
+        self.state.epoch
     }
 
-    fn repetitions(&self) -> usize {
-        self.shards[0].repetitions()
+    /// Number of shards.
+    pub fn num_shards(&self) -> usize {
+        self.state.shards.len()
     }
 
-    fn len(&self) -> usize {
-        self.shards.iter().map(|sh| sh.len()).sum()
+    /// Number of repetitions `L`.
+    pub fn repetitions(&self) -> usize {
+        self.state.shards[0].repetitions()
     }
 
-    fn removed(&self) -> usize {
-        self.shards.iter().map(|sh| sh.removed()).sum()
+    /// Number of live points across all shards at this epoch.
+    pub fn len(&self) -> usize {
+        self.state.shards.iter().map(|sh| sh.len()).sum()
     }
 
-    fn delta_rows(&self) -> usize {
-        self.shards.iter().map(|sh| sh.delta_rows()).sum()
+    /// True when no live points are indexed at this epoch.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 
-    fn is_live(&self, id: usize) -> bool {
-        id < self.total_rows && self.shards[id % self.num_shards()].is_live(id / self.num_shards())
+    /// One past the largest global id assigned at this epoch.
+    pub fn id_bound(&self) -> usize {
+        self.state.total_rows
     }
 
-    fn point(&self, id: usize) -> &S::Row {
-        self.shards[id % self.num_shards()].point(id / self.num_shards())
+    /// Number of removed (tombstoned) ids not yet reclaimed.
+    pub fn removed(&self) -> usize {
+        self.state.shards.iter().map(|sh| sh.removed()).sum()
     }
 
-    fn prefetch_point(&self, id: usize) {
-        if id < self.total_rows {
-            CandidateBackend::prefetch_point(
-                &*self.shards[id % self.num_shards()],
-                id / self.num_shards(),
-            );
-        }
+    /// Total points sitting in the shards' delta segments.
+    pub fn delta_rows(&self) -> usize {
+        self.state.shards.iter().map(|sh| sh.delta_rows()).sum()
     }
 
-    fn new_scratch(&self) -> QueryScratch {
-        QueryScratch::new(self.total_rows)
+    /// Number of **logical** sealed segments (what an unsharded index
+    /// driven through the same schedule would report).
+    pub fn sealed_segments(&self) -> usize {
+        self.state.segments.len()
+    }
+
+    /// Whether global id `id` was inserted and not removed at this epoch.
+    pub fn is_live(&self, id: usize) -> bool {
+        let n = self.num_shards();
+        id < self.state.total_rows && self.state.shards[id % n].is_live(id / n)
+    }
+
+    /// Iterate over the ids live at this epoch, in increasing order.
+    pub fn live_ids(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.state.total_rows).filter(|&id| self.is_live(id))
+    }
+
+    /// Borrow the row of point `id` as stored at this epoch (rows remain
+    /// addressable after removal; stores are append-only).
+    pub fn point(&self, id: usize) -> &S::Row {
+        let n = self.num_shards();
+        self.state.shards[id % n].point(id / n)
+    }
+
+    /// A query scratch buffer sized for this epoch's id space (see
+    /// [`DynamicIndex::new_scratch`] for the staleness contract).
+    pub fn new_scratch(&self) -> QueryScratch {
+        QueryScratch::new(self.state.total_rows)
     }
 
     /// The sharded mirror of `DynamicIndex::candidates_row`: identical
@@ -144,10 +178,11 @@ impl<S: AppendStore + Clone> ShardedState<S> {
         retrieval_limit: Option<usize>,
         scratch: &mut QueryScratch,
     ) -> (Vec<usize>, QueryStats) {
+        let state = &*self.state;
         // lint: allow(panic) — contract: scratch must come from this index's make_scratch
         assert_eq!(
             scratch.len(),
-            self.total_rows,
+            state.total_rows,
             "scratch buffer sized for a different index"
         );
         let generation = scratch.begin();
@@ -156,15 +191,15 @@ impl<S: AppendStore + Clone> ShardedState<S> {
         let mut out = Vec::new();
         // (shard, bucket, cursor) triples of the logical bucket currently
         // being merged; reused across probes to avoid per-probe allocation.
-        let mut probe: Vec<(usize, &[u32], usize)> = Vec::with_capacity(self.num_shards());
-        let probe_delta = self.shards.iter().any(|sh| sh.delta_rows() > 0);
-        'tables: for (j, pair) in self.shards[0].pairs().iter().enumerate() {
+        let mut probe: Vec<(usize, &[u32], usize)> = Vec::with_capacity(state.shards.len());
+        let probe_delta = state.shards.iter().any(|sh| sh.delta_rows() > 0);
+        'tables: for (j, pair) in state.shards[0].pairs().iter().enumerate() {
             let key = pair.query.hash(q);
-            for seg_map in &self.segments {
+            for seg_map in &state.segments {
                 probe.clear();
                 for (s, phys) in seg_map.iter().enumerate() {
                     if let Some(p) = phys {
-                        probe.push((s, self.shards[s].sealed_bucket(*p, j, key), 0));
+                        probe.push((s, state.shards[s].sealed_bucket(*p, j, key), 0));
                     }
                 }
                 let part = self.consume_merged(
@@ -181,7 +216,7 @@ impl<S: AppendStore + Clone> ShardedState<S> {
             }
             if probe_delta {
                 probe.clear();
-                for (s, sh) in self.shards.iter().enumerate() {
+                for (s, sh) in state.shards.iter().enumerate() {
                     if sh.delta_rows() > 0 {
                         probe.push((s, sh.delta_bucket(j, key), 0));
                     }
@@ -216,7 +251,8 @@ impl<S: AppendStore + Clone> ShardedState<S> {
         generation: u8,
         out: &mut Vec<usize>,
     ) -> QueryStats {
-        let n = self.num_shards();
+        let shards = &self.state.shards[..];
+        let n = shards.len();
         let mut part = QueryStats {
             tables_probed: 1,
             ..QueryStats::default()
@@ -259,7 +295,7 @@ impl<S: AppendStore + Clone> ShardedState<S> {
                     scratch.prefetch(local as usize * n + shard);
                 }
             }
-            if !self.shards[probe[slot].0].is_live(global / n) {
+            if !shards[probe[slot].0].is_live(global / n) {
                 continue;
             }
             if scratch.visit(global, generation) {
@@ -272,7 +308,46 @@ impl<S: AppendStore + Clone> ShardedState<S> {
         part
     }
 
-    fn candidates_batch_with_threads<QS>(
+    /// Retrieve distinct live candidate ids for `q` in retrieval order,
+    /// exactly as the index answered at this epoch — bit-identically to
+    /// the equivalent unsharded [`DynamicIndex::candidates`].
+    pub fn candidates<Q>(&self, q: &Q, retrieval_limit: Option<usize>) -> (Vec<usize>, QueryStats)
+    where
+        Q: AsRow<Row = S::Row> + ?Sized,
+    {
+        self.candidates_row(q.as_row(), retrieval_limit, &mut self.new_scratch())
+    }
+
+    /// [`Snapshot::candidates`] against a caller-provided scratch.
+    pub fn candidates_with<Q>(
+        &self,
+        q: &Q,
+        retrieval_limit: Option<usize>,
+        scratch: &mut QueryScratch,
+    ) -> (Vec<usize>, QueryStats)
+    where
+        Q: AsRow<Row = S::Row> + ?Sized,
+    {
+        self.candidates_row(q.as_row(), retrieval_limit, scratch)
+    }
+
+    /// Batched [`Snapshot::candidates`], fanned out across worker
+    /// threads with one scratch per worker; identical to a
+    /// query-at-a-time loop.
+    pub fn candidates_batch<QS>(
+        &self,
+        queries: &QS,
+        retrieval_limit: Option<usize>,
+    ) -> Vec<(Vec<usize>, QueryStats)>
+    where
+        QS: PointStore<Row = S::Row> + ?Sized,
+    {
+        self.candidates_batch_with_threads(queries, retrieval_limit, parallel::available_threads())
+    }
+
+    /// [`Snapshot::candidates_batch`] with an explicit worker-thread
+    /// count (the output does not depend on it).
+    pub fn candidates_batch_with_threads<QS>(
         &self,
         queries: &QS,
         retrieval_limit: Option<usize>,
@@ -291,6 +366,39 @@ impl<S: AppendStore + Clone> ShardedState<S> {
     }
 }
 
+impl<S: AppendStore + Clone> CandidateBackend for Snapshot<S> {
+    type Row = S::Row;
+
+    fn repetitions(&self) -> usize {
+        Snapshot::repetitions(self)
+    }
+
+    fn point(&self, i: usize) -> &S::Row {
+        Snapshot::point(self, i)
+    }
+
+    #[inline]
+    fn prefetch_point(&self, i: usize) {
+        if i < self.state.total_rows {
+            let n = self.num_shards();
+            CandidateBackend::prefetch_point(&*self.state.shards[i % n], i / n);
+        }
+    }
+
+    fn new_scratch(&self) -> QueryScratch {
+        Snapshot::new_scratch(self)
+    }
+
+    fn candidates_row(
+        &self,
+        q: &S::Row,
+        retrieval_limit: Option<usize>,
+        scratch: &mut QueryScratch,
+    ) -> (Vec<usize>, QueryStats) {
+        Snapshot::candidates_row(self, q, retrieval_limit, scratch)
+    }
+}
+
 /// A mutable index partitioned across `N` shards, publishing an immutable
 /// epoch-stamped snapshot of itself after every write.
 ///
@@ -301,11 +409,12 @@ impl<S: AppendStore + Clone> ShardedState<S> {
 /// threads a [`ReaderHandle`] so they can keep taking fresh snapshots
 /// while the writer holds the index mutably.
 ///
-/// Queries through the index itself ([`ShardedIndex::candidates`], or a
-/// front-end built with its `build_sharded` constructor) read the
-/// writer's current state; queries through a [`Snapshot`] read that
-/// snapshot's frozen state. Both answer bit-identically to an unsharded
-/// [`DynamicIndex`] at the same schedule point (see the module docs).
+/// The index dereferences to its current [`Snapshot`], so every read —
+/// [`Snapshot::candidates`], [`Snapshot::len`], a front-end over the index
+/// as its backend — is answered from the writer's current state by the
+/// same code that answers a held snapshot from its frozen one. Both are
+/// bit-identical to an unsharded [`DynamicIndex`] at the same schedule
+/// point (see the module docs).
 ///
 /// ```
 /// use dsh_core::points::{BitStore, BitVector};
@@ -325,10 +434,10 @@ impl<S: AppendStore + Clone> ShardedState<S> {
 /// assert!(snapshot.candidates(&p, None).0.contains(&id)); // still pre-remove
 /// ```
 pub struct ShardedIndex<S: AppendStore + Clone> {
-    /// The writer's current state (always equal to the published cell).
-    state: Arc<ShardedState<S>>,
+    /// The writer's current snapshot (always equal to the published cell).
+    current: Snapshot<S>,
     /// The shared publication cell reader handles clone snapshots from.
-    published: Arc<RwLock<Arc<ShardedState<S>>>>,
+    published: Arc<RwLock<Snapshot<S>>>,
 }
 
 impl<S: AppendStore + Clone> ShardedIndex<S> {
@@ -395,15 +504,17 @@ impl<S: AppendStore + Clone> ShardedIndex<S> {
         } else {
             vec![Self::single_segment_map(&shards)]
         };
-        let state = Arc::new(ShardedState {
-            shards,
-            segments,
-            total_rows: points.len(),
-            epoch: 0,
-        });
+        let current = Snapshot {
+            state: Arc::new(ShardedState {
+                shards,
+                segments,
+                total_rows: points.len(),
+                epoch: 0,
+            }),
+        };
         ShardedIndex {
-            published: Arc::new(RwLock::new(Arc::clone(&state))),
-            state,
+            published: Arc::new(RwLock::new(current.clone())),
+            current,
         }
     }
 
@@ -417,7 +528,7 @@ impl<S: AppendStore + Clone> ShardedIndex<S> {
     }
 
     fn fork(&self) -> ShardedState<S> {
-        (*self.state).clone()
+        (*self.current.state).clone()
     }
 
     /// Pretend the id space already holds `total` ids — the only
@@ -427,15 +538,16 @@ impl<S: AppendStore + Clone> ShardedIndex<S> {
     /// contents are never touched.
     #[cfg(test)]
     fn force_total_rows(&mut self, total: usize) {
-        Arc::make_mut(&mut self.state).total_rows = total;
+        Arc::make_mut(&mut self.current.state).total_rows = total;
     }
 
     fn publish(&mut self, mut next: ShardedState<S>) {
-        next.epoch = self.state.epoch + 1;
-        let next = Arc::new(next);
-        self.state = Arc::clone(&next);
+        next.epoch = self.epoch() + 1;
+        self.current = Snapshot {
+            state: Arc::new(next),
+        };
         // Poisoning policy: the cell only ever holds a fully-formed
-        // `Arc<ShardedState>` and the critical section is a single pointer
+        // `Snapshot` and the critical section is a single pointer
         // swap, so a panic while the lock is held cannot leave a torn
         // value — the last published epoch stays consistent. Recover the
         // guard instead of propagating the poison, which would otherwise
@@ -443,77 +555,13 @@ impl<S: AppendStore + Clone> ShardedIndex<S> {
         *self
             .published
             .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = next;
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.state.num_shards()
-    }
-
-    /// Number of repetitions `L`.
-    pub fn repetitions(&self) -> usize {
-        self.state.repetitions()
-    }
-
-    /// Number of live points across all shards.
-    pub fn len(&self) -> usize {
-        self.state.len()
-    }
-
-    /// True when no live points are indexed.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// One past the largest global id ever assigned.
-    pub fn id_bound(&self) -> usize {
-        self.state.total_rows
-    }
-
-    /// Whether global id `id` has been inserted and not removed.
-    pub fn is_live(&self, id: usize) -> bool {
-        self.state.is_live(id)
-    }
-
-    /// Iterate over the live global ids in increasing order.
-    pub fn live_ids(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.state.total_rows).filter(|&id| self.state.is_live(id))
-    }
-
-    /// Number of removed (tombstoned) ids not yet reclaimed.
-    pub fn removed(&self) -> usize {
-        self.state.removed()
-    }
-
-    /// Total points sitting in the shards' delta segments.
-    pub fn delta_rows(&self) -> usize {
-        self.state.delta_rows()
-    }
-
-    /// Number of **logical** sealed segments (what an unsharded index
-    /// driven through the same schedule would report).
-    pub fn sealed_segments(&self) -> usize {
-        self.state.segments.len()
-    }
-
-    /// Number of state publications since the build.
-    pub fn epoch(&self) -> u64 {
-        self.state.epoch
-    }
-
-    /// Borrow the row of point `id` (rows remain addressable after
-    /// removal; stores are append-only).
-    pub fn point(&self, id: usize) -> &S::Row {
-        self.state.point(id)
+            .unwrap_or_else(std::sync::PoisonError::into_inner) = self.current.clone();
     }
 
     /// An immutable snapshot of the current state. Stays valid — and
     /// keeps answering identically — no matter what writers do next.
     pub fn reader(&self) -> Snapshot<S> {
-        Snapshot {
-            state: Arc::clone(&self.state),
-        }
+        self.current.clone()
     }
 
     /// A cloneable, `Send` handle other threads use to take fresh
@@ -534,10 +582,10 @@ impl<S: AppendStore + Clone> ShardedIndex<S> {
         Q: AsRow<Row = S::Row> + ?Sized,
     {
         // lint: allow(publish) — a rejected insert must leave the index untouched: no fork, no publication
-        ensure_capacity(self.state.total_rows, 1)?;
+        ensure_capacity(self.id_bound(), 1)?;
         let mut next = self.fork();
         let id = next.total_rows;
-        let n = next.num_shards();
+        let n = next.shards.len();
         let local = Arc::make_mut(&mut next.shards[id % n]).insert_row(p.as_row());
         debug_assert_eq!(local, id / n);
         next.total_rows += 1;
@@ -553,13 +601,13 @@ impl<S: AppendStore + Clone> ShardedIndex<S> {
     /// [`WriteError::UnknownId`], also without fork or publication.
     pub fn remove(&mut self, id: usize) -> Result<bool, WriteError> {
         // lint: allow(publish) — a rejected remove must leave the index untouched: no fork, no publication
-        ensure_known(id, self.state.total_rows)?;
-        if !self.state.is_live(id) {
+        ensure_known(id, self.id_bound())?;
+        if !self.is_live(id) {
             // lint: allow(publish) — double-remove changes nothing; publishing would be reader-visible epoch churn for a no-op
             return Ok(false);
         }
         let mut next = self.fork();
-        let n = next.num_shards();
+        let n = next.shards.len();
         let removed = Arc::make_mut(&mut next.shards[id % n]).remove_unchecked(id / n);
         debug_assert!(removed, "liveness was checked before forking");
         self.publish(next);
@@ -569,7 +617,7 @@ impl<S: AppendStore + Clone> ShardedIndex<S> {
     /// An empty [`WriteBatch`] staging rows of this index's shape, for
     /// [`ShardedIndex::apply_batch`].
     pub fn new_batch(&self) -> WriteBatch<S> {
-        WriteBatch::new(self.state.shards[0].store().empty_inner())
+        WriteBatch::new(self.current.state.shards[0].store().empty_inner())
     }
 
     /// Apply a staged batch of inserts and removes in order as **one
@@ -594,13 +642,13 @@ impl<S: AppendStore + Clone> ShardedIndex<S> {
         BS: AppendStore<Row = S::Row>,
     {
         // lint: allow(publish) — a rejected batch must leave the index untouched: no fork, no publication
-        batch.validate(self.state.total_rows)?;
+        batch.validate(self.id_bound())?;
         if batch.is_empty() {
             // lint: allow(publish) — an empty batch changes nothing; keep the epoch
             return Ok(Vec::new());
         }
         let mut next = self.fork();
-        let n = next.num_shards();
+        let n = next.shards.len();
         let mut touched = vec![false; n];
         let mut outcomes = Vec::with_capacity(batch.len());
         let mut changed = false;
@@ -645,13 +693,13 @@ impl<S: AppendStore + Clone> ShardedIndex<S> {
         QS: PointStore<Row = S::Row> + ?Sized,
     {
         // lint: allow(publish) — a rejected batch must leave the index untouched: no fork, no publication
-        ensure_capacity(self.state.total_rows, points.len())?;
+        ensure_capacity(self.id_bound(), points.len())?;
         if points.is_empty() {
             // lint: allow(publish) — nothing to insert; keep the epoch
             return Ok(Vec::new());
         }
         let mut next = self.fork();
-        let n = next.num_shards();
+        let n = next.shards.len();
         let mut touched = vec![false; n];
         for j in 0..points.len().min(n) {
             touched[(next.total_rows + j) % n] = true;
@@ -688,14 +736,14 @@ impl<S: AppendStore + Clone> ShardedIndex<S> {
     pub fn remove_batch(&mut self, ids: &[usize]) -> Result<Vec<bool>, WriteError> {
         for &id in ids {
             // lint: allow(publish) — a rejected batch must leave the index untouched: no fork, no publication
-            ensure_known(id, self.state.total_rows)?;
+            ensure_known(id, self.id_bound())?;
         }
-        if !ids.iter().any(|&id| self.state.is_live(id)) {
+        if !ids.iter().any(|&id| self.is_live(id)) {
             // lint: allow(publish) — every id is already removed: nothing changes, keep the epoch
             return Ok(vec![false; ids.len()]);
         }
         let mut next = self.fork();
-        let n = next.num_shards();
+        let n = next.shards.len();
         let out = ids
             .iter()
             .map(|&id| Arc::make_mut(&mut next.shards[id % n]).remove_unchecked(id / n))
@@ -737,7 +785,7 @@ impl<S: AppendStore + Clone> ShardedIndex<S> {
         // (no delta to clear, no segment to create — exactly when the
         // unsharded seal is a no-op), so publishing would be pure
         // reader-visible epoch churn.
-        if self.state.delta_rows() == 0 {
+        if self.delta_rows() == 0 {
             // lint: allow(publish) — empty-delta seal is a no-op; keep the epoch
             return;
         }
@@ -785,12 +833,12 @@ impl<S: AppendStore + Clone> ShardedIndex<S> {
         // rebuild the empty layout it started from (tombstone bits are
         // never cleared by compaction), so skip the fork and keep the
         // epoch instead of publishing a bit-identical state.
-        if self.state.segments.is_empty() && self.state.delta_rows() == 0 {
+        if self.sealed_segments() == 0 && self.delta_rows() == 0 {
             // lint: allow(publish) — segmentless + empty-delta compact is a no-op; keep the epoch
             return;
         }
         let mut next = self.fork();
-        let per_shard = (threads / next.num_shards()).max(1);
+        let per_shard = (threads / next.shards.len()).max(1);
         next.shards = parallel::map_items(&next.shards, threads, |_, shard| {
             let mut sh = (**shard).clone();
             sh.compact_with_threads(per_shard);
@@ -804,65 +852,16 @@ impl<S: AppendStore + Clone> ShardedIndex<S> {
         };
         self.publish(next);
     }
+}
 
-    /// A query scratch buffer sized for the current id space (see
-    /// [`DynamicIndex::new_scratch`] for the staleness contract).
-    pub fn new_scratch(&self) -> QueryScratch {
-        self.state.new_scratch()
-    }
+/// Every read of the index — `candidates*`, `len`, `is_live`, `point`,
+/// `epoch`, the shape accessors — is the same call on its current
+/// [`Snapshot`]; there is no second read path to keep in step.
+impl<S: AppendStore + Clone> std::ops::Deref for ShardedIndex<S> {
+    type Target = Snapshot<S>;
 
-    /// Retrieve distinct live candidate ids for `q` in retrieval order,
-    /// bit-identically to the equivalent unsharded
-    /// [`DynamicIndex::candidates`].
-    pub fn candidates<Q>(&self, q: &Q, retrieval_limit: Option<usize>) -> (Vec<usize>, QueryStats)
-    where
-        Q: AsRow<Row = S::Row> + ?Sized,
-    {
-        self.state
-            .candidates_row(q.as_row(), retrieval_limit, &mut self.new_scratch())
-    }
-
-    /// [`ShardedIndex::candidates`] against a caller-provided scratch.
-    pub fn candidates_with<Q>(
-        &self,
-        q: &Q,
-        retrieval_limit: Option<usize>,
-        scratch: &mut QueryScratch,
-    ) -> (Vec<usize>, QueryStats)
-    where
-        Q: AsRow<Row = S::Row> + ?Sized,
-    {
-        self.state
-            .candidates_row(q.as_row(), retrieval_limit, scratch)
-    }
-
-    /// Batched [`ShardedIndex::candidates`], fanned out across worker
-    /// threads with one scratch per worker; identical to a
-    /// query-at-a-time loop.
-    pub fn candidates_batch<QS>(
-        &self,
-        queries: &QS,
-        retrieval_limit: Option<usize>,
-    ) -> Vec<(Vec<usize>, QueryStats)>
-    where
-        QS: PointStore<Row = S::Row> + ?Sized,
-    {
-        self.candidates_batch_with_threads(queries, retrieval_limit, parallel::available_threads())
-    }
-
-    /// [`ShardedIndex::candidates_batch`] with an explicit worker-thread
-    /// count (the output does not depend on it).
-    pub fn candidates_batch_with_threads<QS>(
-        &self,
-        queries: &QS,
-        retrieval_limit: Option<usize>,
-        threads: usize,
-    ) -> Vec<(Vec<usize>, QueryStats)>
-    where
-        QS: PointStore<Row = S::Row> + ?Sized,
-    {
-        self.state
-            .candidates_batch_with_threads(queries, retrieval_limit, threads)
+    fn deref(&self) -> &Snapshot<S> {
+        &self.current
     }
 }
 
@@ -870,24 +869,20 @@ impl<S: AppendStore + Clone> CandidateBackend for ShardedIndex<S> {
     type Row = S::Row;
 
     fn repetitions(&self) -> usize {
-        ShardedIndex::repetitions(self)
-    }
-
-    fn indexed_len(&self) -> usize {
-        self.id_bound()
+        self.current.repetitions()
     }
 
     fn point(&self, i: usize) -> &S::Row {
-        ShardedIndex::point(self, i)
+        self.current.point(i)
     }
 
     #[inline]
     fn prefetch_point(&self, i: usize) {
-        self.state.prefetch_point(i);
+        CandidateBackend::prefetch_point(&self.current, i);
     }
 
     fn new_scratch(&self) -> QueryScratch {
-        ShardedIndex::new_scratch(self)
+        self.current.new_scratch()
     }
 
     fn candidates_row(
@@ -896,167 +891,7 @@ impl<S: AppendStore + Clone> CandidateBackend for ShardedIndex<S> {
         retrieval_limit: Option<usize>,
         scratch: &mut QueryScratch,
     ) -> (Vec<usize>, QueryStats) {
-        self.state.candidates_row(q, retrieval_limit, scratch)
-    }
-}
-
-/// An immutable view of a [`ShardedIndex`] at one publication epoch.
-///
-/// Holding a snapshot never blocks writers, and no writer activity —
-/// inserts, removals, seals, compactions — changes what it answers: its
-/// candidate lists, stats, live-id set, and rows are frozen at
-/// acquisition time. Cloning is a reference-count bump.
-pub struct Snapshot<S: AppendStore + Clone> {
-    state: Arc<ShardedState<S>>,
-}
-
-impl<S: AppendStore + Clone> Clone for Snapshot<S> {
-    fn clone(&self) -> Self {
-        Snapshot {
-            state: Arc::clone(&self.state),
-        }
-    }
-}
-
-impl<S: AppendStore + Clone> Snapshot<S> {
-    /// The publication epoch this snapshot was taken at (the number of
-    /// writes applied before it).
-    pub fn epoch(&self) -> u64 {
-        self.state.epoch
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.state.num_shards()
-    }
-
-    /// Number of repetitions `L`.
-    pub fn repetitions(&self) -> usize {
-        self.state.repetitions()
-    }
-
-    /// Number of live points at this epoch.
-    pub fn len(&self) -> usize {
-        self.state.len()
-    }
-
-    /// True when no live points were indexed at this epoch.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// One past the largest global id assigned at this epoch.
-    pub fn id_bound(&self) -> usize {
-        self.state.total_rows
-    }
-
-    /// Whether `id` was live at this epoch.
-    pub fn is_live(&self, id: usize) -> bool {
-        self.state.is_live(id)
-    }
-
-    /// Iterate over the ids live at this epoch, in increasing order.
-    pub fn live_ids(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.state.total_rows).filter(|&id| self.state.is_live(id))
-    }
-
-    /// Borrow the row of point `id` as stored at this epoch.
-    pub fn point(&self, id: usize) -> &S::Row {
-        self.state.point(id)
-    }
-
-    /// A query scratch buffer sized for this snapshot's id space.
-    pub fn new_scratch(&self) -> QueryScratch {
-        self.state.new_scratch()
-    }
-
-    /// Retrieve distinct candidate ids exactly as the index answered at
-    /// this snapshot's epoch.
-    pub fn candidates<Q>(&self, q: &Q, retrieval_limit: Option<usize>) -> (Vec<usize>, QueryStats)
-    where
-        Q: AsRow<Row = S::Row> + ?Sized,
-    {
-        self.state
-            .candidates_row(q.as_row(), retrieval_limit, &mut self.new_scratch())
-    }
-
-    /// [`Snapshot::candidates`] against a caller-provided scratch.
-    pub fn candidates_with<Q>(
-        &self,
-        q: &Q,
-        retrieval_limit: Option<usize>,
-        scratch: &mut QueryScratch,
-    ) -> (Vec<usize>, QueryStats)
-    where
-        Q: AsRow<Row = S::Row> + ?Sized,
-    {
-        self.state
-            .candidates_row(q.as_row(), retrieval_limit, scratch)
-    }
-
-    /// Batched [`Snapshot::candidates`] with worker-thread fan-out.
-    pub fn candidates_batch<QS>(
-        &self,
-        queries: &QS,
-        retrieval_limit: Option<usize>,
-    ) -> Vec<(Vec<usize>, QueryStats)>
-    where
-        QS: PointStore<Row = S::Row> + ?Sized,
-    {
-        self.state.candidates_batch_with_threads(
-            queries,
-            retrieval_limit,
-            parallel::available_threads(),
-        )
-    }
-
-    /// [`Snapshot::candidates_batch`] with an explicit worker-thread
-    /// count (the output does not depend on it).
-    pub fn candidates_batch_with_threads<QS>(
-        &self,
-        queries: &QS,
-        retrieval_limit: Option<usize>,
-        threads: usize,
-    ) -> Vec<(Vec<usize>, QueryStats)>
-    where
-        QS: PointStore<Row = S::Row> + ?Sized,
-    {
-        self.state
-            .candidates_batch_with_threads(queries, retrieval_limit, threads)
-    }
-}
-
-impl<S: AppendStore + Clone> CandidateBackend for Snapshot<S> {
-    type Row = S::Row;
-
-    fn repetitions(&self) -> usize {
-        Snapshot::repetitions(self)
-    }
-
-    fn indexed_len(&self) -> usize {
-        self.id_bound()
-    }
-
-    fn point(&self, i: usize) -> &S::Row {
-        Snapshot::point(self, i)
-    }
-
-    #[inline]
-    fn prefetch_point(&self, i: usize) {
-        self.state.prefetch_point(i);
-    }
-
-    fn new_scratch(&self) -> QueryScratch {
-        Snapshot::new_scratch(self)
-    }
-
-    fn candidates_row(
-        &self,
-        q: &S::Row,
-        retrieval_limit: Option<usize>,
-        scratch: &mut QueryScratch,
-    ) -> (Vec<usize>, QueryStats) {
-        self.state.candidates_row(q, retrieval_limit, scratch)
+        self.current.candidates_row(q, retrieval_limit, scratch)
     }
 }
 
@@ -1067,16 +902,9 @@ impl<S: AppendStore + Clone> CandidateBackend for Snapshot<S> {
 /// observes the latest published epoch. Acquisition cost is one
 /// briefly-held read lock plus an `Arc` clone — constant even while a
 /// compaction is rebuilding segments on other threads.
+#[derive(Clone)]
 pub struct ReaderHandle<S: AppendStore + Clone> {
-    cell: Arc<RwLock<Arc<ShardedState<S>>>>,
-}
-
-impl<S: AppendStore + Clone> Clone for ReaderHandle<S> {
-    fn clone(&self) -> Self {
-        ReaderHandle {
-            cell: Arc::clone(&self.cell),
-        }
-    }
+    cell: Arc<RwLock<Snapshot<S>>>,
 }
 
 impl<S: AppendStore + Clone> ReaderHandle<S> {
@@ -1088,14 +916,10 @@ impl<S: AppendStore + Clone> ReaderHandle<S> {
     /// `ShardedIndex::publish`). Readers must never be taken down by a
     /// writer-side panic.
     pub fn snapshot(&self) -> Snapshot<S> {
-        Snapshot {
-            state: Arc::clone(
-                &self
-                    .cell
-                    .read()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner),
-            ),
-        }
+        self.cell
+            .read()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .clone()
     }
 }
 
@@ -1248,6 +1072,80 @@ mod tests {
         assert_eq!(idx.id_bound(), 60);
         assert!(!idx.is_live(3));
         assert!(snapshot.is_live(3));
+    }
+
+    /// The single read path: after every kind of write, each read on the
+    /// index is the same call on the snapshot it hands out directly and
+    /// on the one reader handles get from the publication cell.
+    #[test]
+    fn index_and_its_snapshots_read_identically_after_every_write_kind() {
+        let d = 64;
+        let points = dataset(0x5A28, d, 48);
+        let queries = dataset(0x5A29, d, 6);
+        let mut idx = ShardedIndex::build(
+            &BitSampling::new(d),
+            store_of(&points[..20], d),
+            6,
+            3,
+            &mut seeded(0x5A2A),
+        );
+        let handle = idx.reader_handle();
+        let check = |idx: &ShardedIndex<BitStore>, after: &str| {
+            for (view, snap) in [("reader", idx.reader()), ("handle", handle.snapshot())] {
+                let ctx = format!("after {after}, via {view}");
+                let (mut own, mut theirs) = (idx.new_scratch(), snap.new_scratch());
+                for q in &queries {
+                    for limit in [None, Some(5)] {
+                        let got = idx.candidates(q, limit);
+                        assert_eq!(got, snap.candidates(q, limit), "{ctx}");
+                        assert_eq!(got, idx.candidates_with(q, limit, &mut own), "{ctx}");
+                        assert_eq!(got, snap.candidates_with(q, limit, &mut theirs), "{ctx}");
+                    }
+                }
+                assert_eq!(
+                    idx.candidates_batch(&queries, None),
+                    snap.candidates_batch(&queries, None),
+                    "{ctx}"
+                );
+                assert_eq!(
+                    idx.candidates_batch_with_threads(&queries, Some(7), 2),
+                    snap.candidates_batch_with_threads(&queries, Some(7), 2),
+                    "{ctx}"
+                );
+                assert_eq!(
+                    (idx.len(), idx.id_bound(), idx.epoch()),
+                    (snap.len(), snap.id_bound(), snap.epoch()),
+                    "{ctx}"
+                );
+                assert_eq!(
+                    (idx.removed(), idx.delta_rows(), idx.sealed_segments()),
+                    (snap.removed(), snap.delta_rows(), snap.sealed_segments()),
+                    "{ctx}"
+                );
+            }
+        };
+        check(&idx, "build");
+        idx.insert(&points[20]).unwrap();
+        check(&idx, "insert");
+        idx.remove(4).unwrap();
+        check(&idx, "remove");
+        idx.insert_batch(&store_of(&points[21..30], d)).unwrap();
+        check(&idx, "insert_batch");
+        idx.remove_batch(&[5, 22, 4]).unwrap();
+        check(&idx, "remove_batch");
+        let mut batch = idx.new_batch();
+        for p in &points[30..40] {
+            batch.insert(p);
+        }
+        batch.remove(31);
+        idx.apply_batch(&batch).unwrap();
+        check(&idx, "apply_batch");
+        idx.seal();
+        check(&idx, "seal");
+        idx.insert_batch(&store_of(&points[40..], d)).unwrap();
+        idx.compact();
+        check(&idx, "compact");
+        assert_eq!(idx.epoch(), 8, "every write above changed the state");
     }
 
     #[test]

@@ -11,14 +11,12 @@
 //! ```
 
 use crate::ann::repetition_count;
-use crate::annulus::{AnnulusIndex, AnnulusMatch, Measure};
-use crate::batch::WriteError;
-use crate::dynamic::DynamicIndex;
+use crate::annulus::AnnulusIndex;
+use crate::frontend::static_backend;
 use crate::measures;
-use crate::shard::ShardedIndex;
-use crate::table::{CandidateBackend, HashTableIndex, QueryStats};
+use crate::table::CandidateBackend;
 use dsh_core::distance::{alpha_from_ratio, alpha_ratio};
-use dsh_core::points::{AppendStore, AsRow, PointStore};
+use dsh_core::points::PointStore;
 use dsh_core::AnalyticCpf;
 use dsh_sphere::unimodal::{annulus_rho, UnimodalFilterDsh};
 use rand::Rng;
@@ -60,237 +58,48 @@ impl AnnulusSpec {
     }
 }
 
-/// Theorem 6.4 data structure over unit vectors (any dense store
-/// backend).
-///
-/// Generic over the candidate backend `B`: the static
-/// [`HashTableIndex`] (the default) or the segmented [`DynamicIndex`]
-/// (via [`SphereAnnulusIndex::build_dynamic`]) for online
-/// insert/remove.
-pub struct SphereAnnulusIndex<
-    S: PointStore<Row = [f64]>,
-    B: CandidateBackend<Row = [f64]> = HashTableIndex<S>,
-> {
-    inner: AnnulusIndex<S, B>,
+/// Theorem 6.4 data structure over unit vectors in `R^d`: an
+/// [`AnnulusIndex`] reporting a point with inner product in
+/// `[beta_-, beta_+]` if one with inner product in `[alpha_-, alpha_+]`
+/// exists (success probability >= 1/2). Derives the unimodal filter
+/// family peaking at [`AnnulusSpec::peak`] with filter scale `t` (larger
+/// `t` = sharper family = fewer false candidates, more repetitions) and
+/// `L` from the worst promise-interval collision probability and
+/// `repetition_factor >= 1`, and verifies over the backend `backend`
+/// builds from them — e.g.
+/// `|family, l| DynamicIndex::build(family, store, l, rng)`.
+pub fn over<S, B>(
+    d: usize,
     spec: AnnulusSpec,
+    t: f64,
+    repetition_factor: f64,
+    backend: impl FnOnce(&UnimodalFilterDsh, usize) -> B,
+) -> AnnulusIndex<S, B>
+where
+    S: PointStore<Row = [f64]>,
+    B: CandidateBackend<Row = [f64]>,
+{
+    assert!(repetition_factor >= 1.0);
+    let family = UnimodalFilterDsh::new(d, spec.peak(), t);
+    // Worst promise-interval collision probability governs L.
+    let f_promise = family.cpf(spec.alpha.0).min(family.cpf(spec.alpha.1));
+    assert!(f_promise > 0.0, "degenerate CPF over the promise interval");
+    let l = repetition_count(repetition_factor, f_promise.min(1.0), 1);
+    AnnulusIndex::over(backend(&family, l), measures::inner_product(), spec.beta)
 }
 
-impl<S: PointStore<Row = [f64]>> SphereAnnulusIndex<S> {
-    /// Build over `points` with filter scale `t` (larger `t` = sharper
-    /// family = fewer false candidates, more repetitions) and repetition
-    /// factor `>= 1`.
-    pub fn build(
-        points: S,
-        d: usize,
-        spec: AnnulusSpec,
-        t: f64,
-        repetition_factor: f64,
-        rng: &mut dyn Rng,
-    ) -> Self {
-        assert!(repetition_factor >= 1.0);
-        assert!(
-            !points.is_empty(),
-            "SphereAnnulusIndex: cannot build over an empty point set"
-        );
-        let family = UnimodalFilterDsh::new(d, spec.peak(), t);
-        // Worst promise-interval collision probability governs L.
-        let f_promise = family.cpf(spec.alpha.0).min(family.cpf(spec.alpha.1));
-        assert!(f_promise > 0.0, "degenerate CPF over the promise interval");
-        let l = repetition_count(repetition_factor, f_promise.min(1.0), 1);
-        let measure: Measure<[f64]> = measures::inner_product();
-        SphereAnnulusIndex {
-            inner: AnnulusIndex::build(&family, measure, spec.beta, points, l, rng),
-            spec,
-        }
-    }
-}
-
-impl<S: AppendStore + PointStore<Row = [f64]>> SphereAnnulusIndex<S, DynamicIndex<S>> {
-    /// Build over a [`DynamicIndex`] backend: same parameters as
-    /// [`SphereAnnulusIndex::build`], but the point set may start empty
-    /// and the returned index supports [`SphereAnnulusIndex::insert`] /
-    /// [`SphereAnnulusIndex::remove`] / [`SphereAnnulusIndex::compact`].
-    pub fn build_dynamic(
-        points: S,
-        d: usize,
-        spec: AnnulusSpec,
-        t: f64,
-        repetition_factor: f64,
-        rng: &mut dyn Rng,
-    ) -> Self {
-        assert!(repetition_factor >= 1.0);
-        let family = UnimodalFilterDsh::new(d, spec.peak(), t);
-        let f_promise = family.cpf(spec.alpha.0).min(family.cpf(spec.alpha.1));
-        assert!(f_promise > 0.0, "degenerate CPF over the promise interval");
-        let l = repetition_count(repetition_factor, f_promise.min(1.0), 1);
-        let measure: Measure<[f64]> = measures::inner_product();
-        SphereAnnulusIndex {
-            inner: AnnulusIndex::build_dynamic(&family, measure, spec.beta, points, l, rng),
-            spec,
-        }
-    }
-
-    /// Insert a point into the backing [`DynamicIndex`], returning its id
-    /// (a full id space rejects with the backend's [`WriteError`]).
-    pub fn insert<Q>(&mut self, p: &Q) -> Result<usize, WriteError>
-    where
-        Q: AsRow<Row = [f64]> + ?Sized,
-    {
-        self.inner.insert(p)
-    }
-
-    /// Remove point `id` (tombstone; reclaimed at the next compaction).
-    /// `Ok(false)` means already removed; a never-assigned id rejects
-    /// with [`WriteError::UnknownId`].
-    pub fn remove(&mut self, id: usize) -> Result<bool, WriteError> {
-        self.inner.remove(id)
-    }
-
-    /// Insert every point of `points` as one group commit: ids are
-    /// assigned in insertion order and the backend publishes at most
-    /// one new epoch for the whole batch (see the backend's
-    /// `insert_batch`).
-    pub fn insert_batch<QS>(&mut self, points: &QS) -> Result<Vec<usize>, WriteError>
-    where
-        QS: PointStore<Row = [f64]> + ?Sized,
-    {
-        self.inner.insert_batch(points)
-    }
-
-    /// Remove every id of `ids` as one group commit: per-id results in
-    /// order, at most one new epoch for the whole batch (see the
-    /// backend's `remove_batch`).
-    pub fn remove_batch(&mut self, ids: &[usize]) -> Result<Vec<bool>, WriteError> {
-        self.inner.remove_batch(ids)
-    }
-
-    /// Freeze the delta segment; see [`DynamicIndex::seal`].
-    pub fn seal(&mut self) {
-        self.inner.seal();
-    }
-
-    /// Merge all segments, dropping tombstones; see
-    /// [`DynamicIndex::compact`].
-    pub fn compact(&mut self) {
-        self.inner.compact();
-    }
-}
-
-impl<S: AppendStore + PointStore<Row = [f64]> + Clone> SphereAnnulusIndex<S, ShardedIndex<S>> {
-    /// Build over a [`ShardedIndex`] backend: same parameters as
-    /// [`SphereAnnulusIndex::build_dynamic`] plus the shard count.
-    /// Queries fan out across shards and answer bit-identically to the
-    /// [`DynamicIndex`]-backed build.
-    pub fn build_sharded(
-        points: S,
-        d: usize,
-        spec: AnnulusSpec,
-        t: f64,
-        repetition_factor: f64,
-        num_shards: usize,
-        rng: &mut dyn Rng,
-    ) -> Self {
-        assert!(repetition_factor >= 1.0);
-        let family = UnimodalFilterDsh::new(d, spec.peak(), t);
-        let f_promise = family.cpf(spec.alpha.0).min(family.cpf(spec.alpha.1));
-        assert!(f_promise > 0.0, "degenerate CPF over the promise interval");
-        let l = repetition_count(repetition_factor, f_promise.min(1.0), 1);
-        let measure: Measure<[f64]> = measures::inner_product();
-        SphereAnnulusIndex {
-            inner: AnnulusIndex::build_sharded(
-                &family, measure, spec.beta, points, l, num_shards, rng,
-            ),
-            spec,
-        }
-    }
-
-    /// Insert a point into the backing [`ShardedIndex`], returning its
-    /// global id (a full id space rejects with the backend's
-    /// [`WriteError`]).
-    pub fn insert<Q>(&mut self, p: &Q) -> Result<usize, WriteError>
-    where
-        Q: AsRow<Row = [f64]> + ?Sized,
-    {
-        self.inner.insert(p)
-    }
-
-    /// Remove point `id` (tombstone; reclaimed at the next compaction).
-    /// `Ok(false)` means already removed; a never-assigned id rejects
-    /// with [`WriteError::UnknownId`].
-    pub fn remove(&mut self, id: usize) -> Result<bool, WriteError> {
-        self.inner.remove(id)
-    }
-
-    /// Insert every point of `points` as one group commit: ids are
-    /// assigned in insertion order and the backend publishes at most
-    /// one new epoch for the whole batch (see the backend's
-    /// `insert_batch`).
-    pub fn insert_batch<QS>(&mut self, points: &QS) -> Result<Vec<usize>, WriteError>
-    where
-        QS: PointStore<Row = [f64]> + ?Sized,
-    {
-        self.inner.insert_batch(points)
-    }
-
-    /// Remove every id of `ids` as one group commit: per-id results in
-    /// order, at most one new epoch for the whole batch (see the
-    /// backend's `remove_batch`).
-    pub fn remove_batch(&mut self, ids: &[usize]) -> Result<Vec<bool>, WriteError> {
-        self.inner.remove_batch(ids)
-    }
-
-    /// Freeze every shard's delta segment; see [`ShardedIndex::seal`].
-    pub fn seal(&mut self) {
-        self.inner.seal();
-    }
-
-    /// Compact every shard, dropping tombstones; see
-    /// [`ShardedIndex::compact`].
-    pub fn compact(&mut self) {
-        self.inner.compact();
-    }
-}
-
-impl<S: PointStore<Row = [f64]>, B: CandidateBackend<Row = [f64]>> SphereAnnulusIndex<S, B> {
-    /// The instance specification.
-    pub fn spec(&self) -> AnnulusSpec {
-        self.spec
-    }
-
-    /// The candidate backend of the underlying annulus structure.
-    pub fn backend(&self) -> &B {
-        self.inner.backend()
-    }
-
-    /// Mutable access to the candidate backend.
-    pub fn backend_mut(&mut self) -> &mut B {
-        self.inner.backend_mut()
-    }
-
-    /// Number of repetitions.
-    pub fn repetitions(&self) -> usize {
-        self.inner.repetitions()
-    }
-
-    /// Query per Definition 6.3: returns a point with inner product in
-    /// `[beta_-, beta_+]` if one with inner product in
-    /// `[alpha_-, alpha_+]` exists (success probability >= 1/2).
-    pub fn query<Q>(&self, q: &Q) -> (Option<AnnulusMatch>, QueryStats)
-    where
-        Q: AsRow<Row = [f64]> + ?Sized,
-    {
-        self.inner.query(q)
-    }
-
-    /// Batched [`SphereAnnulusIndex::query`]: fans queries out across
-    /// worker threads with scratch reuse; identical to a query-at-a-time
-    /// loop.
-    pub fn query_batch<QS>(&self, queries: &QS) -> Vec<(Option<AnnulusMatch>, QueryStats)>
-    where
-        QS: PointStore<Row = [f64]> + ?Sized,
-    {
-        self.inner.query_batch(queries)
-    }
+/// [`over`] a static index of the non-empty `points` (any dense store).
+pub fn build<S: PointStore<Row = [f64]>>(
+    points: S,
+    d: usize,
+    spec: AnnulusSpec,
+    t: f64,
+    repetition_factor: f64,
+    rng: &mut dyn Rng,
+) -> AnnulusIndex<S> {
+    over(d, spec, t, repetition_factor, |family, l| {
+        static_backend(family, points, l, rng)
+    })
 }
 
 #[cfg(test)]
@@ -333,7 +142,7 @@ mod tests {
         for run in 0..runs {
             let mut rng = seeded(0x5A1 + run);
             let inst = sphere_data::planted_sphere_instance(&mut rng, 250, d, 0.6);
-            let idx = SphereAnnulusIndex::build(inst.points, d, spec, 1.4, 1.5, &mut rng);
+            let idx = build(inst.points, d, spec, 1.4, 1.5, &mut rng);
             if let (Some(m), _) = idx.query(&inst.query) {
                 assert!(
                     m.value >= spec.beta.0 && m.value <= spec.beta.1,

@@ -513,31 +513,24 @@ impl<S: PointStore> HashTableIndex<S> {
     }
 }
 
-/// A bucket-candidate backend the query front-ends can verify against:
+/// A bucket-candidate backend a [`crate::Frontend`] can verify against:
 /// the static [`HashTableIndex`], the mutable segmented
 /// [`crate::dynamic::DynamicIndex`], or the concurrent sharded
 /// [`crate::shard::ShardedIndex`] (and its frozen
 /// [`crate::shard::Snapshot`]s).
 ///
-/// Every front-end (`NearNeighborIndex`, `AnnulusIndex`,
-/// `RangeReportingIndex`, and the sphere wrappers built on them) is
-/// generic over this trait with `HashTableIndex` as the default, so the
-/// same verification logic serves a build-once index, one grown online
-/// (`build_dynamic`), and one sharded for concurrent serving
-/// (`build_sharded`) — and all of them answer queries exactly alike over
-/// the same live point set (pinned by `tests/dynamic_parity.rs` and
-/// `tests/shard_parity.rs`).
+/// The trait is the read side only — what one verification loop needs to
+/// serve a build-once index, one grown online, and one sharded for
+/// concurrent serving. All of them answer queries exactly alike over the
+/// same live point set (pinned by `tests/dynamic_parity.rs` and
+/// `tests/shard_parity.rs`); the mutable ones are written through their
+/// own inherent methods, reached via [`crate::Frontend::backend_mut`].
 pub trait CandidateBackend: Send + Sync {
     /// The borrowed row type stored points and queries share.
     type Row: ?Sized + 'static;
 
     /// Number of repetitions `L` (each query probes `L` logical tables).
     fn repetitions(&self) -> usize;
-
-    /// Size of the id space candidate ids are drawn from (for a static
-    /// index the point count; for a segmented index all ids ever
-    /// inserted, live or not).
-    fn indexed_len(&self) -> usize;
 
     /// Borrow the row of indexed point `i`.
     fn point(&self, i: usize) -> &Self::Row;
@@ -569,10 +562,6 @@ impl<S: PointStore> CandidateBackend for HashTableIndex<S> {
 
     fn repetitions(&self) -> usize {
         HashTableIndex::repetitions(self)
-    }
-
-    fn indexed_len(&self) -> usize {
-        self.len()
     }
 
     fn point(&self, i: usize) -> &S::Row {

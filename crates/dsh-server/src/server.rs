@@ -30,10 +30,11 @@
 //!
 //! # Shutdown
 //!
-//! A `Shutdown` request (or [`ServerHandle::stop`]) sets a shared flag.
-//! The accept loop polls it between accepts; connection handlers poll
-//! it between reads (socket read timeouts double as the poll tick), so
-//! the scope drains and [`serve`] returns.
+//! A `Shutdown` request and [`ServerHandle::stop`] set the same flag —
+//! the one the caller hands to [`serve`]. The accept loop polls it
+//! between accepts; connection handlers poll it between reads (socket
+//! read timeouts double as the poll tick), so the scope drains and
+//! [`serve`] returns even while clients stay connected.
 
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -76,11 +77,12 @@ impl ServerConfig {
     }
 }
 
-struct Shared<S: AppendStore + Clone> {
+struct Shared<'a, S: AppendStore + Clone> {
     index: Mutex<ShardedIndex<S>>,
     reader: ReaderHandle<S>,
     row_elems: usize,
-    shutdown: AtomicBool,
+    /// The caller's flag: set externally or by a wire `Shutdown`.
+    shutdown: &'a AtomicBool,
 }
 
 /// Run the serving loop on `listener` until a `Shutdown` request
@@ -109,11 +111,11 @@ where
         reader: index.reader_handle(),
         index: Mutex::new(index),
         row_elems: config.row_elems,
-        shutdown: AtomicBool::new(false),
+        shutdown,
     };
     std::thread::scope(|scope| {
         loop {
-            if shutdown.load(Ordering::Acquire) || shared.shutdown.load(Ordering::Acquire) {
+            if shutdown.load(Ordering::Acquire) {
                 break;
             }
             match listener.accept() {
@@ -270,7 +272,7 @@ fn read_frame_polling(
 
 fn handle_connection<E, S>(
     mut stream: TcpStream,
-    shared: &Shared<S>,
+    shared: &Shared<'_, S>,
     config: &ServerConfig,
 ) -> std::io::Result<()>
 where
@@ -282,7 +284,7 @@ where
     stream.set_read_timeout(Some(config.read_timeout))?;
     let mut buf = Vec::new();
     loop {
-        match read_frame_polling(&mut stream, &mut buf, &shared.shutdown)? {
+        match read_frame_polling(&mut stream, &mut buf, shared.shutdown)? {
             ConnRead::Closed | ConnRead::Shutdown => return Ok(()),
             ConnRead::TooLarge(len) => {
                 // The prefix itself is untrusted, so the payload was
@@ -315,7 +317,7 @@ where
 
 /// Answer one decoded request. Returns the response payload and whether
 /// the connection must close afterwards.
-fn handle_request<E, S>(shared: &Shared<S>, request: Request<E>) -> (Vec<u8>, bool)
+fn handle_request<E, S>(shared: &Shared<'_, S>, request: Request<E>) -> (Vec<u8>, bool)
 where
     E: WireElem,
     S: AppendStore<Row = [E]> + Clone,
@@ -433,9 +435,9 @@ where
 /// protocol guarantees the index behind it is always fully formed (see
 /// the poisoning policy on `ShardedIndex::publish`), so a panicked
 /// earlier writer must not wedge the write path forever.
-fn lock_writer<S: AppendStore + Clone>(
-    shared: &Shared<S>,
-) -> std::sync::MutexGuard<'_, ShardedIndex<S>> {
+fn lock_writer<'a, S: AppendStore + Clone>(
+    shared: &'a Shared<'_, S>,
+) -> std::sync::MutexGuard<'a, ShardedIndex<S>> {
     shared.index.lock().unwrap_or_else(PoisonError::into_inner)
 }
 

@@ -457,3 +457,25 @@ fn shutdown_request_drains_other_connections() {
     // reaching this line is the real assertion.
     let _ = encode_bodyless(Opcode::Shutdown);
 }
+
+/// `ServerHandle::stop` must drain connection handlers too: with an idle
+/// client still connected, the handler notices the flag on its next
+/// read-timeout tick, the scope joins, and the index comes back intact.
+#[test]
+fn stop_returns_while_an_idle_client_stays_connected() {
+    let server = spawn_server(0x570B, 4, 2);
+    let mut idle = Client::connect(server.addr()).unwrap();
+    idle.insert_batch(1, &random_rows(10, 3)).unwrap();
+    // `stop` runs on its own thread so that a wedged drain fails this
+    // test instead of hanging the suite.
+    let (done, stopped) = std::sync::mpsc::channel();
+    std::thread::spawn(move || done.send(server.stop()));
+    let served = stopped
+        .recv_timeout(80 * ServerConfig::new(1).read_timeout)
+        .expect("stop() did not return while a client was connected")
+        .unwrap();
+    assert_eq!(served.len(), 3);
+    assert_eq!(served.epoch(), 1);
+    let result = idle.info();
+    assert!(result.is_err(), "connection survived stop(): {result:?}");
+}

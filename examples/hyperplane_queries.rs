@@ -8,7 +8,7 @@
 
 use dsh_core::points::DenseVector;
 use dsh_data::sphere_data::{plant_at_alpha, uniform_sphere};
-use dsh_index::HyperplaneIndex;
+use dsh_index::hyperplane;
 use dsh_math::rng::seeded;
 
 fn main() {
@@ -30,14 +30,14 @@ fn main() {
         pool.push(plant_at_alpha(&mut rng, &query, 0.02));
     }
 
-    let index = HyperplaneIndex::build(pool.clone(), d, 1.4, alpha_report, 1.5, &mut rng);
+    let index = hyperplane::build(pool.clone(), d, 1.4, alpha_report, 1.5, &mut rng);
     println!(
         "pool of {n} vectors, reporting bound |alpha| <= {alpha_report}, L = {} repetitions",
         index.repetitions()
     );
     println!(
         "theoretical query exponent rho = {:.3} (§6.1: (1 - a^2)/(1 + a^2))\n",
-        dsh_index::hyperplane::theoretical_rho(alpha_report)
+        hyperplane::theoretical_rho(alpha_report)
     );
 
     match index.query(&query) {

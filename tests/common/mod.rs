@@ -1,4 +1,5 @@
-//! Shared statistical test harnesses for the integration suite.
+//! Shared test harnesses for the integration suite: the statistical
+//! recall sweep, and the front-end parity script.
 //!
 //! The recall harness runs a seeded sweep of planted-neighbor instances
 //! and reports the fraction of runs in which the index under test
@@ -14,12 +15,19 @@
 //! the same way) must reproduce each other's answers run for run, which
 //! `tests/recall.rs` asserts on top of the recall bar itself.
 
-#![allow(dead_code)] // each integration-test binary uses a subset
+#![allow(dead_code, unused_macros, unused_imports)] // each integration-test binary uses a subset
 
-use dsh_core::points::hamming;
+use dsh_core::family::DshFamily;
+use dsh_core::points::{hamming, AsRow, BitStore, DenseStore, PointStore};
 use dsh_data::hamming_data::{planted_hamming_instance, PlantedHammingInstance};
+use dsh_hamming::BitSampling;
+use dsh_index::{
+    hyperplane, measures, sphere_annulus, AnnulusIndex, AnnulusSpec, CandidateBackend, Frontend,
+    NearNeighborIndex, QueryStats, RangeReportingIndex, Verifier,
+};
 use dsh_math::rng::seeded;
 use rand::Rng;
+use std::fmt::Debug;
 
 /// Parameters of one recall@1 sweep over planted Hamming instances.
 pub struct RecallSweep {
@@ -93,3 +101,176 @@ where
     }
     hits as f64 / sweep.runs as f64
 }
+
+// ---------------------------------------------------------------------------
+// Front-end parity: the three verifiers and the two derived constructors
+// answer identically over every backend. Each front-end under test is one
+// function generic over the backend (`make` builds it from the family
+// and `L` the front-end hands over, e.g.
+// `|g, l| DynamicIndex::build(g, store, l, rng)`), and one script —
+// `front_end_parity!` — drives any number of them through the same
+// write schedule.
+// ---------------------------------------------------------------------------
+
+/// `NearNeighborIndex` over a bit-sampling family in dimension `d`,
+/// sized for `n` points.
+pub fn near_neighbor_over<B: CandidateBackend<Row = [u64]>>(
+    d: usize,
+    n: usize,
+    make: impl FnOnce(&dyn DshFamily<[u64]>, usize) -> B,
+) -> NearNeighborIndex<BitStore, B> {
+    let measure = measures::relative_hamming(d);
+    NearNeighborIndex::over(
+        &BitSampling::new(d),
+        measure,
+        0.25,
+        n,
+        0.95,
+        0.75,
+        2.0,
+        |g, l| make(g, l),
+    )
+}
+
+/// `AnnulusIndex` with 12 repetitions of bit sampling in dimension `d`.
+pub fn annulus_over<B: CandidateBackend<Row = [u64]>>(
+    d: usize,
+    make: impl FnOnce(&dyn DshFamily<[u64]>, usize) -> B,
+) -> AnnulusIndex<BitStore, B> {
+    let backend = make(&BitSampling::new(d), 12);
+    AnnulusIndex::over(backend, measures::relative_hamming(d), (0.0, 0.2))
+}
+
+/// `RangeReportingIndex` with 20 repetitions of bit sampling in
+/// dimension `d`.
+pub fn range_reporting_over<B: CandidateBackend<Row = [u64]>>(
+    d: usize,
+    make: impl FnOnce(&dyn DshFamily<[u64]>, usize) -> B,
+) -> RangeReportingIndex<BitStore, B> {
+    let backend = make(&BitSampling::new(d), 20);
+    RangeReportingIndex::over(backend, measures::relative_hamming(d), 0.05, 0.2)
+}
+
+/// The hyperplane-query derivation (§6.1) in dimension `d`.
+pub fn hyperplane_over<B: CandidateBackend<Row = [f64]>>(
+    d: usize,
+    make: impl FnOnce(&dyn DshFamily<[f64]>, usize) -> B,
+) -> AnnulusIndex<DenseStore, B> {
+    hyperplane::over(d, 1.4, 0.4, 1.5, |family, l| make(family, l))
+}
+
+/// The spec every sphere-annulus parity check uses.
+pub fn sphere_spec() -> AnnulusSpec {
+    AnnulusSpec::widened(0.35, 0.5, 2.5)
+}
+
+/// The sphere-annulus derivation (Theorem 6.4) in dimension `d`.
+pub fn sphere_annulus_over<B: CandidateBackend<Row = [f64]>>(
+    d: usize,
+    make: impl FnOnce(&dyn DshFamily<[f64]>, usize) -> B,
+) -> AnnulusIndex<DenseStore, B> {
+    sphere_annulus::over(d, sphere_spec(), 1.4, 1.5, |family, l| make(family, l))
+}
+
+/// Query-at-a-time answers of `index`, after checking that every batched
+/// path (`query_batch`, `query_batch_with_threads` at 1 and 4 threads)
+/// reproduces them.
+pub fn answers<S, B, V, Q>(
+    index: &Frontend<S, B, V>,
+    queries: &Vec<Q>,
+    ctx: &str,
+) -> Vec<(V::Answer, QueryStats)>
+where
+    S: PointStore,
+    B: CandidateBackend<Row = S::Row>,
+    V: Verifier<S::Row>,
+    V::Answer: PartialEq + Debug,
+    Q: AsRow<Row = S::Row>,
+    Vec<Q>: PointStore<Row = S::Row>,
+{
+    let sequential: Vec<_> = queries.iter().map(|q| index.query(q)).collect();
+    for threads in [1usize, 4] {
+        assert_eq!(
+            sequential,
+            index.query_batch_with_threads(queries, threads),
+            "{ctx}: batched (threads {threads})"
+        );
+    }
+    assert_eq!(sequential, index.query_batch(queries), "{ctx}: batched");
+    sequential
+}
+
+/// The front-end parity script. `reference` is a static build over
+/// `points`; every subject is the same front-end over an **empty**
+/// mutable backend built from the same RNG stream. Each subject is
+///
+/// 1. grown by per-op `backend_mut().insert`, sealing every 41 inserts,
+///    and queried on that multi-segment layout;
+/// 2. compacted — and must now answer exactly like `reference`;
+/// 3. churned through `backend_mut()`: a `remove`, an `insert_batch` of
+///    `extra`, a `remove_batch` (live, fresh and already-dead ids), and
+///    queried over the resulting sealed + delta + tombstone layout;
+/// 4. compacted again and queried.
+///
+/// Every subject must agree with the first one on the derived parameters
+/// (`$params`: the accessor to compare), on every write result, and on
+/// every answer (ids, order, full `QueryStats`) at steps 1, 3 and 4 — and
+/// at each step the batched query paths must reproduce query-at-a-time
+/// (see [`answers`]).
+macro_rules! front_end_parity {
+    (
+        $name:expr,
+        $params:ident,
+        reference: $reference:expr,
+        subjects: [$($subject:expr),+ $(,)?],
+        points: $points:expr,
+        extra: $extra:expr,
+        queries: $queries:expr $(,)?
+    ) => {{
+        let (name, points, extra, queries) = ($name, $points, $extra, $queries);
+        let reference = $reference;
+        let want = $crate::common::answers(&reference, queries, name);
+        let victims = [points.len(), points.len() + 2, 7];
+        let (mut grown, mut writes, mut churned, mut compacted) =
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        $({
+            let mut subject = $subject;
+            assert_eq!(reference.$params(), subject.$params(), "{name}: derived parameters");
+            for (i, p) in points.iter().enumerate() {
+                subject.backend_mut().insert(p).unwrap();
+                if i % 41 == 40 {
+                    subject.backend_mut().seal();
+                }
+            }
+            grown.push($crate::common::answers(&subject, queries, name));
+            subject.backend_mut().compact();
+            assert_eq!(
+                want,
+                $crate::common::answers(&subject, queries, name),
+                "{name}: grown + compacted vs the static build"
+            );
+            let backend = subject.backend_mut();
+            writes.push((
+                backend.remove(7),
+                backend.insert_batch(extra),
+                backend.remove_batch(&victims),
+            ));
+            churned.push($crate::common::answers(&subject, queries, name));
+            subject.backend_mut().compact();
+            compacted.push($crate::common::answers(&subject, queries, name));
+        })+
+        for (subject, w) in writes.iter().enumerate() {
+            assert_eq!(&writes[0], w, "{name}: write results (subject {subject})");
+        }
+        for (stage, runs) in [
+            ("grown, pre-compact", &grown),
+            ("churned, pre-compact", &churned),
+            ("churned, post-compact", &compacted),
+        ] {
+            for (subject, run) in runs.iter().enumerate() {
+                assert_eq!(&runs[0], run, "{name}: {stage} (subject {subject})");
+            }
+        }
+    }};
+}
+pub(crate) use front_end_parity;

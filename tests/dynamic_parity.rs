@@ -21,13 +21,16 @@
 //! additive counters; distinctness is computed once per query from the
 //! deduplicated output).
 
+mod common;
+
+use common::front_end_parity;
 use dsh_core::family::DshFamily;
 use dsh_core::points::{AppendStore, AsRow, BitStore, BitVector, DenseStore, DenseVector};
 use dsh_data::{hamming_data, sphere_data};
 use dsh_hamming::BitSampling;
 use dsh_index::{
-    measures, AnnulusIndex, AnnulusSpec, DynamicIndex, HashTableIndex, HyperplaneIndex,
-    NearNeighborIndex, QueryStats, RangeReportingIndex, SphereAnnulusIndex, WriteError,
+    hyperplane, measures, sphere_annulus, DynamicIndex, HashTableIndex, NearNeighborIndex,
+    QueryStats, WriteError,
 };
 use dsh_math::rng::seeded;
 use dsh_sphere::UnimodalFilterDsh;
@@ -269,8 +272,10 @@ fn dense_store_interleaved_schedule_matches_static_rebuild() {
 }
 
 // ---------------------------------------------------------------------------
-// Front-end parity: every wrapper answers identically through the
-// dynamic backend after insert + compact.
+// Front-end parity: every front-end answers identically over the dynamic
+// backend, grown online through `backend_mut()`, and over a static build
+// (the script is `common::front_end_parity!`; `tests/shard_parity.rs`
+// runs it with sharded subjects next to the dynamic one).
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -278,107 +283,58 @@ fn hamming_front_ends_dynamic_equals_static_after_compact() {
     let d = 128;
     let seed = 0xF0A1;
     let points = bit_points(seed, 200, d);
+    let extra = BitStore::from(bit_points(seed + 9, 6, d));
     let queries: Vec<BitVector> = points[..10]
         .iter()
         .cloned()
         .chain(bit_points(seed + 1, 10, d))
         .collect();
+    let all = || BitStore::from(points.clone());
+    let dynamic = |seed: u64| {
+        move |g: &dyn DshFamily<[u64]>, l| {
+            DynamicIndex::build(g, BitStore::with_dim(d), l, &mut seeded(seed))
+        }
+    };
 
-    // NearNeighborIndex.
-    let static_nn = NearNeighborIndex::build(
-        &BitSampling::new(d),
-        measures::relative_hamming(d),
-        0.25,
-        BitStore::from(points.clone()),
-        0.95,
-        0.75,
-        2.0,
-        &mut seeded(seed + 2),
+    front_end_parity!(
+        "NearNeighborIndex",
+        params,
+        reference: NearNeighborIndex::build(
+            &BitSampling::new(d),
+            measures::relative_hamming(d),
+            0.25,
+            all(),
+            0.95,
+            0.75,
+            2.0,
+            &mut seeded(seed + 2),
+        ),
+        subjects: [common::near_neighbor_over(d, points.len(), dynamic(seed + 2))],
+        points: &points,
+        extra: &extra,
+        queries: &queries,
     );
-    let mut dyn_nn = NearNeighborIndex::build_dynamic(
-        &BitSampling::new(d),
-        measures::relative_hamming(d),
-        0.25,
-        BitStore::with_dim(d),
-        points.len(),
-        0.95,
-        0.75,
-        2.0,
-        &mut seeded(seed + 2),
+    front_end_parity!(
+        "AnnulusIndex",
+        repetitions,
+        reference: common::annulus_over(d, |g, l| {
+            HashTableIndex::build(g, all(), l, &mut seeded(seed + 3))
+        }),
+        subjects: [common::annulus_over(d, dynamic(seed + 3))],
+        points: &points,
+        extra: &extra,
+        queries: &queries,
     );
-    assert_eq!(static_nn.params(), dyn_nn.params());
-    for p in &points {
-        dyn_nn.insert(p).unwrap();
-    }
-    dyn_nn.compact();
-    let want: Vec<_> = queries.iter().map(|q| static_nn.query(q)).collect();
-    let got: Vec<_> = queries.iter().map(|q| dyn_nn.query(q)).collect();
-    assert_eq!(want, got, "NearNeighborIndex dynamic/static divergence");
-    for threads in [1usize, 4] {
-        assert_eq!(
-            want,
-            dyn_nn.query_batch_with_threads(&queries, threads),
-            "NearNeighborIndex batched (threads {threads})"
-        );
-    }
-
-    // AnnulusIndex.
-    let fam = BitSampling::new(d);
-    let static_an = AnnulusIndex::build(
-        &fam,
-        measures::relative_hamming(d),
-        (0.0, 0.2),
-        BitStore::from(points.clone()),
-        12,
-        &mut seeded(seed + 3),
-    );
-    let mut dyn_an = AnnulusIndex::build_dynamic(
-        &fam,
-        measures::relative_hamming(d),
-        (0.0, 0.2),
-        BitStore::with_dim(d),
-        12,
-        &mut seeded(seed + 3),
-    );
-    for p in &points {
-        dyn_an.insert(p).unwrap();
-    }
-    dyn_an.compact();
-    let want: Vec<_> = queries.iter().map(|q| static_an.query(q)).collect();
-    let got: Vec<_> = queries.iter().map(|q| dyn_an.query(q)).collect();
-    assert_eq!(want, got, "AnnulusIndex dynamic/static divergence");
-    assert_eq!(want, dyn_an.query_batch(&queries), "AnnulusIndex batched");
-
-    // RangeReportingIndex.
-    let static_rr = RangeReportingIndex::build(
-        &fam,
-        measures::relative_hamming(d),
-        0.05,
-        0.2,
-        BitStore::from(points.clone()),
-        20,
-        &mut seeded(seed + 4),
-    );
-    let mut dyn_rr = RangeReportingIndex::build_dynamic(
-        &fam,
-        measures::relative_hamming(d),
-        0.05,
-        0.2,
-        BitStore::with_dim(d),
-        20,
-        &mut seeded(seed + 4),
-    );
-    for p in &points {
-        dyn_rr.insert(p).unwrap();
-    }
-    dyn_rr.compact();
-    let want: Vec<_> = queries.iter().map(|q| static_rr.query(q)).collect();
-    let got: Vec<_> = queries.iter().map(|q| dyn_rr.query(q)).collect();
-    assert_eq!(want, got, "RangeReportingIndex dynamic/static divergence");
-    assert_eq!(
-        want,
-        dyn_rr.query_batch(&queries),
-        "RangeReportingIndex batched"
+    front_end_parity!(
+        "RangeReportingIndex",
+        repetitions,
+        reference: common::range_reporting_over(d, |g, l| {
+            HashTableIndex::build(g, all(), l, &mut seeded(seed + 4))
+        }),
+        subjects: [common::range_reporting_over(d, dynamic(seed + 4))],
+        points: &points,
+        extra: &extra,
+        queries: &queries,
     );
 }
 
@@ -387,68 +343,39 @@ fn sphere_front_ends_dynamic_equals_static_after_compact() {
     let d = 24;
     let seed = 0xF0B1;
     let points = dense_points(seed, 180, d);
+    let extra = DenseStore::from(dense_points(seed + 9, 5, d));
     let queries = dense_points(seed + 1, 12, d);
+    let all = || DenseStore::from(points.clone());
+    let dynamic = |seed: u64| {
+        move |g: &dyn DshFamily<[f64]>, l| {
+            DynamicIndex::build(g, DenseStore::with_dim(d), l, &mut seeded(seed))
+        }
+    };
 
-    // HyperplaneIndex.
-    let static_hp = HyperplaneIndex::build(
-        DenseStore::from(points.clone()),
-        d,
-        1.4,
-        0.4,
-        1.5,
-        &mut seeded(seed + 2),
+    front_end_parity!(
+        "hyperplane",
+        repetitions,
+        reference: hyperplane::build(all(), d, 1.4, 0.4, 1.5, &mut seeded(seed + 2)),
+        subjects: [common::hyperplane_over(d, dynamic(seed + 2))],
+        points: &points,
+        extra: &extra,
+        queries: &queries,
     );
-    let mut dyn_hp = HyperplaneIndex::build_dynamic(
-        DenseStore::with_dim(d),
-        d,
-        1.4,
-        0.4,
-        1.5,
-        &mut seeded(seed + 2),
-    );
-    for p in &points {
-        dyn_hp.insert(p).unwrap();
-    }
-    dyn_hp.compact();
-    assert_eq!(static_hp.repetitions(), dyn_hp.repetitions());
-    let want: Vec<_> = queries.iter().map(|q| static_hp.query(q)).collect();
-    let got: Vec<_> = queries.iter().map(|q| dyn_hp.query(q)).collect();
-    assert_eq!(want, got, "HyperplaneIndex dynamic/static divergence");
-    assert_eq!(
-        want,
-        dyn_hp.query_batch(&queries),
-        "HyperplaneIndex batched"
-    );
-
-    // SphereAnnulusIndex.
-    let spec = AnnulusSpec::widened(0.35, 0.5, 2.5);
-    let static_sa = SphereAnnulusIndex::build(
-        DenseStore::from(points.clone()),
-        d,
-        spec,
-        1.4,
-        1.5,
-        &mut seeded(seed + 3),
-    );
-    let mut dyn_sa = SphereAnnulusIndex::build_dynamic(
-        DenseStore::with_dim(d),
-        d,
-        spec,
-        1.4,
-        1.5,
-        &mut seeded(seed + 3),
-    );
-    for p in &points {
-        dyn_sa.insert(p).unwrap();
-    }
-    dyn_sa.compact();
-    let want: Vec<_> = queries.iter().map(|q| static_sa.query(q)).collect();
-    let got: Vec<_> = queries.iter().map(|q| dyn_sa.query(q)).collect();
-    assert_eq!(want, got, "SphereAnnulusIndex dynamic/static divergence");
-    assert_eq!(
-        want,
-        dyn_sa.query_batch(&queries),
-        "SphereAnnulusIndex batched"
+    front_end_parity!(
+        "sphere_annulus",
+        repetitions,
+        reference: sphere_annulus::build(
+            all(),
+            d,
+            common::sphere_spec(),
+            1.4,
+            1.5,
+            &mut seeded(seed + 3),
+        ),
+        subjects: [common::sphere_annulus_over(d, dynamic(seed + 3))],
+        points: &points,
+        extra: &extra,
+        queries: &queries,
     );
 }
 

@@ -6,8 +6,8 @@
 use dsh_core::points::{BitVector, DenseVector};
 use dsh_data::{hamming_data, sphere_data};
 use dsh_hamming::BitSampling;
+use dsh_index::{sphere_annulus, AnnulusSpec};
 use dsh_index::{AnnulusIndex, HashTableIndex, NearNeighborIndex, RangeReportingIndex};
-use dsh_index::{AnnulusSpec, SphereAnnulusIndex};
 use dsh_math::rng::seeded;
 
 fn hamming_workload(seed: u64, n: usize, nq: usize, d: usize) -> (Vec<BitVector>, Vec<BitVector>) {
@@ -164,7 +164,7 @@ fn sphere_front_end_batch_parity() {
     let queries: Vec<DenseVector> = std::iter::once(inst.query.clone())
         .chain((0..7).map(|_| DenseVector::random_unit(&mut rng, d)))
         .collect();
-    let idx = SphereAnnulusIndex::build(inst.points, d, spec, 1.4, 1.5, &mut rng);
+    let idx = sphere_annulus::build(inst.points, d, spec, 1.4, 1.5, &mut rng);
     let sequential: Vec<_> = queries.iter().map(|q| idx.query(q)).collect();
     assert_eq!(sequential, idx.query_batch(&queries));
 }

@@ -9,8 +9,8 @@ use dsh_core::points::{BitStore, BitVector, DenseStore, DenseVector};
 use dsh_data::{hamming_data, sphere_data};
 use dsh_hamming::BitSampling;
 use dsh_index::{
-    measures, AnnulusIndex, AnnulusSpec, HashTableIndex, HyperplaneIndex, NearNeighborIndex,
-    RangeReportingIndex, SphereAnnulusIndex,
+    hyperplane, measures, sphere_annulus, AnnulusIndex, AnnulusSpec, HashTableIndex,
+    NearNeighborIndex, RangeReportingIndex,
 };
 use dsh_math::rng::seeded;
 
@@ -213,9 +213,8 @@ fn sphere_front_ends_parity() {
         .chain((0..7).map(|_| DenseVector::random_unit(&mut rng, d)))
         .collect();
 
-    let sa_vec =
-        SphereAnnulusIndex::build(inst.points.clone(), d, spec, 1.4, 1.5, &mut seeded(0x5715));
-    let sa_store = SphereAnnulusIndex::build(
+    let sa_vec = sphere_annulus::build(inst.points.clone(), d, spec, 1.4, 1.5, &mut seeded(0x5715));
+    let sa_store = sphere_annulus::build(
         DenseStore::from(inst.points.clone()),
         d,
         spec,
@@ -237,8 +236,8 @@ fn sphere_front_ends_parity() {
         sa_store.query_batch(&DenseStore::from(queries.clone()))
     );
 
-    let hp_vec = HyperplaneIndex::build(inst.points.clone(), d, 1.4, 0.4, 1.5, &mut seeded(0x5716));
-    let hp_store = HyperplaneIndex::build(
+    let hp_vec = hyperplane::build(inst.points.clone(), d, 1.4, 0.4, 1.5, &mut seeded(0x5716));
+    let hp_store = hyperplane::build(
         DenseStore::from(inst.points),
         d,
         1.4,

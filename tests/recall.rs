@@ -12,7 +12,7 @@ mod common;
 use common::{recall_at_1, RecallSweep};
 use dsh_core::points::BitStore;
 use dsh_hamming::BitSampling;
-use dsh_index::{measures, NearNeighborIndex};
+use dsh_index::{measures, DynamicIndex, NearNeighborIndex, ShardedIndex};
 
 const FACTOR: f64 = 2.0;
 
@@ -63,21 +63,20 @@ fn dynamic_near_neighbor_recall_matches_static_run_for_run() {
 
     let mut run = 0;
     let dynamic_recall = recall_at_1(&sweep, |inst, rng| {
-        let mut idx = NearNeighborIndex::build_dynamic(
+        let mut idx: NearNeighborIndex<BitStore, _> = NearNeighborIndex::over(
             &BitSampling::new(sweep.d),
             measures::relative_hamming(sweep.d),
             sweep.r2_rel,
-            BitStore::with_dim(sweep.d),
             inst.points.len(),
             sweep.p1(),
             sweep.p2(),
             FACTOR,
-            rng,
+            |g, l| DynamicIndex::build(g, BitStore::with_dim(sweep.d), l, rng),
         );
         for p in &inst.points {
-            idx.insert(p).unwrap();
+            idx.backend_mut().insert(p).unwrap();
         }
-        idx.compact();
+        idx.backend_mut().compact();
         let hit = idx.query(&inst.query).0;
         assert_eq!(
             hit, static_answers[run],
@@ -128,25 +127,23 @@ fn sharded_near_neighbor_recall_matches_static_run_for_run() {
     for shards in [1usize, 2, 8] {
         let mut run = 0;
         let sharded_recall = recall_at_1(&sweep, |inst, rng| {
-            let mut idx = NearNeighborIndex::build_sharded(
+            let mut idx: NearNeighborIndex<BitStore, _> = NearNeighborIndex::over(
                 &BitSampling::new(sweep.d),
                 measures::relative_hamming(sweep.d),
                 sweep.r2_rel,
-                BitStore::with_dim(sweep.d),
-                shards,
                 inst.points.len(),
                 sweep.p1(),
                 sweep.p2(),
                 FACTOR,
-                rng,
+                |g, l| ShardedIndex::build(g, BitStore::with_dim(sweep.d), l, shards, rng),
             );
             for (i, p) in inst.points.iter().enumerate() {
-                idx.insert(p).unwrap();
+                idx.backend_mut().insert(p).unwrap();
                 if (i + 1) % 100 == 0 {
-                    idx.seal();
+                    idx.backend_mut().seal();
                 }
             }
-            idx.compact();
+            idx.backend_mut().compact();
             let hit = idx.query(&inst.query).0;
             assert_eq!(
                 hit, static_answers[run],

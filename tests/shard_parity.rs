@@ -11,13 +11,16 @@
 //! `QueryStats` accounting regression for the cross-shard merge (the
 //! sharded mirror of the dynamic-index pins in `tests/dynamic_parity.rs`).
 
+mod common;
+
+use common::front_end_parity;
 use dsh_core::family::DshFamily;
 use dsh_core::points::{AppendStore, AsRow, BitStore, BitVector, DenseStore, DenseVector};
 use dsh_data::{hamming_data, sphere_data};
 use dsh_hamming::BitSampling;
 use dsh_index::{
-    measures, AnnulusIndex, AnnulusSpec, BatchError, DynamicIndex, HashTableIndex, HyperplaneIndex,
-    NearNeighborIndex, RangeReportingIndex, ShardedIndex, SphereAnnulusIndex, WriteOutcome,
+    hyperplane, measures, sphere_annulus, BatchError, DynamicIndex, HashTableIndex,
+    NearNeighborIndex, ShardedIndex, WriteOutcome,
 };
 use dsh_math::rng::seeded;
 use dsh_sphere::UnimodalFilterDsh;
@@ -453,9 +456,11 @@ fn snapshots_keep_answering_from_their_frozen_state() {
 }
 
 // ---------------------------------------------------------------------------
-// Front-end parity: every wrapper's build_sharded answers identically to
-// its build_dynamic twin over the same schedule — same RNG stream, same
-// inserts, same compaction — for shard counts 1/2/8.
+// Front-end parity: every front-end over a sharded backend answers
+// identically to the same front-end over a dynamic backend driven
+// through the same schedule — same RNG stream, same `backend_mut()`
+// writes, same compactions — for shard counts 1/2/8, and to the static
+// build once compacted (the script is `common::front_end_parity!`).
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -463,150 +468,79 @@ fn hamming_front_ends_sharded_equals_dynamic() {
     let d = 128;
     let seed = 0x5DF1;
     let points = bit_points(seed, 160, d);
+    let extra = BitStore::from(bit_points(seed + 9, 6, d));
     let queries: Vec<BitVector> = points[..8]
         .iter()
         .cloned()
         .chain(bit_points(seed + 1, 8, d))
         .collect();
+    let all = || BitStore::from(points.clone());
+    let dynamic = |seed: u64| {
+        move |g: &dyn DshFamily<[u64]>, l| {
+            DynamicIndex::build(g, BitStore::with_dim(d), l, &mut seeded(seed))
+        }
+    };
+    let sharded = |shards: usize, seed: u64| {
+        move |g: &dyn DshFamily<[u64]>, l| {
+            ShardedIndex::build(g, BitStore::with_dim(d), l, shards, &mut seeded(seed))
+        }
+    };
 
-    for &shards in &SHARD_COUNTS {
-        // NearNeighborIndex.
-        let mut dyn_nn = NearNeighborIndex::build_dynamic(
+    front_end_parity!(
+        "NearNeighborIndex",
+        params,
+        reference: NearNeighborIndex::build(
             &BitSampling::new(d),
             measures::relative_hamming(d),
             0.25,
-            BitStore::with_dim(d),
-            points.len(),
+            all(),
             0.95,
             0.75,
             2.0,
             &mut seeded(seed + 2),
-        );
-        let mut sh_nn = NearNeighborIndex::build_sharded(
-            &BitSampling::new(d),
-            measures::relative_hamming(d),
-            0.25,
-            BitStore::with_dim(d),
-            shards,
-            points.len(),
-            0.95,
-            0.75,
-            2.0,
-            &mut seeded(seed + 2),
-        );
-        assert_eq!(dyn_nn.params(), sh_nn.params());
-        for (i, p) in points.iter().enumerate() {
-            dyn_nn.insert(p).unwrap();
-            sh_nn.insert(p).unwrap();
-            if i % 41 == 40 {
-                dyn_nn.seal();
-                sh_nn.seal();
-            }
-        }
-        dyn_nn.remove(7).unwrap();
-        sh_nn.remove(7).unwrap();
-        // Group-commit passthroughs: batched front-end writes agree too.
-        let extra = {
-            let mut s = BitStore::with_dim(d);
-            for p in bit_points(seed + 9, 6, d) {
-                s.push(&p);
-            }
-            s
-        };
-        assert_eq!(dyn_nn.insert_batch(&extra), sh_nn.insert_batch(&extra));
-        let victims = [points.len(), points.len() + 2, 7];
-        assert_eq!(
-            dyn_nn.remove_batch(&victims),
-            sh_nn.remove_batch(&victims),
-            "NearNeighborIndex remove_batch (shards {shards})"
-        );
-        let want: Vec<_> = queries.iter().map(|q| dyn_nn.query(q)).collect();
-        let got: Vec<_> = queries.iter().map(|q| sh_nn.query(q)).collect();
-        assert_eq!(want, got, "NearNeighborIndex (shards {shards})");
-        for threads in [1usize, 4] {
-            assert_eq!(
-                want,
-                sh_nn.query_batch_with_threads(&queries, threads),
-                "NearNeighborIndex batched (shards {shards}, threads {threads})"
-            );
-        }
-        dyn_nn.compact();
-        sh_nn.compact();
-        assert_eq!(
-            queries.iter().map(|q| dyn_nn.query(q)).collect::<Vec<_>>(),
-            queries.iter().map(|q| sh_nn.query(q)).collect::<Vec<_>>(),
-            "NearNeighborIndex post-compact (shards {shards})"
-        );
-
-        // AnnulusIndex.
-        let fam = BitSampling::new(d);
-        let mut dyn_an = AnnulusIndex::build_dynamic(
-            &fam,
-            measures::relative_hamming(d),
-            (0.0, 0.2),
-            BitStore::with_dim(d),
-            12,
-            &mut seeded(seed + 3),
-        );
-        let mut sh_an = AnnulusIndex::build_sharded(
-            &fam,
-            measures::relative_hamming(d),
-            (0.0, 0.2),
-            BitStore::with_dim(d),
-            12,
-            shards,
-            &mut seeded(seed + 3),
-        );
-        for p in &points {
-            dyn_an.insert(p).unwrap();
-            sh_an.insert(p).unwrap();
-        }
-        dyn_an.seal();
-        sh_an.seal();
-        let want: Vec<_> = queries.iter().map(|q| dyn_an.query(q)).collect();
-        let got: Vec<_> = queries.iter().map(|q| sh_an.query(q)).collect();
-        assert_eq!(want, got, "AnnulusIndex (shards {shards})");
-        assert_eq!(
-            want,
-            sh_an.query_batch(&queries),
-            "AnnulusIndex batched (shards {shards})"
-        );
-
-        // RangeReportingIndex.
-        let mut dyn_rr = RangeReportingIndex::build_dynamic(
-            &fam,
-            measures::relative_hamming(d),
-            0.05,
-            0.2,
-            BitStore::with_dim(d),
-            20,
-            &mut seeded(seed + 4),
-        );
-        let mut sh_rr = RangeReportingIndex::build_sharded(
-            &fam,
-            measures::relative_hamming(d),
-            0.05,
-            0.2,
-            BitStore::with_dim(d),
-            20,
-            shards,
-            &mut seeded(seed + 4),
-        );
-        for p in &points {
-            dyn_rr.insert(p).unwrap();
-            sh_rr.insert(p).unwrap();
-        }
-        dyn_rr.compact();
-        sh_rr.compact();
-        let want: Vec<_> = queries.iter().map(|q| dyn_rr.query(q)).collect();
-        let got: Vec<_> = queries.iter().map(|q| sh_rr.query(q)).collect();
-        assert_eq!(want, got, "RangeReportingIndex (shards {shards})");
-        assert_eq!(
-            want,
-            sh_rr.query_batch(&queries),
-            "RangeReportingIndex batched (shards {shards})"
-        );
-    }
+        ),
+        subjects: [
+            common::near_neighbor_over(d, points.len(), dynamic(seed + 2)),
+            common::near_neighbor_over(d, points.len(), sharded(1, seed + 2)),
+            common::near_neighbor_over(d, points.len(), sharded(2, seed + 2)),
+            common::near_neighbor_over(d, points.len(), sharded(8, seed + 2)),
+        ],
+        points: &points,
+        extra: &extra,
+        queries: &queries,
+    );
+    front_end_parity!(
+        "AnnulusIndex",
+        repetitions,
+        reference: common::annulus_over(d, |g, l| {
+            HashTableIndex::build(g, all(), l, &mut seeded(seed + 3))
+        }),
+        subjects: [
+            common::annulus_over(d, dynamic(seed + 3)),
+            common::annulus_over(d, sharded(1, seed + 3)),
+            common::annulus_over(d, sharded(2, seed + 3)),
+            common::annulus_over(d, sharded(8, seed + 3)),
+        ],
+        points: &points,
+        extra: &extra,
+        queries: &queries,
+    );
+    front_end_parity!(
+        "RangeReportingIndex",
+        repetitions,
+        reference: common::range_reporting_over(d, |g, l| {
+            HashTableIndex::build(g, all(), l, &mut seeded(seed + 4))
+        }),
+        subjects: [
+            common::range_reporting_over(d, dynamic(seed + 4)),
+            common::range_reporting_over(d, sharded(1, seed + 4)),
+            common::range_reporting_over(d, sharded(2, seed + 4)),
+            common::range_reporting_over(d, sharded(8, seed + 4)),
+        ],
+        points: &points,
+        extra: &extra,
+        queries: &queries,
+    );
 }
 
 #[test]
@@ -614,93 +548,55 @@ fn sphere_front_ends_sharded_equals_dynamic() {
     let d = 24;
     let seed = 0x5DF9;
     let points = dense_points(seed, 150, d);
+    let extra = DenseStore::from(dense_points(seed + 9, 5, d));
     let queries = dense_points(seed + 1, 10, d);
-
-    for &shards in &SHARD_COUNTS {
-        // HyperplaneIndex.
-        let mut dyn_hp = HyperplaneIndex::build_dynamic(
-            DenseStore::with_dim(d),
-            d,
-            1.4,
-            0.4,
-            1.5,
-            &mut seeded(seed + 2),
-        );
-        let mut sh_hp = HyperplaneIndex::build_sharded(
-            DenseStore::with_dim(d),
-            d,
-            1.4,
-            0.4,
-            1.5,
-            shards,
-            &mut seeded(seed + 2),
-        );
-        assert_eq!(dyn_hp.repetitions(), sh_hp.repetitions());
-        for p in &points {
-            dyn_hp.insert(p).unwrap();
-            sh_hp.insert(p).unwrap();
+    let all = || DenseStore::from(points.clone());
+    let dynamic = |seed: u64| {
+        move |g: &dyn DshFamily<[f64]>, l| {
+            DynamicIndex::build(g, DenseStore::with_dim(d), l, &mut seeded(seed))
         }
-        dyn_hp.seal();
-        sh_hp.seal();
-        dyn_hp.remove(3).unwrap();
-        sh_hp.remove(3).unwrap();
-        // Group-commit passthroughs: batched front-end writes agree too.
-        let extra = {
-            let mut s = DenseStore::with_dim(d);
-            for p in dense_points(seed + 9, 5, d) {
-                s.push_row(p.as_row());
-            }
-            s
-        };
-        assert_eq!(dyn_hp.insert_batch(&extra), sh_hp.insert_batch(&extra));
-        assert_eq!(
-            dyn_hp.remove_batch(&[1, 3]),
-            sh_hp.remove_batch(&[1, 3]),
-            "HyperplaneIndex remove_batch (shards {shards})"
-        );
-        let want: Vec<_> = queries.iter().map(|q| dyn_hp.query(q)).collect();
-        let got: Vec<_> = queries.iter().map(|q| sh_hp.query(q)).collect();
-        assert_eq!(want, got, "HyperplaneIndex (shards {shards})");
-        assert_eq!(
-            want,
-            sh_hp.query_batch(&queries),
-            "HyperplaneIndex batched (shards {shards})"
-        );
+    };
+    let sharded = |shards: usize, seed: u64| {
+        move |g: &dyn DshFamily<[f64]>, l| {
+            ShardedIndex::build(g, DenseStore::with_dim(d), l, shards, &mut seeded(seed))
+        }
+    };
 
-        // SphereAnnulusIndex.
-        let spec = AnnulusSpec::widened(0.35, 0.5, 2.5);
-        let mut dyn_sa = SphereAnnulusIndex::build_dynamic(
-            DenseStore::with_dim(d),
+    front_end_parity!(
+        "hyperplane",
+        repetitions,
+        reference: hyperplane::build(all(), d, 1.4, 0.4, 1.5, &mut seeded(seed + 2)),
+        subjects: [
+            common::hyperplane_over(d, dynamic(seed + 2)),
+            common::hyperplane_over(d, sharded(1, seed + 2)),
+            common::hyperplane_over(d, sharded(2, seed + 2)),
+            common::hyperplane_over(d, sharded(8, seed + 2)),
+        ],
+        points: &points,
+        extra: &extra,
+        queries: &queries,
+    );
+    front_end_parity!(
+        "sphere_annulus",
+        repetitions,
+        reference: sphere_annulus::build(
+            all(),
             d,
-            spec,
+            common::sphere_spec(),
             1.4,
             1.5,
             &mut seeded(seed + 3),
-        );
-        let mut sh_sa = SphereAnnulusIndex::build_sharded(
-            DenseStore::with_dim(d),
-            d,
-            spec,
-            1.4,
-            1.5,
-            shards,
-            &mut seeded(seed + 3),
-        );
-        for p in &points {
-            dyn_sa.insert(p).unwrap();
-            sh_sa.insert(p).unwrap();
-        }
-        dyn_sa.compact();
-        sh_sa.compact();
-        let want: Vec<_> = queries.iter().map(|q| dyn_sa.query(q)).collect();
-        let got: Vec<_> = queries.iter().map(|q| sh_sa.query(q)).collect();
-        assert_eq!(want, got, "SphereAnnulusIndex (shards {shards})");
-        assert_eq!(
-            want,
-            sh_sa.query_batch(&queries),
-            "SphereAnnulusIndex batched (shards {shards})"
-        );
-    }
+        ),
+        subjects: [
+            common::sphere_annulus_over(d, dynamic(seed + 3)),
+            common::sphere_annulus_over(d, sharded(1, seed + 3)),
+            common::sphere_annulus_over(d, sharded(2, seed + 3)),
+            common::sphere_annulus_over(d, sharded(8, seed + 3)),
+        ],
+        points: &points,
+        extra: &extra,
+        queries: &queries,
+    );
 }
 
 // ---------------------------------------------------------------------------
