@@ -1,13 +1,14 @@
 //! Group-commit write batches: ordered inserts and removes applied —
 //! and published — as one unit.
 //!
-//! The sharded serving layer pays a fixed tax per write: fork the
-//! state, copy the touched shard's mutable parts, publish a fresh
-//! epoch. Per-op ingest pays it once per point. A [`WriteBatch`]
-//! amortizes it: the caller stages any interleaving of inserts and
-//! removes, then `apply_batch` (on `DynamicIndex` or `ShardedIndex`)
-//! validates the **whole** batch up front, applies every operation in
-//! order, and publishes **one** epoch. Results are bit-identical to
+//! The sharded serving layer pays a fixed tax per write transaction:
+//! fork the state, copy the touched shard's mutable parts, publish a
+//! fresh epoch. Per-op ingest pays it once per point. A [`WriteBatch`]
+//! amortizes it, and `apply_batch` (on `DynamicIndex` or `ShardedIndex`)
+//! is the write path every serving caller uses: the caller stages any
+//! interleaving of inserts and removes, then `apply_batch` validates the
+//! **whole** batch up front, applies every operation in order inside one
+//! transaction, and publishes **one** epoch. Results are bit-identical to
 //! replaying the same operations one at a time — same assigned ids,
 //! same candidate lists, same [`crate::QueryStats`] — only the epoch
 //! arithmetic (and the write cost) differs.
@@ -49,9 +50,9 @@ pub const MAX_POINTS: usize = u32::MAX as usize;
 
 /// Why a single write operation was rejected — the recoverable
 /// counterpart of what used to be a serving-path panic. Returned by
-/// the per-op `insert`/`remove` (and their `_batch` conveniences) on
-/// [`crate::DynamicIndex`] and [`crate::ShardedIndex`]; group commits
-/// report the same conditions per batch as [`BatchError`].
+/// the per-op `insert`/`remove` on [`crate::DynamicIndex`] and
+/// [`crate::ShardedIndex`]; group commits report the same conditions
+/// per batch as [`BatchError`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WriteError {
     /// A remove targeted an id that was never assigned. (A remove of a
@@ -139,8 +140,9 @@ pub enum WriteOutcome {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BatchError {
     /// A remove targeted an id outside the id space as it would stand
-    /// at that point of the batch (the per-op path panics here; the
-    /// batch path must reject without partial application).
+    /// at that point of the batch (the per-op path returns
+    /// [`WriteError::UnknownId`]; the batch path must also reject
+    /// without partial application).
     UnknownId {
         /// Position of the offending operation within the batch.
         op_index: usize,

@@ -402,35 +402,6 @@ impl<S: AppendStore> DynamicIndex<S> {
         Ok(outcomes)
     }
 
-    /// Insert every row of `points` in order, returning the assigned
-    /// ids — the batched convenience form of [`DynamicIndex::insert`]
-    /// (one up-front capacity check and store reservation). A batch
-    /// that would overflow the id space is rejected whole with
-    /// [`WriteError::CapacityExceeded`]; nothing is applied.
-    pub fn insert_batch<QS>(&mut self, points: &QS) -> Result<Vec<usize>, WriteError>
-    where
-        QS: PointStore<Row = S::Row> + ?Sized,
-    {
-        ensure_capacity(self.store.len(), points.len())?;
-        self.store.reserve_rows(points.len());
-        Ok((0..points.len())
-            .map(|i| self.insert_row(points.row(i)))
-            .collect())
-    }
-
-    /// Remove every id in `ids` in order, returning the per-id results
-    /// ([`DynamicIndex::remove`] semantics, including `false` for
-    /// already-removed ids). The whole batch is validated first: any
-    /// never-assigned id rejects it with [`WriteError::UnknownId`] and
-    /// nothing is applied.
-    pub fn remove_batch(&mut self, ids: &[usize]) -> Result<Vec<bool>, WriteError> {
-        let bound = self.store.len();
-        for &id in ids {
-            ensure_known(id, bound)?;
-        }
-        Ok(ids.iter().map(|&id| self.tombstones.kill(id)).collect())
-    }
-
     /// Freeze the delta segment into a new sealed CSR segment (tombstoned
     /// ids are dropped on the way). Sealing bounds the `HashMap` probe
     /// cost of a hot write head without paying a full merge; a no-op when
@@ -438,15 +409,10 @@ impl<S: AppendStore> DynamicIndex<S> {
     /// across [`parallel::available_threads`] workers, like
     /// [`DynamicIndex::compact`].
     pub fn seal(&mut self) {
-        self.seal_with_threads(parallel::available_threads());
-    }
-
-    /// [`DynamicIndex::seal`] with an explicit worker-thread count (the
-    /// resulting layout does not depend on it).
-    pub fn seal_with_threads(&mut self, threads: usize) {
         if self.delta.rows == 0 {
             return;
         }
+        let threads = parallel::available_threads();
         let tombstones = &self.tombstones;
         let tables: Vec<CsrBuckets> = parallel::map_items(&self.delta.tables, threads, |_, m| {
             let pairs: Vec<(u64, u32)> = m
@@ -540,13 +506,6 @@ impl<S: AppendStore> DynamicIndex<S> {
     /// The delta-segment bucket of table `j` under `key`.
     pub(crate) fn delta_bucket(&self, j: usize, key: u64) -> &[u32] {
         self.delta.tables[j].get(&key).map_or(&[], Vec::as_slice)
-    }
-
-    /// Whether the delta segment holds at least one live (non-tombstoned)
-    /// row — i.e. whether [`DynamicIndex::seal`] would publish a segment.
-    pub(crate) fn delta_has_live_rows(&self) -> bool {
-        let bound = self.store.len();
-        (bound - self.delta.rows..bound).any(|id| !self.tombstones.is_dead(id))
     }
 
     /// Mutable access to the backing store (the sharded layer freezes a
@@ -1077,10 +1036,18 @@ mod tests {
 
     /// The unified capacity bound at the exact boundary: an index may
     /// fill the id space to `MAX_POINTS`, and the first write past it is
-    /// rejected — identically for `insert` and `insert_batch`.
+    /// rejected — identically for `insert` and `apply_batch`.
     #[test]
     fn capacity_boundary_is_shared_by_both_insert_entry_points() {
         let pairs = vec![BitSampling::new(64).sample(&mut seeded(0xEF))];
+        let row: &[u64] = &[];
+        let staged = |idx: &DynamicIndex<FakeHugeStore>, inserts: usize| {
+            let mut batch = idx.new_batch();
+            for _ in 0..inserts {
+                batch.insert(row);
+            }
+            batch
+        };
         // One shy of the cap: exactly one more insert fits.
         let mut idx = DynamicIndex::with_pairs(
             pairs.clone(),
@@ -1089,7 +1056,6 @@ mod tests {
             },
             1,
         );
-        let row: &[u64] = &[];
         assert_eq!(idx.insert(row), Ok(MAX_POINTS - 1));
         assert_eq!(
             idx.insert(row),
@@ -1098,17 +1064,12 @@ mod tests {
                 additional: 1
             })
         );
-        let two = FakeHugeStore { claimed: 2 };
         assert_eq!(
-            idx.insert_batch(&two),
-            Err(WriteError::CapacityExceeded {
-                id_bound: MAX_POINTS,
-                additional: 2
-            })
+            idx.apply_batch(&staged(&idx, 2)),
+            Err(BatchError::CapacityExceeded { op_index: 0 })
         );
-        let empty = FakeHugeStore { claimed: 0 };
-        assert_eq!(idx.insert_batch(&empty), Ok(Vec::new()));
-        // insert_batch admits a batch landing exactly on the bound …
+        assert_eq!(idx.apply_batch(&staged(&idx, 0)), Ok(Vec::new()));
+        // apply_batch admits a batch landing exactly on the bound …
         let mut idx = DynamicIndex::with_pairs(
             pairs.clone(),
             FakeHugeStore {
@@ -1117,10 +1078,13 @@ mod tests {
             1,
         );
         assert_eq!(
-            idx.insert_batch(&two),
-            Ok(vec![MAX_POINTS - 2, MAX_POINTS - 1])
+            idx.apply_batch(&staged(&idx, 2)),
+            Ok(vec![
+                WriteOutcome::Inserted(MAX_POINTS - 2),
+                WriteOutcome::Inserted(MAX_POINTS - 1)
+            ])
         );
-        // … and the bulk build accepts the same count insert_batch does.
+        // … and the bulk build accepts the same count apply_batch does.
         let idx = DynamicIndex::with_pairs(
             pairs,
             FakeHugeStore {
@@ -1190,40 +1154,6 @@ mod tests {
             }
         );
         assert_eq!(batched.id_bound(), bound, "partial application leaked");
-        for q in &queries {
-            assert_eq!(per_op.candidates(q, None), batched.candidates(q, None));
-        }
-    }
-
-    /// The batched convenience wrappers equal their per-op loops.
-    #[test]
-    fn insert_and_remove_batch_match_per_op_loops() {
-        let d = 64;
-        let points = dataset(0xEC, d, 25);
-        let queries = dataset(0xED, d, 5);
-        let mut batched = DynamicIndex::build(
-            &BitSampling::new(d),
-            BitStore::with_dim(d),
-            5,
-            &mut seeded(0xEE),
-        );
-        let mut per_op = DynamicIndex::build(
-            &BitSampling::new(d),
-            BitStore::with_dim(d),
-            5,
-            &mut seeded(0xEE),
-        );
-        let ids = batched.insert_batch(&points).unwrap();
-        let want: Vec<usize> = points.iter().map(|p| per_op.insert(p).unwrap()).collect();
-        assert_eq!(ids, want);
-        let victims = [2usize, 11, 2, 24];
-        assert_eq!(
-            batched.remove_batch(&victims).unwrap(),
-            victims
-                .iter()
-                .map(|&id| per_op.remove(id).unwrap())
-                .collect::<Vec<_>>()
-        );
         for q in &queries {
             assert_eq!(per_op.candidates(q, None), batched.candidates(q, None));
         }

@@ -22,13 +22,15 @@
 //! * [`dynamic`] — the mutable segmented index: sealed CSR segments plus
 //!   a `HashMap` delta segment and tombstones, with online
 //!   insert/remove and re-hash-free compaction;
-//! * [`batch`] — group-commit write batches: ordered inserts and removes
-//!   validated up front and applied (and published) as one unit, closing
+//! * [`batch`] — group-commit write batches, the write path: ordered
+//!   inserts and removes staged in a [`WriteBatch`], validated up front
+//!   and applied (and published) as one unit by `apply_batch`, closing
 //!   the per-write publication tax of the sharded serving layer;
 //! * [`shard`] — the concurrent serving layer: points partitioned across
 //!   shards of [`DynamicIndex`]es behind epoch-stamped `Arc`-swap
 //!   snapshots, so readers answer — bit-identically to the unsharded
-//!   index — while writers insert, remove, seal, and compact;
+//!   index — while writers insert, remove, seal, and compact, each
+//!   write one fork-mutate-commit transaction;
 //! * [`parallel`] — the scoped-thread fan-out used for parallel table
 //!   builds and batched queries.
 //!

@@ -10,11 +10,12 @@
 //!   the unsharded [`DynamicIndex`]); each shard is a `DynamicIndex` over
 //!   a snapshot-friendly [`ChunkedStore`];
 //! * the whole index state is an **immutable value** behind an [`Arc`].
-//!   Writers (`&mut self`) build the next state by copy-on-write — only
-//!   the written shard's small mutable parts (delta segment, store tail,
-//!   tombstones) are copied; sealed segments and frozen store chunks are
-//!   shared by reference count — and publish it with one `Arc` swap into
-//!   an epoch-stamped cell;
+//!   Every write (`&mut self`) is one transaction: it forks the state by
+//!   copy-on-write — only the written shard's small mutable parts (delta
+//!   segment, store tail, tombstones) are copied; sealed segments and
+//!   frozen store chunks are shared by reference count — and, iff it
+//!   changed anything, publishes the fork with one `Arc` swap into an
+//!   epoch-stamped cell;
 //! * readers never block: [`ShardedIndex::reader`] (or a cloneable
 //!   [`ReaderHandle`], for reader threads that outlive the writer borrow)
 //!   hands out an immutable [`Snapshot`] that keeps answering from its
@@ -64,6 +65,8 @@ use dsh_core::family::{DshFamily, HasherPair};
 use dsh_core::points::{AppendStore, AsRow, ChunkedStore, PointStore};
 use rand::Rng;
 use std::sync::{Arc, RwLock};
+
+pub use txn::ReaderHandle;
 
 /// The plain data one epoch of a [`ShardedIndex`] publishes: the shard
 /// indexes plus the logical-segment alignment map. Writers fork (clone)
@@ -161,6 +164,11 @@ impl<S: AppendStore + Clone> Snapshot<S> {
         self.state.shards[id % n].point(id / n)
     }
 
+    /// This epoch's plain data, cloned for a writer to build the next on.
+    fn fork(&self) -> ShardedState<S> {
+        (*self.state).clone()
+    }
+
     /// A query scratch buffer sized for this epoch's id space (see
     /// [`DynamicIndex::new_scratch`] for the staleness contract).
     pub fn new_scratch(&self) -> QueryScratch {
@@ -179,7 +187,7 @@ impl<S: AppendStore + Clone> Snapshot<S> {
         scratch: &mut QueryScratch,
     ) -> (Vec<usize>, QueryStats) {
         let state = &*self.state;
-        // lint: allow(panic) — contract: scratch must come from this index's make_scratch
+        // lint: allow(panic) — contract: scratch must come from this index's new_scratch
         assert_eq!(
             scratch.len(),
             state.total_rows,
@@ -403,11 +411,14 @@ impl<S: AppendStore + Clone> CandidateBackend for Snapshot<S> {
 /// epoch-stamped snapshot of itself after every write.
 ///
 /// The writer side is `&mut self` ([`ShardedIndex::insert`] /
-/// [`ShardedIndex::remove`] / [`ShardedIndex::seal`] /
-/// [`ShardedIndex::compact`]); the reader side is wait-free snapshots —
-/// take one directly with [`ShardedIndex::reader`], or hand reader
-/// threads a [`ReaderHandle`] so they can keep taking fresh snapshots
-/// while the writer holds the index mutably.
+/// [`ShardedIndex::remove`] / [`ShardedIndex::apply_batch`] /
+/// [`ShardedIndex::seal`] / [`ShardedIndex::compact`]), each one write
+/// transaction: fork the state, mutate the fork, publish it as **one**
+/// new epoch iff something changed — a rejected, no-op or panicked write
+/// leaves the index exactly as it was. The reader side is wait-free
+/// snapshots — take one directly with [`ShardedIndex::reader`], or hand
+/// reader threads a [`ReaderHandle`] so they can keep taking fresh
+/// snapshots while the writer holds the index mutably.
 ///
 /// The index dereferences to its current [`Snapshot`], so every read —
 /// [`Snapshot::candidates`], [`Snapshot::len`], a front-end over the index
@@ -434,10 +445,9 @@ impl<S: AppendStore + Clone> CandidateBackend for Snapshot<S> {
 /// assert!(snapshot.candidates(&p, None).0.contains(&id)); // still pre-remove
 /// ```
 pub struct ShardedIndex<S: AppendStore + Clone> {
-    /// The writer's current snapshot (always equal to the published cell).
-    current: Snapshot<S>,
-    /// The shared publication cell reader handles clone snapshots from.
-    published: Arc<RwLock<Snapshot<S>>>,
+    /// The writer's current snapshot and the cell readers load it from,
+    /// both private to `txn`: write verbs reach them only by committing.
+    published: txn::Published<S>,
 }
 
 impl<S: AppendStore + Clone> ShardedIndex<S> {
@@ -445,35 +455,15 @@ impl<S: AppendStore + Clone> ShardedIndex<S> {
     /// an initial point set (which may be empty). The RNG stream consumed
     /// is identical to [`DynamicIndex::build`], and all shards share the
     /// sampled pairs — the root of sharded/unsharded bit-parity.
+    // `points` is taken by value to match every other build front-end,
+    // even though sharding copies rows out instead of consuming the store.
+    #[allow(clippy::needless_pass_by_value)]
     pub fn build(
         family: &(impl DshFamily<S::Row> + ?Sized),
         points: S,
         l: usize,
         num_shards: usize,
         rng: &mut dyn Rng,
-    ) -> Self {
-        Self::build_with_threads(
-            family,
-            points,
-            l,
-            num_shards,
-            rng,
-            parallel::available_threads(),
-        )
-    }
-
-    /// [`ShardedIndex::build`] with an explicit worker-thread count (the
-    /// built index does not depend on it).
-    // `points` is taken by value to match every other build front-end,
-    // even though sharding copies rows out instead of consuming the store.
-    #[allow(clippy::needless_pass_by_value)]
-    pub fn build_with_threads(
-        family: &(impl DshFamily<S::Row> + ?Sized),
-        points: S,
-        l: usize,
-        num_shards: usize,
-        rng: &mut dyn Rng,
-        threads: usize,
     ) -> Self {
         // lint: allow(panic) — build-time parameter validation, not on the query path
         assert!(num_shards >= 1, "need at least one shard");
@@ -484,6 +474,7 @@ impl<S: AppendStore + Clone> ShardedIndex<S> {
             points.len() <= MAX_POINTS,
             "point count exceeds the u32 point-id capacity"
         );
+        let threads = parallel::available_threads();
         let pairs: Vec<HasherPair<S::Row>> = (0..l).map(|_| family.sample(rng)).collect();
         let mut shard_rows: Vec<S> = (0..num_shards).map(|_| points.empty_like()).collect();
         for i in 0..points.len() {
@@ -499,76 +490,13 @@ impl<S: AppendStore + Clone> ShardedIndex<S> {
                 ))
             })
             .collect();
-        let segments = if points.is_empty() {
-            Vec::new()
-        } else {
-            vec![Self::single_segment_map(&shards)]
-        };
-        let current = Snapshot {
-            state: Arc::new(ShardedState {
+        ShardedIndex {
+            published: txn::Published::new(ShardedState {
+                segments: single_segment_map(&shards),
                 shards,
-                segments,
                 total_rows: points.len(),
                 epoch: 0,
             }),
-        };
-        ShardedIndex {
-            published: Arc::new(RwLock::new(current.clone())),
-            current,
-        }
-    }
-
-    /// The logical map of a one-segment-per-shard layout (initial bulk
-    /// build, or right after a compaction).
-    fn single_segment_map(shards: &[Arc<DynamicIndex<ChunkedStore<S>>>]) -> Vec<Option<usize>> {
-        shards
-            .iter()
-            .map(|sh| (sh.sealed_segments() > 0).then_some(0))
-            .collect()
-    }
-
-    fn fork(&self) -> ShardedState<S> {
-        (*self.current.state).clone()
-    }
-
-    /// Pretend the id space already holds `total` ids — the only
-    /// practical way to park the index at the [`MAX_POINTS`] boundary
-    /// and exercise the rejection paths without 4B real inserts. Writes
-    /// must reject *before* forking, so the (now inconsistent) shard
-    /// contents are never touched.
-    #[cfg(test)]
-    fn force_total_rows(&mut self, total: usize) {
-        Arc::make_mut(&mut self.current.state).total_rows = total;
-    }
-
-    fn publish(&mut self, mut next: ShardedState<S>) {
-        next.epoch = self.epoch() + 1;
-        self.current = Snapshot {
-            state: Arc::new(next),
-        };
-        // Poisoning policy: the cell only ever holds a fully-formed
-        // `Snapshot` and the critical section is a single pointer
-        // swap, so a panic while the lock is held cannot leave a torn
-        // value — the last published epoch stays consistent. Recover the
-        // guard instead of propagating the poison, which would otherwise
-        // take down every wait-free reader forever after one writer panic.
-        *self
-            .published
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = self.current.clone();
-    }
-
-    /// An immutable snapshot of the current state. Stays valid — and
-    /// keeps answering identically — no matter what writers do next.
-    pub fn reader(&self) -> Snapshot<S> {
-        self.current.clone()
-    }
-
-    /// A cloneable, `Send` handle other threads use to take fresh
-    /// snapshots while this index is being written through `&mut self`.
-    pub fn reader_handle(&self) -> ReaderHandle<S> {
-        ReaderHandle {
-            cell: Arc::clone(&self.published),
         }
     }
 
@@ -581,43 +509,30 @@ impl<S: AppendStore + Clone> ShardedIndex<S> {
     where
         Q: AsRow<Row = S::Row> + ?Sized,
     {
-        // lint: allow(publish) — a rejected insert must leave the index untouched: no fork, no publication
         ensure_capacity(self.id_bound(), 1)?;
-        let mut next = self.fork();
-        let id = next.total_rows;
-        let n = next.shards.len();
-        let local = Arc::make_mut(&mut next.shards[id % n]).insert_row(p.as_row());
-        debug_assert_eq!(local, id / n);
-        next.total_rows += 1;
-        self.publish(next);
+        let mut txn = self.published.begin();
+        let id = txn.insert_row(p.as_row());
+        txn.commit();
         Ok(id)
     }
 
     /// Remove global id `id` (tombstone; reclaimed at the next
-    /// compaction). Returns `Ok(false)` when already removed — in that
-    /// case nothing changed, so nothing is forked and **no new epoch is
-    /// published**: readers never observe epoch churn for a no-op write.
-    /// An id that was never assigned rejects with
-    /// [`WriteError::UnknownId`], also without fork or publication.
+    /// compaction). Returns `Ok(false)` when already removed — nothing
+    /// changed, so no shard is forked and **no new epoch is published**:
+    /// readers never observe epoch churn for a no-op write. A never
+    /// assigned id rejects with [`WriteError::UnknownId`] before any fork.
     pub fn remove(&mut self, id: usize) -> Result<bool, WriteError> {
-        // lint: allow(publish) — a rejected remove must leave the index untouched: no fork, no publication
         ensure_known(id, self.id_bound())?;
-        if !self.is_live(id) {
-            // lint: allow(publish) — double-remove changes nothing; publishing would be reader-visible epoch churn for a no-op
-            return Ok(false);
-        }
-        let mut next = self.fork();
-        let n = next.shards.len();
-        let removed = Arc::make_mut(&mut next.shards[id % n]).remove_unchecked(id / n);
-        debug_assert!(removed, "liveness was checked before forking");
-        self.publish(next);
+        let mut txn = self.published.begin();
+        let removed = txn.remove(id);
+        txn.commit();
         Ok(removed)
     }
 
     /// An empty [`WriteBatch`] staging rows of this index's shape, for
     /// [`ShardedIndex::apply_batch`].
     pub fn new_batch(&self) -> WriteBatch<S> {
-        WriteBatch::new(self.current.state.shards[0].store().empty_inner())
+        WriteBatch::new(self.state.shards[0].store().empty_inner())
     }
 
     /// Apply a staged batch of inserts and removes in order as **one
@@ -625,10 +540,8 @@ impl<S: AppendStore + Clone> ShardedIndex<S> {
     /// out-of-range remove anywhere in it rejects the batch with a
     /// descriptive [`BatchError`] *before* any fork — no partial
     /// application, no serving-path panic), each touched shard is forked
-    /// exactly once, every operation is applied to that shard's
-    /// delta/tail, grown write-head tails are frozen once at the end,
-    /// and **one** epoch is published for the entire batch — or none at
-    /// all when the batch changed nothing (empty, or pure
+    /// exactly once, and **one** epoch is published for the entire batch
+    /// — or none at all when it changed nothing (empty, or pure
     /// double-removes).
     ///
     /// The resulting index answers bit-identically to the per-op replay
@@ -641,227 +554,275 @@ impl<S: AppendStore + Clone> ShardedIndex<S> {
     where
         BS: AppendStore<Row = S::Row>,
     {
-        // lint: allow(publish) — a rejected batch must leave the index untouched: no fork, no publication
         batch.validate(self.id_bound())?;
-        if batch.is_empty() {
-            // lint: allow(publish) — an empty batch changes nothing; keep the epoch
-            return Ok(Vec::new());
-        }
-        let mut next = self.fork();
-        let n = next.shards.len();
-        let mut touched = vec![false; n];
-        let mut outcomes = Vec::with_capacity(batch.len());
-        let mut changed = false;
-        for op in batch.ops() {
-            match *op {
-                BatchOp::Insert(slot) => {
-                    let id = next.total_rows;
-                    let local = Arc::make_mut(&mut next.shards[id % n]).insert_row(batch.row(slot));
-                    debug_assert_eq!(local, id / n);
-                    next.total_rows += 1;
-                    touched[id % n] = true;
-                    changed = true;
-                    outcomes.push(WriteOutcome::Inserted(id));
-                }
-                BatchOp::Remove(id) => {
-                    let id = id as usize;
-                    let removed = Arc::make_mut(&mut next.shards[id % n]).remove_unchecked(id / n);
-                    touched[id % n] = true;
-                    changed |= removed;
-                    outcomes.push(WriteOutcome::Removed(removed));
-                }
-            }
-        }
-        if !changed {
-            // lint: allow(publish) — every op was a double-remove: the fork equals the current state, drop it and keep the epoch
-            return Ok(outcomes);
-        }
-        Self::freeze_grown_tails(&mut next, &touched);
-        self.publish(next);
+        let mut txn = self.published.begin();
+        let outcomes = batch
+            .ops()
+            .iter()
+            .map(|op| match *op {
+                BatchOp::Insert(slot) => WriteOutcome::Inserted(txn.insert_row(batch.row(slot))),
+                BatchOp::Remove(id) => WriteOutcome::Removed(txn.remove(id as usize)),
+            })
+            .collect();
+        txn.commit();
         Ok(outcomes)
     }
 
-    /// Insert every row of `points` in order as one group commit,
-    /// returning the assigned global ids. Equivalent to a
-    /// [`WriteBatch`] of pure inserts: each touched shard is forked
-    /// once and **one** epoch is published for the whole batch (none
-    /// for an empty `points`). A batch that would overflow
-    /// [`MAX_POINTS`] is rejected whole with
-    /// [`WriteError::CapacityExceeded`] — no fork, no publication.
-    pub fn insert_batch<QS>(&mut self, points: &QS) -> Result<Vec<usize>, WriteError>
-    where
-        QS: PointStore<Row = S::Row> + ?Sized,
-    {
-        // lint: allow(publish) — a rejected batch must leave the index untouched: no fork, no publication
-        ensure_capacity(self.id_bound(), points.len())?;
-        if points.is_empty() {
-            // lint: allow(publish) — nothing to insert; keep the epoch
-            return Ok(Vec::new());
-        }
-        let mut next = self.fork();
-        let n = next.shards.len();
-        let mut touched = vec![false; n];
-        for j in 0..points.len().min(n) {
-            touched[(next.total_rows + j) % n] = true;
-        }
-        // Reserve each touched shard's tail in one pass before appending.
-        let per_shard = points.len().div_ceil(n);
-        for (shard, &t) in touched.iter().enumerate() {
-            if t {
-                Arc::make_mut(&mut next.shards[shard])
-                    .store_mut()
-                    .reserve_rows(per_shard);
-            }
-        }
-        let mut ids = Vec::with_capacity(points.len());
-        for i in 0..points.len() {
-            let id = next.total_rows;
-            let local = Arc::make_mut(&mut next.shards[id % n]).insert_row(points.row(i));
-            debug_assert_eq!(local, id / n);
-            next.total_rows += 1;
-            ids.push(id);
-        }
-        Self::freeze_grown_tails(&mut next, &touched);
-        self.publish(next);
-        Ok(ids)
-    }
-
-    /// Remove every id in `ids` in order as one group commit, returning
-    /// the per-id results ([`ShardedIndex::remove`] semantics). The
-    /// whole batch is validated first: any never-assigned id rejects it
-    /// with [`WriteError::UnknownId`] — no fork, no publication, no
-    /// partial application. One epoch is published iff at least one id
-    /// was actually live; a batch of pure double-removes publishes
-    /// nothing.
-    pub fn remove_batch(&mut self, ids: &[usize]) -> Result<Vec<bool>, WriteError> {
-        for &id in ids {
-            // lint: allow(publish) — a rejected batch must leave the index untouched: no fork, no publication
-            ensure_known(id, self.id_bound())?;
-        }
-        if !ids.iter().any(|&id| self.is_live(id)) {
-            // lint: allow(publish) — every id is already removed: nothing changes, keep the epoch
-            return Ok(vec![false; ids.len()]);
-        }
-        let mut next = self.fork();
-        let n = next.shards.len();
-        let out = ids
-            .iter()
-            .map(|&id| Arc::make_mut(&mut next.shards[id % n]).remove_unchecked(id / n))
-            .collect();
-        self.publish(next);
-        Ok(out)
-    }
-
-    /// Rows a shard's mutable store tail may accumulate before a batched
-    /// write freezes it into a shared chunk. Per-op writes only freeze at
-    /// [`ShardedIndex::seal`]; batched writes amortize the freeze here so
-    /// the next fork's tail copy stays bounded without creating a chunk
-    /// per tiny batch.
-    const FREEZE_TAIL_ROWS: usize = 64;
-
-    /// Freeze the write-head tail of every shard this batch touched once
-    /// it has grown past [`Self::FREEZE_TAIL_ROWS`]. Chunk layout is not
-    /// query-observable, so this cannot perturb per-op parity.
-    fn freeze_grown_tails(next: &mut ShardedState<S>, touched: &[bool]) {
-        for (shard, &t) in next.shards.iter_mut().zip(touched) {
-            if t && shard.store().tail_rows() >= Self::FREEZE_TAIL_ROWS {
-                // The shard was forked by this batch, so make_mut is free.
-                Arc::make_mut(shard).store_mut().freeze_tail();
-            }
-        }
-    }
-
     /// Freeze every shard's delta segment into a sealed CSR segment and
-    /// publish once. A new logical segment is recorded iff any shard's
-    /// delta held a live row — exactly when an unsharded
-    /// [`DynamicIndex::seal`] over the union delta would have sealed one.
+    /// publish once (nothing when every delta was empty). A new logical
+    /// segment is recorded iff any shard's delta held a live row — exactly
+    /// when an unsharded [`DynamicIndex::seal`] would have sealed one.
     pub fn seal(&mut self) {
-        self.seal_with_threads(parallel::available_threads());
-    }
-
-    /// [`ShardedIndex::seal`] with an explicit worker-thread count.
-    pub fn seal_with_threads(&mut self, threads: usize) {
-        // Every shard's delta is empty: sealing would change nothing
-        // (no delta to clear, no segment to create — exactly when the
-        // unsharded seal is a no-op), so publishing would be pure
-        // reader-visible epoch churn.
-        if self.delta_rows() == 0 {
-            // lint: allow(publish) — empty-delta seal is a no-op; keep the epoch
-            return;
-        }
-        let mut next = self.fork();
-        let will_seal: Vec<bool> = next
-            .shards
-            .iter()
-            .map(|sh| sh.delta_rows() > 0 && sh.delta_has_live_rows())
-            .collect();
-        for shard in &mut next.shards {
-            if shard.delta_rows() == 0 {
-                continue;
-            }
-            let sh = Arc::make_mut(shard);
-            sh.seal_with_threads(threads);
-            // Retire the store's write head alongside the delta, so every
-            // future snapshot clone shares these rows instead of copying.
-            sh.store_mut().freeze_tail();
-        }
-        if will_seal.iter().any(|&w| w) {
-            let map = next
-                .shards
-                .iter()
-                .zip(&will_seal)
-                .map(|(sh, &w)| w.then(|| sh.sealed_segments() - 1))
-                .collect();
-            next.segments.push(map);
-        }
-        self.publish(next);
+        let mut txn = self.published.begin();
+        txn.seal();
+        txn.commit();
     }
 
     /// Compact every shard down to one sealed segment, dropping
     /// tombstones. The per-shard merges fan out across scoped worker
     /// threads **off the publication path** — readers keep taking
     /// snapshots of the old state throughout — and the new segment set is
-    /// published with one atomic swap at the end.
+    /// published with one atomic swap (nothing when nothing was merged).
     pub fn compact(&mut self) {
-        self.compact_with_threads(parallel::available_threads());
-    }
-
-    /// [`ShardedIndex::compact`] with an explicit worker-thread count
-    /// (the resulting layout does not depend on it).
-    pub fn compact_with_threads(&mut self, threads: usize) {
-        // Zero sealed segments and an empty delta: the merge would
-        // rebuild the empty layout it started from (tombstone bits are
-        // never cleared by compaction), so skip the fork and keep the
-        // epoch instead of publishing a bit-identical state.
-        if self.sealed_segments() == 0 && self.delta_rows() == 0 {
-            // lint: allow(publish) — segmentless + empty-delta compact is a no-op; keep the epoch
-            return;
-        }
-        let mut next = self.fork();
-        let per_shard = (threads / next.shards.len()).max(1);
-        next.shards = parallel::map_items(&next.shards, threads, |_, shard| {
-            let mut sh = (**shard).clone();
-            sh.compact_with_threads(per_shard);
-            sh.store_mut().consolidate();
-            Arc::new(sh)
-        });
-        next.segments = if next.shards.iter().any(|sh| sh.sealed_segments() > 0) {
-            vec![Self::single_segment_map(&next.shards)]
-        } else {
-            Vec::new()
-        };
-        self.publish(next);
+        let mut txn = self.published.begin();
+        txn.compact();
+        txn.commit();
     }
 }
 
-/// Every read of the index — `candidates*`, `len`, `is_live`, `point`,
-/// `epoch`, the shape accessors — is the same call on its current
-/// [`Snapshot`]; there is no second read path to keep in step.
-impl<S: AppendStore + Clone> std::ops::Deref for ShardedIndex<S> {
-    type Target = Snapshot<S>;
+/// The logical segment map of a layout with at most one sealed segment
+/// per shard (initial bulk build, or right after a compaction).
+fn single_segment_map<S: AppendStore>(
+    shards: &[Arc<DynamicIndex<ChunkedStore<S>>>],
+) -> Vec<Vec<Option<usize>>> {
+    let map: Vec<_> = shards
+        .iter()
+        .map(|sh| (sh.sealed_segments() > 0).then_some(0))
+        .collect();
+    if map.iter().any(Option::is_some) {
+        vec![map]
+    } else {
+        Vec::new()
+    }
+}
 
-    fn deref(&self) -> &Snapshot<S> {
-        &self.current
+/// The one write transaction, and the two things only it may touch: the
+/// writer's current snapshot and the publication cell. Both are private
+/// here, so the write verbs above change the index only by committing a
+/// `WriteTxn` — an effectual write publishes exactly one epoch; a
+/// rejected, no-op or abandoned one none — and the cell's lock is taken
+/// in two statements (`ReaderHandle`'s load and store), so no guard can
+/// outlive a statement.
+mod txn {
+    use super::{
+        parallel, single_segment_map, AppendStore, Arc, ChunkedStore, DynamicIndex, RwLock,
+        ShardedIndex, ShardedState, Snapshot,
+    };
+    use std::sync::PoisonError;
+
+    /// Rows a shard's store tail may hold before a commit freezes it into
+    /// a shared chunk (`seal` freezes it regardless): the next fork's tail
+    /// copy stays bounded without creating a chunk per tiny write.
+    const FREEZE_TAIL_ROWS: usize = 64;
+
+    /// The writer's current snapshot plus the handle on the cell readers
+    /// load it from; the two always hold the same epoch.
+    pub(super) struct Published<S: AppendStore + Clone> {
+        current: Snapshot<S>,
+        handle: ReaderHandle<S>,
+    }
+
+    impl<S: AppendStore + Clone> Published<S> {
+        pub(super) fn new(state: ShardedState<S>) -> Self {
+            let current = Snapshot {
+                state: Arc::new(state),
+            };
+            let cell = Arc::new(RwLock::new(current.clone()));
+            Published {
+                handle: ReaderHandle { cell },
+                current,
+            }
+        }
+
+        /// Begin a write: fork the current state (`Arc` bumps; a shard's
+        /// mutable parts are copied when a mutator first touches it).
+        pub(super) fn begin(&mut self) -> WriteTxn<'_, S> {
+            WriteTxn {
+                next: self.current.fork(),
+                changed: false,
+                published: self,
+            }
+        }
+
+        /// The raw publication cell, for the test that poisons it.
+        #[cfg(test)]
+        pub(super) fn cell(&self) -> Arc<RwLock<Snapshot<S>>> {
+            Arc::clone(&self.handle.cell)
+        }
+    }
+
+    impl<S: AppendStore + Clone> ShardedIndex<S> {
+        /// An immutable snapshot of the current state. Stays valid — and
+        /// keeps answering identically — no matter what writers do next.
+        pub fn reader(&self) -> Snapshot<S> {
+            self.published.current.clone()
+        }
+
+        /// A cloneable, `Send` handle other threads use to take fresh
+        /// snapshots while this index is being written through `&mut self`.
+        pub fn reader_handle(&self) -> ReaderHandle<S> {
+            self.published.handle.clone()
+        }
+    }
+
+    /// Every read of the index — `candidates*`, `len`, `is_live`, `point`,
+    /// `epoch`, the shape accessors — is the same call on its current
+    /// [`Snapshot`]; there is no second read path to keep in step.
+    impl<S: AppendStore + Clone> std::ops::Deref for ShardedIndex<S> {
+        type Target = Snapshot<S>;
+
+        fn deref(&self) -> &Snapshot<S> {
+            &self.published.current
+        }
+    }
+
+    /// One write in flight: the forked next state, mutable only through
+    /// the mutators below, each recording whether it changed anything.
+    /// Dropped uncommitted (`?`, a panic unwinding) it changes nothing.
+    pub(super) struct WriteTxn<'a, S: AppendStore + Clone> {
+        published: &'a mut Published<S>,
+        next: ShardedState<S>,
+        changed: bool,
+    }
+
+    impl<S: AppendStore + Clone> WriteTxn<'_, S> {
+        /// The shard holding global id `id`, forked on first touch, and
+        /// the id's local index within it.
+        fn shard_mut(&mut self, id: usize) -> (&mut DynamicIndex<ChunkedStore<S>>, usize) {
+            let n = self.next.shards.len();
+            (Arc::make_mut(&mut self.next.shards[id % n]), id / n)
+        }
+
+        /// Append `row` under the next global id (the caller has checked
+        /// capacity) and return that id.
+        pub(super) fn insert_row(&mut self, row: &S::Row) -> usize {
+            let id = self.next.total_rows;
+            let (shard, local) = self.shard_mut(id);
+            let assigned = shard.insert_row(row);
+            debug_assert_eq!(assigned, local);
+            self.next.total_rows += 1;
+            self.changed = true;
+            id
+        }
+
+        /// Tombstone global id `id` (the caller has checked it was ever
+        /// assigned); `false`, forking nothing, when already removed.
+        pub(super) fn remove(&mut self, id: usize) -> bool {
+            let n = self.next.shards.len();
+            if !self.next.shards[id % n].is_live(id / n) {
+                return false;
+            }
+            self.changed = true;
+            let (shard, local) = self.shard_mut(id);
+            shard.remove_unchecked(local)
+        }
+
+        /// Seal every non-empty shard delta, retiring the store's write
+        /// head with it so future forks share those rows, not copy them.
+        pub(super) fn seal(&mut self) {
+            let mut map = Vec::with_capacity(self.next.shards.len());
+            for shard in &mut self.next.shards {
+                let before = shard.sealed_segments();
+                if shard.delta_rows() > 0 {
+                    let sh = Arc::make_mut(shard);
+                    sh.seal();
+                    sh.store_mut().freeze_tail();
+                    self.changed = true;
+                }
+                // A delta of only tombstoned rows seals no segment.
+                map.push((shard.sealed_segments() > before).then_some(before));
+            }
+            if map.iter().any(Option::is_some) {
+                self.next.segments.push(map);
+            }
+        }
+
+        /// Merge every shard down to one segment on worker threads —
+        /// unless there is no segment and no delta row: the merge would
+        /// rebuild the empty layout it started from (compaction never
+        /// clears tombstone bits), so that case changes nothing.
+        pub(super) fn compact(&mut self) {
+            let next = &mut self.next;
+            if next.segments.is_empty() && next.shards.iter().all(|sh| sh.delta_rows() == 0) {
+                return;
+            }
+            let threads = parallel::available_threads();
+            let per_shard = (threads / next.shards.len()).max(1);
+            next.shards = parallel::map_items(&next.shards, threads, |_, shard| {
+                let mut sh = (**shard).clone();
+                sh.compact_with_threads(per_shard);
+                sh.store_mut().consolidate();
+                Arc::new(sh)
+            });
+            next.segments = single_segment_map(&next.shards);
+            self.changed = true;
+        }
+
+        /// Publish the fork as the next epoch — iff a mutator changed it.
+        pub(super) fn commit(mut self) {
+            if !self.changed {
+                return;
+            }
+            for shard in &mut self.next.shards {
+                // Exactly the shards this transaction wrote are uniquely
+                // owned. (Chunk layout is not query-observable.)
+                if let Some(sh) = Arc::get_mut(shard) {
+                    if sh.store().tail_rows() >= FREEZE_TAIL_ROWS {
+                        sh.store_mut().freeze_tail();
+                    }
+                }
+            }
+            self.next.epoch += 1;
+            let snapshot = Snapshot {
+                state: Arc::new(self.next),
+            };
+            self.published.handle.store(snapshot.clone());
+            self.published.current = snapshot;
+        }
+    }
+
+    /// A cloneable, thread-safe source of fresh [`Snapshot`]s.
+    ///
+    /// Reader threads hold one of these while the writer thread holds the
+    /// [`ShardedIndex`] itself (`&mut`); each [`ReaderHandle::snapshot`]
+    /// call observes the latest published epoch. Acquisition cost is one
+    /// briefly-held read lock plus an `Arc` clone — constant even while a
+    /// compaction is rebuilding segments on other threads.
+    ///
+    /// Poisoning policy: the cell only ever holds a fully-formed
+    /// `Snapshot` and each critical section is one pointer operation, so
+    /// a panic while the lock is held cannot leave a torn value. Load and
+    /// store recover the guard instead of propagating the poison, which
+    /// would take down every wait-free reader forever after one panic.
+    #[derive(Clone)]
+    pub struct ReaderHandle<S: AppendStore + Clone> {
+        cell: Arc<RwLock<Snapshot<S>>>,
+    }
+
+    impl<S: AppendStore + Clone> ReaderHandle<S> {
+        /// The latest published snapshot. Survives a poisoned cell:
+        /// readers must never be taken down by a writer-side panic.
+        pub fn snapshot(&self) -> Snapshot<S> {
+            self.cell
+                .read()
+                .unwrap_or_else(PoisonError::into_inner)
+                .clone()
+        }
+
+        /// The one store into the cell (`WriteTxn::commit`).
+        fn store(&self, next: Snapshot<S>) {
+            *self.cell.write().unwrap_or_else(PoisonError::into_inner) = next;
+        }
     }
 }
 
@@ -869,20 +830,20 @@ impl<S: AppendStore + Clone> CandidateBackend for ShardedIndex<S> {
     type Row = S::Row;
 
     fn repetitions(&self) -> usize {
-        self.current.repetitions()
+        Snapshot::repetitions(self)
     }
 
     fn point(&self, i: usize) -> &S::Row {
-        self.current.point(i)
+        Snapshot::point(self, i)
     }
 
     #[inline]
     fn prefetch_point(&self, i: usize) {
-        CandidateBackend::prefetch_point(&self.current, i);
+        CandidateBackend::prefetch_point(&**self, i);
     }
 
     fn new_scratch(&self) -> QueryScratch {
-        self.current.new_scratch()
+        Snapshot::new_scratch(self)
     }
 
     fn candidates_row(
@@ -891,35 +852,7 @@ impl<S: AppendStore + Clone> CandidateBackend for ShardedIndex<S> {
         retrieval_limit: Option<usize>,
         scratch: &mut QueryScratch,
     ) -> (Vec<usize>, QueryStats) {
-        self.current.candidates_row(q, retrieval_limit, scratch)
-    }
-}
-
-/// A cloneable, thread-safe source of fresh [`Snapshot`]s.
-///
-/// Reader threads hold one of these while the writer thread holds the
-/// [`ShardedIndex`] itself (`&mut`); each [`ReaderHandle::snapshot`] call
-/// observes the latest published epoch. Acquisition cost is one
-/// briefly-held read lock plus an `Arc` clone — constant even while a
-/// compaction is rebuilding segments on other threads.
-#[derive(Clone)]
-pub struct ReaderHandle<S: AppendStore + Clone> {
-    cell: Arc<RwLock<Snapshot<S>>>,
-}
-
-impl<S: AppendStore + Clone> ReaderHandle<S> {
-    /// The latest published snapshot.
-    ///
-    /// Survives a poisoned cell: publication is a single pointer swap of a
-    /// fully-formed `Arc`, so even if a writer panicked mid-publish the
-    /// cell still holds a consistent epoch (see the poisoning policy on
-    /// `ShardedIndex::publish`). Readers must never be taken down by a
-    /// writer-side panic.
-    pub fn snapshot(&self) -> Snapshot<S> {
-        self.cell
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clone()
+        Snapshot::candidates_row(self, q, retrieval_limit, scratch)
     }
 }
 
@@ -941,6 +874,34 @@ mod tests {
             s.push(p);
         }
         s
+    }
+
+    /// Stage `inserts` then `removes` as one batch and group-commit it.
+    fn apply(
+        idx: &mut ShardedIndex<BitStore>,
+        inserts: &[BitVector],
+        removes: &[usize],
+    ) -> Result<Vec<WriteOutcome>, BatchError> {
+        let mut batch = idx.new_batch();
+        for p in inserts {
+            batch.insert(p);
+        }
+        for &id in removes {
+            batch.remove(id);
+        }
+        idx.apply_batch(&batch)
+    }
+
+    /// Pretend the id space already holds `total` ids — the only
+    /// practical way to park an index at the [`MAX_POINTS`] boundary and
+    /// exercise the rejection paths without 4B real inserts. Writes must
+    /// reject *before* forking, so the (now inconsistent) shard contents
+    /// are never touched.
+    fn park(idx: &mut ShardedIndex<BitStore>, total: usize) {
+        idx.published = txn::Published::new(ShardedState {
+            total_rows: total,
+            ..idx.fork()
+        });
     }
 
     /// Sharded and unsharded indexes driven through the same schedule
@@ -1129,20 +1090,15 @@ mod tests {
         check(&idx, "insert");
         idx.remove(4).unwrap();
         check(&idx, "remove");
-        idx.insert_batch(&store_of(&points[21..30], d)).unwrap();
-        check(&idx, "insert_batch");
-        idx.remove_batch(&[5, 22, 4]).unwrap();
-        check(&idx, "remove_batch");
-        let mut batch = idx.new_batch();
-        for p in &points[30..40] {
-            batch.insert(p);
-        }
-        batch.remove(31);
-        idx.apply_batch(&batch).unwrap();
-        check(&idx, "apply_batch");
+        apply(&mut idx, &points[21..30], &[]).unwrap();
+        check(&idx, "insert-only batch");
+        apply(&mut idx, &[], &[5, 22, 4]).unwrap();
+        check(&idx, "remove-only batch");
+        apply(&mut idx, &points[30..40], &[31]).unwrap();
+        check(&idx, "mixed batch");
         idx.seal();
         check(&idx, "seal");
-        idx.insert_batch(&store_of(&points[40..], d)).unwrap();
+        apply(&mut idx, &points[40..], &[]).unwrap();
         idx.compact();
         check(&idx, "compact");
         assert_eq!(idx.epoch(), 8, "every write above changed the state");
@@ -1289,7 +1245,7 @@ mod tests {
 
         // Poison the publication cell: a thread panics while holding the
         // write guard, exactly what a panicking writer mid-publish does.
-        let cell = Arc::clone(&idx.published);
+        let cell = idx.published.cell();
         let t = std::thread::spawn(move || {
             let _guard = cell.write().unwrap();
             panic!("writer dies while holding the publication lock");
@@ -1297,7 +1253,7 @@ mod tests {
         assert!(t.join().is_err(), "thread must have panicked");
 
         // Readers still observe the last published epoch (the cell always
-        // holds a fully-formed Arc; see the poisoning policy on publish)...
+        // holds a fully-formed Arc; see the poisoning policy on `ReaderHandle`)...
         let snap = handle.snapshot();
         assert_eq!(snap.epoch(), 1);
         assert_eq!(snap.len(), 1);
@@ -1373,6 +1329,71 @@ mod tests {
         idx.compact();
         assert_eq!(idx.sealed_segments(), 0);
         assert_eq!(idx.id_bound(), 1);
+    }
+
+    /// A transaction that is not committed — dropped, or unwound through
+    /// by a panic — leaves no trace: the writer's view and the published
+    /// cell are exactly what they were. (This is what `lock_writer`'s
+    /// poison recovery in `dsh-server` relies on.) The same ops followed
+    /// by `commit` publish exactly one epoch.
+    #[test]
+    fn abandoned_transactions_leave_the_index_untouched() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let d = 64;
+        let points = dataset(0x5AC0, d, 12);
+        let mut idx = ShardedIndex::build(
+            &BitSampling::new(d),
+            store_of(&points[..8], d),
+            6,
+            3,
+            &mut seeded(0x5AC1),
+        );
+        idx.insert(&points[8]).unwrap();
+        let handle = idx.reader_handle();
+        let q = &points[9];
+        let view = |idx: &ShardedIndex<BitStore>| {
+            let snap = handle.snapshot();
+            assert_eq!(
+                (snap.epoch(), snap.len(), snap.id_bound()),
+                (idx.epoch(), idx.len(), idx.id_bound())
+            );
+            assert_eq!(snap.candidates(q, None), idx.candidates(q, None));
+            (
+                idx.epoch(),
+                idx.len(),
+                idx.id_bound(),
+                idx.candidates(q, None),
+            )
+        };
+        let before = view(&idx);
+        let write = |txn: &mut txn::WriteTxn<'_, BitStore>| {
+            assert_eq!(txn.insert_row(q.as_row()), 9);
+            assert!(txn.remove(2));
+            assert!(txn.remove(9));
+            assert!(!txn.remove(2), "double remove inside one transaction");
+        };
+
+        let mut txn = idx.published.begin();
+        write(&mut txn);
+        drop(txn);
+        assert_eq!(view(&idx), before, "a dropped transaction published");
+
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            let mut txn = idx.published.begin();
+            write(&mut txn);
+            txn.seal();
+            panic!("writer dies mid-transaction");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(view(&idx), before, "an unwound transaction published");
+
+        let mut txn = idx.published.begin();
+        write(&mut txn);
+        txn.commit();
+        let after = view(&idx);
+        assert_eq!(after.0, before.0 + 1, "one commit, one epoch");
+        assert_eq!((after.1, after.2), (before.1 - 1, before.2 + 1));
+        assert!(!idx.is_live(2) && !idx.is_live(9));
     }
 
     /// Tentpole smoke: one `apply_batch` call equals the per-op replay
@@ -1536,59 +1557,6 @@ mod tests {
             ])
         );
         assert_eq!(idx.epoch(), epoch, "all-double-remove batch published");
-
-        assert_eq!(idx.remove_batch(&[1, 2]), Ok(vec![false, false]));
-        assert_eq!(idx.epoch(), epoch, "no-op remove_batch published");
-        assert_eq!(idx.insert_batch(&Vec::<BitVector>::new()), Ok(Vec::new()));
-        assert_eq!(idx.epoch(), epoch, "empty insert_batch published");
-    }
-
-    /// `insert_batch`/`remove_batch` equal their per-op loops and
-    /// publish one epoch each.
-    #[test]
-    fn insert_and_remove_batch_match_per_op_loops() {
-        let d = 64;
-        let points = dataset(0x5AB0, d, 30);
-        let queries = dataset(0x5AB1, d, 5);
-        let l = 6;
-        for shards in [1usize, 3] {
-            let mut batched = ShardedIndex::build(
-                &BitSampling::new(d),
-                BitStore::with_dim(d),
-                l,
-                shards,
-                &mut seeded(0x5AB2),
-            );
-            let mut per_op = ShardedIndex::build(
-                &BitSampling::new(d),
-                BitStore::with_dim(d),
-                l,
-                shards,
-                &mut seeded(0x5AB2),
-            );
-            let ids = batched.insert_batch(&points).unwrap();
-            assert_eq!(batched.epoch(), 1);
-            let want: Vec<usize> = points.iter().map(|p| per_op.insert(p).unwrap()).collect();
-            assert_eq!(ids, want);
-
-            let victims = [0usize, 7, 8, 7, 29];
-            let removed = batched.remove_batch(&victims).unwrap();
-            assert_eq!(batched.epoch(), 2);
-            let want: Vec<bool> = victims
-                .iter()
-                .map(|&id| per_op.remove(id).unwrap())
-                .collect();
-            assert_eq!(removed, want);
-            assert_eq!(removed, vec![true, true, true, false, true]);
-
-            for q in &queries {
-                assert_eq!(
-                    per_op.candidates(q, None),
-                    batched.candidates(q, None),
-                    "shards {shards}"
-                );
-            }
-        }
     }
 
     /// Serving-path regression: a remove of a never-assigned id is a
@@ -1610,8 +1578,12 @@ mod tests {
             Err(WriteError::UnknownId { id: 0, bound: 0 })
         );
         assert_eq!(
-            idx.remove_batch(&[0, 1]),
-            Err(WriteError::UnknownId { id: 0, bound: 0 })
+            apply(&mut idx, &[], &[0, 1]),
+            Err(BatchError::UnknownId {
+                op_index: 0,
+                id: 0,
+                bound: 0
+            })
         );
         assert_eq!(handle.snapshot().epoch(), 0, "rejected remove published");
 
@@ -1623,8 +1595,12 @@ mod tests {
         );
         // A batch mixing a live id with an unknown one is rejected whole.
         assert_eq!(
-            idx.remove_batch(&[id, id + 1]),
-            Err(WriteError::UnknownId { id: 1, bound: 1 })
+            apply(&mut idx, &[], &[id, id + 1]),
+            Err(BatchError::UnknownId {
+                op_index: 1,
+                id: 1,
+                bound: 1
+            })
         );
         assert!(idx.is_live(id), "partial application leaked");
         assert_eq!(idx.remove(id), Ok(true));
@@ -1646,7 +1622,7 @@ mod tests {
             &mut seeded(0x5A65),
         );
         let p = BitVector::random(&mut seeded(0x5A66), d);
-        idx.force_total_rows(MAX_POINTS);
+        park(&mut idx, MAX_POINTS);
         let epoch = idx.epoch();
         assert_eq!(
             idx.insert(&p),
@@ -1656,26 +1632,23 @@ mod tests {
             })
         );
         assert_eq!(
-            idx.insert_batch(&vec![p.clone(), p.clone()]),
-            Err(WriteError::CapacityExceeded {
-                id_bound: MAX_POINTS,
-                additional: 2
-            })
-        );
-        let mut batch = idx.new_batch();
-        batch.insert(&p);
-        assert_eq!(
-            idx.apply_batch(&batch),
+            apply(&mut idx, &[p.clone(), p.clone()], &[]),
             Err(BatchError::CapacityExceeded { op_index: 0 })
         );
         assert_eq!(idx.epoch(), epoch, "rejected writes published");
         // One id below the cap, every entry point admits one more id.
-        idx.force_total_rows(MAX_POINTS - 1);
+        park(&mut idx, MAX_POINTS - 1);
         let mut batch = idx.new_batch();
         batch.remove(MAX_POINTS - 2); // known id: validates against the forced bound
         assert!(batch.validate(idx.id_bound()).is_ok());
         assert_eq!(
-            idx.insert_batch(&Vec::<BitVector>::new()),
+            apply(&mut idx, &[p.clone(), p.clone()], &[]),
+            Err(BatchError::CapacityExceeded { op_index: 1 }),
+            "a batch overflowing at its second insert is rejected whole"
+        );
+        assert_eq!(idx.epoch(), epoch);
+        assert_eq!(
+            apply(&mut idx, &[], &[]),
             Ok(Vec::new()),
             "empty batch must pass the capacity check at the boundary"
         );

@@ -1,9 +1,9 @@
 //! `dsh-lint.toml` — the checked-in lint configuration, and its reader.
 //!
 //! The module sets the lints operate on (serving roots, kernel modules,
-//! extra entry points, the publication spec) live in a `dsh-lint.toml`
-//! at the workspace root instead of hardcoded Rust, so covering a new
-//! crate is a one-line config change. The reader is a tiny hand-rolled
+//! extra entry points) live in a `dsh-lint.toml` at the workspace root
+//! instead of hardcoded Rust, so covering a new crate is a one-line
+//! config change. The reader is a tiny hand-rolled
 //! TOML-subset parser in the repo's vendored-shim tradition (offline
 //! build, no registry deps): it accepts exactly `[section]` headers,
 //! `key = "string"`, and `key = ["a", "b", ...]` arrays (single- or
@@ -20,12 +20,6 @@
 //!
 //! [kernel]
 //! modules = []                                # L5: the only files allowed `unsafe`
-//!
-//! [publication]                               # L3 target (section optional)
-//! file = "crates/dsh-index/src/shard.rs"
-//! type = "ShardedIndex"
-//! method = "publish"
-//! cell_fields = ["published", "cell"]
 //! ```
 //!
 //! Every path named by the config must exist under the workspace root —
@@ -34,20 +28,6 @@
 
 use std::fmt;
 use std::path::Path;
-
-/// Where the publication-discipline lint (L3) applies.
-#[derive(Debug, Clone)]
-pub struct PublicationSpec {
-    /// Path suffix of the file holding the publication protocol.
-    pub file_suffix: String,
-    /// Self type whose public `&mut self` methods must publish.
-    pub type_name: String,
-    /// The method every write path must reach.
-    pub publish_method: String,
-    /// Field names of the publication cell (`.read()`/`.write()` on a
-    /// chain mentioning one of these is treated as a cell guard).
-    pub cell_fields: Vec<String>,
-}
 
 /// Lint configuration, normally read from `dsh-lint.toml` at the
 /// workspace root. Tests construct custom configs to aim the lints at
@@ -65,8 +45,6 @@ pub struct Config {
     /// contain `unsafe` (L5). Crates containing one must carry
     /// `#![deny(unsafe_code)]` at the root instead of `forbid`.
     pub kernel_modules: Vec<String>,
-    /// L3 target, or `None` to disable the publication lint.
-    pub publication: Option<PublicationSpec>,
 }
 
 /// A configuration error: parse failure or a path that no longer exists.
@@ -82,9 +60,9 @@ impl fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {}
 
 impl Config {
-    /// The empty configuration: no serving roots, no kernel modules, no
-    /// publication spec. Only the location-independent lints (L4, L5 as
-    /// blanket unsafe rejection, M1, M2 and hot-marker L2) apply.
+    /// The empty configuration: no serving roots, no kernel modules.
+    /// Only the location-independent lints (L4, L5 as blanket unsafe
+    /// rejection, M1, M2 and hot-marker L2) apply.
     pub fn empty() -> Self {
         Config::default()
     }
@@ -100,10 +78,6 @@ impl Config {
     /// Parse the TOML-subset configuration text.
     pub fn from_toml(text: &str) -> Result<Self, ConfigError> {
         let mut cfg = Config::empty();
-        let mut pub_file = None;
-        let mut pub_type = None;
-        let mut pub_method = None;
-        let mut pub_fields = Vec::new();
         let mut section = String::new();
         let mut lines = text.lines().enumerate().peekable();
         while let Some((ln, raw)) = lines.next() {
@@ -113,7 +87,7 @@ impl Config {
             }
             if let Some(name) = line.strip_prefix('[').and_then(|s| s.strip_suffix(']')) {
                 section = name.trim().to_string();
-                if !matches!(section.as_str(), "serving" | "kernel" | "publication") {
+                if !matches!(section.as_str(), "serving" | "kernel") {
                     return Err(err(ln, format!("unknown section `[{section}]`")));
                 }
                 continue;
@@ -141,29 +115,9 @@ impl Config {
                 ("serving", "roots") => cfg.serving_roots = parse_array(ln, &value)?,
                 ("serving", "entry_points") => cfg.entry_points = parse_array(ln, &value)?,
                 ("kernel", "modules") => cfg.kernel_modules = parse_array(ln, &value)?,
-                ("publication", "file") => pub_file = Some(parse_string(ln, &value)?),
-                ("publication", "type") => pub_type = Some(parse_string(ln, &value)?),
-                ("publication", "method") => pub_method = Some(parse_string(ln, &value)?),
-                ("publication", "cell_fields") => pub_fields = parse_array(ln, &value)?,
                 (s, k) => {
                     return Err(err(ln, format!("unknown key `{k}` in section `[{s}]`")));
                 }
-            }
-        }
-        match (pub_file, pub_type, pub_method) {
-            (None, None, None) => {}
-            (Some(file), Some(ty), Some(method)) => {
-                cfg.publication = Some(PublicationSpec {
-                    file_suffix: file,
-                    type_name: ty,
-                    publish_method: method,
-                    cell_fields: pub_fields,
-                });
-            }
-            _ => {
-                return Err(ConfigError(
-                    "[publication] requires all of `file`, `type`, and `method`".to_string(),
-                ));
             }
         }
         Ok(cfg)
@@ -174,16 +128,9 @@ impl Config {
     /// silently shrink coverage.
     pub fn validate_paths(&self, root: &Path) -> Result<(), ConfigError> {
         let mut missing = Vec::new();
-        let pub_file = self.publication.iter().map(|p| p.file_suffix.as_str());
-        for rel in self
-            .serving_roots
-            .iter()
-            .chain(self.kernel_modules.iter())
-            .map(String::as_str)
-            .chain(pub_file)
-        {
+        for rel in self.serving_roots.iter().chain(self.kernel_modules.iter()) {
             if !root.join(rel).is_file() {
-                missing.push(rel.to_string());
+                missing.push(rel.clone());
             }
         }
         if missing.is_empty() {
@@ -261,21 +208,12 @@ mod tests {
 
             [kernel]
             modules = ["crates/a/src/simd.rs"]
-
-            [publication]
-            file = "crates/a/src/serve.rs"
-            type = "Srv"
-            method = "publish"
-            cell_fields = ["cell"]
             "#,
         )
         .expect("parses");
         assert_eq!(cfg.serving_roots.len(), 2);
         assert_eq!(cfg.entry_points, vec!["T::m", "free"]);
         assert_eq!(cfg.kernel_modules, vec!["crates/a/src/simd.rs"]);
-        let p = cfg.publication.expect("publication parsed");
-        assert_eq!(p.type_name, "Srv");
-        assert_eq!(p.cell_fields, vec!["cell"]);
     }
 
     #[test]
@@ -314,6 +252,5 @@ mod tests {
             "{:?}",
             cfg.serving_roots
         );
-        assert!(cfg.publication.is_some());
     }
 }

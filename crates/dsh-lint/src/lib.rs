@@ -13,7 +13,6 @@
 //! | L1 | no serving entry point reaches a panic site (`unwrap`/`expect`/`panic!`/`assert!`-family) on any call path, workspace-wide | `// lint: allow(panic) — <reason>` at the site |
 //! | L2 | nothing reachable from a `// lint: hot` marker allocates; markers on already-hot functions are redundant | `allow(alloc)` at the site, `allow(hot)` on the marker |
 //! | C1 | a macro the resolver cannot see through is reachable from a serving entry or hot root ("cannot prove") | `allow(opaque)` |
-//! | L3 | every public `&mut self` method on the configured index type reaches `publish` on all return paths; no publication-cell guard live across clone/seal/compact | `allow(publish)` / `allow(guard)` |
 //! | L4 | crate roots carry `#![forbid(unsafe_code)]` (`deny` for kernel crates); every `unsafe` token has a `// SAFETY:` comment within 3 lines | the `SAFETY:` comment |
 //! | L5 | `unsafe` only inside modules listed under `[kernel] modules` | `allow(unsafe)` |
 //! | M1 | malformed `lint:` marker | fix the marker |
@@ -35,7 +34,7 @@ pub mod lints;
 pub mod resolve;
 pub mod scope;
 
-pub use config::{Config, ConfigError, PublicationSpec};
+pub use config::{Config, ConfigError};
 
 use std::collections::BTreeSet;
 use std::fmt;

@@ -18,8 +18,6 @@
 //!   serving entry or hot root. Macro bodies are opaque to the resolver,
 //!   so the lint refuses to claim panic/alloc-freedom past one. Escape:
 //!   `allow(opaque)`.
-//! * **L3** — publication discipline on the configured index type:
-//!   unchanged from v1 (file-local fixpoint + guard-scope analysis).
 //! * **L4** — unsafe hygiene: crate roots carry `#![forbid(unsafe_code)]`
 //!   (`#![deny(unsafe_code)]` for crates with configured kernel
 //!   modules), and every `unsafe` token needs a `// SAFETY:` comment
@@ -38,7 +36,7 @@ use crate::config::Config;
 use crate::graph::{Graph, Reach};
 use crate::lexer::TokenKind;
 use crate::resolve::{FnId, Workspace};
-use crate::scope::{FileScope, Function, Marker, Receiver};
+use crate::scope::Marker;
 use crate::Finding;
 use std::collections::HashSet;
 
@@ -388,16 +386,8 @@ impl<'a> Ctx<'a> {
 
             let is_kernel = cfg.kernel_modules.iter().any(|k| rel.ends_with(k.as_str()));
 
-            if !file.is_test_path {
-                if let Some(spec) = &cfg.publication {
-                    if rel.ends_with(spec.file_suffix.as_str()) {
-                        self.l3_publication(fi, spec);
-                        self.l3_guard_scope(fi, spec);
-                    }
-                }
-                if !is_kernel {
-                    self.l5_unsafe_boundary(fi);
-                }
+            if !file.is_test_path && !is_kernel {
+                self.l5_unsafe_boundary(fi);
             }
 
             self.l4_unsafe_tokens(fi);
@@ -499,173 +489,6 @@ impl<'a> Ctx<'a> {
         }
     }
 
-    // -- L3 (ported from v1, file-local) -----------------------------------
-
-    fn l3_publication(&mut self, fi: usize, spec: &crate::config::PublicationSpec) {
-        let file = &self.ws.files[fi];
-        let scope = &file.scope;
-        let view = &file.view;
-        let methods: Vec<Function> = scope
-            .functions
-            .iter()
-            .filter(|f| !f.is_trait_impl && f.impl_type.as_deref() == Some(spec.type_name.as_str()))
-            .cloned()
-            .collect();
-
-        // Fixpoint: a method "publishes" if it calls `self.publish(...)`
-        // or any other already-publishing method of the same type.
-        let mut publishing: HashSet<String> = HashSet::new();
-        publishing.insert(spec.publish_method.clone());
-        loop {
-            let mut changed = false;
-            for m in &methods {
-                if publishing.contains(&m.name) {
-                    continue;
-                }
-                let Some((open, close)) = m.body else {
-                    continue;
-                };
-                let calls_publishing = self_calls(scope, view, open, close)
-                    .iter()
-                    .any(|callee| publishing.contains(callee));
-                if calls_publishing {
-                    publishing.insert(m.name.clone());
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-
-        for m in &methods {
-            if !m.is_pub || m.receiver != Receiver::RefMut || m.is_test {
-                continue;
-            }
-            if !publishing.contains(&m.name) {
-                if !self.allowed(fi, "publish", m.line) {
-                    self.push(
-                        fi,
-                        m.line,
-                        "L3",
-                        format!("no-publish:{}", m.name),
-                        format!(
-                            "pub `&mut self` method `{}::{}` never reaches `{}`; every write must publish a new epoch (or annotate `// lint: allow(publish) — <reason>`)",
-                            spec.type_name, m.name, spec.publish_method
-                        ),
-                    );
-                }
-                continue;
-            }
-            // The method publishes on its fall-through path; early exits
-            // would skip it, so flag `return` / `?` inside the body.
-            let Some((open, close)) = m.body else {
-                continue;
-            };
-            let file = &self.ws.files[fi];
-            let earlies: Vec<(u32, String)> = file
-                .view
-                .iter()
-                .filter(|&&i| i > open && i < close)
-                .filter_map(|&i| {
-                    let t = &file.scope.tokens[i];
-                    let early = (t.is_ident("return") && !t.raw) || t.is_punct('?');
-                    early.then(|| (t.line, t.text.clone()))
-                })
-                .collect();
-            for (line, text) in earlies {
-                if !self.allowed(fi, "publish", line) {
-                    self.push(
-                        fi,
-                        line,
-                        "L3",
-                        format!("early-exit:{}:{text}", m.name),
-                        format!(
-                            "early exit (`{text}`) in publishing method `{}::{}` may skip `{}`; restructure or annotate `// lint: allow(publish) — <reason>`",
-                            spec.type_name, m.name, spec.publish_method
-                        ),
-                    );
-                }
-            }
-        }
-    }
-
-    fn l3_guard_scope(&mut self, fi: usize, spec: &crate::config::PublicationSpec) {
-        let file = &self.ws.files[fi];
-        let scope = &file.scope;
-        let view = &file.view;
-        // Collect candidate violations first (immutable borrow), then
-        // filter through the allow tracker (mutable).
-        let mut candidates: Vec<(u32, String, u32, String)> = Vec::new();
-        for (k, &i) in view.iter().enumerate() {
-            let t = &scope.tokens[i];
-            if scope.in_test[i] || !t.is_punct('.') {
-                continue;
-            }
-            let Some(&m_idx) = view.get(k + 1) else {
-                continue;
-            };
-            let m = &scope.tokens[m_idx];
-            if !(m.is_ident("read") || m.is_ident("write")) {
-                continue;
-            }
-            if !view
-                .get(k + 2)
-                .is_some_and(|&j| scope.tokens[j].kind == TokenKind::OpenParen)
-            {
-                continue;
-            }
-            // Is the receiver chain the publication cell? Look back a few
-            // tokens for one of the configured field names.
-            let chain_hit = (k.saturating_sub(6)..k).any(|p| {
-                let pt = &scope.tokens[view[p]];
-                pt.kind == TokenKind::Ident && spec.cell_fields.contains(&pt.text)
-            });
-            if !chain_hit {
-                continue;
-            }
-            let guard_line = m.line;
-
-            // Liveness range: a let-bound guard lives to the end of the
-            // enclosing block; a temporary guard to the end of the
-            // statement.
-            let live_end = if statement_has_let(scope, view, k) {
-                enclosing_block_close(scope, i)
-            } else {
-                statement_end(scope, view, k)
-            };
-
-            for &j in view.iter().filter(|&&j| j > i && j < live_end) {
-                let bt = &scope.tokens[j];
-                let banned = if bt.kind == TokenKind::Ident && !bt.raw {
-                    let next_open = next_view_token(scope, view, j)
-                        .is_some_and(|n| n.kind == TokenKind::OpenParen);
-                    (L3_GUARD_BANNED.contains(&bt.text.as_str()) && next_open)
-                        || (bt.text == "make_mut")
-                } else {
-                    false
-                };
-                if banned {
-                    candidates.push((bt.line, bt.text.clone(), guard_line, m.text.clone()));
-                }
-            }
-        }
-        for (line, text, guard_line, guard_kind) in candidates {
-            if self.allowed(fi, "guard", guard_line) || self.allowed(fi, "guard", line) {
-                continue;
-            }
-            self.push(
-                fi,
-                line,
-                "L3",
-                format!("guard:{text}:{guard_kind}"),
-                format!(
-                    "`{text}` while a `.{guard_kind}()` guard on the publication cell (line {guard_line}) is live; drop the guard first (or annotate `// lint: allow(guard) — <reason>`)"
-                ),
-            );
-        }
-    }
-
     // -- M2 ----------------------------------------------------------------
 
     /// Dead allows: an escape hatch that suppressed nothing this run.
@@ -708,101 +531,4 @@ impl<'a> Ctx<'a> {
             );
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// L3 helpers (unchanged from v1)
-// ---------------------------------------------------------------------------
-
-/// Calls that must never run while a publication-cell guard is live: they
-/// clone shards, rebuild segments, or re-enter the cell and would either
-/// stall wait-free readers or self-deadlock.
-const L3_GUARD_BANNED: [&str; 6] = [
-    "fork",
-    "seal",
-    "seal_with_threads",
-    "compact",
-    "compact_with_threads",
-    "consolidate",
-];
-
-/// Names called as `self.<name>(` within a body token range.
-fn self_calls(scope: &FileScope, view: &[usize], open: usize, close: usize) -> Vec<String> {
-    let body: Vec<usize> = view
-        .iter()
-        .copied()
-        .filter(|&i| i > open && i < close)
-        .collect();
-    let mut calls = Vec::new();
-    for w in body.windows(4) {
-        let (a, b, c, d) = (
-            &scope.tokens[w[0]],
-            &scope.tokens[w[1]],
-            &scope.tokens[w[2]],
-            &scope.tokens[w[3]],
-        );
-        if a.is_ident("self")
-            && b.is_punct('.')
-            && c.kind == TokenKind::Ident
-            && d.kind == TokenKind::OpenParen
-        {
-            calls.push(c.text.clone());
-        }
-    }
-    calls
-}
-
-fn next_view_token<'a>(
-    scope: &'a FileScope,
-    view: &[usize],
-    after: usize,
-) -> Option<&'a crate::lexer::Token> {
-    view.iter().find(|&&j| j > after).map(|&j| &scope.tokens[j])
-}
-
-/// Whether the statement containing view index `k` starts with `let`
-/// (scan back to the previous `;` / `{` / `}`).
-fn statement_has_let(scope: &FileScope, view: &[usize], k: usize) -> bool {
-    for p in (0..k).rev() {
-        let t = &scope.tokens[view[p]];
-        match t.kind {
-            TokenKind::OpenBrace | TokenKind::CloseBrace => return false,
-            TokenKind::Punct if t.text == ";" => return false,
-            TokenKind::Ident if t.text == "let" && !t.raw => return true,
-            _ => {}
-        }
-    }
-    false
-}
-
-/// Token index of the `}` closing the innermost block containing token `i`.
-fn enclosing_block_close(scope: &FileScope, i: usize) -> usize {
-    scope
-        .brace_match
-        .iter()
-        .filter(|(&open, &close)| open < i && i < close)
-        .map(|(_, &close)| close)
-        .min()
-        .unwrap_or(scope.tokens.len())
-}
-
-/// Token index just past the end of the statement containing view index
-/// `k`: the next `;` at the same nesting level.
-fn statement_end(scope: &FileScope, view: &[usize], k: usize) -> usize {
-    let mut depth = 0i32;
-    for &j in &view[k..] {
-        let t = &scope.tokens[j];
-        match t.kind {
-            TokenKind::OpenBrace | TokenKind::OpenParen | TokenKind::OpenBracket => depth += 1,
-            TokenKind::CloseBrace | TokenKind::CloseParen | TokenKind::CloseBracket => {
-                depth -= 1;
-                if depth < 0 {
-                    return j;
-                }
-            }
-            TokenKind::Punct if t.text == ";" && depth == 0 => return j,
-            _ => {}
-        }
-    }
-    scope.tokens.len()
 }

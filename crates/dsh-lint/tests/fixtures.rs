@@ -31,7 +31,6 @@ fn lint_ws(name: &str) -> Report {
 }
 
 const SERVING: &str = "crates/dsh-index/src/table.rs";
-const SHARD: &str = "crates/dsh-index/src/shard.rs";
 /// Root of the crate that declares the repo's one `[kernel]` module, so
 /// the default L4 regime here is `deny(unsafe_code)`.
 const KERNEL_ROOT: &str = "crates/dsh-core/src/lib.rs";
@@ -81,33 +80,6 @@ fn l2_markers_work_outside_serving_modules() {
     let f = lint("l2_bad.rs", "crates/dsh-core/src/points.rs");
     assert!(f.iter().all(|x| x.lint == "L2"), "{f:#?}");
     assert_eq!(f.len(), 9, "{f:#?}");
-}
-
-#[test]
-fn l3_bad_flags_publication_violations() {
-    let f = lint("l3_bad.rs", SHARD);
-    // forget_to_publish (15), early return (21), compact under guard (31)
-    // — plus the same file is a serving module, which is fine: no panic
-    // shapes in it.
-    let l3: Vec<(&str, u32)> = ids_and_lines(&f)
-        .into_iter()
-        .filter(|(id, _)| *id == "L3")
-        .collect();
-    assert_eq!(l3, vec![("L3", 15), ("L3", 21), ("L3", 31)], "{f:#?}");
-    assert_eq!(f.len(), l3.len(), "only L3 findings expected: {f:#?}");
-}
-
-#[test]
-fn l3_good_is_clean() {
-    let f = lint("l3_good.rs", SHARD);
-    assert!(f.is_empty(), "{f:#?}");
-}
-
-#[test]
-fn l3_is_scoped_to_the_shard_file() {
-    // The same violations in a non-publication file are not L3 findings.
-    let f = lint("l3_bad.rs", "crates/dsh-euclidean/src/lib.rs");
-    assert!(f.iter().all(|x| x.lint != "L3"), "{f:#?}");
 }
 
 #[test]

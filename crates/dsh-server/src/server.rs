@@ -431,10 +431,12 @@ where
     }
 }
 
-/// Lock the writer mutex, recovering from poisoning: the publication
-/// protocol guarantees the index behind it is always fully formed (see
-/// the poisoning policy on `ShardedIndex::publish`), so a panicked
-/// earlier writer must not wedge the write path forever.
+/// Lock the writer mutex, recovering from poisoning: a `ShardedIndex`
+/// write that panics unwinds through its uncommitted transaction, which
+/// publishes nothing and leaves the index exactly as it was (see
+/// `WriteTxn` in `dsh-index/src/shard.rs`; the one store into the
+/// publication cell is `ReaderHandle`'s, with its own poisoning policy),
+/// so a panicked earlier writer must not wedge the write path forever.
 fn lock_writer<'a, S: AppendStore + Clone>(
     shared: &'a Shared<'_, S>,
 ) -> std::sync::MutexGuard<'a, ShardedIndex<S>> {

@@ -207,9 +207,10 @@ where
 /// 1. grown by per-op `backend_mut().insert`, sealing every 41 inserts,
 ///    and queried on that multi-segment layout;
 /// 2. compacted — and must now answer exactly like `reference`;
-/// 3. churned through `backend_mut()`: a `remove`, an `insert_batch` of
-///    `extra`, a `remove_batch` (live, fresh and already-dead ids), and
-///    queried over the resulting sealed + delta + tombstone layout;
+/// 3. churned through `backend_mut()`: a `remove`, then one
+///    `apply_batch` inserting `extra` and removing live, fresh and
+///    already-dead ids, and queried over the resulting sealed + delta +
+///    tombstone layout;
 /// 4. compacted again and queried.
 ///
 /// Every subject must agree with the first one on the derived parameters
@@ -250,11 +251,15 @@ macro_rules! front_end_parity {
                 "{name}: grown + compacted vs the static build"
             );
             let backend = subject.backend_mut();
-            writes.push((
-                backend.remove(7),
-                backend.insert_batch(extra),
-                backend.remove_batch(&victims),
-            ));
+            let removed = backend.remove(7);
+            let mut batch = backend.new_batch();
+            for i in 0..extra.len() {
+                batch.insert(extra.row(i));
+            }
+            for id in victims {
+                batch.remove(id);
+            }
+            writes.push((removed, backend.apply_batch(&batch)));
             churned.push($crate::common::answers(&subject, queries, name));
             subject.backend_mut().compact();
             compacted.push($crate::common::answers(&subject, queries, name));
