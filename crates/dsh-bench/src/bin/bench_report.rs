@@ -3,11 +3,15 @@
 //! Times the runtime-dispatched kernel layer (`dsh_core::kernels`) on
 //! the workloads the serving path actually runs — dense `dot_many` /
 //! `euclidean_many` verification, packed Hamming verification, and the
-//! batched CSR candidate-collection walk — then re-executes itself in a
-//! child process with `DSH_FORCE_SCALAR=1` to time the identical
-//! workloads on the scalar tier with prefetch disabled. Dispatch is
-//! resolved once per process, so the subprocess is the only honest way
-//! to compare both paths end to end (facades, prefetch gating and all).
+//! batched CSR candidate-collection walk — and the hash-evaluation
+//! prices the paper states: the filter family's cost in the threshold
+//! `t` (Theorem 1.2), exact Valiant against TensorSketch (the remark
+//! after Theorem 5.1), and one evaluation of each family. It then
+//! re-executes itself in a child process with `DSH_FORCE_SCALAR=1` to
+//! time the identical workloads on the scalar tier with prefetch
+//! disabled. Dispatch is resolved once per process, so the subprocess is
+//! the only honest way to compare both paths end to end (facades,
+//! prefetch gating and all).
 //!
 //! Parity is asserted, not assumed: every bench folds its outputs into
 //! an FNV checksum, and the parent fails if any child checksum differs —
@@ -32,12 +36,18 @@
 //!   for dispatch-path divergence and write-path parity.
 
 use dsh_core::combinators::Power;
+use dsh_core::family::{DshFamily, PointHasher};
 use dsh_core::kernels;
-use dsh_core::points::{BitStore, BitVector, DenseStore, DenseVector};
-use dsh_hamming::BitSampling;
+use dsh_core::points::{BitStore, BitVector, DenseStore, DenseVector, PointStore};
+use dsh_data::hamming_data::uniform_hamming_store;
+use dsh_data::sphere_data::uniform_sphere_store;
+use dsh_euclidean::ShiftedEuclideanDsh;
+use dsh_hamming::{AntiBitSampling, BitSampling, PolynomialHammingDsh};
 use dsh_index::{DynamicIndex, HashTableIndex, QueryStats, ShardedIndex};
 use dsh_math::rng::seeded;
-use dsh_sphere::SimHash;
+use dsh_math::Polynomial;
+use dsh_sphere::tensor_sketch::SketchedPolynomialSphereDsh;
+use dsh_sphere::{CrossPolytopeAnti, FilterDshMinus, PolynomialSphereDsh, SimHash};
 use std::time::Instant;
 
 /// Marker the parent sets (alongside `DSH_FORCE_SCALAR=1`) so the child
@@ -51,6 +61,34 @@ fn fnv(acc: u64, x: u64) -> u64 {
         (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
     })
 }
+
+/// Every row of `BENCH_kernels.json`, in emission order. `run_benches`
+/// names its samples from this list by position, and the test at the
+/// bottom pins the checked-in file to it.
+const KERNEL_ROWS: [&str; 22] = [
+    "dense_dot_many_verify",
+    "dense_euclidean_many_verify",
+    "bit_hamming_many_verify",
+    "csr_candidate_collect_batch",
+    "csr_bucket_walk_batch",
+    "filter_eval_t1.0",
+    "filter_eval_t1.5",
+    "filter_eval_t2.0",
+    "filter_eval_t2.5",
+    "t3_exact_valiant_d8",
+    "t3_tensorsketch_m1024_d8",
+    "t3_exact_valiant_d16",
+    "t3_tensorsketch_m1024_d16",
+    "t3_exact_valiant_d32",
+    "t3_tensorsketch_m1024_d32",
+    "hash_eval_bit_sampling",
+    "hash_eval_anti_bit_sampling",
+    "hash_eval_poly_hamming",
+    "hash_eval_simhash",
+    "hash_eval_cross_polytope_anti",
+    "hash_eval_filter_minus_t1.5",
+    "hash_eval_shifted_euclidean",
+];
 
 /// One measured workload: best-of-reps wall time plus the output
 /// checksum that pins bit-parity across dispatch paths.
@@ -71,6 +109,7 @@ struct Sizes {
     bit_d: usize,
     csr_n: usize,
     csr_queries: usize,
+    hash_points: usize,
     reps: usize,
 }
 
@@ -81,6 +120,7 @@ const FULL: Sizes = Sizes {
     bit_d: 256,
     csr_n: 500_000,
     csr_queries: 256,
+    hash_points: 1024,
     reps: 15,
 };
 
@@ -91,6 +131,7 @@ const SMOKE: Sizes = Sizes {
     bit_d: 256,
     csr_n: 10_000,
     csr_queries: 32,
+    hash_points: 16,
     reps: 5,
 };
 
@@ -104,6 +145,36 @@ fn time<R>(reps: usize, mut f: impl FnMut() -> R) -> (u128, R) {
         best = best.min(t.elapsed().as_nanos());
     }
     (best, result)
+}
+
+/// Append a sample, named by its position in [`KERNEL_ROWS`].
+fn record(samples: &mut Vec<Sample>, ns: u128, checksum: u64, n: usize, dim: usize) {
+    let name = KERNEL_ROWS[samples.len()];
+    samples.push(Sample {
+        name,
+        ns,
+        checksum,
+        n,
+        dim,
+    });
+}
+
+/// Time `h` over every row of `points` and record the sample; the
+/// checksum folds every hash value.
+fn record_hashing<S: PointStore>(
+    samples: &mut Vec<Sample>,
+    reps: usize,
+    h: &dyn PointHasher<S::Row>,
+    points: &S,
+    dim: usize,
+) {
+    let mut out = Vec::with_capacity(points.len());
+    let (ns, ()) = time(reps, || {
+        out.clear();
+        out.extend((0..points.len()).map(|i| h.hash(points.row(i))));
+    });
+    let checksum = out.iter().fold(FNV_SEED, |acc, &x| fnv(acc, x));
+    record(samples, ns, checksum, points.len(), dim);
 }
 
 fn run_benches(s: &Sizes) -> Vec<Sample> {
@@ -125,23 +196,13 @@ fn run_benches(s: &Sizes) -> Vec<Sample> {
     let (ns, ()) = time(s.reps, || {
         store.dot_many(&ids, q.as_slice(), &mut out);
     });
-    samples.push(Sample {
-        name: "dense_dot_many_verify",
-        ns,
-        checksum: out.iter().fold(FNV_SEED, |h, x| fnv(h, x.to_bits())),
-        n: s.candidates,
-        dim: s.dense_d,
-    });
+    let checksum = out.iter().fold(FNV_SEED, |h, x| fnv(h, x.to_bits()));
+    record(&mut samples, ns, checksum, s.candidates, s.dense_d);
     let (ns, ()) = time(s.reps, || {
         store.euclidean_many(&ids, q.as_slice(), &mut out);
     });
-    samples.push(Sample {
-        name: "dense_euclidean_many_verify",
-        ns,
-        checksum: out.iter().fold(FNV_SEED, |h, x| fnv(h, x.to_bits())),
-        n: s.candidates,
-        dim: s.dense_d,
-    });
+    let checksum = out.iter().fold(FNV_SEED, |h, x| fnv(h, x.to_bits()));
+    record(&mut samples, ns, checksum, s.candidates, s.dense_d);
 
     // Packed Hamming verification through the BitStore facade.
     let mut bits = BitStore::with_dim(s.bit_d);
@@ -153,13 +214,8 @@ fn run_benches(s: &Sizes) -> Vec<Sample> {
     let (ns, ()) = time(s.reps, || {
         bits.hamming_many(&ids, bq.as_blocks(), &mut bout);
     });
-    samples.push(Sample {
-        name: "bit_hamming_many_verify",
-        ns,
-        checksum: bout.iter().fold(FNV_SEED, |h, &x| fnv(h, x)),
-        n: s.candidates,
-        dim: s.bit_d,
-    });
+    let checksum = bout.iter().fold(FNV_SEED, |h, &x| fnv(h, x));
+    record(&mut samples, ns, checksum, s.candidates, s.bit_d);
 
     // Batched CSR candidate collection: for each query, the bucket /
     // id-array walk with visited-stamp dedup (stamp prefetch on the
@@ -191,13 +247,7 @@ fn run_benches(s: &Sizes) -> Vec<Sample> {
         }
         h
     });
-    samples.push(Sample {
-        name: "csr_candidate_collect_batch",
-        ns,
-        checksum,
-        n: s.csr_n,
-        dim: s.dense_d,
-    });
+    record(&mut samples, ns, checksum, s.csr_n, s.dense_d);
     let (ns, checksum) = time(s.reps, || {
         let mut h = FNV_SEED;
         for q in &queries {
@@ -207,14 +257,55 @@ fn run_benches(s: &Sizes) -> Vec<Sample> {
         }
         h
     });
-    samples.push(Sample {
-        name: "csr_bucket_walk_batch",
-        ns,
-        checksum,
-        n: s.csr_n,
-        dim: s.dense_d,
-    });
+    record(&mut samples, ns, checksum, s.csr_n, s.dense_d);
 
+    // Theorem 1.2's `O(d t^4 e^{t^2/2})` evaluation cost: a filter hash
+    // scans ~`1/Pr[Z >= t]` caps, so time should track `t e^{t^2/2}`.
+    let d = 32;
+    let mut rng = seeded(0xBE2);
+    let points = uniform_sphere_store(&mut rng, s.hash_points, d);
+    for t in [1.0, 1.5, 2.0, 2.5] {
+        let pair = FilterDshMinus::new(d, t).sample(&mut rng);
+        record_hashing(&mut samples, s.reps, &*pair.data, &points, d);
+    }
+
+    // The remark after Theorem 5.1: hashing `t^3` through the exact
+    // `O(d^k)` Valiant embedding (D = d^3) against the
+    // `O(k(d + m log m))` TensorSketch, as the input dimension grows.
+    let cube = Polynomial::new(vec![0.0, 0.0, 0.0, 1.0]);
+    for d in [8, 16, 32] {
+        let mut rng = seeded(0xBE7);
+        let points = uniform_sphere_store(&mut rng, s.hash_points, d);
+        let exact = PolynomialSphereDsh::new(d, &cube).sample(&mut rng);
+        record_hashing(&mut samples, s.reps, &*exact.data, &points, d);
+        let sketched = SketchedPolynomialSphereDsh::new(d, &cube, 1024).sample(&mut rng);
+        record_hashing(&mut samples, s.reps, &*sketched.data, &points, d);
+    }
+
+    // The per-point price of one `(h, g)` evaluation of each family.
+    let d = 64;
+    let mut rng = seeded(0xBE1);
+    let bit_points = uniform_hamming_store(&mut rng, s.hash_points, d);
+    let points = uniform_sphere_store(&mut rng, s.hash_points, d);
+    let poly = PolynomialHammingDsh::from_polynomial(d, &Polynomial::new(vec![0.0, 1.0, -1.0]))
+        .expect("t(1 - t) is a valid Hamming CPF");
+    for h in [
+        BitSampling::new(d).sample(&mut rng).data,
+        AntiBitSampling::new(d).sample(&mut rng).query,
+        poly.sample(&mut rng).data,
+    ] {
+        record_hashing(&mut samples, s.reps, &*h, &bit_points, d);
+    }
+    for h in [
+        SimHash::new(d).sample(&mut rng).data,
+        CrossPolytopeAnti::new(d).sample(&mut rng).query,
+        FilterDshMinus::new(d, 1.5).sample(&mut rng).data,
+        ShiftedEuclideanDsh::new(d, 3, 1.0).sample(&mut rng).data,
+    ] {
+        record_hashing(&mut samples, s.reps, &*h, &points, d);
+    }
+
+    assert_eq!(samples.len(), KERNEL_ROWS.len(), "KERNEL_ROWS is stale");
     samples
 }
 
@@ -224,9 +315,12 @@ fn run_benches(s: &Sizes) -> Vec<Sample> {
 /// bit-parity assertion.
 const INGEST_BATCHES: [usize; 4] = [1, 8, 64, 256];
 
-/// Workload knobs for the write-path (ingest) benchmark; mirrors the
-/// criterion `sharded_index` ingest workload so the JSON trajectory and
-/// the microbench agree on what "publishing ingest" means.
+/// The `BENCH_ingest.json` row of one group-commit size.
+fn ingest_row_name(batch: usize) -> String {
+    format!("ingest_batch_{batch}")
+}
+
+/// Workload knobs for the write-path (ingest) benchmark.
 struct IngestSizes {
     n: usize,
     d: usize,
@@ -345,8 +439,8 @@ fn ingest_report(s: &IngestSizes) -> Vec<String> {
             "ingest batch {batch:>4}   publishing {ns:>12} ns   in-place {inplace_ns:>12} ns   ratio {ratio:.2}x   epochs {epochs}"
         );
         rows.push(format!(
-            "  \"ingest_batch_{}\": {{ \"publishing_ns\": {}, \"inplace_ns\": {}, \"ratio\": {:.2}, \"n\": {}, \"shards\": {}, \"epochs\": {} }}",
-            batch, ns, inplace_ns, ratio, s.n, s.shards, epochs
+            "  \"{}\": {{ \"publishing_ns\": {}, \"inplace_ns\": {}, \"ratio\": {:.2}, \"n\": {}, \"shards\": {}, \"epochs\": {} }}",
+            ingest_row_name(batch), ns, inplace_ns, ratio, s.n, s.shards, epochs
         ));
     }
     println!(
@@ -396,6 +490,15 @@ fn main() {
     let tier = kernels::active().name;
     eprintln!("bench-report: active dispatch tier = {tier}");
     if tier == "scalar" {
+        // `DSH_FORCE_SCALAR` left set in the shell, or a CPU with no SIMD
+        // tier: both sides would time the same kernels.
+        if !smoke {
+            eprintln!(
+                "bench-report: parent already dispatches scalar; refusing to overwrite \
+                 BENCH_kernels.json with ~1.0x speedups"
+            );
+            std::process::exit(1);
+        }
         eprintln!("bench-report: warning: parent already dispatches scalar; speedups will be ~1.0");
     }
 
@@ -478,4 +581,31 @@ fn main() {
     let json = format!("{{\n{}\n}}\n", ingest_rows.join(",\n"));
     std::fs::write(&path, json).expect("writing BENCH_ingest.json");
     println!("wrote {}", path.display());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The keys of a checked-in `BENCH_*.json`, in file order (one
+    /// `"name": { .. }` row per line, as `main` writes them).
+    fn keys(json: &str) -> Vec<&str> {
+        json.lines()
+            .filter_map(|l| l.trim_start().strip_prefix('"')?.split('"').next())
+            .collect()
+    }
+
+    #[test]
+    fn checked_in_rows_are_exactly_the_rows_the_tool_emits() {
+        let kernels = include_str!(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../BENCH_kernels.json"
+        ));
+        assert_eq!(keys(kernels), KERNEL_ROWS);
+        let ingest = include_str!(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../BENCH_ingest.json"
+        ));
+        assert_eq!(keys(ingest), INGEST_BATCHES.map(ingest_row_name));
+    }
 }

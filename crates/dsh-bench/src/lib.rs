@@ -1,6 +1,6 @@
 //! Shared infrastructure for the experiment binaries (`src/bin/fig*.rs`,
 //! `src/bin/tab*.rs`) that regenerate every figure and quantitative claim
-//! of the paper, and for the criterion microbenchmarks in `benches/`.
+//! of the paper.
 //!
 //! Each binary prints an aligned table to stdout and writes the same rows
 //! as CSV into `results/` (created on demand) so `EXPERIMENTS.md` can

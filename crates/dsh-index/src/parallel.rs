@@ -1,6 +1,6 @@
 //! Minimal scoped-thread fan-out for the index layer.
 //!
-//! The workspace vendors only `rand` and `criterion`, so there is no rayon.
+//! The workspace vendors only `rand`, so there is no rayon.
 //! This module provides the one fan-out shape the index substrate needs —
 //! an order-preserving map over a slice, chunked across worker threads —
 //! on plain [`std::thread::scope`].

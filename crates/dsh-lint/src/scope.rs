@@ -5,8 +5,7 @@
 //!
 //! * matched brace pairs (robust against braces in strings/chars, which
 //!   the lexer already hides inside literal tokens);
-//! * function items: name, body token range, receiver shape
-//!   (`&self` / `&mut self` / `self` / none), `pub`-ness, and the
+//! * function items: name, body token range, `pub`-ness, and the
 //!   enclosing `impl` block's self-type name;
 //! * test regions: `#[cfg(test)]` modules, modules named `tests`, and
 //!   `#[test]` functions — lint findings are never raised inside them;
@@ -15,19 +14,6 @@
 
 use crate::lexer::{Token, TokenKind};
 use std::collections::HashMap;
-
-/// The self-receiver shape of a function.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Receiver {
-    /// Free function or associated function without `self`.
-    None,
-    /// `&self` (possibly with a lifetime).
-    Ref,
-    /// `&mut self` (possibly with a lifetime).
-    RefMut,
-    /// `self` / `mut self` by value.
-    Owned,
-}
 
 /// One function item recovered from the token stream.
 #[derive(Debug, Clone)]
@@ -46,7 +32,6 @@ pub struct Function {
     /// True when the enclosing impl is a trait impl (`impl Trait for T`).
     pub is_trait_impl: bool,
     pub is_pub: bool,
-    pub receiver: Receiver,
     /// Token index of the `fn` keyword.
     pub fn_idx: usize,
     /// Token index of the parameter list's `(`, when found.
@@ -297,43 +282,6 @@ fn item_is_pub(tokens: &[Token], idx: usize) -> bool {
     }
 }
 
-/// Parse the receiver shape from the tokens of a parameter list that
-/// starts at OpenParen index `open`.
-fn receiver_of(tokens: &[Token], open: usize) -> Receiver {
-    let Some(a) = next_code(tokens, open + 1) else {
-        return Receiver::None;
-    };
-    if tokens[a].is_ident("self") {
-        return Receiver::Owned;
-    }
-    if tokens[a].is_ident("mut") {
-        if next_code(tokens, a + 1).is_some_and(|b| tokens[b].is_ident("self")) {
-            return Receiver::Owned;
-        }
-        return Receiver::None;
-    }
-    if tokens[a].is_punct('&') {
-        let Some(mut b) = next_code(tokens, a + 1) else {
-            return Receiver::None;
-        };
-        if tokens[b].kind == TokenKind::Lifetime {
-            let Some(n) = next_code(tokens, b + 1) else {
-                return Receiver::None;
-            };
-            b = n;
-        }
-        if tokens[b].is_ident("self") {
-            return Receiver::Ref;
-        }
-        if tokens[b].is_ident("mut")
-            && next_code(tokens, b + 1).is_some_and(|c| tokens[c].is_ident("self"))
-        {
-            return Receiver::RefMut;
-        }
-    }
-    Receiver::None
-}
-
 /// One enclosing impl or trait block, for attributing functions to types.
 struct ImplCtx {
     /// The self type: `T` for both `impl T` and `impl Trait for T`
@@ -393,7 +341,6 @@ fn collect_functions(tokens: &[Token], brace_match: &HashMap<usize, usize>) -> V
                     trait_name: innermost.and_then(|c| c.trait_name.clone()),
                     is_trait_impl: innermost.is_some_and(|c| c.is_trait_impl),
                     is_pub: item_is_pub(tokens, i),
-                    receiver: args_open.map_or(Receiver::None, |o| receiver_of(tokens, o)),
                     fn_idx: i,
                     args_open,
                     line: t.line,
@@ -696,19 +643,19 @@ mod tests {
              }\n\
              fn free<'a>(x: &'a str) -> &'a str { x }\n",
         );
-        let by_name: Vec<(String, Receiver, bool, Option<String>)> = s
+        let by_name: Vec<(String, bool, Option<String>)> = s
             .functions
             .iter()
-            .map(|f| (f.name.clone(), f.receiver, f.is_pub, f.impl_type.clone()))
+            .map(|f| (f.name.clone(), f.is_pub, f.impl_type.clone()))
             .collect();
         assert_eq!(
             by_name,
             vec![
-                ("a".into(), Receiver::Ref, true, Some("X".into())),
-                ("b".into(), Receiver::RefMut, true, Some("X".into())),
-                ("c".into(), Receiver::Owned, false, Some("X".into())),
-                ("d".into(), Receiver::None, true, Some("X".into())),
-                ("free".into(), Receiver::None, false, None),
+                ("a".into(), true, Some("X".into())),
+                ("b".into(), true, Some("X".into())),
+                ("c".into(), false, Some("X".into())),
+                ("d".into(), true, Some("X".into())),
+                ("free".into(), false, None),
             ]
         );
     }
@@ -817,6 +764,5 @@ mod tests {
         );
         assert_eq!(s.functions.len(), 1);
         assert!(s.functions[0].body.is_some());
-        assert_eq!(s.functions[0].receiver, Receiver::Ref);
     }
 }

@@ -9,7 +9,7 @@
 //! parameters that shape the index (dimension, repetitions, shard
 //! count, RNG seed) are fixed at startup — a client replaying the same
 //! build parameters in-process reproduces the served index bit for bit,
-//! which is how `dsh-loadgen` checks answer parity.
+//! which is how `benchmark/` checks answer parity.
 
 use std::process::ExitCode;
 

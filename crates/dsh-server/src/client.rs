@@ -1,7 +1,7 @@
 //! A minimal blocking client: one connection, strict request/response.
 //!
-//! Used by `dsh-loadgen` and the protocol tests. Not part of the
-//! serving path — it runs in the load generator's process.
+//! Used by the `benchmark/` harness and the protocol tests. Not part of
+//! the serving path — it runs in the caller's process.
 
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};

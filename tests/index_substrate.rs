@@ -3,12 +3,15 @@
 //! batches must be deterministic in the worker-thread count, and the
 //! `QueryStats` accounting invariant must hold across the whole surface.
 
+use dsh_core::combinators::{Concat, Power};
+use dsh_core::family::{BoxedDshFamily, DshFamily};
 use dsh_core::points::{BitVector, DenseVector};
 use dsh_data::{hamming_data, sphere_data};
-use dsh_hamming::BitSampling;
-use dsh_index::{sphere_annulus, AnnulusSpec};
+use dsh_hamming::{AntiBitSampling, BitSampling};
+use dsh_index::{sphere_annulus, AnnulusSpec, QueryStats};
 use dsh_index::{AnnulusIndex, HashTableIndex, NearNeighborIndex, RangeReportingIndex};
 use dsh_math::rng::seeded;
+use std::collections::HashSet;
 
 fn hamming_workload(seed: u64, n: usize, nq: usize, d: usize) -> (Vec<BitVector>, Vec<BitVector>) {
     let mut rng = seeded(seed);
@@ -77,6 +80,63 @@ fn substrate_stats_accounting_invariant() {
                 assert!(stats.candidates_retrieved <= limit);
             }
         }
+    }
+}
+
+/// Every parity sweep is relative to the static rebuild; this is the
+/// static index against the definition of the structure itself. Walk
+/// tables `0..L` in order, within a table take the colliding ids
+/// ascending, dedupe across tables, stop once `limit` raw entries are
+/// pulled (mid-bucket if need be).
+#[test]
+fn static_index_matches_the_definition_of_the_structure() {
+    let d = 64;
+    let l = 10;
+    let (points, queries) = hamming_workload(0x5B61, 300, 16, d);
+    let symmetric: BoxedDshFamily<[u64]> = Box::new(Power::new(BitSampling::new(d), 4));
+    let asymmetric: BoxedDshFamily<[u64]> = Box::new(Concat::new(vec![
+        Box::new(Power::new(BitSampling::new(d), 3)) as BoxedDshFamily<[u64]>,
+        Box::new(AntiBitSampling::new(d)),
+    ]));
+    for fam in [symmetric, asymmetric] {
+        let idx = HashTableIndex::build(&fam, points.clone(), l, &mut seeded(0x5B62));
+        let mut limited_walk_saw_duplicates = false;
+        for q in &queries {
+            for limit in [None, Some(60)] {
+                let budget = limit.unwrap_or(usize::MAX);
+                let mut want = Vec::new();
+                let mut stats = QueryStats::default();
+                let mut seen = HashSet::new();
+                for j in 0..l {
+                    stats.tables_probed += 1;
+                    for i in (0..points.len()).filter(|&i| idx.collides_in_table(j, i, q)) {
+                        if stats.candidates_retrieved == budget {
+                            break;
+                        }
+                        stats.candidates_retrieved += 1;
+                        if seen.insert(i) {
+                            want.push(i);
+                        } else {
+                            stats.duplicates += 1;
+                        }
+                    }
+                    if stats.candidates_retrieved >= budget {
+                        break;
+                    }
+                }
+                stats.distinct_candidates = want.len();
+                assert_eq!(
+                    idx.candidates(q, limit),
+                    (want, stats),
+                    "{} at limit {limit:?}",
+                    fam.name()
+                );
+                limited_walk_saw_duplicates |= limit.is_some() && stats.duplicates > 0;
+            }
+        }
+        // Duplicates count against the limit; a limit that only ever cut
+        // inside the first bucket would leave that unexercised.
+        assert!(limited_walk_saw_duplicates, "{}", fam.name());
     }
 }
 
