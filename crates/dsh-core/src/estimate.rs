@@ -127,7 +127,7 @@ where
 }
 
 /// Deterministic seed for the `k`-th point of an experiment grid (helper
-/// shared by benches and tests).
+/// for experiment binaries and tests).
 pub fn grid_seed(master: u64, k: usize) -> u64 {
     derive_seed(master, k as u64)
 }

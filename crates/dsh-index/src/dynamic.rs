@@ -1,94 +1,39 @@
-//! Mutable segmented index: online insert/delete over the CSR substrate.
+//! Mutable segmented index: online insert/delete over the CSR substrate,
+//! owned by one thread.
 //!
-//! Every structure in [`crate::table`] is build-once: serving a live
-//! workload means ingesting and retiring points without paying a full
-//! `O(n · L · k)` re-hash per change. [`DynamicIndex`] is the standard
-//! production answer — an LSM-style segmented layout over the existing
-//! flat storage:
+//! [`DynamicIndex`] is the **one-shard, unpublished** case of the
+//! segmented state in [`crate::shard`]: sealed CSR segments, a `HashMap`
+//! delta segment and tombstones over one appendable store, read through
+//! the same [`Snapshot`] walk a [`crate::ShardedIndex`] serves from (the
+//! layout, the re-hash-free compaction and the exactness argument are in
+//! that module's docs). What this type adds is ownership: it holds a
+//! snapshot nobody else does, so the copy-on-write mutators behind every
+//! write find the state unshared and change it **in place** — one row
+//! append plus `L` hash evaluations per insert, nothing copied, nothing
+//! published.
 //!
-//! * a list of **sealed segments**, each holding one immutable flat CSR
-//!   bucket table per repetition (the same layout, builder, and probe
-//!   path as the static [`crate::HashTableIndex`]);
-//! * one mutable **delta segment**: per-table `HashMap<u64, Vec<u32>>`
-//!   buckets that absorb inserts at `L` hash evaluations per point;
-//! * a **tombstone** bitset marking removed ids, consulted during
-//!   candidate collection and dropped at compaction.
-//!
-//! All segments share one `L`-tuple of sampled `(h, g)` pairs and one
-//! appendable [`AppendStore`] of rows; point ids are global, stable
-//! handles (`insert` returns the id, `remove` takes it) that survive
-//! every [`DynamicIndex::seal`] and [`DynamicIndex::compact`].
-//!
-//! # Compaction without re-hashing
-//!
-//! [`DynamicIndex::compact`] merges all sealed segments and the delta
-//! into one fresh sealed segment, dropping tombstoned ids. The key trick:
-//! a segment's CSR directory already stores every id's hash key, so the
-//! merge recovers `(key, id)` pairs by walking directories (and the delta
-//! maps) instead of re-evaluating `L` width-`k` hash functions per row —
-//! compaction is a sort-and-sweep over existing keys, parallelized across
-//! the `L` tables like the static build.
-//!
-//! # Parity with the static build
-//!
-//! Sampling consumes the caller's RNG exactly like
-//! [`crate::HashTableIndex::build`], the initial bulk build fans out over
-//! the same parallel per-table builder, and compaction's sorted
-//! `(key, id)` sweep produces the same grouped-bucket layout the static
-//! sort produces. Consequence (pinned by `tests/dynamic_parity.rs`): an
-//! index grown by inserts and then compacted answers every query — ids,
-//! order, and [`QueryStats`] — bit-identically to a static index built
-//! from the same final point set, on every store backend and thread
-//! count.
+//! Point ids are global, stable handles (`insert` returns the id,
+//! `remove` takes it) that survive every [`DynamicIndex::seal`] and
+//! [`DynamicIndex::compact`]. An index grown by inserts and then
+//! compacted answers every query — ids, order, and
+//! [`crate::QueryStats`] — bit-identically to a static
+//! [`crate::HashTableIndex`] built from the same seed over the same
+//! final point set, on every store backend and thread count (pinned by
+//! `tests/dynamic_parity.rs`).
 
 use crate::batch::{
-    ensure_capacity, ensure_known, BatchError, BatchOp, WriteBatch, WriteError, WriteOutcome,
-    MAX_POINTS,
+    ensure_capacity, ensure_known, BatchError, WriteBatch, WriteError, WriteOutcome,
 };
 use crate::parallel;
-use crate::table::{
-    CandidateBackend, CsrBuckets, QueryScratch, QueryStats, MIN_QUERIES_PER_WORKER,
-};
-use dsh_core::family::{DshFamily, HasherPair};
-use dsh_core::points::{AppendStore, AsRow, PointStore};
+use crate::shard::Snapshot;
+use dsh_core::family::DshFamily;
+use dsh_core::points::{AppendStore, AsRow};
 use rand::Rng;
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::ops::Deref;
 
-/// One immutable segment: a CSR bucket table per repetition, all covering
-/// the same id set. Shared behind [`Arc`] so that cloning an index for an
-/// immutable snapshot (the sharded serving layer's publication step)
-/// bumps a reference count instead of copying bucket arrays.
-struct SealedSegment {
-    tables: Vec<CsrBuckets>,
-}
-
-/// The mutable write head: `HashMap` buckets per repetition, absorbing
-/// inserts until the segment is sealed or compacted away.
-#[derive(Clone)]
-struct DeltaSegment {
-    tables: Vec<HashMap<u64, Vec<u32>>>,
-    rows: usize,
-}
-
-impl DeltaSegment {
-    fn new(l: usize) -> Self {
-        DeltaSegment {
-            tables: (0..l).map(|_| HashMap::new()).collect(),
-            rows: 0,
-        }
-    }
-
-    fn clear(&mut self) {
-        for t in &mut self.tables {
-            t.clear();
-        }
-        self.rows = 0;
-    }
-}
-
-/// Bitset over global point ids marking removed points (shared with the
-/// dynamic [`crate::LinearScan`] baseline).
+/// Bitset over point ids marking removed points (one per shard of the
+/// segmented state, and one in the dynamic [`crate::LinearScan`]
+/// baseline).
 #[derive(Clone)]
 pub(crate) struct Tombstones {
     bits: Vec<u64>,
@@ -137,9 +82,18 @@ impl Tombstones {
 /// evaluations), [`DynamicIndex::remove`] (tombstone a global id),
 /// [`DynamicIndex::seal`] (freeze the delta into a sealed CSR segment)
 /// and [`DynamicIndex::compact`] (merge everything live into one fresh
-/// segment without re-hashing). Queries fan out across all segments per
-/// table, deduplicate through the generation-stamped [`QueryScratch`],
-/// and skip tombstoned ids.
+/// segment without re-hashing). It dereferences to its [`Snapshot`], so
+/// every read — [`Snapshot::candidates`], [`Snapshot::len`], a front-end
+/// over the index as its backend — is the sharded serving layer's one
+/// walk at one shard: queries fan out across all segments per table,
+/// deduplicate through the generation-stamped [`crate::QueryScratch`],
+/// and skip tombstoned ids. Through the deref, [`Snapshot::num_shards`]
+/// is 1 and [`Snapshot::epoch`] stays 0 (nothing is ever published).
+///
+/// `idx.clone()` — and `(*idx).clone()`, the same state as a bare
+/// [`Snapshot`] — is a reference-count bump that keeps answering from the
+/// state it was taken at; the first write to either side afterwards
+/// forks what it touches instead of writing in place.
 ///
 /// ```
 /// use dsh_core::points::{BitStore, BitVector};
@@ -162,36 +116,19 @@ impl Tombstones {
 /// idx.compact(); // drop tombstoned ids from the bucket layout
 /// assert_eq!(idx.len(), 0);
 /// ```
-pub struct DynamicIndex<S: AppendStore> {
-    pairs: Vec<HasherPair<S::Row>>,
-    sealed: Vec<Arc<SealedSegment>>,
-    delta: DeltaSegment,
-    store: S,
-    tombstones: Tombstones,
+#[derive(Clone)]
+pub struct DynamicIndex<S: AppendStore + Clone> {
+    current: Snapshot<S>,
 }
 
-// Manual impl: the builtin derive would also demand `S::Row: Clone`,
-// which unsized rows like `[u64]` cannot satisfy; cloning the pairs only
-// bumps `Arc`s.
-impl<S: AppendStore + Clone> Clone for DynamicIndex<S> {
-    fn clone(&self) -> Self {
-        DynamicIndex {
-            pairs: self.pairs.clone(),
-            sealed: self.sealed.clone(),
-            delta: self.delta.clone(),
-            store: self.store.clone(),
-            tombstones: self.tombstones.clone(),
-        }
-    }
-}
-
-impl<S: AppendStore> DynamicIndex<S> {
+impl<S: AppendStore + Clone> DynamicIndex<S> {
     /// Build with `l` independently sampled `(h, g)` pairs over an initial
     /// point set (which may be empty — the "start from nothing" case).
     /// Non-empty initial points become the first sealed segment, built in
     /// parallel exactly like [`crate::HashTableIndex::build`]; the RNG
     /// stream consumed is identical, so a dynamic and a static index built
-    /// from the same seed share their hash functions.
+    /// from the same seed share their hash functions. The store is
+    /// wrapped, not copied.
     pub fn build(
         family: &(impl DshFamily<S::Row> + ?Sized),
         points: S,
@@ -210,108 +147,9 @@ impl<S: AppendStore> DynamicIndex<S> {
         rng: &mut dyn Rng,
         threads: usize,
     ) -> Self {
-        // lint: allow(panic) — build-time parameter validation, not on the query path
-        assert!(l >= 1, "need at least one repetition");
-        let pairs: Vec<HasherPair<S::Row>> = (0..l).map(|_| family.sample(rng)).collect();
-        Self::with_pairs(pairs, points, threads)
-    }
-
-    /// Build over already-sampled `(h, g)` pairs — the seam the sharded
-    /// serving layer uses to give every shard the *same* hash functions
-    /// (one sequential sampling pass, `N` shard indexes), which is what
-    /// makes a sharded index bit-compatible with an unsharded one.
-    pub(crate) fn with_pairs(pairs: Vec<HasherPair<S::Row>>, points: S, threads: usize) -> Self {
-        // lint: allow(panic) — build-time parameter validation, not on the query path
-        assert!(!pairs.is_empty(), "need at least one repetition");
-        // lint: allow(panic) — build-time capacity check, not on the query path
-        assert!(
-            points.len() <= MAX_POINTS,
-            "point count exceeds the u32 point-id capacity"
-        );
-        let sealed = if points.is_empty() {
-            Vec::new()
-        } else {
-            let points_ref = &points;
-            let tables = parallel::map_items(&pairs, threads, |_, pair| {
-                let hashes: Vec<u64> = (0..points_ref.len())
-                    .map(|i| pair.data.hash(points_ref.row(i)))
-                    .collect();
-                CsrBuckets::build(&hashes)
-            });
-            vec![Arc::new(SealedSegment { tables })]
-        };
         DynamicIndex {
-            delta: DeltaSegment::new(pairs.len()),
-            pairs,
-            sealed,
-            store: points,
-            tombstones: Tombstones::new(),
+            current: Snapshot::build(family, vec![points], l, rng, threads),
         }
-    }
-
-    /// Number of repetitions `L`.
-    pub fn repetitions(&self) -> usize {
-        self.pairs.len()
-    }
-
-    /// Number of **live** points (inserted and not removed).
-    pub fn len(&self) -> usize {
-        self.store.len() - self.tombstones.dead()
-    }
-
-    /// True when no live points are indexed.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// One past the largest id ever assigned (the id-space size; removed
-    /// ids keep their slot, so this only grows).
-    pub fn id_bound(&self) -> usize {
-        self.store.len()
-    }
-
-    /// Whether `id` has been inserted and not removed.
-    pub fn is_live(&self, id: usize) -> bool {
-        id < self.store.len() && !self.tombstones.is_dead(id)
-    }
-
-    /// Iterate over the live ids in increasing order.
-    pub fn live_ids(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.store.len()).filter(|&i| !self.tombstones.is_dead(i))
-    }
-
-    /// Number of sealed segments currently probed per table.
-    pub fn sealed_segments(&self) -> usize {
-        self.sealed.len()
-    }
-
-    /// Number of points sitting in the mutable delta segment.
-    pub fn delta_rows(&self) -> usize {
-        self.delta.rows
-    }
-
-    /// Number of removed (tombstoned) ids not yet dropped by compaction
-    /// of every segment that referenced them.
-    pub fn removed(&self) -> usize {
-        self.tombstones.dead()
-    }
-
-    /// Borrow the row of point `id` (rows remain addressable after
-    /// removal; the store is append-only).
-    pub fn point(&self, id: usize) -> &S::Row {
-        self.store.row(id)
-    }
-
-    /// The underlying point store.
-    pub fn store(&self) -> &S {
-        &self.store
-    }
-
-    /// A query scratch buffer sized for this index's **current** id
-    /// space. Inserting grows the id space, so a scratch taken before an
-    /// insert is rejected (loudly) by the query paths afterwards.
-    pub fn new_scratch(&self) -> QueryScratch {
-        QueryScratch::new(self.store.len())
     }
 
     /// Insert a point (an owned point, a store row view, or a raw row),
@@ -323,27 +161,8 @@ impl<S: AppendStore> DynamicIndex<S> {
     where
         Q: AsRow<Row = S::Row> + ?Sized,
     {
-        ensure_capacity(self.store.len(), 1)?;
-        Ok(self.insert_row(p.as_row()))
-    }
-
-    /// Row-level [`DynamicIndex::insert`] — the seam the batched write
-    /// paths (and the sharded layer) use to insert pre-validated rows
-    /// borrowed from another store without an `AsRow` detour. Callers
-    /// must have checked capacity (see `ensure_capacity`).
-    pub(crate) fn insert_row(&mut self, row: &S::Row) -> usize {
-        let id = self.store.len();
-        debug_assert!(id < MAX_POINTS, "caller skipped the capacity check");
-        self.store.push_row(row);
-        let row = self.store.row(id);
-        for (pair, table) in self.pairs.iter().zip(&mut self.delta.tables) {
-            table
-                .entry(pair.data.hash(row))
-                .or_default()
-                .push(id as u32);
-        }
-        self.delta.rows += 1;
-        id
+        ensure_capacity(self.id_bound(), 1)?;
+        Ok(self.current.insert_row(p.as_row()))
     }
 
     /// Remove point `id`: sets its tombstone bit, so candidate collection
@@ -353,22 +172,14 @@ impl<S: AppendStore> DynamicIndex<S> {
     /// was never assigned with [`WriteError::UnknownId`] — the same
     /// surface the group-commit path reports per batch.
     pub fn remove(&mut self, id: usize) -> Result<bool, WriteError> {
-        ensure_known(id, self.store.len())?;
-        Ok(self.tombstones.kill(id))
-    }
-
-    /// [`DynamicIndex::remove`] for ids the caller has already bounds
-    /// checked — the seam the sharded layer uses after validating whole
-    /// batches against its global id space.
-    pub(crate) fn remove_unchecked(&mut self, id: usize) -> bool {
-        debug_assert!(id < self.store.len(), "caller skipped the id check");
-        self.tombstones.kill(id)
+        ensure_known(id, self.id_bound())?;
+        Ok(self.current.remove(id))
     }
 
     /// An empty [`WriteBatch`] staging rows of this index's shape, for
     /// [`DynamicIndex::apply_batch`].
     pub fn new_batch(&self) -> WriteBatch<S> {
-        WriteBatch::new(self.store.empty_like())
+        self.current.new_batch()
     }
 
     /// Apply a staged batch of inserts and removes in order. The whole
@@ -386,61 +197,25 @@ impl<S: AppendStore> DynamicIndex<S> {
     where
         BS: AppendStore<Row = S::Row>,
     {
-        batch.validate(self.store.len())?;
-        self.store.reserve_rows(batch.inserts());
-        let mut outcomes = Vec::with_capacity(batch.len());
-        for op in batch.ops() {
-            match *op {
-                BatchOp::Insert(slot) => {
-                    outcomes.push(WriteOutcome::Inserted(self.insert_row(batch.row(slot))));
-                }
-                BatchOp::Remove(id) => {
-                    outcomes.push(WriteOutcome::Removed(self.tombstones.kill(id as usize)));
-                }
-            }
-        }
-        Ok(outcomes)
+        batch.validate(self.id_bound())?;
+        Ok(self.current.apply_validated(batch))
     }
 
     /// Freeze the delta segment into a new sealed CSR segment (tombstoned
     /// ids are dropped on the way). Sealing bounds the `HashMap` probe
     /// cost of a hot write head without paying a full merge; a no-op when
-    /// the delta holds no live ids. The per-table sort-and-sweeps fan out
+    /// the delta holds no rows. The per-table sort-and-sweeps fan out
     /// across [`parallel::available_threads`] workers, like
     /// [`DynamicIndex::compact`].
     pub fn seal(&mut self) {
-        if self.delta.rows == 0 {
-            return;
-        }
-        let threads = parallel::available_threads();
-        let tombstones = &self.tombstones;
-        let tables: Vec<CsrBuckets> = parallel::map_items(&self.delta.tables, threads, |_, m| {
-            let pairs: Vec<(u64, u32)> = m
-                .iter()
-                .flat_map(|(&key, ids)| {
-                    ids.iter()
-                        .filter(|&&i| !tombstones.is_dead(i as usize))
-                        .map(move |&i| (key, i))
-                })
-                .collect();
-            CsrBuckets::build_from_pairs(pairs)
-        });
-        if tables.first().map_or(0, CsrBuckets::num_ids) > 0 {
-            self.sealed.push(Arc::new(SealedSegment { tables }));
-        }
-        self.delta.clear();
+        self.current.seal();
     }
 
     /// Merge every sealed segment and the delta into one fresh sealed
-    /// segment, dropping tombstoned ids from the bucket layout.
-    ///
-    /// No hash function is re-evaluated: each table's `(key, id)` pairs
-    /// are recovered from the existing segment directories and delta maps,
-    /// then rebuilt with the same sort-and-sweep the static builder uses,
-    /// fanned out across [`parallel::available_threads`] workers (one
-    /// table per work item). Afterwards the index probes one segment per
-    /// table — the exact layout a static build over the live point set
-    /// would produce.
+    /// segment, dropping tombstoned ids from the bucket layout, with no
+    /// hash function re-evaluated (see the [`crate::shard`] module docs).
+    /// Afterwards the index probes one segment per table — the exact
+    /// layout a static build over the live point set would produce.
     pub fn compact(&mut self) {
         self.compact_with_threads(parallel::available_threads());
     }
@@ -448,256 +223,24 @@ impl<S: AppendStore> DynamicIndex<S> {
     /// [`DynamicIndex::compact`] with an explicit worker-thread count
     /// (the resulting layout does not depend on it).
     pub fn compact_with_threads(&mut self, threads: usize) {
-        // Nothing sealed and nothing buffered: the merge would rebuild
-        // the empty layout it started from. Skip the worker fan-out (and
-        // let the sharded layer skip its publication) instead.
-        if self.sealed.is_empty() && self.delta.rows == 0 {
-            return;
-        }
-        let table_ids: Vec<usize> = (0..self.pairs.len()).collect();
-        let sealed = &self.sealed;
-        let delta = &self.delta;
-        let tombstones = &self.tombstones;
-        let tables: Vec<CsrBuckets> = parallel::map_items(&table_ids, threads, |_, &j| {
-            let mut pairs: Vec<(u64, u32)> = Vec::new();
-            for seg in sealed {
-                for (key, ids) in seg.tables[j].entries() {
-                    pairs.extend(
-                        ids.iter()
-                            .filter(|&&i| !tombstones.is_dead(i as usize))
-                            .map(|&i| (key, i)),
-                    );
-                }
-            }
-            for (&key, ids) in &delta.tables[j] {
-                pairs.extend(
-                    ids.iter()
-                        .filter(|&&i| !tombstones.is_dead(i as usize))
-                        .map(|&i| (key, i)),
-                );
-            }
-            CsrBuckets::build_from_pairs(pairs)
-        });
-        self.sealed = if tables.first().map_or(0, CsrBuckets::num_ids) == 0 {
-            Vec::new()
-        } else {
-            vec![Arc::new(SealedSegment { tables })]
-        };
-        self.delta.clear();
-    }
-
-    // -----------------------------------------------------------------
-    // Crate-internal seams for the sharded serving layer (`crate::shard`):
-    // the sharded query path probes each shard's physical buckets itself
-    // so it can merge entries across shards in ascending-global-id order
-    // (reproducing the unsharded bucket exactly).
-    // -----------------------------------------------------------------
-
-    /// The sampled `(h, g)` pairs, in repetition order.
-    pub(crate) fn pairs(&self) -> &[HasherPair<S::Row>] {
-        &self.pairs
-    }
-
-    /// The bucket of sealed segment `seg`, table `j`, under `key`.
-    pub(crate) fn sealed_bucket(&self, seg: usize, j: usize, key: u64) -> &[u32] {
-        self.sealed[seg].tables[j].bucket(key)
-    }
-
-    /// The delta-segment bucket of table `j` under `key`.
-    pub(crate) fn delta_bucket(&self, j: usize, key: u64) -> &[u32] {
-        self.delta.tables[j].get(&key).map_or(&[], Vec::as_slice)
-    }
-
-    /// Mutable access to the backing store (the sharded layer freezes a
-    /// `ChunkedStore` tail after sealing, so snapshots stay cheap).
-    pub(crate) fn store_mut(&mut self) -> &mut S {
-        &mut self.store
-    }
-
-    /// Retrieve query candidates, fanning each of the `L` tables out
-    /// across every segment (sealed in creation order, then the delta),
-    /// stopping once `retrieval_limit` raw entries have been pulled.
-    /// Returns distinct live candidate ids in retrieval order; tombstoned
-    /// entries are skipped without counting against the limit.
-    pub fn candidates<Q>(&self, q: &Q, retrieval_limit: Option<usize>) -> (Vec<usize>, QueryStats)
-    where
-        Q: AsRow<Row = S::Row> + ?Sized,
-    {
-        self.candidates_with(q, retrieval_limit, &mut self.new_scratch())
-    }
-
-    /// [`DynamicIndex::candidates`] against a caller-provided scratch
-    /// buffer (from [`DynamicIndex::new_scratch`], taken after the last
-    /// insert).
-    pub fn candidates_with<Q>(
-        &self,
-        q: &Q,
-        retrieval_limit: Option<usize>,
-        scratch: &mut QueryScratch,
-    ) -> (Vec<usize>, QueryStats)
-    where
-        Q: AsRow<Row = S::Row> + ?Sized,
-    {
-        self.candidates_row(q.as_row(), retrieval_limit, scratch)
-    }
-
-    pub(crate) fn candidates_row(
-        &self,
-        q: &S::Row,
-        retrieval_limit: Option<usize>,
-        scratch: &mut QueryScratch,
-    ) -> (Vec<usize>, QueryStats) {
-        // lint: allow(panic) — contract: scratch must come from this index's new_scratch
-        assert_eq!(
-            scratch.len(),
-            self.store.len(),
-            "scratch buffer sized for a different index"
-        );
-        let generation = scratch.begin();
-        let limit = retrieval_limit.unwrap_or(usize::MAX);
-        let mut stats = QueryStats::default();
-        let mut out = Vec::new();
-        'tables: for (j, pair) in self.pairs.iter().enumerate() {
-            let key = pair.query.hash(q);
-            for seg in &self.sealed {
-                let part = self.consume_bucket(
-                    seg.tables[j].bucket(key),
-                    limit - stats.candidates_retrieved,
-                    scratch,
-                    generation,
-                    &mut out,
-                );
-                stats.merge(&part);
-                if stats.candidates_retrieved >= limit {
-                    break 'tables;
-                }
-            }
-            if self.delta.rows > 0 {
-                let part = self.consume_bucket(
-                    self.delta_bucket(j, key),
-                    limit - stats.candidates_retrieved,
-                    scratch,
-                    generation,
-                    &mut out,
-                );
-                stats.merge(&part);
-                if stats.candidates_retrieved >= limit {
-                    break 'tables;
-                }
-            }
-        }
-        stats.distinct_candidates = out.len();
-        (out, stats)
-    }
-
-    /// Pull up to `remaining` live entries from one physical bucket,
-    /// returning the per-probe partial stats (merged by the caller — see
-    /// [`QueryStats::merge`] for why `distinct_candidates` is left to the
-    /// end of the whole query).
-    // lint: hot
-    fn consume_bucket(
-        &self,
-        bucket: &[u32],
-        remaining: usize,
-        scratch: &mut QueryScratch,
-        generation: u8,
-        out: &mut Vec<usize>,
-    ) -> QueryStats {
-        let mut part = QueryStats {
-            tables_probed: 1,
-            ..QueryStats::default()
-        };
-        for (j, &i) in bucket.iter().enumerate() {
-            if part.candidates_retrieved >= remaining {
-                break;
-            }
-            if let Some(&ahead) = bucket.get(j + crate::table::STAMP_AHEAD) {
-                scratch.prefetch(ahead as usize);
-            }
-            let i = i as usize;
-            if self.tombstones.is_dead(i) {
-                continue;
-            }
-            if scratch.visit(i, generation) {
-                out.push(i);
-            } else {
-                part.duplicates += 1;
-            }
-            part.candidates_retrieved += 1;
-        }
-        part
-    }
-
-    /// Run [`DynamicIndex::candidates`] for a batch of queries, fanned
-    /// out across [`parallel::available_threads`] workers with one scratch
-    /// buffer per worker. Results line up with `queries` and are identical
-    /// to a query-at-a-time loop.
-    pub fn candidates_batch<QS>(
-        &self,
-        queries: &QS,
-        retrieval_limit: Option<usize>,
-    ) -> Vec<(Vec<usize>, QueryStats)>
-    where
-        QS: PointStore<Row = S::Row> + ?Sized,
-    {
-        self.candidates_batch_with_threads(queries, retrieval_limit, parallel::available_threads())
-    }
-
-    /// [`DynamicIndex::candidates_batch`] with an explicit worker-thread
-    /// count (the output does not depend on it).
-    pub fn candidates_batch_with_threads<QS>(
-        &self,
-        queries: &QS,
-        retrieval_limit: Option<usize>,
-        threads: usize,
-    ) -> Vec<(Vec<usize>, QueryStats)>
-    where
-        QS: PointStore<Row = S::Row> + ?Sized,
-    {
-        let threads = parallel::capped_threads(queries.len(), threads, MIN_QUERIES_PER_WORKER);
-        parallel::map_index_chunks(queries.len(), threads, |range| {
-            let mut scratch = self.new_scratch();
-            range
-                .map(|i| self.candidates_row(queries.row(i), retrieval_limit, &mut scratch))
-                .collect()
-        })
+        self.current.compact(threads);
     }
 }
 
-impl<S: AppendStore> CandidateBackend for DynamicIndex<S> {
-    type Row = S::Row;
+/// Every read of the index is the same call on its [`Snapshot`].
+impl<S: AppendStore + Clone> Deref for DynamicIndex<S> {
+    type Target = Snapshot<S>;
 
-    fn repetitions(&self) -> usize {
-        DynamicIndex::repetitions(self)
-    }
-
-    fn point(&self, i: usize) -> &S::Row {
-        DynamicIndex::point(self, i)
-    }
-
-    #[inline]
-    fn prefetch_point(&self, i: usize) {
-        self.store.prefetch_row(i);
-    }
-
-    fn new_scratch(&self) -> QueryScratch {
-        DynamicIndex::new_scratch(self)
-    }
-
-    fn candidates_row(
-        &self,
-        q: &S::Row,
-        retrieval_limit: Option<usize>,
-        scratch: &mut QueryScratch,
-    ) -> (Vec<usize>, QueryStats) {
-        DynamicIndex::candidates_row(self, q, retrieval_limit, scratch)
+    fn deref(&self) -> &Snapshot<S> {
+        &self.current
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::table::HashTableIndex;
+    use crate::batch::MAX_POINTS;
+    use crate::table::{HashTableIndex, QueryStats};
     use dsh_core::points::{BitStore, BitVector};
     use dsh_hamming::BitSampling;
     use dsh_math::rng::seeded;
@@ -1039,7 +582,10 @@ mod tests {
     /// rejected — identically for `insert` and `apply_batch`.
     #[test]
     fn capacity_boundary_is_shared_by_both_insert_entry_points() {
-        let pairs = vec![BitSampling::new(64).sample(&mut seeded(0xEF))];
+        let parked = |claimed: usize| {
+            let store = FakeHugeStore { claimed };
+            DynamicIndex::build_with_threads(&BitSampling::new(64), store, 1, &mut seeded(0xEF), 1)
+        };
         let row: &[u64] = &[];
         let staged = |idx: &DynamicIndex<FakeHugeStore>, inserts: usize| {
             let mut batch = idx.new_batch();
@@ -1049,13 +595,7 @@ mod tests {
             batch
         };
         // One shy of the cap: exactly one more insert fits.
-        let mut idx = DynamicIndex::with_pairs(
-            pairs.clone(),
-            FakeHugeStore {
-                claimed: MAX_POINTS - 1,
-            },
-            1,
-        );
+        let mut idx = parked(MAX_POINTS - 1);
         assert_eq!(idx.insert(row), Ok(MAX_POINTS - 1));
         assert_eq!(
             idx.insert(row),
@@ -1070,13 +610,7 @@ mod tests {
         );
         assert_eq!(idx.apply_batch(&staged(&idx, 0)), Ok(Vec::new()));
         // apply_batch admits a batch landing exactly on the bound …
-        let mut idx = DynamicIndex::with_pairs(
-            pairs.clone(),
-            FakeHugeStore {
-                claimed: MAX_POINTS - 2,
-            },
-            1,
-        );
+        let mut idx = parked(MAX_POINTS - 2);
         assert_eq!(
             idx.apply_batch(&staged(&idx, 2)),
             Ok(vec![
@@ -1085,14 +619,101 @@ mod tests {
             ])
         );
         // … and the bulk build accepts the same count apply_batch does.
-        let idx = DynamicIndex::with_pairs(
-            pairs,
-            FakeHugeStore {
-                claimed: MAX_POINTS,
-            },
-            1,
-        );
+        let idx = parked(MAX_POINTS);
         assert_eq!(idx.id_bound(), MAX_POINTS);
+    }
+
+    /// A clone and a bare `Snapshot` of a `DynamicIndex` are `Arc` bumps
+    /// that stay frozen at the state they were taken at, while the
+    /// original moves on exactly like an index that was never cloned. A
+    /// write to an unshared index lands in place; the first write after
+    /// a clone forks what it touches (copy-on-write).
+    #[test]
+    fn clones_and_snapshots_stay_frozen_while_the_original_writes_in_place() {
+        let d = 64;
+        let points = dataset(0xF0, d, 60);
+        let queries = dataset(0xF1, d, 6);
+        let build = || {
+            let mut idx = DynamicIndex::build(
+                &BitSampling::new(d),
+                store_of(&points[..20], d),
+                6,
+                &mut seeded(0xF2),
+            );
+            for p in &points[20..30] {
+                idx.insert(p).unwrap();
+            }
+            idx
+        };
+        let view = |s: &Snapshot<BitStore>| {
+            (
+                queries
+                    .iter()
+                    .map(|q| s.candidates(q, None))
+                    .collect::<Vec<_>>(),
+                s.len(),
+                s.live_ids().collect::<Vec<_>>(),
+                s.delta_rows(),
+                s.sealed_segments(),
+            )
+        };
+        let (mut idx, mut never_cloned) = (build(), build());
+        let mut batch = idx.new_batch();
+        for p in &points[40..50] {
+            batch.insert(p);
+        }
+        batch.remove(33); // an id this batch assigns
+        let write = |verb: &str, i: &mut DynamicIndex<BitStore>| match verb {
+            "insert" => drop(i.insert(&points[30]).unwrap()),
+            "remove" => assert!(i.remove(3).unwrap()),
+            "apply_batch" => drop(i.apply_batch(&batch).unwrap()),
+            "seal" => i.seal(),
+            "compact" => i.compact(),
+            _ => unreachable!(),
+        };
+        for name in ["insert", "remove", "apply_batch", "seal", "compact"] {
+            // Shared: both copies are the original's allocation …
+            let (clone, snapshot) = (idx.clone(), (*idx).clone());
+            let before = idx.allocations();
+            assert_eq!(clone.allocations(), before, "{name}: clone copied");
+            assert_eq!(snapshot.allocations(), before, "{name}: snapshot copied");
+            let frozen = view(&idx);
+            // … so the write forks the state and the shard it touches …
+            write(name, &mut idx);
+            write(name, &mut never_cloned);
+            let forked = idx.allocations();
+            assert!(
+                forked[0] != before[0] && forked[1] != before[1],
+                "{name}: wrote through a shared state"
+            );
+            // … leaving both copies where, and what, they were.
+            assert_eq!(clone.allocations(), before, "{name}");
+            assert_eq!(view(&clone), frozen, "{name}: clone moved");
+            assert_eq!(view(&snapshot), frozen, "{name}: snapshot moved");
+            assert_ne!(view(&idx), frozen, "{name}: write changed nothing");
+            assert_eq!(view(&idx), view(&never_cloned), "{name}");
+        }
+        // Unshared again: insert, remove, batch and seal write in place.
+        // (Compaction rebuilds the shard off to the side either way; the
+        // state stays put.)
+        let unshared = idx.allocations();
+        idx.insert(&points[31]).unwrap();
+        assert!(idx.remove(5).unwrap());
+        let mut batch = idx.new_batch();
+        batch.insert(&points[32]);
+        batch.remove(6);
+        idx.apply_batch(&batch).unwrap();
+        idx.seal();
+        assert_eq!(idx.allocations(), unshared, "an unshared write copied");
+        idx.compact();
+        assert_eq!(idx.allocations()[0], unshared[0]);
+        // No-op writes touch nothing, shared or not.
+        let clone = idx.clone();
+        assert!(!idx.remove(5).unwrap());
+        idx.seal();
+        assert_eq!(idx.apply_batch(&idx.new_batch()), Ok(Vec::new()));
+        assert_eq!(idx.allocations(), clone.allocations());
+        assert_eq!((idx.epoch(), idx.num_shards()), (0, 1));
     }
 
     /// `apply_batch` equals the per-op replay bit-for-bit; an invalid

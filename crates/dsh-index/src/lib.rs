@@ -19,18 +19,22 @@
 //!   derivations that return an [`AnnulusIndex`];
 //! * [`linear_scan`] — the exact baseline every experiment compares
 //!   against (including the dynamic path: it supports insert/remove);
-//! * [`dynamic`] — the mutable segmented index: sealed CSR segments plus
-//!   a `HashMap` delta segment and tombstones, with online
-//!   insert/remove and re-hash-free compaction;
+//! * [`dynamic`] — the mutable segmented index for one thread: a
+//!   [`DynamicIndex`] owns a one-shard, unpublished [`Snapshot`] and
+//!   writes it in place — online insert/remove, seal, and re-hash-free
+//!   compaction;
 //! * [`batch`] — group-commit write batches, the write path: ordered
 //!   inserts and removes staged in a [`WriteBatch`], validated up front
 //!   and applied (and published) as one unit by `apply_batch`, closing
 //!   the per-write publication tax of the sharded serving layer;
-//! * [`shard`] — the concurrent serving layer: points partitioned across
-//!   shards of [`DynamicIndex`]es behind epoch-stamped `Arc`-swap
-//!   snapshots, so readers answer — bit-identically to the unsharded
-//!   index — while writers insert, remove, seal, and compact, each
-//!   write one fork-mutate-commit transaction;
+//! * [`shard`] — the segmented state itself (per shard: sealed CSR
+//!   segments, a `HashMap` delta segment, tombstones), the one
+//!   [`Snapshot`] walk that reads it, and the concurrent serving layer:
+//!   a [`ShardedIndex`] partitions points across `N` shards behind
+//!   epoch-stamped `Arc`-swap snapshots, so readers answer —
+//!   bit-identically for every shard count — while writers insert,
+//!   remove, seal, and compact, each write one fork-mutate-commit
+//!   transaction;
 //! * [`parallel`] — the scoped-thread fan-out used for parallel table
 //!   builds and batched queries.
 //!

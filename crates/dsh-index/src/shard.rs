@@ -1,93 +1,297 @@
-//! Sharded concurrent serving layer: snapshot reads under live writes.
+//! The segmented index state, its one read path, and the sharded
+//! concurrent serving layer that publishes it: snapshot reads under live
+//! writes.
 //!
-//! Every index in this crate so far is owned by one thread. A serving
-//! system needs the opposite: queries answered *while* inserts, removals,
-//! and compactions happen. [`ShardedIndex`] provides that on top of the
-//! existing substrate:
+//! Every structure in [`crate::table`] is build-once. Serving a live
+//! workload means ingesting and retiring points without a full
+//! `O(n · L · k)` re-hash per change, and answering queries *while* that
+//! happens. One state type does both, and two owners wrap it:
 //!
 //! * points are partitioned across `N` **shards** by the stable mapping
-//!   `shard = id % N` (ids are assigned in insertion order, exactly like
-//!   the unsharded [`DynamicIndex`]); each shard is a `DynamicIndex` over
-//!   a snapshot-friendly [`ChunkedStore`];
-//! * the whole index state is an **immutable value** behind an [`Arc`].
-//!   Every write (`&mut self`) is one transaction: it forks the state by
-//!   copy-on-write — only the written shard's small mutable parts (delta
-//!   segment, store tail, tombstones) are copied; sealed segments and
-//!   frozen store chunks are shared by reference count — and, iff it
-//!   changed anything, publishes the fork with one `Arc` swap into an
+//!   `shard = id % N` (ids are assigned in insertion order). Each shard is
+//!   an LSM-style segmented layout over the flat CSR storage: a list of
+//!   **sealed segments** (one immutable CSR bucket table per repetition —
+//!   the layout, builder and probe of the static
+//!   [`crate::HashTableIndex`]), one mutable **delta segment** (per-table
+//!   `HashMap<u64, Vec<u32>>` buckets absorbing inserts at `L` hash
+//!   evaluations per point), a **tombstone** bitset of removed ids, and
+//!   its rows in a snapshot-friendly [`ChunkedStore`]. The `L` sampled
+//!   `(h, g)` pairs live once on the state, shared by every shard;
+//! * the whole state is a **value** behind an [`Arc`] — a [`Snapshot`] —
+//!   written copy-on-write through [`Arc::make_mut`]: in place when the
+//!   writer is the only holder, and otherwise forking only what the
+//!   write touches (the written shard's delta, store tail and
+//!   tombstones; sealed segments and frozen store chunks are shared by
+//!   reference count);
+//! * [`crate::DynamicIndex`] owns a **one-shard** snapshot nobody else
+//!   holds, so its writes land in place; [`ShardedIndex`] owns an
+//!   `N`-shard one that readers share, so each of its writes (`&mut
+//!   self`) is one transaction that forks the state and, iff it changed
+//!   anything, publishes the fork with one `Arc` swap into an
 //!   epoch-stamped cell;
 //! * readers never block: [`ShardedIndex::reader`] (or a cloneable
 //!   [`ReaderHandle`], for reader threads that outlive the writer borrow)
 //!   hands out an immutable [`Snapshot`] that keeps answering from its
-//!   frozen state no matter what writers do afterwards. [`Snapshot`]
-//!   acquisition is a reference-count bump behind a briefly-held lock —
-//!   it stays O(1) even while a compaction is running, because
+//!   frozen state no matter what writers do afterwards. Acquisition is a
+//!   reference-count bump behind a briefly-held lock — it stays O(1)
+//!   even while a compaction is running, because
 //!   [`ShardedIndex::compact`] builds the new segment set on scoped
 //!   worker threads *off* the publication path and swaps it in atomically
 //!   at the end.
 //!
+//! # Compaction without re-hashing
+//!
+//! Compaction merges a shard's sealed segments and delta into one fresh
+//! sealed segment, dropping tombstoned ids. A segment's CSR directory
+//! already stores every id's hash key, so the merge recovers `(key, id)`
+//! pairs by walking directories (and the delta maps) instead of
+//! re-evaluating `L` width-`k` hash functions per row — a sort-and-sweep
+//! over existing keys, parallelized across the `L` tables like the static
+//! build. Sealing is the same sweep over the delta alone.
+//!
 //! # Exactness
 //!
-//! A sharded index is not an approximation of the unsharded one — it is
-//! bit-identical to it (ids, order, full [`QueryStats`]), for every shard
-//! count and at *any* insert/remove/seal/compact interleaving point.
-//! Three properties make that work:
+//! There is one walk ([`Snapshot`]'s), so every shard count answers
+//! bit-identically (ids, order, full [`QueryStats`]) at *any*
+//! insert/remove/seal/compact interleaving point, and — after a
+//! compaction — bit-identically to a static [`crate::HashTableIndex`]
+//! built from the same seed over the live rows. Three properties make
+//! that work:
 //!
-//! 1. all shards share one `L`-tuple of `(h, g)` pairs, sampled
-//!    sequentially from the caller's RNG exactly like
-//!    [`DynamicIndex::build`] samples its own;
-//! 2. the query path merges each logical bucket's per-shard entries in
+//! 1. the `L` pairs are sampled sequentially from the caller's RNG
+//!    exactly like [`crate::HashTableIndex::build`] samples its own, the
+//!    bulk build fans out over the same per-table builder, and the sorted
+//!    `(key, id)` sweep produces the layout the static sort produces;
+//! 2. the walk merges each logical bucket's per-shard entries in
 //!    ascending **global id** order. Per-shard buckets hold ascending
 //!    local ids, and `global = local * N + shard` is monotone per shard,
-//!    so the k-way merge reproduces the unsharded CSR bucket exactly —
+//!    so the k-way merge reproduces the one-shard CSR bucket exactly —
 //!    including where a retrieval limit truncates;
 //! 3. a **logical segment map** aligns shard segments with the segments
-//!    an unsharded index driven through the same schedule would hold
+//!    a one-shard index driven through the same schedule would hold
 //!    (a shard whose delta had no live rows at `seal` time contributes no
 //!    physical segment, but the logical segment still exists if any shard
-//!    sealed one), so `tables_probed` counts logical probes and matches
-//!    the unsharded accounting.
+//!    sealed one), so `tables_probed` counts logical probes.
 //!
 //! `distinct_candidates` is computed once per query from the deduplicated
-//! output, per the [`QueryStats::merge`] rule. The parity sweep in
-//! `tests/shard_parity.rs` pins all of this; `tests/shard_concurrency.rs`
-//! is the concurrency soak (snapshots held across concurrent writes keep
-//! answering from their frozen state).
+//! output, per the [`QueryStats::merge`] rule. `tests/dynamic_parity.rs`
+//! pins all of this against the static rebuild at 1, 2 and 8 shards,
+//! `tests/shard_parity.rs` pins the shard counts against each other, and
+//! `tests/shard_concurrency.rs` is the concurrency soak (snapshots held
+//! across concurrent writes keep answering from their frozen state).
 
 use crate::batch::{
     ensure_capacity, ensure_known, BatchError, BatchOp, WriteBatch, WriteError, WriteOutcome,
     MAX_POINTS,
 };
-use crate::dynamic::DynamicIndex;
+use crate::dynamic::{DynamicIndex, Tombstones};
 use crate::parallel;
-use crate::table::{CandidateBackend, QueryScratch, QueryStats, MIN_QUERIES_PER_WORKER};
+use crate::table::{
+    CandidateBackend, CsrBuckets, QueryScratch, QueryStats, MIN_QUERIES_PER_WORKER, STAMP_AHEAD,
+};
 use dsh_core::family::{DshFamily, HasherPair};
 use dsh_core::points::{AppendStore, AsRow, ChunkedStore, PointStore};
 use rand::Rng;
+use std::collections::HashMap;
+use std::ops::Deref;
 use std::sync::{Arc, RwLock};
 
 pub use txn::ReaderHandle;
 
-/// The plain data one epoch of a [`ShardedIndex`] publishes: the shard
-/// indexes plus the logical-segment alignment map. Writers fork (clone)
-/// it; every read goes through the [`Snapshot`] that owns it.
+/// One immutable segment: a CSR bucket table per repetition, all covering
+/// the same id set. Shared behind [`Arc`] so that forking a shard bumps a
+/// reference count instead of copying bucket arrays.
+struct SealedSegment {
+    tables: Vec<CsrBuckets>,
+}
+
+impl SealedSegment {
+    /// The segment over `tables`, unless they index no id at all.
+    fn non_empty(tables: Vec<CsrBuckets>) -> Option<Arc<Self>> {
+        (tables.first().map_or(0, CsrBuckets::num_ids) > 0)
+            .then(|| Arc::new(SealedSegment { tables }))
+    }
+}
+
+/// The mutable write head: `HashMap` buckets per repetition, absorbing
+/// inserts until the segment is sealed or compacted away.
 #[derive(Clone)]
+struct DeltaSegment {
+    tables: Vec<HashMap<u64, Vec<u32>>>,
+    rows: usize,
+}
+
+impl DeltaSegment {
+    fn new(l: usize) -> Self {
+        DeltaSegment {
+            tables: (0..l).map(|_| HashMap::new()).collect(),
+            rows: 0,
+        }
+    }
+
+    fn clear(&mut self) {
+        for t in &mut self.tables {
+            t.clear();
+        }
+        self.rows = 0;
+    }
+}
+
+/// One shard's partition of the index — the points with `id % N ==
+/// shard`, under local ids `id / N`: sealed segments, delta, rows and
+/// tombstones. It holds no hash functions and has no read path of its
+/// own; the state that owns it hashes and walks.
+#[derive(Clone)]
+struct Shard<S> {
+    sealed: Vec<Arc<SealedSegment>>,
+    delta: DeltaSegment,
+    store: ChunkedStore<S>,
+    tombstones: Tombstones,
+}
+
+impl<S: AppendStore + Clone> Shard<S> {
+    /// Index `points` as the first sealed segment (none when empty), in
+    /// parallel exactly like [`crate::HashTableIndex::build`]. The store
+    /// is wrapped, not copied.
+    fn build(pairs: &[HasherPair<S::Row>], points: S, threads: usize) -> Self {
+        let sealed = if points.is_empty() {
+            Vec::new()
+        } else {
+            let tables = parallel::map_items(pairs, threads, |_, pair| {
+                let hashes: Vec<u64> = (0..points.len())
+                    .map(|i| pair.data.hash(points.row(i)))
+                    .collect();
+                CsrBuckets::build(&hashes)
+            });
+            vec![Arc::new(SealedSegment { tables })]
+        };
+        Shard {
+            sealed,
+            delta: DeltaSegment::new(pairs.len()),
+            store: ChunkedStore::from_store(points),
+            tombstones: Tombstones::new(),
+        }
+    }
+
+    /// Append `row` and file it in the delta under each table's `h`;
+    /// returns its local id. One row append plus `L` hash evaluations.
+    fn insert_row(&mut self, pairs: &[HasherPair<S::Row>], row: &S::Row) -> usize {
+        let local = self.store.len();
+        self.store.push_row(row);
+        let row = self.store.row(local);
+        for (pair, table) in pairs.iter().zip(&mut self.delta.tables) {
+            table
+                .entry(pair.data.hash(row))
+                .or_default()
+                .push(local as u32);
+        }
+        self.delta.rows += 1;
+        local
+    }
+
+    /// One CSR table per repetition over the live entries of `sealed`
+    /// and the delta. No hash function is re-evaluated: `(key, id)` pairs
+    /// come from the segment directories and delta maps, rebuilt with the
+    /// static builder's sort-and-sweep, one table per work item.
+    fn merged_tables(&self, sealed: &[Arc<SealedSegment>], threads: usize) -> Vec<CsrBuckets> {
+        let table_ids: Vec<usize> = (0..self.delta.tables.len()).collect();
+        parallel::map_items(&table_ids, threads, |_, &j| {
+            let mut pairs: Vec<(u64, u32)> = Vec::new();
+            let mut keep = |key: u64, ids: &[u32]| {
+                pairs.extend(
+                    ids.iter()
+                        .filter(|&&i| !self.tombstones.is_dead(i as usize))
+                        .map(|&i| (key, i)),
+                );
+            };
+            for seg in sealed {
+                for (key, ids) in seg.tables[j].entries() {
+                    keep(key, ids);
+                }
+            }
+            for (&key, ids) in &self.delta.tables[j] {
+                keep(key, ids);
+            }
+            CsrBuckets::build_from_pairs(pairs)
+        })
+    }
+
+    /// Freeze the delta into a new sealed segment (none when every row
+    /// in it is tombstoned), retiring the store's write head with it so
+    /// later forks share those rows instead of copying them.
+    fn seal(&mut self) {
+        let tables = self.merged_tables(&[], parallel::available_threads());
+        self.sealed.extend(SealedSegment::non_empty(tables));
+        self.delta.clear();
+        self.store.freeze_tail();
+    }
+
+    /// This shard merged down to at most one sealed segment, tombstoned
+    /// ids dropped from the bucket layout and the rows consolidated into
+    /// one chunk — the layout a static build over the live points has.
+    fn compacted(&self, threads: usize) -> Self {
+        let tables = self.merged_tables(&self.sealed, threads);
+        let mut store = self.store.clone();
+        store.consolidate();
+        Shard {
+            sealed: SealedSegment::non_empty(tables).into_iter().collect(),
+            delta: DeltaSegment::new(self.delta.tables.len()),
+            store,
+            tombstones: self.tombstones.clone(),
+        }
+    }
+}
+
+/// The plain data of a segmented index at one epoch: the shared hash
+/// functions, the shards, and the logical-segment alignment map. Writers
+/// reach it through [`Arc::make_mut`]; every read goes through the
+/// [`Snapshot`] that owns it.
 struct ShardedState<S: AppendStore + Clone> {
-    shards: Vec<Arc<DynamicIndex<ChunkedStore<S>>>>,
-    /// One entry per **logical** sealed segment (the segment an unsharded
+    /// The `L` sampled `(h, g)` pairs, in repetition order.
+    pairs: Arc<[HasherPair<S::Row>]>,
+    shards: Vec<Arc<Shard<S>>>,
+    /// One entry per **logical** sealed segment (the segment a one-shard
     /// index driven through the same schedule would hold), mapping each
     /// shard to its physical segment index — `None` when that shard
     /// contributed no live rows at the corresponding seal.
     segments: Vec<Vec<Option<usize>>>,
     /// One past the largest global id ever assigned.
     total_rows: usize,
-    /// Number of state publications since the build (each write bumps it).
+    /// Number of publications since the build (see [`Snapshot::epoch`]).
     epoch: u64,
 }
 
-/// An immutable view of a [`ShardedIndex`] at one publication epoch, and
-/// the one owner of the read path: the index itself answers every read
-/// through its current snapshot.
+// Manual impl: the builtin derive would also demand `S::Row: Clone`,
+// which unsized rows like `[u64]` cannot satisfy.
+impl<S: AppendStore + Clone> Clone for ShardedState<S> {
+    fn clone(&self) -> Self {
+        ShardedState {
+            pairs: Arc::clone(&self.pairs),
+            shards: self.shards.clone(),
+            segments: self.segments.clone(),
+            total_rows: self.total_rows,
+            epoch: self.epoch,
+        }
+    }
+}
+
+/// The logical segment map of a layout with at most one sealed segment
+/// per shard (initial bulk build, or right after a compaction).
+fn single_segment_map<S>(shards: &[Arc<Shard<S>>]) -> Vec<Vec<Option<usize>>> {
+    let map: Vec<_> = shards
+        .iter()
+        .map(|sh| (!sh.sealed.is_empty()).then_some(0))
+        .collect();
+    if map.iter().any(Option::is_some) {
+        vec![map]
+    } else {
+        Vec::new()
+    }
+}
+
+/// A segmented index at one point in time, and the one owner of the read
+/// path: [`crate::DynamicIndex`] and [`ShardedIndex`] both answer every
+/// read through the snapshot they currently hold.
 ///
 /// Holding a snapshot never blocks writers, and no writer activity —
 /// inserts, removals, seals, compactions — changes what it answers: its
@@ -99,87 +303,127 @@ pub struct Snapshot<S: AppendStore + Clone> {
 }
 
 impl<S: AppendStore + Clone> Snapshot<S> {
-    /// The publication epoch this snapshot was taken at (the number of
-    /// state-changing writes applied before it).
+    /// The one constructor: sample `l` `(h, g)` pairs sequentially from
+    /// `rng` — the stream [`crate::HashTableIndex::build`] consumes — and
+    /// bulk-build one shard over each store of `rows` (shard `s` holding
+    /// the points with global id `local * rows.len() + s`).
+    pub(crate) fn build(
+        family: &(impl DshFamily<S::Row> + ?Sized),
+        rows: Vec<S>,
+        l: usize,
+        rng: &mut dyn Rng,
+        threads: usize,
+    ) -> Self {
+        // lint: allow(panic) — build-time parameter validation, not on the query path
+        assert!(l >= 1, "need at least one repetition");
+        let total_rows = rows.iter().map(PointStore::len).sum();
+        // lint: allow(panic) — build-time capacity check, not on the query path
+        assert!(
+            total_rows <= MAX_POINTS,
+            "point count exceeds the u32 point-id capacity"
+        );
+        let pairs: Arc<[HasherPair<S::Row>]> = (0..l).map(|_| family.sample(rng)).collect();
+        let shards: Vec<_> = rows
+            .into_iter()
+            .map(|points| Arc::new(Shard::build(&pairs, points, threads)))
+            .collect();
+        Snapshot {
+            state: Arc::new(ShardedState {
+                segments: single_segment_map(&shards),
+                pairs,
+                shards,
+                total_rows,
+                epoch: 0,
+            }),
+        }
+    }
+
+    /// The publication epoch this snapshot was taken at: the number of
+    /// state-changing writes a [`ShardedIndex`] published before it.
+    /// Always 0 on a [`crate::DynamicIndex`], which publishes nothing.
     pub fn epoch(&self) -> u64 {
         self.state.epoch
     }
 
-    /// Number of shards.
+    /// Number of shards (1 on a [`crate::DynamicIndex`]).
     pub fn num_shards(&self) -> usize {
         self.state.shards.len()
     }
 
     /// Number of repetitions `L`.
     pub fn repetitions(&self) -> usize {
-        self.state.shards[0].repetitions()
+        self.state.pairs.len()
     }
 
-    /// Number of live points across all shards at this epoch.
+    /// Number of **live** points (inserted and not removed).
     pub fn len(&self) -> usize {
-        self.state.shards.iter().map(|sh| sh.len()).sum()
+        self.id_bound() - self.removed()
     }
 
-    /// True when no live points are indexed at this epoch.
+    /// True when no live points are indexed.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// One past the largest global id assigned at this epoch.
+    /// One past the largest id ever assigned (the id-space size; removed
+    /// ids keep their slot, so this only grows).
     pub fn id_bound(&self) -> usize {
         self.state.total_rows
     }
 
-    /// Number of removed (tombstoned) ids not yet reclaimed.
+    /// Number of removed (tombstoned) ids.
     pub fn removed(&self) -> usize {
-        self.state.shards.iter().map(|sh| sh.removed()).sum()
+        self.shards().map(|sh| sh.tombstones.dead()).sum()
     }
 
-    /// Total points sitting in the shards' delta segments.
+    /// Number of points sitting in the mutable delta segments.
     pub fn delta_rows(&self) -> usize {
-        self.state.shards.iter().map(|sh| sh.delta_rows()).sum()
+        self.shards().map(|sh| sh.delta.rows).sum()
     }
 
-    /// Number of **logical** sealed segments (what an unsharded index
-    /// driven through the same schedule would report).
+    /// Number of **logical** sealed segments probed per table (what a
+    /// one-shard index driven through the same schedule holds).
     pub fn sealed_segments(&self) -> usize {
         self.state.segments.len()
     }
 
-    /// Whether global id `id` was inserted and not removed at this epoch.
+    /// Whether `id` has been inserted and not removed.
     pub fn is_live(&self, id: usize) -> bool {
         let n = self.num_shards();
-        id < self.state.total_rows && self.state.shards[id % n].is_live(id / n)
+        id < self.state.total_rows && !self.state.shards[id % n].tombstones.is_dead(id / n)
     }
 
-    /// Iterate over the ids live at this epoch, in increasing order.
+    /// Iterate over the live ids in increasing order.
     pub fn live_ids(&self) -> impl Iterator<Item = usize> + '_ {
         (0..self.state.total_rows).filter(|&id| self.is_live(id))
     }
 
-    /// Borrow the row of point `id` as stored at this epoch (rows remain
-    /// addressable after removal; stores are append-only).
+    /// Borrow the row of point `id` (rows remain addressable after
+    /// removal; stores are append-only).
     pub fn point(&self, id: usize) -> &S::Row {
         let n = self.num_shards();
-        self.state.shards[id % n].point(id / n)
+        self.state.shards[id % n].store.row(id / n)
     }
 
-    /// This epoch's plain data, cloned for a writer to build the next on.
-    fn fork(&self) -> ShardedState<S> {
-        (*self.state).clone()
+    fn shards(&self) -> impl Iterator<Item = &Shard<S>> {
+        self.state.shards.iter().map(|sh| &**sh)
     }
 
-    /// A query scratch buffer sized for this epoch's id space (see
-    /// [`DynamicIndex::new_scratch`] for the staleness contract).
+    /// An empty [`WriteBatch`] staging rows of this index's shape.
+    pub(crate) fn new_batch(&self) -> WriteBatch<S> {
+        WriteBatch::new(self.state.shards[0].store.empty_inner())
+    }
+
+    /// A query scratch buffer sized for the **current** id space.
+    /// Inserting grows the id space, so a scratch taken before an insert
+    /// is rejected (loudly) by the query paths afterwards.
     pub fn new_scratch(&self) -> QueryScratch {
         QueryScratch::new(self.state.total_rows)
     }
 
-    /// The sharded mirror of `DynamicIndex::candidates_row`: identical
-    /// probe order (tables outermost, then logical segments in creation
-    /// order, then the delta), identical per-entry accounting, with each
-    /// logical bucket's entries drawn from the shard buckets in ascending
-    /// global-id order.
+    /// The one walk over a segmented index: tables outermost, then the
+    /// logical segments in creation order, then the delta, stopping once
+    /// `retrieval_limit` entries have been pulled.
     fn candidates_row(
         &self,
         q: &S::Row,
@@ -197,83 +441,83 @@ impl<S: AppendStore + Clone> Snapshot<S> {
         let limit = retrieval_limit.unwrap_or(usize::MAX);
         let mut stats = QueryStats::default();
         let mut out = Vec::new();
-        // (shard, bucket, cursor) triples of the logical bucket currently
-        // being merged; reused across probes to avoid per-probe allocation.
-        let mut probe: Vec<(usize, &[u32], usize)> = Vec::with_capacity(state.shards.len());
-        let probe_delta = state.shards.iter().any(|sh| sh.delta_rows() > 0);
-        'tables: for (j, pair) in state.shards[0].pairs().iter().enumerate() {
+        // Every bucket of a table is looked up before any is consumed:
+        // the lookups are independent cache misses (nearly all of them
+        // finding nothing), and back to back they overlap instead of
+        // queueing behind the merge. `staged` holds the table's non-empty
+        // shard buckets as (shard, unread entries), `ends[i]` where the
+        // ones of logical probe `i` stop. A limit landing mid-table has
+        // paid for at most that one table's remaining lookups.
+        let mut staged: Vec<(usize, &[u32])> = Vec::new();
+        let probe_delta = self.shards().any(|sh| sh.delta.rows > 0);
+        let mut ends = Vec::with_capacity(state.segments.len() + usize::from(probe_delta));
+        'tables: for (j, pair) in state.pairs.iter().enumerate() {
             let key = pair.query.hash(q);
-            for seg_map in &state.segments {
-                probe.clear();
-                for (s, phys) in seg_map.iter().enumerate() {
-                    if let Some(p) = phys {
-                        probe.push((s, state.shards[s].sealed_bucket(*p, j, key), 0));
+            staged.clear();
+            ends.clear();
+            for map in &state.segments {
+                for (s, (shard, phys)) in self.shards().zip(map).enumerate() {
+                    if let Some(p) = *phys {
+                        let bucket = shard.sealed[p].tables[j].bucket(key);
+                        if !bucket.is_empty() {
+                            staged.push((s, bucket));
+                        }
                     }
                 }
-                let part = self.consume_merged(
-                    &mut probe,
-                    limit - stats.candidates_retrieved,
-                    scratch,
-                    generation,
-                    &mut out,
-                );
-                stats.merge(&part);
-                if stats.candidates_retrieved >= limit {
-                    break 'tables;
-                }
+                ends.push(staged.len());
             }
             if probe_delta {
-                probe.clear();
-                for (s, sh) in state.shards.iter().enumerate() {
-                    if sh.delta_rows() > 0 {
-                        probe.push((s, sh.delta_bucket(j, key), 0));
+                for (s, shard) in self.shards().enumerate() {
+                    if let Some(bucket) = shard.delta.tables[j].get(&key) {
+                        staged.push((s, bucket));
                     }
                 }
-                let part = self.consume_merged(
-                    &mut probe,
-                    limit - stats.candidates_retrieved,
+                ends.push(staged.len());
+            }
+            let mut start = 0;
+            for &end in &ends {
+                stats.tables_probed += 1;
+                self.consume_merged(
+                    &mut staged[start..end],
+                    limit,
+                    &mut stats,
                     scratch,
                     generation,
                     &mut out,
                 );
-                stats.merge(&part);
                 if stats.candidates_retrieved >= limit {
                     break 'tables;
                 }
+                start = end;
             }
         }
         stats.distinct_candidates = out.len();
         (out, stats)
     }
 
-    /// Pull up to `remaining` live entries from one logical bucket by
-    /// k-way-merging the shard buckets in ascending global-id order —
-    /// the exact entry sequence the unsharded bucket holds. Tombstoned
-    /// entries are skipped without counting, like the unsharded path.
+    /// Pull live entries from one logical bucket until it is exhausted or
+    /// `limit` entries have been retrieved in all, k-way-merging the
+    /// shard buckets in ascending global-id order — the exact entry
+    /// sequence the one-shard bucket holds. Tombstoned entries are
+    /// skipped without counting against the limit.
     // lint: hot
     fn consume_merged(
         &self,
-        probe: &mut [(usize, &[u32], usize)],
-        remaining: usize,
+        probe: &mut [(usize, &[u32])],
+        limit: usize,
+        stats: &mut QueryStats,
         scratch: &mut QueryScratch,
         generation: u8,
         out: &mut Vec<usize>,
-    ) -> QueryStats {
+    ) {
         let shards = &self.state.shards[..];
         let n = shards.len();
-        let mut part = QueryStats {
-            tables_probed: 1,
-            ..QueryStats::default()
-        };
         #[cfg(debug_assertions)]
         let mut prev_global: Option<usize> = None;
-        loop {
-            if part.candidates_retrieved >= remaining {
-                break;
-            }
+        while stats.candidates_retrieved < limit {
             let mut best: Option<(usize, usize)> = None; // (global id, slot)
-            for (slot, &(shard, bucket, cursor)) in probe.iter().enumerate() {
-                if let Some(&local) = bucket.get(cursor) {
+            for (slot, &(shard, bucket)) in probe.iter().enumerate() {
+                if let Some(&local) = bucket.first() {
                     let global = local as usize * n + shard;
                     if best.is_none_or(|(g, _)| global < g) {
                         best = Some((global, slot));
@@ -284,7 +528,7 @@ impl<S: AppendStore + Clone> Snapshot<S> {
             // Dynamic complement to dsh-lint: the merge must emit globals
             // in strictly ascending order (each shard bucket is ascending
             // and shards partition ids by residue), or parity with the
-            // unsharded entry sequence is silently lost.
+            // one-shard entry sequence is silently lost.
             #[cfg(debug_assertions)]
             {
                 debug_assert!(
@@ -293,32 +537,31 @@ impl<S: AppendStore + Clone> Snapshot<S> {
                 );
                 prev_global = Some(global);
             }
-            probe[slot].2 += 1;
-            {
-                // Hint the visited stamp of the entry this slot will offer
-                // a few merge steps from now (the stamp probe is the one
-                // random access per emitted entry).
-                let (shard, bucket, cursor) = probe[slot];
-                if let Some(&local) = bucket.get(cursor + crate::table::STAMP_AHEAD) {
-                    scratch.prefetch(local as usize * n + shard);
-                }
+            let (shard, bucket) = probe[slot];
+            probe[slot].1 = &bucket[1..];
+            // Hint the visited stamp of the entry this slot will offer a
+            // few merge steps from now (the stamp probe is the one random
+            // access per emitted entry).
+            if let Some(&ahead) = bucket.get(STAMP_AHEAD) {
+                scratch.prefetch(ahead as usize * n + shard);
             }
-            if !shards[probe[slot].0].is_live(global / n) {
+            if shards[shard].tombstones.is_dead(bucket[0] as usize) {
                 continue;
             }
             if scratch.visit(global, generation) {
                 out.push(global);
             } else {
-                part.duplicates += 1;
+                stats.duplicates += 1;
             }
-            part.candidates_retrieved += 1;
+            stats.candidates_retrieved += 1;
         }
-        part
     }
 
-    /// Retrieve distinct live candidate ids for `q` in retrieval order,
-    /// exactly as the index answered at this epoch — bit-identically to
-    /// the equivalent unsharded [`DynamicIndex::candidates`].
+    /// Retrieve query candidates, fanning each of the `L` tables out
+    /// across every segment (sealed in creation order, then the delta),
+    /// stopping once `retrieval_limit` raw entries have been pulled.
+    /// Returns distinct live candidate ids in retrieval order; tombstoned
+    /// entries are skipped without counting against the limit.
     pub fn candidates<Q>(&self, q: &Q, retrieval_limit: Option<usize>) -> (Vec<usize>, QueryStats)
     where
         Q: AsRow<Row = S::Row> + ?Sized,
@@ -326,7 +569,8 @@ impl<S: AppendStore + Clone> Snapshot<S> {
         self.candidates_row(q.as_row(), retrieval_limit, &mut self.new_scratch())
     }
 
-    /// [`Snapshot::candidates`] against a caller-provided scratch.
+    /// [`Snapshot::candidates`] against a caller-provided scratch buffer
+    /// (from [`Snapshot::new_scratch`], taken after the last insert).
     pub fn candidates_with<Q>(
         &self,
         q: &Q,
@@ -372,6 +616,115 @@ impl<S: AppendStore + Clone> Snapshot<S> {
                 .collect()
         })
     }
+
+    // -----------------------------------------------------------------
+    // The write side, crate-private and copy-on-write: a mutator that
+    // changes something takes the state through `Arc::make_mut` — in
+    // place when this snapshot is its only holder, a fork otherwise — so
+    // no other holder ever sees the write, and one that changes nothing
+    // leaves the allocation where it was. Callers validate first.
+    // -----------------------------------------------------------------
+
+    /// Append `row` under the next global id (the caller has checked
+    /// capacity) and return that id.
+    pub(crate) fn insert_row(&mut self, row: &S::Row) -> usize {
+        let state = Arc::make_mut(&mut self.state);
+        let (id, n) = (state.total_rows, state.shards.len());
+        debug_assert!(id < MAX_POINTS, "caller skipped the capacity check");
+        let local = Arc::make_mut(&mut state.shards[id % n]).insert_row(&state.pairs, row);
+        debug_assert_eq!(local, id / n);
+        state.total_rows += 1;
+        id
+    }
+
+    /// Tombstone global id `id` (the caller has checked it was ever
+    /// assigned), so candidate collection skips it immediately; `false`,
+    /// forking nothing, when it already was.
+    pub(crate) fn remove(&mut self, id: usize) -> bool {
+        if !self.is_live(id) {
+            return false;
+        }
+        let state = Arc::make_mut(&mut self.state);
+        let n = state.shards.len();
+        Arc::make_mut(&mut state.shards[id % n])
+            .tombstones
+            .kill(id / n)
+    }
+
+    /// Apply a validated batch in order; the outcomes line up with its
+    /// ops. Each shard the inserts will reach reserves its share of them
+    /// once, up front.
+    pub(crate) fn apply_validated<BS>(&mut self, batch: &WriteBatch<BS>) -> Vec<WriteOutcome>
+    where
+        BS: AppendStore<Row = S::Row>,
+    {
+        let inserts = batch.inserts();
+        if inserts > 0 {
+            let state = Arc::make_mut(&mut self.state);
+            let n = state.shards.len();
+            for id in state.total_rows..state.total_rows + inserts.min(n) {
+                Arc::make_mut(&mut state.shards[id % n])
+                    .store
+                    .reserve_rows(inserts.div_ceil(n));
+            }
+        }
+        batch
+            .ops()
+            .iter()
+            .map(|op| match *op {
+                BatchOp::Insert(slot) => WriteOutcome::Inserted(self.insert_row(batch.row(slot))),
+                BatchOp::Remove(id) => WriteOutcome::Removed(self.remove(id as usize)),
+            })
+            .collect()
+    }
+
+    /// Freeze every non-empty shard delta into a sealed CSR segment
+    /// (nothing when every delta is empty). A new logical segment is
+    /// recorded iff any shard's delta held a live row.
+    pub(crate) fn seal(&mut self) {
+        if self.delta_rows() == 0 {
+            return;
+        }
+        let state = Arc::make_mut(&mut self.state);
+        let mut map = Vec::with_capacity(state.shards.len());
+        for shard in &mut state.shards {
+            let before = shard.sealed.len();
+            if shard.delta.rows > 0 {
+                Arc::make_mut(shard).seal();
+            }
+            // A delta of only tombstoned rows seals no segment.
+            map.push((shard.sealed.len() > before).then_some(before));
+        }
+        if map.iter().any(Option::is_some) {
+            state.segments.push(map);
+        }
+    }
+
+    /// Merge every shard down to one segment, `threads` workers in all —
+    /// unless there is no segment and no delta row: the merge would
+    /// rebuild the empty layout it started from (compaction never clears
+    /// tombstone bits), so that case changes nothing.
+    pub(crate) fn compact(&mut self, threads: usize) {
+        if self.state.segments.is_empty() && self.delta_rows() == 0 {
+            return;
+        }
+        let state = Arc::make_mut(&mut self.state);
+        let per_shard = (threads / state.shards.len()).max(1);
+        state.shards = parallel::map_items(&state.shards, threads, |_, shard| {
+            Arc::new(shard.compacted(per_shard))
+        });
+        state.segments = single_segment_map(&state.shards);
+    }
+
+    /// Addresses of the state and shard allocations, for the tests that
+    /// pin what a write copies.
+    #[cfg(test)]
+    pub(crate) fn allocations(&self) -> Vec<*const ()> {
+        let shards = self.state.shards.iter().map(|sh| Arc::as_ptr(sh).cast());
+        std::iter::once(Arc::as_ptr(&self.state).cast())
+            .chain(shards)
+            .collect()
+    }
 }
 
 impl<S: AppendStore + Clone> CandidateBackend for Snapshot<S> {
@@ -389,7 +742,7 @@ impl<S: AppendStore + Clone> CandidateBackend for Snapshot<S> {
     fn prefetch_point(&self, i: usize) {
         if i < self.state.total_rows {
             let n = self.num_shards();
-            CandidateBackend::prefetch_point(&*self.state.shards[i % n], i / n);
+            self.state.shards[i % n].store.prefetch_row(i / n);
         }
     }
 
@@ -407,6 +760,44 @@ impl<S: AppendStore + Clone> CandidateBackend for Snapshot<S> {
     }
 }
 
+/// The two owners of a [`Snapshot`] are backends through it: there is no
+/// second read path to keep in step.
+macro_rules! backend_through_snapshot {
+    ($owner:ident) => {
+        impl<S: AppendStore + Clone> CandidateBackend for $owner<S> {
+            type Row = S::Row;
+
+            fn repetitions(&self) -> usize {
+                Snapshot::repetitions(self)
+            }
+
+            fn point(&self, i: usize) -> &S::Row {
+                Snapshot::point(self, i)
+            }
+
+            #[inline]
+            fn prefetch_point(&self, i: usize) {
+                CandidateBackend::prefetch_point(&**self, i);
+            }
+
+            fn new_scratch(&self) -> QueryScratch {
+                Snapshot::new_scratch(self)
+            }
+
+            fn candidates_row(
+                &self,
+                q: &S::Row,
+                retrieval_limit: Option<usize>,
+                scratch: &mut QueryScratch,
+            ) -> (Vec<usize>, QueryStats) {
+                Snapshot::candidates_row(self, q, retrieval_limit, scratch)
+            }
+        }
+    };
+}
+backend_through_snapshot!(DynamicIndex);
+backend_through_snapshot!(ShardedIndex);
+
 /// A mutable index partitioned across `N` shards, publishing an immutable
 /// epoch-stamped snapshot of itself after every write.
 ///
@@ -423,9 +814,9 @@ impl<S: AppendStore + Clone> CandidateBackend for Snapshot<S> {
 /// The index dereferences to its current [`Snapshot`], so every read —
 /// [`Snapshot::candidates`], [`Snapshot::len`], a front-end over the index
 /// as its backend — is answered from the writer's current state by the
-/// same code that answers a held snapshot from its frozen one. Both are
-/// bit-identical to an unsharded [`DynamicIndex`] at the same schedule
-/// point (see the module docs).
+/// same code that answers a held snapshot from its frozen one, and that
+/// answers the one-shard [`crate::DynamicIndex`]: bit-identically at the
+/// same schedule point (see the module docs).
 ///
 /// ```
 /// use dsh_core::points::{BitStore, BitVector};
@@ -453,8 +844,8 @@ pub struct ShardedIndex<S: AppendStore + Clone> {
 impl<S: AppendStore + Clone> ShardedIndex<S> {
     /// Build with `l` sampled `(h, g)` pairs over `num_shards` shards and
     /// an initial point set (which may be empty). The RNG stream consumed
-    /// is identical to [`DynamicIndex::build`], and all shards share the
-    /// sampled pairs — the root of sharded/unsharded bit-parity.
+    /// is identical to [`crate::DynamicIndex::build`] — the root of
+    /// bit-parity across shard counts.
     // `points` is taken by value to match every other build front-end,
     // even though sharding copies rows out instead of consuming the store.
     #[allow(clippy::needless_pass_by_value)]
@@ -467,36 +858,13 @@ impl<S: AppendStore + Clone> ShardedIndex<S> {
     ) -> Self {
         // lint: allow(panic) — build-time parameter validation, not on the query path
         assert!(num_shards >= 1, "need at least one shard");
-        // lint: allow(panic) — build-time parameter validation, not on the query path
-        assert!(l >= 1, "need at least one repetition");
-        // lint: allow(panic) — build-time capacity check, not on the query path
-        assert!(
-            points.len() <= MAX_POINTS,
-            "point count exceeds the u32 point-id capacity"
-        );
-        let threads = parallel::available_threads();
-        let pairs: Vec<HasherPair<S::Row>> = (0..l).map(|_| family.sample(rng)).collect();
-        let mut shard_rows: Vec<S> = (0..num_shards).map(|_| points.empty_like()).collect();
+        let mut rows: Vec<S> = (0..num_shards).map(|_| points.empty_like()).collect();
         for i in 0..points.len() {
-            shard_rows[i % num_shards].push_row(points.row(i));
+            rows[i % num_shards].push_row(points.row(i));
         }
-        let shards: Vec<Arc<DynamicIndex<ChunkedStore<S>>>> = shard_rows
-            .into_iter()
-            .map(|rows| {
-                Arc::new(DynamicIndex::with_pairs(
-                    pairs.clone(),
-                    ChunkedStore::from_store(rows),
-                    threads,
-                ))
-            })
-            .collect();
+        let threads = parallel::available_threads();
         ShardedIndex {
-            published: txn::Published::new(ShardedState {
-                segments: single_segment_map(&shards),
-                shards,
-                total_rows: points.len(),
-                epoch: 0,
-            }),
+            published: txn::Published::new(Snapshot::build(family, rows, l, rng, threads)),
         }
     }
 
@@ -511,20 +879,20 @@ impl<S: AppendStore + Clone> ShardedIndex<S> {
     {
         ensure_capacity(self.id_bound(), 1)?;
         let mut txn = self.published.begin();
-        let id = txn.insert_row(p.as_row());
+        let id = txn.next.insert_row(p.as_row());
         txn.commit();
         Ok(id)
     }
 
     /// Remove global id `id` (tombstone; reclaimed at the next
     /// compaction). Returns `Ok(false)` when already removed — nothing
-    /// changed, so no shard is forked and **no new epoch is published**:
+    /// changed, so nothing is forked and **no new epoch is published**:
     /// readers never observe epoch churn for a no-op write. A never
     /// assigned id rejects with [`WriteError::UnknownId`] before any fork.
     pub fn remove(&mut self, id: usize) -> Result<bool, WriteError> {
         ensure_known(id, self.id_bound())?;
         let mut txn = self.published.begin();
-        let removed = txn.remove(id);
+        let removed = txn.next.remove(id);
         txn.commit();
         Ok(removed)
     }
@@ -532,7 +900,7 @@ impl<S: AppendStore + Clone> ShardedIndex<S> {
     /// An empty [`WriteBatch`] staging rows of this index's shape, for
     /// [`ShardedIndex::apply_batch`].
     pub fn new_batch(&self) -> WriteBatch<S> {
-        WriteBatch::new(self.state.shards[0].store().empty_inner())
+        Snapshot::new_batch(self)
     }
 
     /// Apply a staged batch of inserts and removes in order as **one
@@ -556,25 +924,18 @@ impl<S: AppendStore + Clone> ShardedIndex<S> {
     {
         batch.validate(self.id_bound())?;
         let mut txn = self.published.begin();
-        let outcomes = batch
-            .ops()
-            .iter()
-            .map(|op| match *op {
-                BatchOp::Insert(slot) => WriteOutcome::Inserted(txn.insert_row(batch.row(slot))),
-                BatchOp::Remove(id) => WriteOutcome::Removed(txn.remove(id as usize)),
-            })
-            .collect();
+        let outcomes = txn.next.apply_validated(batch);
         txn.commit();
         Ok(outcomes)
     }
 
     /// Freeze every shard's delta segment into a sealed CSR segment and
     /// publish once (nothing when every delta was empty). A new logical
-    /// segment is recorded iff any shard's delta held a live row — exactly
-    /// when an unsharded [`DynamicIndex::seal`] would have sealed one.
+    /// segment is recorded iff any shard's delta held a live row —
+    /// exactly when a one-shard index would have sealed one.
     pub fn seal(&mut self) {
         let mut txn = self.published.begin();
-        txn.seal();
+        txn.next.seal();
         txn.commit();
     }
 
@@ -585,24 +946,8 @@ impl<S: AppendStore + Clone> ShardedIndex<S> {
     /// published with one atomic swap (nothing when nothing was merged).
     pub fn compact(&mut self) {
         let mut txn = self.published.begin();
-        txn.compact();
+        txn.next.compact(parallel::available_threads());
         txn.commit();
-    }
-}
-
-/// The logical segment map of a layout with at most one sealed segment
-/// per shard (initial bulk build, or right after a compaction).
-fn single_segment_map<S: AppendStore>(
-    shards: &[Arc<DynamicIndex<ChunkedStore<S>>>],
-) -> Vec<Vec<Option<usize>>> {
-    let map: Vec<_> = shards
-        .iter()
-        .map(|sh| (sh.sealed_segments() > 0).then_some(0))
-        .collect();
-    if map.iter().any(Option::is_some) {
-        vec![map]
-    } else {
-        Vec::new()
     }
 }
 
@@ -614,10 +959,7 @@ fn single_segment_map<S: AppendStore>(
 /// in two statements (`ReaderHandle`'s load and store), so no guard can
 /// outlive a statement.
 mod txn {
-    use super::{
-        parallel, single_segment_map, AppendStore, Arc, ChunkedStore, DynamicIndex, RwLock,
-        ShardedIndex, ShardedState, Snapshot,
-    };
+    use super::{AppendStore, Arc, Deref, RwLock, ShardedIndex, Snapshot};
     use std::sync::PoisonError;
 
     /// Rows a shard's store tail may hold before a commit freezes it into
@@ -633,10 +975,7 @@ mod txn {
     }
 
     impl<S: AppendStore + Clone> Published<S> {
-        pub(super) fn new(state: ShardedState<S>) -> Self {
-            let current = Snapshot {
-                state: Arc::new(state),
-            };
+        pub(super) fn new(current: Snapshot<S>) -> Self {
             let cell = Arc::new(RwLock::new(current.clone()));
             Published {
                 handle: ReaderHandle { cell },
@@ -644,12 +983,12 @@ mod txn {
             }
         }
 
-        /// Begin a write: fork the current state (`Arc` bumps; a shard's
-        /// mutable parts are copied when a mutator first touches it).
+        /// Begin a write on a second handle to the current state: the
+        /// first mutator that changes something forks it (`Arc` bumps; a
+        /// shard's mutable parts are copied when first written).
         pub(super) fn begin(&mut self) -> WriteTxn<'_, S> {
             WriteTxn {
-                next: self.current.fork(),
-                changed: false,
+                next: self.current.clone(),
                 published: self,
             }
         }
@@ -678,7 +1017,7 @@ mod txn {
     /// Every read of the index — `candidates*`, `len`, `is_live`, `point`,
     /// `epoch`, the shape accessors — is the same call on its current
     /// [`Snapshot`]; there is no second read path to keep in step.
-    impl<S: AppendStore + Clone> std::ops::Deref for ShardedIndex<S> {
+    impl<S: AppendStore + Clone> Deref for ShardedIndex<S> {
         type Target = Snapshot<S>;
 
         fn deref(&self) -> &Snapshot<S> {
@@ -686,108 +1025,33 @@ mod txn {
         }
     }
 
-    /// One write in flight: the forked next state, mutable only through
-    /// the mutators below, each recording whether it changed anything.
-    /// Dropped uncommitted (`?`, a panic unwinding) it changes nothing.
+    /// One write in flight: `next` starts as the current state and is
+    /// written through [`Snapshot`]'s copy-on-write mutators. Dropped
+    /// uncommitted (`?`, a panic unwinding) it changes nothing.
     pub(super) struct WriteTxn<'a, S: AppendStore + Clone> {
         published: &'a mut Published<S>,
-        next: ShardedState<S>,
-        changed: bool,
+        pub(super) next: Snapshot<S>,
     }
 
     impl<S: AppendStore + Clone> WriteTxn<'_, S> {
-        /// The shard holding global id `id`, forked on first touch, and
-        /// the id's local index within it.
-        fn shard_mut(&mut self, id: usize) -> (&mut DynamicIndex<ChunkedStore<S>>, usize) {
-            let n = self.next.shards.len();
-            (Arc::make_mut(&mut self.next.shards[id % n]), id / n)
-        }
-
-        /// Append `row` under the next global id (the caller has checked
-        /// capacity) and return that id.
-        pub(super) fn insert_row(&mut self, row: &S::Row) -> usize {
-            let id = self.next.total_rows;
-            let (shard, local) = self.shard_mut(id);
-            let assigned = shard.insert_row(row);
-            debug_assert_eq!(assigned, local);
-            self.next.total_rows += 1;
-            self.changed = true;
-            id
-        }
-
-        /// Tombstone global id `id` (the caller has checked it was ever
-        /// assigned); `false`, forking nothing, when already removed.
-        pub(super) fn remove(&mut self, id: usize) -> bool {
-            let n = self.next.shards.len();
-            if !self.next.shards[id % n].is_live(id / n) {
-                return false;
-            }
-            self.changed = true;
-            let (shard, local) = self.shard_mut(id);
-            shard.remove_unchecked(local)
-        }
-
-        /// Seal every non-empty shard delta, retiring the store's write
-        /// head with it so future forks share those rows, not copy them.
-        pub(super) fn seal(&mut self) {
-            let mut map = Vec::with_capacity(self.next.shards.len());
-            for shard in &mut self.next.shards {
-                let before = shard.sealed_segments();
-                if shard.delta_rows() > 0 {
-                    let sh = Arc::make_mut(shard);
-                    sh.seal();
-                    sh.store_mut().freeze_tail();
-                    self.changed = true;
-                }
-                // A delta of only tombstoned rows seals no segment.
-                map.push((shard.sealed_segments() > before).then_some(before));
-            }
-            if map.iter().any(Option::is_some) {
-                self.next.segments.push(map);
-            }
-        }
-
-        /// Merge every shard down to one segment on worker threads —
-        /// unless there is no segment and no delta row: the merge would
-        /// rebuild the empty layout it started from (compaction never
-        /// clears tombstone bits), so that case changes nothing.
-        pub(super) fn compact(&mut self) {
-            let next = &mut self.next;
-            if next.segments.is_empty() && next.shards.iter().all(|sh| sh.delta_rows() == 0) {
-                return;
-            }
-            let threads = parallel::available_threads();
-            let per_shard = (threads / next.shards.len()).max(1);
-            next.shards = parallel::map_items(&next.shards, threads, |_, shard| {
-                let mut sh = (**shard).clone();
-                sh.compact_with_threads(per_shard);
-                sh.store_mut().consolidate();
-                Arc::new(sh)
-            });
-            next.segments = single_segment_map(&next.shards);
-            self.changed = true;
-        }
-
-        /// Publish the fork as the next epoch — iff a mutator changed it.
+        /// Publish `next` as the next epoch — iff a mutator forked it.
         pub(super) fn commit(mut self) {
-            if !self.changed {
+            if Arc::ptr_eq(&self.next.state, &self.published.current.state) {
                 return;
             }
-            for shard in &mut self.next.shards {
+            let state = Arc::make_mut(&mut self.next.state);
+            for shard in &mut state.shards {
                 // Exactly the shards this transaction wrote are uniquely
                 // owned. (Chunk layout is not query-observable.)
                 if let Some(sh) = Arc::get_mut(shard) {
-                    if sh.store().tail_rows() >= FREEZE_TAIL_ROWS {
-                        sh.store_mut().freeze_tail();
+                    if sh.store.tail_rows() >= FREEZE_TAIL_ROWS {
+                        sh.store.freeze_tail();
                     }
                 }
             }
-            self.next.epoch += 1;
-            let snapshot = Snapshot {
-                state: Arc::new(self.next),
-            };
-            self.published.handle.store(snapshot.clone());
-            self.published.current = snapshot;
+            state.epoch += 1;
+            self.published.handle.store(self.next.clone());
+            self.published.current = self.next;
         }
     }
 
@@ -823,36 +1087,6 @@ mod txn {
         fn store(&self, next: Snapshot<S>) {
             *self.cell.write().unwrap_or_else(PoisonError::into_inner) = next;
         }
-    }
-}
-
-impl<S: AppendStore + Clone> CandidateBackend for ShardedIndex<S> {
-    type Row = S::Row;
-
-    fn repetitions(&self) -> usize {
-        Snapshot::repetitions(self)
-    }
-
-    fn point(&self, i: usize) -> &S::Row {
-        Snapshot::point(self, i)
-    }
-
-    #[inline]
-    fn prefetch_point(&self, i: usize) {
-        CandidateBackend::prefetch_point(&**self, i);
-    }
-
-    fn new_scratch(&self) -> QueryScratch {
-        Snapshot::new_scratch(self)
-    }
-
-    fn candidates_row(
-        &self,
-        q: &S::Row,
-        retrieval_limit: Option<usize>,
-        scratch: &mut QueryScratch,
-    ) -> (Vec<usize>, QueryStats) {
-        Snapshot::candidates_row(self, q, retrieval_limit, scratch)
     }
 }
 
@@ -898,10 +1132,9 @@ mod tests {
     /// reject *before* forking, so the (now inconsistent) shard contents
     /// are never touched.
     fn park(idx: &mut ShardedIndex<BitStore>, total: usize) {
-        idx.published = txn::Published::new(ShardedState {
-            total_rows: total,
-            ..idx.fork()
-        });
+        let mut parked = idx.reader();
+        Arc::make_mut(&mut parked.state).total_rows = total;
+        idx.published = txn::Published::new(parked);
     }
 
     /// Sharded and unsharded indexes driven through the same schedule
@@ -1367,10 +1600,10 @@ mod tests {
         };
         let before = view(&idx);
         let write = |txn: &mut txn::WriteTxn<'_, BitStore>| {
-            assert_eq!(txn.insert_row(q.as_row()), 9);
-            assert!(txn.remove(2));
-            assert!(txn.remove(9));
-            assert!(!txn.remove(2), "double remove inside one transaction");
+            assert_eq!(txn.next.insert_row(q.as_row()), 9);
+            assert!(txn.next.remove(2));
+            assert!(txn.next.remove(9));
+            assert!(!txn.next.remove(2), "double remove inside one transaction");
         };
 
         let mut txn = idx.published.begin();
@@ -1381,7 +1614,7 @@ mod tests {
         let unwound = catch_unwind(AssertUnwindSafe(|| {
             let mut txn = idx.published.begin();
             write(&mut txn);
-            txn.seal();
+            txn.next.seal();
             panic!("writer dies mid-transaction");
         }));
         assert!(unwound.is_err());

@@ -59,14 +59,14 @@ impl QueryStats {
     /// `distinct_candidates` is deliberately **not** summed. Distinctness
     /// is a property of the whole query, not of one probe: a point
     /// retrieved from two segments (or two tables) is one distinct
-    /// candidate, so per-segment partial stats each reporting it as
-    /// distinct would double-count it. Callers that merge per-probe
-    /// partials — the segmented [`crate::dynamic::DynamicIndex`] query
-    /// path and the cross-shard merge in [`crate::shard::ShardedIndex`] —
-    /// must set `distinct_candidates` from the deduplicated output once,
-    /// after all partials are merged. The regression tests in
-    /// `tests/dynamic_parity.rs` and `tests/shard_parity.rs` pin the
-    /// summed totals.
+    /// candidate, so partial stats each reporting it as distinct would
+    /// double-count it. The segmented walk ([`crate::shard::Snapshot`],
+    /// which [`crate::dynamic::DynamicIndex`] and
+    /// [`crate::shard::ShardedIndex`] both read through) follows the same
+    /// rule: it accumulates the additive counters probe by probe and sets
+    /// `distinct_candidates` from the deduplicated output once, at the
+    /// end. The regression tests in `tests/dynamic_parity.rs` and
+    /// `tests/shard_parity.rs` pin the summed totals.
     pub fn merge(&mut self, other: &QueryStats) {
         self.tables_probed += other.tables_probed;
         self.candidates_retrieved += other.candidates_retrieved;
@@ -514,17 +514,20 @@ impl<S: PointStore> HashTableIndex<S> {
 }
 
 /// A bucket-candidate backend a [`crate::Frontend`] can verify against:
-/// the static [`HashTableIndex`], the mutable segmented
-/// [`crate::dynamic::DynamicIndex`], or the concurrent sharded
-/// [`crate::shard::ShardedIndex`] (and its frozen
-/// [`crate::shard::Snapshot`]s).
+/// the static [`HashTableIndex`], or a segmented
+/// [`crate::shard::Snapshot`] — held directly, or through one of its two
+/// owners, the single-threaded [`crate::dynamic::DynamicIndex`] and the
+/// concurrent sharded [`crate::shard::ShardedIndex`], which forward here
+/// to the snapshot they dereference to.
 ///
 /// The trait is the read side only — what one verification loop needs to
 /// serve a build-once index, one grown online, and one sharded for
-/// concurrent serving. All of them answer queries exactly alike over the
+/// concurrent serving. There are two walks behind it, the static table's
+/// and the snapshot's, and they answer queries exactly alike over the
 /// same live point set (pinned by `tests/dynamic_parity.rs` and
-/// `tests/shard_parity.rs`); the mutable ones are written through their
-/// own inherent methods, reached via [`crate::Frontend::backend_mut`].
+/// `tests/shard_parity.rs`); the mutable owners are written through
+/// their own inherent methods, reached via
+/// [`crate::Frontend::backend_mut`].
 pub trait CandidateBackend: Send + Sync {
     /// The borrowed row type stored points and queries share.
     type Row: ?Sized + 'static;

@@ -18,8 +18,10 @@
 //! — *identical* to the first-index filter family's CPF (Appendix A.1).
 //! The difference is operational: the first-index evaluation stops at the
 //! first hit (expected `O(1/Pr[Z >= t])` caps), while min-wise hashing
-//! must scan all `m` caps. The two families are each other's ablation;
-//! `benches/` and the tests below confirm the CPFs coincide.
+//! must scan all `m` caps. The two families are each other's ablation:
+//! the tests below confirm the CPFs coincide, and the first-index
+//! family's evaluation cost is the `filter_eval_t*` rows of
+//! `bench-report`.
 
 use crate::filter::suggested_filter_count;
 use crate::geometry::GaussianMatrix;

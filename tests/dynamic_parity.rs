@@ -2,24 +2,27 @@
 //! grown online (insert / remove / seal / compact in any order) must
 //! answer queries exactly like a static index built from the same final
 //! live point set — on both flat store backends, for multiple build,
-//! compaction, and batch-query thread counts.
+//! compaction, and batch-query thread counts, unsharded and sharded.
 //!
-//! Identity is checked at two strengths:
+//! The static rebuild is the oracle because it shares no walk with its
+//! subjects (`DynamicIndex` and `ShardedIndex` read through one
+//! `Snapshot`, so comparing them with each other checks sharding, not the
+//! walk). Identity is checked at two strengths, with and without a
+//! retrieval limit, at every seal and compact point of the schedule:
 //!
-//! * **after a final compaction** the dynamic index probes one CSR
-//!   segment per table, so candidates *and the full `QueryStats`* must be
+//! * **on a freshly compacted layout** the index probes one CSR segment
+//!   per table, so candidates *and the full `QueryStats`* must be
 //!   bit-identical to the static build (ids mapped through the live-rank
 //!   order, which is monotone, hence order-preserving);
-//! * **before compaction** (multiple sealed segments + delta +
-//!   tombstones) candidate lists are still identical modulo the id
-//!   mapping — per table, segment buckets partition the live ids in
-//!   ascending order — but `tables_probed` legitimately counts one probe
-//!   per physical segment table, so only the other counters are compared.
+//! * **anywhere else** (multiple sealed segments + delta + tombstones)
+//!   candidate lists are still identical modulo the id mapping — per
+//!   table, segment buckets partition the live ids in ascending order —
+//!   but `tables_probed` legitimately counts one probe per segment
+//!   table, so only the other counters are compared.
 //!
 //! The pinned-totals tests at the bottom are the regression suite for
-//! per-segment `QueryStats` accounting (`QueryStats::merge` sums the
-//! additive counters; distinctness is computed once per query from the
-//! deduplicated output).
+//! per-segment `QueryStats` accounting (distinctness is computed once
+//! per query from the deduplicated output).
 
 mod common;
 
@@ -30,10 +33,11 @@ use dsh_data::{hamming_data, sphere_data};
 use dsh_hamming::BitSampling;
 use dsh_index::{
     hyperplane, measures, sphere_annulus, DynamicIndex, HashTableIndex, NearNeighborIndex,
-    QueryStats, WriteError,
+    QueryStats, ShardedIndex, Snapshot, WriteError,
 };
 use dsh_math::rng::seeded;
 use dsh_sphere::UnimodalFilterDsh;
+use std::ops::Deref;
 
 const BUILD_THREADS: [usize; 3] = [1, 2, 8];
 const BATCH_THREADS: [usize; 3] = [1, 3, 8];
@@ -57,21 +61,46 @@ fn mapped(cands: &[usize], live: &[usize]) -> Vec<usize> {
     cands.iter().map(|&i| rank_of(live, i)).collect()
 }
 
-/// Copy the live rows of a dynamic index into a fresh store, in live-id
-/// order (the order the static rebuild indexes them in).
-fn live_rows<S: AppendStore>(idx: &DynamicIndex<S>, mut empty: S) -> (S, Vec<usize>) {
-    let live: Vec<usize> = idx.live_ids().collect();
-    for &id in &live {
-        empty.push_row(idx.point(id));
-    }
-    (empty, live)
+/// The write verbs of the two owners of a [`Snapshot`], so that one
+/// schedule drives either (reads go through the deref).
+trait Subject<S: AppendStore + Clone>: Deref<Target = Snapshot<S>> {
+    fn insert<P: AsRow<Row = S::Row>>(&mut self, p: &P) -> Result<usize, WriteError>;
+    fn remove(&mut self, id: usize) -> Result<bool, WriteError>;
+    fn seal(&mut self);
+    fn compact(&mut self);
 }
 
-/// Grow a dynamic index through a seeded interleaved schedule of
-/// insert / remove / seal / compact.
-fn drive_schedule<S, P>(idx: &mut DynamicIndex<S>, points: &[P], schedule_seed: u64)
-where
-    S: AppendStore,
+macro_rules! subject {
+    ($owner:ident) => {
+        impl<S: AppendStore + Clone> Subject<S> for $owner<S> {
+            fn insert<P: AsRow<Row = S::Row>>(&mut self, p: &P) -> Result<usize, WriteError> {
+                $owner::insert(self, p)
+            }
+            fn remove(&mut self, id: usize) -> Result<bool, WriteError> {
+                $owner::remove(self, id)
+            }
+            fn seal(&mut self) {
+                $owner::seal(self);
+            }
+            fn compact(&mut self) {
+                $owner::compact(self);
+            }
+        }
+    };
+}
+subject!(DynamicIndex);
+subject!(ShardedIndex);
+
+/// Grow an index through a seeded interleaved schedule of insert /
+/// remove / seal / compact, calling `checkpoint` after every seal and
+/// every compact and at the end of the schedule.
+fn drive_schedule<S, P>(
+    idx: &mut impl Subject<S>,
+    points: &[P],
+    schedule_seed: u64,
+    mut checkpoint: impl FnMut(&Snapshot<S>, &str),
+) where
+    S: AppendStore + Clone,
     P: AsRow<Row = S::Row>,
 {
     let mut rng = seeded(schedule_seed);
@@ -84,21 +113,64 @@ where
         }
         if (i + 1) % 23 == 0 {
             idx.seal();
+            checkpoint(idx, &format!("seal at step {i}"));
         }
         if (i + 1) % 57 == 0 {
             idx.compact();
+            checkpoint(idx, &format!("compact at step {i}"));
         }
     }
+    checkpoint(idx, "end of schedule");
 }
 
-/// Assert every counter except `tables_probed` matches (the pre-compact
-/// comparison: physical probe counts differ across segment layouts, the
-/// retrieved/dedup accounting must not).
+/// Assert every counter except `tables_probed` matches (the comparison
+/// away from a freshly compacted layout: physical probe counts differ
+/// across segment layouts, the retrieved/dedup accounting must not).
 fn assert_stats_match_modulo_probes(a: &QueryStats, b: &QueryStats, ctx: &str) {
     assert_eq!(a.candidates_retrieved, b.candidates_retrieved, "{ctx}");
     assert_eq!(a.distinct_candidates, b.distinct_candidates, "{ctx}");
     assert_eq!(a.duplicates, b.duplicates, "{ctx}");
     assert_eq!(a.distance_computations, b.distance_computations, "{ctx}");
+}
+
+/// The oracle: `subject` must answer like a static index rebuilt from the
+/// same seed over its live rows, with and without a retrieval limit —
+/// same candidates modulo the id mapping and same retrieval accounting
+/// (segments hold ascending id ranges and dead entries are skipped
+/// uncounted, so order and truncation agree). On a freshly compacted
+/// layout (one segment, empty delta) the full `QueryStats` are
+/// bit-identical; elsewhere `tables_probed` counts segment probes.
+fn assert_matches_static_rebuild<S, P>(
+    family: &(impl DshFamily<S::Row> + ?Sized),
+    mut live_store: S,
+    subject: &Snapshot<S>,
+    queries: &[P],
+    seed: u64,
+    ctx: &str,
+) where
+    S: AppendStore + Clone,
+    P: AsRow<Row = S::Row>,
+{
+    let l = subject.repetitions();
+    let live: Vec<usize> = subject.live_ids().collect();
+    for &id in &live {
+        live_store.push_row(subject.point(id));
+    }
+    let static_idx = HashTableIndex::build(family, live_store, l, &mut seeded(seed));
+    let compacted = subject.sealed_segments() == 1 && subject.delta_rows() == 0;
+    for limit in [None, Some(3 * l)] {
+        for (qi, q) in queries.iter().enumerate() {
+            let ctx = format!("{ctx}, limit {limit:?}, query {qi}");
+            let (want, want_stats) = static_idx.candidates(q, limit);
+            let (got, got_stats) = subject.candidates(q, limit);
+            assert_eq!(want, mapped(&got, &live), "{ctx}");
+            if compacted {
+                assert_eq!(want_stats, got_stats, "{ctx}");
+            } else {
+                assert_stats_match_modulo_probes(&want_stats, &got_stats, &ctx);
+            }
+        }
+    }
 }
 
 /// The core sweep, generic over the store backend and family: insert all
@@ -157,8 +229,9 @@ fn insert_then_compact_sweep<S, P>(
     }
 }
 
-/// The interleaved sweep: a schedule of insert/remove/seal/compact, then
-/// a final compact, compared against a static rebuild over the live rows.
+/// The interleaved sweep: a schedule of insert/remove/seal/compact and a
+/// final compact, compared against a static rebuild over the live rows at
+/// every seal and compact point — unsharded, and sharded 1 / 2 / 8 ways.
 fn interleaved_schedule_sweep<S, P>(
     family: &(impl DshFamily<S::Row> + ?Sized),
     empty: impl Fn() -> S,
@@ -170,44 +243,36 @@ fn interleaved_schedule_sweep<S, P>(
     S: AppendStore + Clone,
     P: AsRow<Row = S::Row> + Clone + Send + Sync,
 {
+    let schedule = seed ^ 0x5EED;
+    let check = |subject: &Snapshot<S>, ctx: &str| {
+        assert_matches_static_rebuild(family, empty(), subject, queries, seed, ctx);
+    };
+
     let mut dyn_idx = DynamicIndex::build(family, empty(), l, &mut seeded(seed));
-    drive_schedule(&mut dyn_idx, points, seed ^ 0x5EED);
+    drive_schedule(&mut dyn_idx, points, schedule, |s, at| {
+        check(s, &format!("unsharded, {at}"));
+    });
     assert!(dyn_idx.removed() > 0, "schedule must exercise removals");
+    assert!(dyn_idx.sealed_segments() > 1 && dyn_idx.delta_rows() > 0);
 
-    let (live_store, live) = live_rows(&dyn_idx, empty());
-    let static_idx = HashTableIndex::build(family, live_store, l, &mut seeded(seed));
-
-    // Before the final compaction: same candidates modulo the id mapping,
-    // same retrieval accounting, physical probe counts may differ.
-    for (qi, q) in queries.iter().enumerate() {
-        let (want, want_stats) = static_idx.candidates(q, None);
-        let (got, got_stats) = dyn_idx.candidates(q, None);
-        assert_eq!(want, mapped(&got, &live), "pre-compact, query {qi}");
-        assert_stats_match_modulo_probes(&want_stats, &got_stats, "pre-compact stats");
-    }
-
-    // After it: bit-identical stats too, for every thread count.
+    // The final compaction, for every thread count.
     for &threads in &BUILD_THREADS {
         let mut compacted = DynamicIndex::build(family, empty(), l, &mut seeded(seed));
-        drive_schedule(&mut compacted, points, seed ^ 0x5EED);
+        drive_schedule(&mut compacted, points, schedule, |_, _| {});
         compacted.compact_with_threads(threads);
         assert_eq!(compacted.sealed_segments(), 1);
         assert_eq!(compacted.delta_rows(), 0);
-        for limit in [None, Some(3 * l)] {
-            for (qi, q) in queries.iter().enumerate() {
-                let (want, want_stats) = static_idx.candidates(q, limit);
-                let (got, got_stats) = compacted.candidates(q, limit);
-                assert_eq!(
-                    want,
-                    mapped(&got, &live),
-                    "post-compact, threads {threads}, limit {limit:?}, query {qi}"
-                );
-                assert_eq!(
-                    want_stats, got_stats,
-                    "post-compact stats, threads {threads}, limit {limit:?}, query {qi}"
-                );
-            }
-        }
+        check(&compacted, &format!("post-compact, threads {threads}"));
+    }
+
+    for shards in [1usize, 2, 8] {
+        let mut sharded = ShardedIndex::build(family, empty(), l, shards, &mut seeded(seed));
+        drive_schedule(&mut sharded, points, schedule, |s, at| {
+            check(s, &format!("{shards} shards, {at}"));
+        });
+        ShardedIndex::compact(&mut sharded);
+        assert_eq!(sharded.sealed_segments(), 1);
+        check(&sharded, &format!("{shards} shards, post-compact"));
     }
 }
 

@@ -146,7 +146,7 @@ fn batched_schedule<P: Clone>(points: &[P], seed: u64) -> Vec<BatchedOp<P>> {
 /// A reader's private ground truth, replayed event-by-event to each
 /// snapshot's epoch: the unsharded index (bit-parity), the linear scan
 /// (exact live set), and the row log.
-struct Replica<S: AppendStore, P> {
+struct Replica<S: AppendStore + Clone, P> {
     index: DynamicIndex<S>,
     scan: LinearScan<S>,
     rows: Vec<P>,
