@@ -65,16 +65,20 @@ fn fnv(acc: u64, x: u64) -> u64 {
 /// Every row of `BENCH_kernels.json`, in emission order. `run_benches`
 /// names its samples from this list by position, and the test at the
 /// bottom pins the checked-in file to it.
-const KERNEL_ROWS: [&str; 22] = [
+const KERNEL_ROWS: [&str; 27] = [
     "dense_dot_many_verify",
     "dense_euclidean_many_verify",
     "bit_hamming_many_verify",
     "csr_candidate_collect_batch",
     "csr_bucket_walk_batch",
     "filter_eval_t1.0",
+    "filter_eval_block_t1.0",
     "filter_eval_t1.5",
+    "filter_eval_block_t1.5",
     "filter_eval_t2.0",
+    "filter_eval_block_t2.0",
     "filter_eval_t2.5",
+    "filter_eval_block_t2.5",
     "t3_exact_valiant_d8",
     "t3_tensorsketch_m1024_d8",
     "t3_exact_valiant_d16",
@@ -87,6 +91,7 @@ const KERNEL_ROWS: [&str; 22] = [
     "hash_eval_simhash",
     "hash_eval_cross_polytope_anti",
     "hash_eval_filter_minus_t1.5",
+    "hash_eval_filter_minus_t1.5_block",
     "hash_eval_shifted_euclidean",
 ];
 
@@ -177,6 +182,38 @@ fn record_hashing<S: PointStore>(
     record(samples, ns, checksum, points.len(), dim);
 }
 
+/// Rows per `hash_many` call of the `*_block` rows: the index's
+/// bulk-build block.
+const HASH_BLOCK: usize = 256;
+
+/// The `*_block` twin of the [`record_hashing`] sample just recorded: the
+/// same hasher over the same points through `hash_many`, which must fold
+/// to the same checksum. What the per-row row prices is one query; this
+/// one prices a bulk build or a query batch.
+fn record_block_hashing<S: PointStore>(
+    samples: &mut Vec<Sample>,
+    reps: usize,
+    h: &dyn PointHasher<S::Row>,
+    points: &S,
+    dim: usize,
+) {
+    let rows: Vec<&S::Row> = (0..points.len()).map(|i| points.row(i)).collect();
+    let mut out = vec![0; rows.len()];
+    let (ns, ()) = time(reps, || {
+        for (rows, out) in rows.chunks(HASH_BLOCK).zip(out.chunks_mut(HASH_BLOCK)) {
+            h.hash_many(rows, out);
+        }
+    });
+    let checksum = out.iter().fold(FNV_SEED, |acc, &x| fnv(acc, x));
+    let per_row = samples.last().expect("recorded after its per-row twin");
+    assert_eq!(
+        checksum, per_row.checksum,
+        "hash_many diverged from the hash loop of {}",
+        per_row.name
+    );
+    record(samples, ns, checksum, points.len(), dim);
+}
+
 fn run_benches(s: &Sizes) -> Vec<Sample> {
     let mut samples = Vec::new();
     let mut rng = seeded(0xB37C);
@@ -260,13 +297,16 @@ fn run_benches(s: &Sizes) -> Vec<Sample> {
     record(&mut samples, ns, checksum, s.csr_n, s.dense_d);
 
     // Theorem 1.2's `O(d t^4 e^{t^2/2})` evaluation cost: a filter hash
-    // scans ~`1/Pr[Z >= t]` caps, so time should track `t e^{t^2/2}`.
+    // scans ~`1/Pr[Z >= t]` caps, so time should track `t e^{t^2/2}` —
+    // and, a row at a time, is mostly the generation of those caps, which
+    // a block shares.
     let d = 32;
     let mut rng = seeded(0xBE2);
     let points = uniform_sphere_store(&mut rng, s.hash_points, d);
     for t in [1.0, 1.5, 2.0, 2.5] {
         let pair = FilterDshMinus::new(d, t).sample(&mut rng);
         record_hashing(&mut samples, s.reps, &*pair.data, &points, d);
+        record_block_hashing(&mut samples, s.reps, &*pair.data, &points, d);
     }
 
     // The remark after Theorem 5.1: hashing `t^3` through the exact
@@ -296,13 +336,19 @@ fn run_benches(s: &Sizes) -> Vec<Sample> {
     ] {
         record_hashing(&mut samples, s.reps, &*h, &bit_points, d);
     }
-    for h in [
-        SimHash::new(d).sample(&mut rng).data,
-        CrossPolytopeAnti::new(d).sample(&mut rng).query,
-        FilterDshMinus::new(d, 1.5).sample(&mut rng).data,
-        ShiftedEuclideanDsh::new(d, 3, 1.0).sample(&mut rng).data,
+    for (h, shares_work_across_a_block) in [
+        (SimHash::new(d).sample(&mut rng).data, false),
+        (CrossPolytopeAnti::new(d).sample(&mut rng).query, false),
+        (FilterDshMinus::new(d, 1.5).sample(&mut rng).data, true),
+        (
+            ShiftedEuclideanDsh::new(d, 3, 1.0).sample(&mut rng).data,
+            false,
+        ),
     ] {
         record_hashing(&mut samples, s.reps, &*h, &points, d);
+        if shares_work_across_a_block {
+            record_block_hashing(&mut samples, s.reps, &*h, &points, d);
+        }
     }
 
     assert_eq!(samples.len(), KERNEL_ROWS.len(), "KERNEL_ROWS is stale");

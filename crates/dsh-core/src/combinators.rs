@@ -14,7 +14,7 @@
 //!   proof introduces for bit-sampling.
 
 use crate::family::{BoxedDshFamily, DshFamily, HasherPair};
-use crate::hash::{combine, combine_iter};
+use crate::hash::CHAIN_IV;
 use crate::points::AsRow;
 use rand::Rng;
 
@@ -52,13 +52,7 @@ impl<P: ?Sized> Concat<P> {
 
 impl<P: ?Sized + 'static> DshFamily<P> for Concat<P> {
     fn sample(&self, rng: &mut dyn Rng) -> HasherPair<P> {
-        let pairs: Vec<HasherPair<P>> = self.parts.iter().map(|f| f.sample(rng)).collect();
-        let data_parts: Vec<_> = pairs.iter().map(|p| p.data.clone()).collect();
-        let query_parts: Vec<_> = pairs.iter().map(|p| p.query.clone()).collect();
-        HasherPair::from_fns(
-            move |x: &P| combine_iter(data_parts.iter().map(|h| h.hash(x))),
-            move |y: &P| combine_iter(query_parts.iter().map(|g| g.hash(y))),
-        )
+        HasherPair::chain(CHAIN_IV, self.parts.iter().map(|f| f.sample(rng)))
     }
 
     fn name(&self) -> String {
@@ -94,13 +88,7 @@ impl<F> Power<F> {
 
 impl<P: ?Sized + 'static, F: DshFamily<P>> DshFamily<P> for Power<F> {
     fn sample(&self, rng: &mut dyn Rng) -> HasherPair<P> {
-        let pairs: Vec<HasherPair<P>> = (0..self.k).map(|_| self.family.sample(rng)).collect();
-        let data_parts: Vec<_> = pairs.iter().map(|p| p.data.clone()).collect();
-        let query_parts: Vec<_> = pairs.iter().map(|p| p.query.clone()).collect();
-        HasherPair::from_fns(
-            move |x: &P| combine_iter(data_parts.iter().map(|h| h.hash(x))),
-            move |y: &P| combine_iter(query_parts.iter().map(|g| g.hash(y))),
-        )
+        HasherPair::chain(CHAIN_IV, (0..self.k).map(|_| self.family.sample(rng)))
     }
 
     fn name(&self) -> String {
@@ -149,13 +137,7 @@ impl<P: ?Sized + 'static> DshFamily<P> for Mixture<P> {
                 break;
             }
         }
-        let inner = self.items[chosen].1.sample(rng);
-        let tag = chosen as u64;
-        let (d, q) = (inner.data, inner.query);
-        HasherPair::from_fns(
-            move |x: &P| combine(tag, d.hash(x)),
-            move |y: &P| combine(tag, q.hash(y)),
-        )
+        HasherPair::chain(chosen as u64, [self.items[chosen].1.sample(rng)])
     }
 
     fn name(&self) -> String {

@@ -5,6 +5,7 @@
 //! with `g`; the scheme's behaviour is entirely described by its collision
 //! probability function `f(dist(x, y)) = Pr[h(x) = g(y)]`.
 
+use crate::hash::combine;
 use crate::points::AsRow;
 use rand::Rng;
 use std::sync::Arc;
@@ -17,6 +18,18 @@ use std::sync::Arc;
 pub trait PointHasher<P: ?Sized>: Send + Sync {
     /// Evaluate the hash function on a point.
     fn hash(&self, x: &P) -> u64;
+
+    /// Evaluate the hash function on a block of points:
+    /// `out[i] = hash(rows[i])`, bit for bit, for every `i` both slices
+    /// hold. The default is that loop. A function whose evaluation
+    /// derives something that does not depend on the point (the caps of
+    /// a filter hasher) overrides it to derive that once per block; the
+    /// index's bulk builds and batched queries evaluate through here.
+    fn hash_many(&self, rows: &[&P], out: &mut [u64]) {
+        for (o, x) in out.iter_mut().zip(rows) {
+            *o = self.hash(x);
+        }
+    }
 }
 
 /// Wrap a closure as a [`PointHasher`].
@@ -25,6 +38,48 @@ pub struct FnHasher<F>(pub F);
 impl<P: ?Sized, F: Fn(&P) -> u64 + Send + Sync> PointHasher<P> for FnHasher<F> {
     fn hash(&self, x: &P) -> u64 {
         (self.0)(x)
+    }
+}
+
+/// Where a [`ChainHasher`] starts its fold: a constant, or the value of
+/// a leading hasher.
+enum ChainStart<P: ?Sized> {
+    Value(u64),
+    Hasher(Arc<dyn PointHasher<P>>),
+}
+
+/// Folds the values of `rest` onto `start`, left to right with
+/// [`combine`] — the hasher behind every composite pair
+/// ([`HasherPair::chain`], [`HasherPair::then`]). A block is folded part
+/// by part, so each part is handed the whole block.
+struct ChainHasher<P: ?Sized> {
+    start: ChainStart<P>,
+    rest: Vec<Arc<dyn PointHasher<P>>>,
+}
+
+impl<P: ?Sized> PointHasher<P> for ChainHasher<P> {
+    fn hash(&self, x: &P) -> u64 {
+        let start = match &self.start {
+            ChainStart::Value(v) => *v,
+            ChainStart::Hasher(h) => h.hash(x),
+        };
+        self.rest
+            .iter()
+            .fold(start, |acc, h| combine(acc, h.hash(x)))
+    }
+
+    fn hash_many(&self, rows: &[&P], out: &mut [u64]) {
+        match &self.start {
+            ChainStart::Value(v) => out.fill(*v),
+            ChainStart::Hasher(h) => h.hash_many(rows, out),
+        }
+        let mut values = vec![0; out.len()];
+        for h in &self.rest {
+            h.hash_many(rows, &mut values);
+            for (acc, &v) in out.iter_mut().zip(&values) {
+                *acc = combine(*acc, v);
+            }
+        }
     }
 }
 
@@ -73,6 +128,37 @@ impl<P: ?Sized> HasherPair<P> {
         query: impl Fn(&P) -> u64 + Send + Sync + 'static,
     ) -> Self {
         HasherPair::new(FnHasher(data), FnHasher(query))
+    }
+
+    /// The pair whose two sides fold the values of the same side of
+    /// `parts`, in order, onto `start` with [`combine`]. From
+    /// [`crate::hash::CHAIN_IV`] that is [`crate::hash::combine_iter`]
+    /// over the parts: the sides collide iff every part does (up to the
+    /// `2^-64` mixer collisions).
+    pub fn chain(start: u64, parts: impl IntoIterator<Item = HasherPair<P>>) -> Self
+    where
+        P: 'static,
+    {
+        let (data, query) = parts.into_iter().map(|p| (p.data, p.query)).unzip();
+        let side = |rest| ChainHasher {
+            start: ChainStart::Value(start),
+            rest,
+        };
+        HasherPair::new(side(data), side(query))
+    }
+
+    /// The pair `x -> combine(self(x), next(x))` on either side: the
+    /// two-part chain that starts from `self`'s value instead of a
+    /// constant.
+    pub fn then(self, next: HasherPair<P>) -> Self
+    where
+        P: 'static,
+    {
+        let side = |first, second| ChainHasher {
+            start: ChainStart::Hasher(first),
+            rest: vec![second],
+        };
+        HasherPair::new(side(self.data, next.data), side(self.query, next.query))
     }
 
     /// Whether data point `x` and query point `y` collide: `h(x) == g(y)`.

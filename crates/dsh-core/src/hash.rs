@@ -23,18 +23,21 @@ pub fn combine(acc: u64, value: u64) -> u64 {
     mix64(acc.rotate_left(23) ^ value.wrapping_mul(0xA24B_AED4_963E_E407))
 }
 
+/// Where [`combine_iter`] starts its chain (pi digits, arbitrary nonzero).
+pub const CHAIN_IV: u64 = 0x243F_6A88_85A3_08D3;
+
 /// Hash a slice of 64-bit hash values into one.
 pub fn combine_all(values: &[u64]) -> u64 {
     combine_iter(values.iter().copied())
 }
 
 /// [`combine_all`] over an iterator: identical fold (same IV, same
-/// order-sensitive chain) without materializing a slice. This is the
-/// allocation-free form the hash-evaluation hot paths (`Concat`, `Power`)
-/// use — one `Power<_, k>` evaluation used to build a `Vec` of `k` words
-/// per point per table.
+/// order-sensitive chain) without materializing a slice. `Concat` and
+/// `Power` hash with this chain ([`crate::family::HasherPair::chain`]
+/// from [`CHAIN_IV`]), folding part by part instead of building a `Vec`
+/// of `k` words per point per table.
 pub fn combine_iter(values: impl IntoIterator<Item = u64>) -> u64 {
-    let mut acc = 0x243F_6A88_85A3_08D3; // pi digits, arbitrary nonzero IV
+    let mut acc = CHAIN_IV;
     for v in values {
         acc = combine(acc, v);
     }

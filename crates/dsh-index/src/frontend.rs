@@ -25,9 +25,7 @@
 
 use crate::annulus::Measure;
 use crate::parallel;
-use crate::table::{
-    CandidateBackend, HashTableIndex, QueryScratch, QueryStats, MIN_QUERIES_PER_WORKER, ROW_AHEAD,
-};
+use crate::table::{map_rows_blocked, CandidateBackend, HashTableIndex, QueryStats, ROW_AHEAD};
 use dsh_core::family::DshFamily;
 use dsh_core::points::{AsRow, PointStore};
 use rand::Rng;
@@ -129,12 +127,19 @@ impl<S: PointStore, B: CandidateBackend<Row = S::Row>, V: Verifier<S::Row>> Fron
         self.backend.repetitions()
     }
 
-    /// One query against a caller-provided scratch: retrieve candidates
-    /// up to the verifier's limit, then verify them.
-    fn query_row(&self, q: &S::Row, scratch: &mut QueryScratch) -> (V::Answer, QueryStats) {
-        let limit = self.verifier.retrieval_limit(self.backend.repetitions());
-        let (cands, mut stats) = self.backend.candidates_row(q, limit, scratch);
-        let answer = self.verifier.verify(&self.backend, &cands, q, &mut stats);
+    /// The retrieval budget of one query.
+    fn limit(&self) -> Option<usize> {
+        self.verifier.retrieval_limit(self.backend.repetitions())
+    }
+
+    /// Verify one query's retrieved candidates.
+    fn verified(
+        &self,
+        q: &S::Row,
+        cands: &[usize],
+        mut stats: QueryStats,
+    ) -> (V::Answer, QueryStats) {
+        let answer = self.verifier.verify(&self.backend, cands, q, &mut stats);
         (answer, stats)
     }
 
@@ -143,7 +148,11 @@ impl<S: PointStore, B: CandidateBackend<Row = S::Row>, V: Verifier<S::Row>> Fron
     where
         Q: AsRow<Row = S::Row> + ?Sized,
     {
-        self.query_row(q.as_row(), &mut self.backend.new_scratch())
+        let (q, backend) = (q.as_row(), &self.backend);
+        let mut key_of = |j| backend.query_hasher(j).hash(q);
+        let (cands, stats) =
+            backend.candidates_row(&mut key_of, self.limit(), &mut backend.new_scratch());
+        self.verified(q, &cands, stats)
     }
 
     /// Run [`Frontend::query`] for a batch of queries, fanned out across
@@ -158,8 +167,9 @@ impl<S: PointStore, B: CandidateBackend<Row = S::Row>, V: Verifier<S::Row>> Fron
     }
 
     /// [`Frontend::query_batch`] with an explicit worker-thread count
-    /// (the output does not depend on it; the count is capped so each
-    /// worker serves several queries per scratch buffer).
+    /// (the output does not depend on it). Workers hash their queries in
+    /// blocks ([`dsh_core::family::PointHasher::hash_many`]) and verify
+    /// each row as soon as it is walked.
     pub fn query_batch_with_threads<QS>(
         &self,
         queries: &QS,
@@ -168,12 +178,12 @@ impl<S: PointStore, B: CandidateBackend<Row = S::Row>, V: Verifier<S::Row>> Fron
     where
         QS: PointStore<Row = S::Row> + ?Sized,
     {
-        let threads = parallel::capped_threads(queries.len(), threads, MIN_QUERIES_PER_WORKER);
-        parallel::map_index_chunks(queries.len(), threads, |range| {
-            let mut scratch = self.backend.new_scratch();
-            range
-                .map(|i| self.query_row(queries.row(i), &mut scratch))
-                .collect()
-        })
+        map_rows_blocked(
+            &self.backend,
+            queries,
+            self.limit(),
+            threads,
+            |q, cands, stats| self.verified(q, &cands, stats),
+        )
     }
 }

@@ -87,9 +87,10 @@ use crate::batch::{
 use crate::dynamic::{DynamicIndex, Tombstones};
 use crate::parallel;
 use crate::table::{
-    CandidateBackend, CsrBuckets, QueryScratch, QueryStats, MIN_QUERIES_PER_WORKER, STAMP_AHEAD,
+    hash_store, map_rows_blocked, CandidateBackend, CsrBuckets, QueryScratch, QueryStats,
+    STAMP_AHEAD,
 };
-use dsh_core::family::{DshFamily, HasherPair};
+use dsh_core::family::{DshFamily, HasherPair, PointHasher};
 use dsh_core::points::{AppendStore, AsRow, ChunkedStore, PointStore};
 use rand::Rng;
 use std::collections::HashMap;
@@ -158,10 +159,7 @@ impl<S: AppendStore + Clone> Shard<S> {
             Vec::new()
         } else {
             let tables = parallel::map_items(pairs, threads, |_, pair| {
-                let hashes: Vec<u64> = (0..points.len())
-                    .map(|i| pair.data.hash(points.row(i)))
-                    .collect();
-                CsrBuckets::build(&hashes)
+                CsrBuckets::build(&hash_store(&*pair.data, &points))
             });
             vec![Arc::new(SealedSegment { tables })]
         };
@@ -423,10 +421,11 @@ impl<S: AppendStore + Clone> Snapshot<S> {
 
     /// The one walk over a segmented index: tables outermost, then the
     /// logical segments in creation order, then the delta, stopping once
-    /// `retrieval_limit` entries have been pulled.
+    /// `retrieval_limit` entries have been pulled. Table `j`'s probe key
+    /// is `key_of(j)`, asked for only once the walk reaches table `j`.
     fn candidates_row(
         &self,
-        q: &S::Row,
+        key_of: &mut dyn FnMut(usize) -> u64,
         retrieval_limit: Option<usize>,
         scratch: &mut QueryScratch,
     ) -> (Vec<usize>, QueryStats) {
@@ -451,8 +450,8 @@ impl<S: AppendStore + Clone> Snapshot<S> {
         let mut staged: Vec<(usize, &[u32])> = Vec::new();
         let probe_delta = self.shards().any(|sh| sh.delta.rows > 0);
         let mut ends = Vec::with_capacity(state.segments.len() + usize::from(probe_delta));
-        'tables: for (j, pair) in state.pairs.iter().enumerate() {
-            let key = pair.query.hash(q);
+        'tables: for j in 0..state.pairs.len() {
+            let key = key_of(j);
             staged.clear();
             ends.clear();
             for map in &state.segments {
@@ -566,7 +565,7 @@ impl<S: AppendStore + Clone> Snapshot<S> {
     where
         Q: AsRow<Row = S::Row> + ?Sized,
     {
-        self.candidates_row(q.as_row(), retrieval_limit, &mut self.new_scratch())
+        self.candidates_with(q, retrieval_limit, &mut self.new_scratch())
     }
 
     /// [`Snapshot::candidates`] against a caller-provided scratch buffer
@@ -580,7 +579,8 @@ impl<S: AppendStore + Clone> Snapshot<S> {
     where
         Q: AsRow<Row = S::Row> + ?Sized,
     {
-        self.candidates_row(q.as_row(), retrieval_limit, scratch)
+        let (q, pairs) = (q.as_row(), &self.state.pairs);
+        self.candidates_row(&mut |j| pairs[j].query.hash(q), retrieval_limit, scratch)
     }
 
     /// Batched [`Snapshot::candidates`], fanned out across worker
@@ -608,13 +608,13 @@ impl<S: AppendStore + Clone> Snapshot<S> {
     where
         QS: PointStore<Row = S::Row> + ?Sized,
     {
-        let threads = parallel::capped_threads(queries.len(), threads, MIN_QUERIES_PER_WORKER);
-        parallel::map_index_chunks(queries.len(), threads, |range| {
-            let mut scratch = self.new_scratch();
-            range
-                .map(|i| self.candidates_row(queries.row(i), retrieval_limit, &mut scratch))
-                .collect()
-        })
+        map_rows_blocked(
+            self,
+            queries,
+            retrieval_limit,
+            threads,
+            |_, cands, stats| (cands, stats),
+        )
     }
 
     // -----------------------------------------------------------------
@@ -750,13 +750,17 @@ impl<S: AppendStore + Clone> CandidateBackend for Snapshot<S> {
         Snapshot::new_scratch(self)
     }
 
+    fn query_hasher(&self, j: usize) -> &dyn PointHasher<S::Row> {
+        &*self.state.pairs[j].query
+    }
+
     fn candidates_row(
         &self,
-        q: &S::Row,
+        key_of: &mut dyn FnMut(usize) -> u64,
         retrieval_limit: Option<usize>,
         scratch: &mut QueryScratch,
     ) -> (Vec<usize>, QueryStats) {
-        Snapshot::candidates_row(self, q, retrieval_limit, scratch)
+        Snapshot::candidates_row(self, key_of, retrieval_limit, scratch)
     }
 }
 
@@ -784,13 +788,17 @@ macro_rules! backend_through_snapshot {
                 Snapshot::new_scratch(self)
             }
 
+            fn query_hasher(&self, j: usize) -> &dyn PointHasher<S::Row> {
+                CandidateBackend::query_hasher(&**self, j)
+            }
+
             fn candidates_row(
                 &self,
-                q: &S::Row,
+                key_of: &mut dyn FnMut(usize) -> u64,
                 retrieval_limit: Option<usize>,
                 scratch: &mut QueryScratch,
             ) -> (Vec<usize>, QueryStats) {
-                Snapshot::candidates_row(self, q, retrieval_limit, scratch)
+                Snapshot::candidates_row(self, key_of, retrieval_limit, scratch)
             }
         }
     };

@@ -379,15 +379,10 @@ impl<S: PointStore> HashTableIndex<S> {
         );
         let pairs: Vec<HasherPair<S::Row>> = (0..l).map(|_| family.sample(rng)).collect();
         let points_ref = &points;
-        let tables = parallel::map_items(&pairs, threads, |_, pair| {
-            let hashes: Vec<u64> = (0..points_ref.len())
-                .map(|i| pair.data.hash(points_ref.row(i)))
-                .collect();
-            Table {
-                data_fn: Arc::clone(&pair.data),
-                query_fn: Arc::clone(&pair.query),
-                buckets: CsrBuckets::build(&hashes),
-            }
+        let tables = parallel::map_items(&pairs, threads, |_, pair| Table {
+            data_fn: Arc::clone(&pair.data),
+            query_fn: Arc::clone(&pair.query),
+            buckets: CsrBuckets::build(&hash_store(&*pair.data, points_ref)),
         });
         HashTableIndex { tables, points }
     }
@@ -417,12 +412,20 @@ impl<S: PointStore> HashTableIndex<S> {
     where
         Q: AsRow<Row = S::Row> + ?Sized,
     {
-        self.candidates_row(q.as_row(), retrieval_limit, scratch)
+        let q = q.as_row();
+        self.candidates_row(
+            &mut |j| self.tables[j].query_fn.hash(q),
+            retrieval_limit,
+            scratch,
+        )
     }
 
+    /// The walk, with table `j`'s probe key coming from `key_of(j)` —
+    /// asked for only once the walk reaches table `j`, so a limited query
+    /// that stops early never pays for the later tables' keys.
     pub(crate) fn candidates_row(
         &self,
-        q: &S::Row,
+        key_of: &mut dyn FnMut(usize) -> u64,
         retrieval_limit: Option<usize>,
         scratch: &mut QueryScratch,
     ) -> (Vec<usize>, QueryStats) {
@@ -436,10 +439,9 @@ impl<S: PointStore> HashTableIndex<S> {
         let limit = retrieval_limit.unwrap_or(usize::MAX);
         let mut stats = QueryStats::default();
         let mut out = Vec::new();
-        for table in &self.tables {
+        for (j, table) in self.tables.iter().enumerate() {
             stats.tables_probed += 1;
-            let key = table.query_fn.hash(q);
-            let bucket = table.buckets.bucket(key);
+            let bucket = table.buckets.bucket(key_of(j));
             // Truncate to the retrieval budget up front so the hot loop
             // carries no per-entry limit branch.
             let take = bucket.len().min(limit - stats.candidates_retrieved);
@@ -493,13 +495,13 @@ impl<S: PointStore> HashTableIndex<S> {
     where
         QS: PointStore<Row = S::Row> + ?Sized,
     {
-        let threads = parallel::capped_threads(queries.len(), threads, MIN_QUERIES_PER_WORKER);
-        parallel::map_index_chunks(queries.len(), threads, |range| {
-            let mut scratch = self.new_scratch();
-            range
-                .map(|i| self.candidates_row(queries.row(i), retrieval_limit, &mut scratch))
-                .collect()
-        })
+        map_rows_blocked(
+            self,
+            queries,
+            retrieval_limit,
+            threads,
+            |_, cands, stats| (cands, stats),
+        )
     }
 
     /// Whether data point `i` and the query collide in table `j`
@@ -550,14 +552,111 @@ pub trait CandidateBackend: Send + Sync {
     /// A query scratch buffer sized for this backend.
     fn new_scratch(&self) -> QueryScratch;
 
-    /// Retrieve distinct candidate ids for query row `q`, stopping once
-    /// `retrieval_limit` raw bucket entries have been pulled.
+    /// The query-side function `g_j` of repetition `j < L`.
+    fn query_hasher(&self, j: usize) -> &dyn PointHasher<Self::Row>;
+
+    /// Retrieve distinct candidate ids for the query whose probe key in
+    /// table `j` is `key_of(j)`, stopping once `retrieval_limit` raw
+    /// bucket entries have been pulled. `key_of` is called at most once
+    /// per table, in table order, and only for the tables the walk
+    /// reaches. One row alone passes `&mut |j| self.query_hasher(j).hash(q)`.
+    /// The closure is `dyn` so that a backend's walk is compiled once,
+    /// whoever feeds it keys: generic over the closure, the segmented
+    /// walk read ~1 us slower on the gate's single-row wire path.
     fn candidates_row(
         &self,
-        q: &Self::Row,
+        key_of: &mut dyn FnMut(usize) -> u64,
         retrieval_limit: Option<usize>,
         scratch: &mut QueryScratch,
     ) -> (Vec<usize>, QueryStats);
+}
+
+/// Rows per [`PointHasher::hash_many`] call of the bulk builds.
+const BUILD_BLOCK: usize = 256;
+
+/// Rows a batched-query worker hashes together.
+const QUERY_BLOCK: usize = 64;
+
+/// `h` of every row of `points`, in [`BUILD_BLOCK`]-row blocks. The block
+/// is a constant, not the whole store: a `Vec<&Row>` over all `n` rows
+/// is 8 bytes a row for the length of the build (it put the gate's
+/// `lib-range-hamming` `peak_rss_mb` at 56.7 from 52.8), and a filter
+/// hasher already generates only 0.5 caps per row at 256.
+pub(crate) fn hash_store<S: PointStore + ?Sized>(
+    h: &dyn PointHasher<S::Row>,
+    points: &S,
+) -> Vec<u64> {
+    let mut hashes = vec![0; points.len()];
+    let mut rows = Vec::with_capacity(BUILD_BLOCK);
+    for (b, out) in hashes.chunks_mut(BUILD_BLOCK).enumerate() {
+        rows.clear();
+        rows.extend((0..out.len()).map(|i| points.row(b * BUILD_BLOCK + i)));
+        h.hash_many(&rows, out);
+    }
+    hashes
+}
+
+/// The one batched-query driver: `finish(q, candidates, stats)` of every
+/// row of `queries`, in order, fanned out over up to `threads` workers
+/// (capped so each serves several queries per scratch buffer) and, per
+/// worker, hashed in blocks of [`QUERY_BLOCK`] rows.
+///
+/// A block's probe keys live in a `QUERY_BLOCK x L` matrix that is
+/// filled lazily, a table at a time: the first row of the block whose
+/// walk reaches table `j` triggers one [`PointHasher::hash_many`] of
+/// `g_j` over that row and the rows after it. Rows before it stopped
+/// short of table `j`, and a table no row reaches is never hashed, so a
+/// limited query costs at most its block-mates' tables. The walk is the
+/// backend's own `candidates_row`, reading its keys from the matrix.
+///
+/// Each row is walked *and finished* before the next is walked. Walking
+/// the block first and finishing afterwards holds up to `limit` ids for
+/// each of 64 rows per worker — on the gate's `lib-annulus-sphere` that
+/// alone was +12–15 % `peak_rss_mb`. Both block sizes are constants for
+/// the same reason: nothing outside this file can size them better.
+pub(crate) fn map_rows_blocked<B, QS, U>(
+    backend: &B,
+    queries: &QS,
+    retrieval_limit: Option<usize>,
+    threads: usize,
+    finish: impl Fn(&B::Row, Vec<usize>, QueryStats) -> U + Sync,
+) -> Vec<U>
+where
+    B: CandidateBackend,
+    QS: PointStore<Row = B::Row> + ?Sized,
+    U: Send,
+{
+    let threads = parallel::capped_threads(queries.len(), threads, MIN_QUERIES_PER_WORKER);
+    parallel::map_index_chunks(queries.len(), threads, |range| {
+        let l = backend.repetitions();
+        let mut scratch = backend.new_scratch();
+        // Table-major, so the rows `r..` of one table are one slice.
+        let mut keys = vec![0; l * QUERY_BLOCK];
+        let mut hashed = vec![false; l];
+        let mut rows = Vec::with_capacity(QUERY_BLOCK);
+        let mut out = Vec::with_capacity(range.len());
+        for start in range.clone().step_by(QUERY_BLOCK) {
+            rows.clear();
+            rows.extend((start..range.end.min(start + QUERY_BLOCK)).map(|i| queries.row(i)));
+            hashed.fill(false);
+            for (r, &q) in rows.iter().enumerate() {
+                let mut key_of = |j: usize| {
+                    let table = &mut keys[j * QUERY_BLOCK..][..rows.len()];
+                    if !hashed[j] {
+                        hashed[j] = true;
+                        backend
+                            .query_hasher(j)
+                            .hash_many(&rows[r..], &mut table[r..]);
+                    }
+                    table[r]
+                };
+                let (cands, stats) =
+                    backend.candidates_row(&mut key_of, retrieval_limit, &mut scratch);
+                out.push(finish(q, cands, stats));
+            }
+        }
+        out
+    })
 }
 
 impl<S: PointStore> CandidateBackend for HashTableIndex<S> {
@@ -580,13 +679,17 @@ impl<S: PointStore> CandidateBackend for HashTableIndex<S> {
         HashTableIndex::new_scratch(self)
     }
 
+    fn query_hasher(&self, j: usize) -> &dyn PointHasher<S::Row> {
+        &*self.tables[j].query_fn
+    }
+
     fn candidates_row(
         &self,
-        q: &S::Row,
+        key_of: &mut dyn FnMut(usize) -> u64,
         retrieval_limit: Option<usize>,
         scratch: &mut QueryScratch,
     ) -> (Vec<usize>, QueryStats) {
-        HashTableIndex::candidates_row(self, q, retrieval_limit, scratch)
+        HashTableIndex::candidates_row(self, key_of, retrieval_limit, scratch)
     }
 }
 

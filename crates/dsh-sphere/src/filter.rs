@@ -20,11 +20,22 @@
 //! `e^{-2 t^3}` (Lemma A.5); the sampling/evaluation cost is
 //! `O(d t^4 e^{t^2/2})`.
 //!
-//! Implementation note: the caps are generated lazily from a per-function
-//! seed (cap `i` is the Gaussian stream of `child(seed, i)`), so evaluating
-//! a hash touches only the expected `O(1/Pr[Z >= t])` caps actually scanned
-//! instead of materializing all `m` — the function is still a fixed,
-//! deterministic object once sampled, exactly as the paper requires.
+//! Implementation note: the caps are never stored. Cap `i` is the
+//! Gaussian stream of `derive_seed(seed, i)`, regenerated on demand, so the
+//! function is a fixed, deterministic object once sampled — exactly as the
+//! paper requires — at zero resident bytes (materializing the gated
+//! annulus workload's caps would be 35.6 MB against a 10.8 MB process).
+//! What that costs is the regeneration: a cap's 64 Gaussians take longer
+//! than the dot product that consumes them. `hash` is lazy per row — it
+//! scans the expected `1/Pr[Z >= t]` caps until the row's first hit,
+//! generating each as it goes. `hash_many` is lazy per *block*: it
+//! generates cap `i` once, tests it against every row of the block still
+//! without a hit, retires the rows that hit, and stops when none are
+//! left. A cap is then generated `max` over the block's first-hit indices
+//! times instead of their sum: at `t = 1.7` that is 22.4 caps generated
+//! per row alone, 1.6 per row in a 64-row block and 0.5 in a 256-row
+//! block, for bit-identical values (each row still accumulates its dot
+//! product left to right over the same Gaussians).
 
 use dsh_core::cpf::AnalyticCpf;
 use dsh_core::family::{DshFamily, HasherPair, PointHasher};
@@ -57,24 +68,64 @@ struct FilterHasher {
     sentinel: u64,
 }
 
+impl FilterHasher {
+    /// The Gaussian stream whose prefix is cap `i`.
+    fn cap(&self, i: usize) -> rng::GaussianStream {
+        rng::GaussianStream::new(rng::derive_seed(self.seed, i as u64))
+    }
+
+    /// Whether a point with inner product `dot` to a cap lies in it.
+    fn hits(&self, dot: f64) -> bool {
+        if self.negate {
+            dot <= -self.t
+        } else {
+            dot >= self.t
+        }
+    }
+}
+
 impl PointHasher<[f64]> for FilterHasher {
     fn hash(&self, xs: &[f64]) -> u64 {
         for i in 0..self.m {
-            let mut cap = rng::GaussianStream::new(rng::derive_seed(self.seed, i as u64));
+            let mut cap = self.cap(i);
             let mut dot = 0.0;
             for &c in xs {
                 dot += c * cap.next();
             }
-            let hit = if self.negate {
-                dot <= -self.t
-            } else {
-                dot >= self.t
-            };
-            if hit {
+            if self.hits(dot) {
                 return i as u64;
             }
         }
         self.m as u64 + self.sentinel
+    }
+
+    fn hash_many(&self, rows: &[&[f64]], out: &mut [u64]) {
+        let rows = &rows[..rows.len().min(out.len())];
+        // A cap is a prefix of its stream, so the longest row's worth
+        // serves every row.
+        let mut cap = vec![0.0; rows.iter().map(|xs| xs.len()).max().unwrap_or(0)];
+        let mut pending: Vec<usize> = (0..rows.len()).collect();
+        for i in 0..self.m {
+            if pending.is_empty() {
+                break;
+            }
+            let mut stream = self.cap(i);
+            cap.fill_with(|| stream.next());
+            pending.retain(|&r| {
+                let mut dot = 0.0;
+                for (&c, &z) in rows[r].iter().zip(&cap) {
+                    dot += c * z;
+                }
+                let hit = self.hits(dot);
+                if hit {
+                    out[r] = i as u64;
+                }
+                !hit
+            });
+        }
+        for r in pending {
+            out[r] = self.m as u64 + self.sentinel;
+        }
     }
 }
 

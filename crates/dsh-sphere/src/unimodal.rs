@@ -21,7 +21,6 @@ use crate::filter::{FilterDshMinus, FilterDshPlus};
 use dsh_core::cpf::AnalyticCpf;
 use dsh_core::distance::{alpha_from_ratio, alpha_ratio};
 use dsh_core::family::{DshFamily, HasherPair};
-use dsh_core::hash::combine;
 use rand::Rng;
 
 /// Unimodal DSH family on `S^{d-1}` peaking at a chosen inner product
@@ -87,11 +86,7 @@ impl DshFamily<[f64]> for UnimodalFilterDsh {
     fn sample(&self, rng: &mut dyn Rng) -> HasherPair<[f64]> {
         let p = self.plus.sample(rng);
         let m = self.minus.sample(rng);
-        let (pd, pq, md, mq) = (p.data, p.query, m.data, m.query);
-        HasherPair::from_fns(
-            move |x: &[f64]| combine(pd.hash(x), md.hash(x)),
-            move |y: &[f64]| combine(pq.hash(y), mq.hash(y)),
-        )
+        p.then(m)
     }
 
     fn name(&self) -> String {
