@@ -64,11 +64,6 @@ pub fn euclidean_to_alpha(tau: f64) -> f64 {
     1.0 - tau * tau / 2.0
 }
 
-/// Inner product -> angular distance `theta = arccos(alpha)`.
-pub fn alpha_to_angle(alpha: f64) -> f64 {
-    alpha.clamp(-1.0, 1.0).acos()
-}
-
 /// Relative Hamming distance -> simH similarity.
 pub fn relative_hamming_to_sim(t: f64) -> f64 {
     assert!((0.0..=1.0).contains(&t));

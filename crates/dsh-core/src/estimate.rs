@@ -34,12 +34,6 @@ impl CpfEstimator {
         }
     }
 
-    /// Set the confidence level.
-    pub fn with_confidence(mut self, confidence: f64) -> Self {
-        self.confidence = confidence;
-        self
-    }
-
     /// Estimate `Pr[h(x) = g(y)]` for one fixed pair of points. The
     /// family hashes rows; `x` and `y` may be owned points, row views, or
     /// raw rows (anything with [`AsRow`]).

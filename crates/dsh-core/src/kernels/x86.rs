@@ -1,10 +1,10 @@
 //! x86_64 SIMD kernel tiers: AVX2 (4×f64 / popcnt) and SSE2 (baseline).
 //!
-//! This file is the workspace's **only** unsafe boundary — it is the one
-//! module registered under `[kernel]` in `dsh-lint.toml`, and dsh-lint's
-//! L5 check fails the build if an `unsafe` token appears anywhere else.
-//! Three kinds of unsafe operations occur here, each `// SAFETY:`-annotated
-//! (L4):
+//! This file is the workspace's **only** unsafe boundary — the one
+//! module that opts out of the crate root's `#![deny(unsafe_code)]`, so
+//! rustc fails the build if `unsafe` appears anywhere else. Three kinds
+//! of unsafe operations occur here, each `// SAFETY:`-annotated (CI runs
+//! clippy with `-D clippy::undocumented_unsafe_blocks`):
 //!
 //! 1. unaligned SIMD loads through raw pointers, bounded by the slice
 //!    lengths computed immediately above them;

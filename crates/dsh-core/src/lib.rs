@@ -35,10 +35,10 @@
 //!   intervals, used by every experiment;
 //! * [`cpf`] — the [`cpf::AnalyticCpf`] trait and ρ-exponent helpers.
 
-// `deny` rather than `forbid`: the one registered kernel module
-// (`kernels/x86.rs`, the workspace's only unsafe boundary, enforced by
-// dsh-lint L5) opts back in with a module-level `allow(unsafe_code)`,
-// which `forbid` would reject. Everywhere else unsafe stays a hard error.
+// `deny` rather than `forbid`: the one kernel module (`kernels/x86.rs`,
+// the workspace's only unsafe boundary) opts back in with a module-level
+// `allow(unsafe_code)`, which `forbid` would reject. Everywhere else
+// unsafe stays a hard error.
 #![deny(unsafe_code)]
 #![deny(missing_docs)]
 
@@ -55,6 +55,4 @@ pub mod points;
 pub use cpf::AnalyticCpf;
 pub use family::{BoxedDshFamily, DshFamily, HasherPair, PointHasher};
 pub use minhash::{MinHash, TokenSet};
-pub use points::{
-    AsRow, BitRef, BitStore, BitVector, DenseRef, DenseStore, DenseVector, PointStore,
-};
+pub use points::{AsRow, BitStore, BitVector, DenseStore, DenseVector, PointStore};

@@ -18,9 +18,7 @@
 //! * the snapshot-friendly [`ChunkedStore`] wrapper: frozen `Arc`-shared
 //!   chunks plus a small mutable tail, so cloning a store for an
 //!   immutable snapshot costs the tail, not the dataset — the storage
-//!   contract of the concurrent sharded serving layer;
-//! * zero-copy row views [`DenseRef`] / [`BitRef`] carrying the dimension
-//!   for ergonomic distance evaluation.
+//!   contract of the concurrent sharded serving layer.
 
 use rand::Rng;
 use std::sync::Arc;
@@ -540,7 +538,6 @@ impl<P: AsRow + Send + Sync> PointStore for [P] {
 /// store.push(&[0.0, 1.0, 0.0]);
 /// assert_eq!(store.len(), 2);
 /// assert_eq!(store.row(1), &[0.0, 1.0, 0.0]);
-/// assert_eq!(store.row_ref(0).dot(store.row_ref(1)), 0.0);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct DenseStore {
@@ -598,14 +595,6 @@ impl DenseStore {
     #[inline]
     pub fn row(&self, i: usize) -> &[f64] {
         &self.data[i * self.dim..(i + 1) * self.dim]
-    }
-
-    /// Borrow row `i` as a typed view.
-    #[inline]
-    pub fn row_ref(&self, i: usize) -> DenseRef<'_> {
-        DenseRef {
-            components: self.row(i),
-        }
     }
 
     /// Iterate over all rows in storage order.
@@ -674,51 +663,6 @@ impl PointStore for DenseStore {
     }
 }
 
-/// Zero-copy view of one [`DenseStore`] row (or any `[f64]` row).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DenseRef<'a> {
-    components: &'a [f64],
-}
-
-impl<'a> DenseRef<'a> {
-    /// View a raw row.
-    pub fn new(components: &'a [f64]) -> Self {
-        DenseRef { components }
-    }
-
-    /// Dimension.
-    pub fn dim(&self) -> usize {
-        self.components.len()
-    }
-
-    /// The underlying slice.
-    pub fn as_slice(&self) -> &'a [f64] {
-        self.components
-    }
-
-    /// Inner product with another row view.
-    pub fn dot(&self, other: DenseRef<'_>) -> f64 {
-        dot(self.components, other.components)
-    }
-
-    /// Euclidean distance to another row view.
-    pub fn euclidean(&self, other: DenseRef<'_>) -> f64 {
-        euclidean(self.components, other.components)
-    }
-
-    /// Copy into an owned [`DenseVector`].
-    pub fn to_owned(&self) -> DenseVector {
-        DenseVector::new(self.components.to_vec())
-    }
-}
-
-impl AsRow for DenseRef<'_> {
-    type Row = [f64];
-    fn as_row(&self) -> &[f64] {
-        self.components
-    }
-}
-
 /// Contiguous storage for `n` points of `{0,1}^d`: all rows bit-packed
 /// into one `Vec<u64>`, `d.div_ceil(64)` blocks per row, tail bits zero.
 ///
@@ -728,8 +672,7 @@ impl AsRow for DenseRef<'_> {
 /// store.push(&BitVector::ones(70));
 /// store.push(&BitVector::zeros(70));
 /// assert_eq!(store.len(), 2);
-/// assert_eq!(store.row_ref(0).hamming(store.row_ref(1)), 70);
-/// assert!(store.row_ref(0).get(69));
+/// assert_eq!(store.row(0), BitVector::ones(70).as_blocks());
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BitStore {
@@ -819,15 +762,6 @@ impl BitStore {
         &self.blocks[i * self.blocks_per_row..(i + 1) * self.blocks_per_row]
     }
 
-    /// Borrow row `i` as a typed view carrying the dimension.
-    #[inline]
-    pub fn row_ref(&self, i: usize) -> BitRef<'_> {
-        BitRef {
-            blocks: self.row(i),
-            len: self.dim,
-        }
-    }
-
     /// Iterate over all rows in storage order.
     pub fn rows(&self) -> impl Iterator<Item = &[u64]> {
         (0..self.n).map(move |i| self.row(i))
@@ -879,72 +813,6 @@ impl PointStore for BitStore {
         if let Some(start) = i.checked_mul(self.blocks_per_row) {
             crate::kernels::prefetch_span(&self.blocks, start, self.blocks_per_row);
         }
-    }
-}
-
-/// Zero-copy view of one [`BitStore`] row, carrying the bit dimension
-/// (which the raw `[u64]` row cannot).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BitRef<'a> {
-    blocks: &'a [u64],
-    len: usize,
-}
-
-impl<'a> BitRef<'a> {
-    /// View a packed row of dimension `len`.
-    pub fn new(blocks: &'a [u64], len: usize) -> Self {
-        assert_eq!(blocks.len(), len.div_ceil(64), "block count mismatch");
-        BitRef { blocks, len }
-    }
-
-    /// Dimension `d`.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True iff `d == 0`.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The packed blocks.
-    pub fn as_blocks(&self) -> &'a [u64] {
-        self.blocks
-    }
-
-    /// Read bit `i`.
-    pub fn get(&self, i: usize) -> bool {
-        // lint: allow(panic) — caller contract: bit index bounded by the row dimension fixed at store build
-        assert!(
-            i < self.len,
-            "bit index {i} out of range (d = {})",
-            self.len
-        );
-        get_bit(self.blocks, i)
-    }
-
-    /// Hamming distance to another row view of equal dimension.
-    pub fn hamming(&self, other: BitRef<'_>) -> u64 {
-        assert_eq!(self.len, other.len, "dimension mismatch");
-        hamming(self.blocks, other.blocks)
-    }
-
-    /// Relative Hamming distance in `[0, 1]`.
-    pub fn relative_hamming(&self, other: BitRef<'_>) -> f64 {
-        assert!(self.len > 0, "relative distance undefined in dimension 0");
-        self.hamming(other) as f64 / self.len as f64
-    }
-
-    /// Copy into an owned [`BitVector`].
-    pub fn to_owned(&self) -> BitVector {
-        BitVector::from_blocks(self.blocks.to_vec(), self.len)
-    }
-}
-
-impl AsRow for BitRef<'_> {
-    type Row = [u64];
-    fn as_row(&self) -> &[u64] {
-        self.blocks
     }
 }
 
@@ -1331,7 +1199,6 @@ mod store_tests {
         for (i, p) in points.iter().enumerate() {
             assert_eq!(store.row(i), p.as_slice());
             assert_eq!(PointStore::row(&store, i), PointStore::row(&points, i));
-            assert_eq!(store.row_ref(i).to_owned(), *p);
         }
     }
 
@@ -1346,8 +1213,6 @@ mod store_tests {
             assert_eq!(store.blocks_per_row(), d.div_ceil(64));
             for (i, p) in points.iter().enumerate() {
                 assert_eq!(store.row(i), p.as_blocks());
-                assert_eq!(store.row_ref(i).to_owned(), *p);
-                assert_eq!(store.row_ref(i).len(), d);
             }
         }
     }
@@ -1409,14 +1274,8 @@ mod store_tests {
         assert_eq!(v.as_slice().as_row(), v.as_slice());
         assert_eq!(7u64.as_row(), &7u64);
         let b = BitVector::ones(3);
-        let r = BitRef::new(b.as_blocks(), 3);
-        assert_eq!(r.as_row(), b.as_row());
-        assert!(r.get(2) && !r.is_empty());
-        assert_eq!(r.relative_hamming(BitRef::new(b.as_blocks(), 3)), 0.0);
-        let dr = DenseRef::new(v.as_slice());
-        assert_eq!(dr.dim(), 2);
-        assert_eq!(dr.as_row(), v.as_slice());
-        assert_eq!(dr.euclidean(dr), 0.0);
+        assert_eq!(b.as_row(), b.as_blocks());
+        assert_eq!(b.as_blocks().as_row(), b.as_blocks());
     }
 
     #[test]
@@ -1433,7 +1292,7 @@ mod store_tests {
         assert_eq!(bempty.rows().count(), 0);
         let mut ds = DenseStore::with_dim(2);
         ds.push(&[5.0, 6.0]);
-        assert_eq!(ds.row_ref(0).as_slice(), &[5.0, 6.0]);
+        assert_eq!(ds.row(0), &[5.0, 6.0]);
     }
 
     #[test]
@@ -1475,7 +1334,6 @@ mod store_tests {
         store.push_row(&[!0u64, !0u64]);
         let expected = BitVector::ones(70);
         assert_eq!(store.row(0), expected.as_blocks());
-        assert_eq!(store.row_ref(0).to_owned(), expected);
     }
 
     #[test]

@@ -53,16 +53,6 @@ impl MultiProbeBitSampling {
             .sum()
     }
 
-    /// Signature width.
-    pub fn signature_bits(&self) -> usize {
-        self.k
-    }
-
-    /// Probe radius.
-    pub fn probe_radius(&self) -> usize {
-        self.w
-    }
-
     /// The flatness ratio `f(0) / f(t)` of the step (both ends of the
     /// Theorem 6.5 overhead factor).
     pub fn flatness(&self, t: f64) -> f64 {

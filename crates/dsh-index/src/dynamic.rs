@@ -19,7 +19,8 @@
 //! [`crate::QueryStats`] — bit-identically to a static
 //! [`crate::HashTableIndex`] built from the same seed over the same
 //! final point set, on every store backend and thread count (pinned by
-//! `tests/dynamic_parity.rs`).
+//! the write-path harness, `tests/common/harness.rs`, which
+//! `tests/dynamic_parity.rs` runs).
 
 use crate::batch::{
     ensure_capacity, ensure_known, BatchError, WriteBatch, WriteError, WriteOutcome,

@@ -74,9 +74,11 @@
 //!    sealed one), so `tables_probed` counts logical probes.
 //!
 //! `distinct_candidates` is computed once per query from the deduplicated
-//! output, per the [`QueryStats::merge`] rule. `tests/dynamic_parity.rs`
-//! pins all of this against the static rebuild at 1, 2 and 8 shards,
-//! `tests/shard_parity.rs` pins the shard counts against each other, and
+//! output, per the [`QueryStats::merge`] rule. The write-path harness
+//! (`tests/common/harness.rs`, run by `tests/dynamic_parity.rs` and
+//! `tests/shard_parity.rs`) pins all of this — generated schedules, a
+//! model of every op's outcome and epoch, 1, 2 and 8 shards against each
+//! other and against the static rebuild — and
 //! `tests/shard_concurrency.rs` is the concurrency soak (snapshots held
 //! across concurrent writes keep answering from their frozen state).
 

@@ -526,8 +526,9 @@ impl<S: PointStore> HashTableIndex<S> {
 /// serve a build-once index, one grown online, and one sharded for
 /// concurrent serving. There are two walks behind it, the static table's
 /// and the snapshot's, and they answer queries exactly alike over the
-/// same live point set (pinned by `tests/dynamic_parity.rs` and
-/// `tests/shard_parity.rs`); the mutable owners are written through
+/// same live point set (pinned by the write-path harness that
+/// `tests/dynamic_parity.rs` and `tests/shard_parity.rs` run); the
+/// mutable owners are written through
 /// their own inherent methods, reached via
 /// [`crate::Frontend::backend_mut`].
 pub trait CandidateBackend: Send + Sync {

@@ -1,7 +1,7 @@
 //! `dsh-lint.toml` — the checked-in lint configuration, and its reader.
 //!
-//! The module sets the lints operate on (serving roots, kernel modules,
-//! extra entry points) live in a `dsh-lint.toml` at the workspace root
+//! The module sets the lints operate on (serving roots, extra entry
+//! points) live in a `dsh-lint.toml` at the workspace root
 //! instead of hardcoded Rust, so covering a new crate is a one-line
 //! config change. The reader is a tiny hand-rolled
 //! TOML-subset parser in the repo's vendored-shim tradition (offline
@@ -17,9 +17,6 @@
 //! [serving]
 //! roots = ["crates/dsh-index/src/shard.rs"]   # L1': pub fns here are entry points
 //! entry_points = ["ShardedIndex::query"]      # L1': extra roots by name
-//!
-//! [kernel]
-//! modules = []                                # L5: the only files allowed `unsafe`
 //! ```
 //!
 //! Every path named by the config must exist under the workspace root —
@@ -41,10 +38,6 @@ pub struct Config {
     /// Extra entry-point functions by name: `"Type::method"` or a free
     /// `"function"` name, matched anywhere in the workspace.
     pub entry_points: Vec<String>,
-    /// Path suffixes of kernel modules — the only files permitted to
-    /// contain `unsafe` (L5). Crates containing one must carry
-    /// `#![deny(unsafe_code)]` at the root instead of `forbid`.
-    pub kernel_modules: Vec<String>,
 }
 
 /// A configuration error: parse failure or a path that no longer exists.
@@ -60,9 +53,8 @@ impl fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {}
 
 impl Config {
-    /// The empty configuration: no serving roots, no kernel modules.
-    /// Only the location-independent lints (L4, L5 as blanket unsafe
-    /// rejection, M1, M2 and hot-marker L2) apply.
+    /// The empty configuration: no serving roots. Only the
+    /// location-independent lints (M1, M2 and hot-marker L2) apply.
     pub fn empty() -> Self {
         Config::default()
     }
@@ -87,7 +79,7 @@ impl Config {
             }
             if let Some(name) = line.strip_prefix('[').and_then(|s| s.strip_suffix(']')) {
                 section = name.trim().to_string();
-                if !matches!(section.as_str(), "serving" | "kernel") {
+                if section != "serving" {
                     return Err(err(ln, format!("unknown section `[{section}]`")));
                 }
                 continue;
@@ -114,7 +106,6 @@ impl Config {
             match (section.as_str(), key.as_str()) {
                 ("serving", "roots") => cfg.serving_roots = parse_array(ln, &value)?,
                 ("serving", "entry_points") => cfg.entry_points = parse_array(ln, &value)?,
-                ("kernel", "modules") => cfg.kernel_modules = parse_array(ln, &value)?,
                 (s, k) => {
                     return Err(err(ln, format!("unknown key `{k}` in section `[{s}]`")));
                 }
@@ -124,11 +115,11 @@ impl Config {
     }
 
     /// Every module path the config names must exist under `root` —
-    /// renaming a serving or kernel module away must fail loudly, never
-    /// silently shrink coverage.
+    /// renaming a serving module away must fail loudly, never silently
+    /// shrink coverage.
     pub fn validate_paths(&self, root: &Path) -> Result<(), ConfigError> {
         let mut missing = Vec::new();
-        for rel in self.serving_roots.iter().chain(self.kernel_modules.iter()) {
+        for rel in &self.serving_roots {
             if !root.join(rel).is_file() {
                 missing.push(rel.clone());
             }
@@ -205,15 +196,11 @@ mod tests {
                 "crates/b/src/serve.rs",
             ]
             entry_points = ["T::m", "free"]
-
-            [kernel]
-            modules = ["crates/a/src/simd.rs"]
             "#,
         )
         .expect("parses");
         assert_eq!(cfg.serving_roots.len(), 2);
         assert_eq!(cfg.entry_points, vec!["T::m", "free"]);
-        assert_eq!(cfg.kernel_modules, vec!["crates/a/src/simd.rs"]);
     }
 
     #[test]
@@ -222,6 +209,7 @@ mod tests {
         assert!(Config::from_toml("[serving]\nroot = []").is_err());
         assert!(Config::from_toml("[serving]\nroots = [oops]").is_err());
         assert!(Config::from_toml("[publication]\nfile = \"x\"").is_err());
+        assert!(Config::from_toml("[kernel]\nmodules = []").is_err());
     }
 
     #[test]

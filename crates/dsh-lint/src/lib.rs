@@ -13,8 +13,6 @@
 //! | L1 | no serving entry point reaches a panic site (`unwrap`/`expect`/`panic!`/`assert!`-family) on any call path, workspace-wide | `// lint: allow(panic) — <reason>` at the site |
 //! | L2 | nothing reachable from a `// lint: hot` marker allocates; markers on already-hot functions are redundant | `allow(alloc)` at the site, `allow(hot)` on the marker |
 //! | C1 | a macro the resolver cannot see through is reachable from a serving entry or hot root ("cannot prove") | `allow(opaque)` |
-//! | L4 | crate roots carry `#![forbid(unsafe_code)]` (`deny` for kernel crates); every `unsafe` token has a `// SAFETY:` comment within 3 lines | the `SAFETY:` comment |
-//! | L5 | `unsafe` only inside modules listed under `[kernel] modules` | `allow(unsafe)` |
 //! | M1 | malformed `lint:` marker | fix the marker |
 //! | M2 | a `lint: allow(...)` that suppresses no finding | remove it |
 //!

@@ -18,15 +18,15 @@
 //!   serving entry or hot root. Macro bodies are opaque to the resolver,
 //!   so the lint refuses to claim panic/alloc-freedom past one. Escape:
 //!   `allow(opaque)`.
-//! * **L4** — unsafe hygiene: crate roots carry `#![forbid(unsafe_code)]`
-//!   (`#![deny(unsafe_code)]` for crates with configured kernel
-//!   modules), and every `unsafe` token needs a `// SAFETY:` comment
-//!   within 3 lines.
-//! * **L5** — unsafe boundary: `unsafe` may appear only inside modules
-//!   listed in `[kernel] modules`. Escape: `allow(unsafe)`.
 //! * **M1** — malformed `lint:` marker.
 //! * **M2** — dead allow: a `// lint: allow(...)` that suppressed no
 //!   finding this run (outside test code) is itself a finding.
+//!
+//! Unsafe hygiene is the toolchain's job, not a lint's: every crate
+//! root carries `#![forbid(unsafe_code)]` (`deny` in `dsh-core`, whose
+//! kernel module opts back in), backed by `[workspace.lints.rust]
+//! unsafe_code = "deny"`, and CI runs clippy with
+//! `-D clippy::undocumented_unsafe_blocks`.
 //!
 //! `debug_assert!` is deliberately *not* flagged by L1: the debug asserts
 //! are the dynamic complement to this static pass and compile out of
@@ -34,7 +34,6 @@
 
 use crate::config::Config;
 use crate::graph::{Graph, Reach};
-use crate::lexer::TokenKind;
 use crate::resolve::{FnId, Workspace};
 use crate::scope::Marker;
 use crate::Finding;
@@ -62,7 +61,7 @@ pub fn run(ws: &Workspace, cfg: &Config) -> (Vec<Finding>, usize) {
     ctx.l2_alloc_reach(&hot_reach);
     ctx.l2_redundant_markers(&graph, &hot_roots);
     ctx.c1_opaque(&combined_reach);
-    ctx.local_passes(cfg);
+    ctx.m1_malformed_markers();
     ctx.m2_dead_allows();
 
     let edges = graph.edge_count();
@@ -365,14 +364,11 @@ impl<'a> Ctx<'a> {
         }
     }
 
-    // -- local (file-at-a-time) passes ------------------------------------
+    // -- M1 ----------------------------------------------------------------
 
-    fn local_passes(&mut self, cfg: &Config) {
+    fn m1_malformed_markers(&mut self) {
         for fi in 0..self.ws.files.len() {
-            let file = &self.ws.files[fi];
-            let rel = file.rel.clone();
-
-            for (line, raw) in file.scope.malformed_markers.clone() {
+            for (line, raw) in self.ws.files[fi].scope.malformed_markers.clone() {
                 self.push(
                     fi,
                     line,
@@ -383,109 +379,6 @@ impl<'a> Ctx<'a> {
                     ),
                 );
             }
-
-            let is_kernel = cfg.kernel_modules.iter().any(|k| rel.ends_with(k.as_str()));
-
-            if !file.is_test_path && !is_kernel {
-                self.l5_unsafe_boundary(fi);
-            }
-
-            self.l4_unsafe_tokens(fi);
-            if !file.is_test_path && (rel.ends_with("src/lib.rs") || rel.ends_with("src/main.rs")) {
-                self.l4_root_attr(fi, cfg);
-            }
-        }
-    }
-
-    fn l4_unsafe_tokens(&mut self, fi: usize) {
-        let file = &self.ws.files[fi];
-        let mut hits = Vec::new();
-        for &i in &file.view {
-            let t = &file.scope.tokens[i];
-            if t.is_ident("unsafe") && !t.raw {
-                let covered = (t.line.saturating_sub(3)..=t.line)
-                    .any(|l| file.scope.safety_lines.contains_key(&l));
-                if !covered {
-                    hits.push(t.line);
-                }
-            }
-        }
-        for line in hits {
-            self.push(
-                fi,
-                line,
-                "L4",
-                "unsafe-no-safety".to_string(),
-                "`unsafe` without a `// SAFETY:` comment on the same line or within 3 lines above"
-                    .to_string(),
-            );
-        }
-    }
-
-    /// Crate roots must deny unsafe: `forbid` normally, `deny` when the
-    /// crate declares kernel modules (forbid would reject the kernels'
-    /// own `#[allow]`-free unsafe blocks at the crate level).
-    fn l4_root_attr(&mut self, fi: usize, cfg: &Config) {
-        let file = &self.ws.files[fi];
-        let rel = &file.rel;
-        let crate_dir = rel
-            .strip_suffix("src/lib.rs")
-            .or_else(|| rel.strip_suffix("src/main.rs"))
-            .unwrap_or("");
-        let kernel_crate = cfg
-            .kernel_modules
-            .iter()
-            .any(|k| !crate_dir.is_empty() && k.starts_with(crate_dir));
-        let want = if kernel_crate { "deny" } else { "forbid" };
-        let has = file.view.windows(8).any(|w| {
-            let t = |n: usize| &file.scope.tokens[w[n]];
-            t(0).is_punct('#')
-                && t(1).is_punct('!')
-                && t(2).kind == TokenKind::OpenBracket
-                && t(3).is_ident(want)
-                && t(4).kind == TokenKind::OpenParen
-                && t(5).is_ident("unsafe_code")
-                && t(6).kind == TokenKind::CloseParen
-                && t(7).kind == TokenKind::CloseBracket
-        });
-        if !has {
-            let extra = if kernel_crate {
-                " (crate declares kernel modules, so `deny` — not `forbid` — is required)"
-            } else {
-                ""
-            };
-            self.push(
-                fi,
-                1,
-                "L4",
-                format!("root-attr:{want}"),
-                format!("crate root is missing `#![{want}(unsafe_code)]`{extra}"),
-            );
-        }
-    }
-
-    /// L5: `unsafe` only inside configured kernel modules.
-    fn l5_unsafe_boundary(&mut self, fi: usize) {
-        let file = &self.ws.files[fi];
-        let mut hits = Vec::new();
-        for &i in &file.view {
-            let t = &file.scope.tokens[i];
-            if t.is_ident("unsafe") && !t.raw && !file.scope.in_test[i] {
-                hits.push(t.line);
-            }
-        }
-        for line in hits {
-            if self.allowed(fi, "unsafe", line) {
-                continue;
-            }
-            self.push(
-                fi,
-                line,
-                "L5",
-                "unsafe-outside-kernel".to_string(),
-                "`unsafe` outside a kernel module; move it into a file listed under `[kernel] modules` in dsh-lint.toml (or annotate `// lint: allow(unsafe) — <reason>`)"
-                    .to_string(),
-            );
         }
     }
 

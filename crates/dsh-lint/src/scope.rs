@@ -71,8 +71,6 @@ pub struct FileScope {
     pub hot_markers: Vec<(u32, Option<usize>)>,
     /// Malformed `lint:` comments: `(line, raw text)`.
     pub malformed_markers: Vec<(u32, String)>,
-    /// Source line -> true when a `SAFETY:` comment sits on that line.
-    pub safety_lines: HashMap<u32, bool>,
     /// Marker-comment line -> true when that comment sits inside a test
     /// region (test-local markers are exempt from the dead-allow lint).
     pub marker_in_test: HashMap<u32, bool>,
@@ -92,7 +90,7 @@ impl FileScope {
                 f
             })
             .collect();
-        let (allows, hot_markers, malformed_markers, safety_lines, marker_in_test) =
+        let (allows, hot_markers, malformed_markers, marker_in_test) =
             collect_markers(&tokens, &in_test);
         FileScope {
             tokens,
@@ -102,7 +100,6 @@ impl FileScope {
             allows,
             hot_markers,
             malformed_markers,
-            safety_lines,
             marker_in_test,
         }
     }
@@ -559,26 +556,19 @@ type Markers = (
     Vec<(u32, Option<usize>)>,
     Vec<(u32, String)>,
     HashMap<u32, bool>,
-    HashMap<u32, bool>,
 );
 
-/// Scan comments for `lint:` markers and `SAFETY:` annotations.
+/// Scan comments for `lint:` markers.
 fn collect_markers(tokens: &[Token], in_test: &[bool]) -> Markers {
     let mut allows: HashMap<u32, Vec<Marker>> = HashMap::new();
     let mut hots = Vec::new();
     let mut malformed = Vec::new();
-    let mut safety: HashMap<u32, bool> = HashMap::new();
     let mut marker_in_test: HashMap<u32, bool> = HashMap::new();
     for (i, t) in tokens.iter().enumerate() {
         if t.kind != TokenKind::Comment {
             continue;
         }
         let body = comment_body(&t.text);
-        if body.contains("SAFETY:") {
-            // A block comment can span lines; mark its first line (the
-            // unsafe lint looks back a few lines anyway).
-            safety.insert(t.line, true);
-        }
         let Some(rest) = body.strip_prefix("lint:") else {
             continue;
         };
@@ -594,7 +584,7 @@ fn collect_markers(tokens: &[Token], in_test: &[bool]) -> Markers {
             _ => malformed.push((t.line, t.text.clone())),
         }
     }
-    (allows, hots, malformed, safety, marker_in_test)
+    (allows, hots, malformed, marker_in_test)
 }
 
 /// Parse the text after `lint:`. Grammar:
@@ -747,12 +737,6 @@ mod tests {
             s.enclosing_fn(marker_idx).map(|f| f.name.as_str()),
             Some("inner")
         );
-    }
-
-    #[test]
-    fn safety_comments_recorded() {
-        let s = parse("// SAFETY: checked above\nlet x = 1;");
-        assert!(s.safety_lines.contains_key(&1));
     }
 
     #[test]

@@ -63,13 +63,16 @@ fn clean_workspace_exits_zero_with_stats() {
 
 #[test]
 fn violating_workspace_exits_one_with_machine_readable_line() {
-    // Crate root missing `#![forbid(unsafe_code)]` — an L4 finding.
-    let root = TempRoot::new("bad", "pub fn id(x: u64) -> u64 {\n    x\n}\n");
+    // A `lint:` comment that is neither `hot` nor an `allow` — an M1 finding.
+    let root = TempRoot::new(
+        "bad",
+        "// lint: warm\npub fn id(x: u64) -> u64 {\n    x\n}\n",
+    );
     let out = run(&["check", "--root", root.0.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(1), "stderr: {:?}", out.stderr);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
-        stdout.contains("src/lib.rs:1: L4 crate root is missing"),
+        stdout.contains("src/lib.rs:1: M1 malformed `lint:` marker"),
         "stdout: {stdout:?}"
     );
 }
@@ -157,7 +160,10 @@ fn json_format_emits_stable_ids_and_chains() {
 
 #[test]
 fn github_format_emits_error_annotations() {
-    let root = TempRoot::new("gh", "pub fn id(x: u64) -> u64 {\n    x\n}\n");
+    let root = TempRoot::new(
+        "gh",
+        "// lint: warm\npub fn id(x: u64) -> u64 {\n    x\n}\n",
+    );
     let out = run(&[
         "check",
         "--root",
@@ -168,7 +174,7 @@ fn github_format_emits_error_annotations() {
     assert_eq!(out.status.code(), Some(1));
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
-        stdout.contains("::error file=src/lib.rs,line=1,title=L4-"),
+        stdout.contains("::error file=src/lib.rs,line=1,title=M1-"),
         "stdout: {stdout:?}"
     );
     assert!(stdout.contains("call edges"), "stdout: {stdout:?}");

@@ -31,11 +31,6 @@ fn lint_ws(name: &str) -> Report {
 }
 
 const SERVING: &str = "crates/dsh-index/src/table.rs";
-/// Root of the crate that declares the repo's one `[kernel]` module, so
-/// the default L4 regime here is `deny(unsafe_code)`.
-const KERNEL_ROOT: &str = "crates/dsh-core/src/lib.rs";
-/// Root of a crate with no kernel modules: the strict `forbid` regime.
-const PLAIN_ROOT: &str = "crates/dsh-euclidean/src/lib.rs";
 
 fn ids_and_lines(findings: &[Finding]) -> Vec<(&'static str, u32)> {
     findings.iter().map(|f| (f.lint, f.line)).collect()
@@ -80,64 +75,6 @@ fn l2_markers_work_outside_serving_modules() {
     let f = lint("l2_bad.rs", "crates/dsh-core/src/points.rs");
     assert!(f.iter().all(|x| x.lint == "L2"), "{f:#?}");
     assert_eq!(f.len(), 9, "{f:#?}");
-}
-
-#[test]
-fn l4_bad_flags_missing_forbid_bare_unsafe_and_nonkernel_unsafe() {
-    let f = lint("l4_bad.rs", PLAIN_ROOT);
-    // Missing forbid (line 1), unsafe without SAFETY (line 6), and — in a
-    // crate with no `[kernel]` modules — L5 unsafe outside a kernel
-    // module on the same line.
-    assert_eq!(
-        ids_and_lines(&f),
-        vec![("L4", 1), ("L4", 6), ("L5", 6)],
-        "{f:#?}"
-    );
-}
-
-#[test]
-fn l4_bad_is_flagged_in_the_kernel_crate_root_too() {
-    // The kernel crate's root wants `deny(unsafe_code)`; a bare root is
-    // still missing it, and lib.rs itself is not the registered kernel
-    // module, so the unsafe block keeps both the L4 and L5 findings.
-    let f = lint("l4_bad.rs", KERNEL_ROOT);
-    assert_eq!(
-        ids_and_lines(&f),
-        vec![("L4", 1), ("L4", 6), ("L5", 6)],
-        "{f:#?}"
-    );
-    assert!(f[0].message.contains("deny"), "{f:#?}");
-}
-
-#[test]
-fn l4_good_is_clean_under_kernel_config() {
-    // The fixture declares `#![deny(unsafe_code)]` and a SAFETY-annotated
-    // unsafe block — legal exactly when the file is a configured kernel
-    // module (L5 waived, L4 root attribute relaxed to `deny`).
-    let cfg = Config::from_toml(&format!("[kernel]\nmodules = [\"{KERNEL_ROOT}\"]"))
-        .expect("kernel config parses");
-    let f = check_file_source(KERNEL_ROOT, &fixture("l4_good.rs"), &cfg);
-    assert!(f.is_empty(), "{f:#?}");
-}
-
-#[test]
-fn l4_good_violates_the_default_nonkernel_regime() {
-    // The same file in a crate with no kernel modules is doubly wrong:
-    // the root wants `forbid` (not `deny`), and the unsafe block sits
-    // outside any kernel module.
-    let f = lint("l4_good.rs", PLAIN_ROOT);
-    let ids: Vec<&str> = f.iter().map(|x| x.lint).collect();
-    assert_eq!(ids, vec!["L4", "L5"], "{f:#?}");
-}
-
-#[test]
-fn l4_good_satisfies_the_kernel_crate_root_but_not_l5() {
-    // In the kernel crate's root the `deny` attribute is exactly right,
-    // but lib.rs itself is still not the registered kernel module — the
-    // unsafe block must live in `kernels/x86.rs`, so only L5 fires.
-    let f = lint("l4_good.rs", KERNEL_ROOT);
-    let ids: Vec<&str> = f.iter().map(|x| x.lint).collect();
-    assert_eq!(ids, vec!["L5"], "{f:#?}");
 }
 
 #[test]
@@ -209,17 +146,6 @@ fn ws_trait_fallback_fans_out_to_the_panicking_impl() {
     assert_eq!(f.lint, "L1");
     assert_eq!(f.chain.first().map(String::as_str), Some("m.rs:serve"));
     assert_eq!(f.chain.last().map(String::as_str), Some("m.rs:eval"));
-}
-
-#[test]
-fn ws_kernel_escape_flags_unsafe_outside_the_registered_module() {
-    // Both files carry SAFETY-annotated unsafe blocks; only the one in
-    // the file missing from `[kernel] modules` is an L5 finding.
-    let r = lint_ws("ws_kernel_escape");
-    assert_eq!(r.findings.len(), 1, "{:#?}", r.findings);
-    let f = &r.findings[0];
-    assert_eq!(f.lint, "L5", "{f:#?}");
-    assert_eq!(f.file, "crates/simd/src/escape.rs", "{f:#?}");
 }
 
 #[test]

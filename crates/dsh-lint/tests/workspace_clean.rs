@@ -1,7 +1,8 @@
 //! Meta-test: the workspace itself must be lint-clean. This is the same
 //! check CI runs via `cargo run -p dsh-lint -- check`, kept as a test so
 //! plain `cargo test` catches a regression (a stray unwrap reachable from
-//! the serving path, a lost forbid attribute) without the extra CI job.
+//! the serving path, an allocation under a hot marker) without the extra
+//! CI job.
 
 use std::path::Path;
 

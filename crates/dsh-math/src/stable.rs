@@ -37,11 +37,6 @@ pub fn sample_stable(rng: &mut dyn Rng, s: f64) -> f64 {
         * (((1.0 - s) * theta).cos() / w).powf((1.0 - s) / s)
 }
 
-/// Fill a vector with i.i.d. standard symmetric `s`-stable variates.
-pub fn sample_stable_vec(rng: &mut dyn Rng, s: f64, n: usize) -> Vec<f64> {
-    (0..n).map(|_| sample_stable(rng, s)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

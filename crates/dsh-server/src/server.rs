@@ -77,6 +77,12 @@ impl ServerConfig {
     }
 }
 
+/// How long one socket write may make no progress before its connection
+/// is torn down. A handler blocked in a write cannot poll the shutdown
+/// flag, so without this bound a client that stops reading would pin its
+/// handler thread — and with it `ServerHandle::stop` — forever.
+const WRITE_STALL_TIMEOUT: Duration = Duration::from_secs(2);
+
 struct Shared<'a, S: AppendStore + Clone> {
     index: Mutex<ShardedIndex<S>>,
     reader: ReaderHandle<S>,
@@ -282,6 +288,7 @@ where
 {
     stream.set_nodelay(true).ok();
     stream.set_read_timeout(Some(config.read_timeout))?;
+    stream.set_write_timeout(Some(WRITE_STALL_TIMEOUT))?;
     let mut buf = Vec::new();
     loop {
         match read_frame_polling(&mut stream, &mut buf, shared.shutdown)? {

@@ -14,8 +14,8 @@ use dsh_hamming::BitSampling;
 use dsh_index::{ShardedIndex, WriteOutcome};
 use dsh_math::rng::seeded;
 use dsh_server::protocol::{
-    encode_bodyless, encode_insert_batch, encode_query, put_u32, Opcode, Status, MAX_BATCH_OPS,
-    MAX_FRAME,
+    encode_bodyless, encode_insert_batch, encode_query, encode_query_batch, put_u32, write_frame,
+    Opcode, Status, MAX_BATCH_OPS, MAX_FRAME,
 };
 use dsh_server::server::{spawn, ServerConfig, ServerHandle};
 use dsh_server::Client;
@@ -478,4 +478,32 @@ fn stop_returns_while_an_idle_client_stays_connected() {
     assert_eq!(served.epoch(), 1);
     let result = idle.info();
     assert!(result.is_err(), "connection survived stop(): {result:?}");
+}
+
+/// ... and so must a client that stopped reading: it pipelines
+/// `QueryBatch` requests whose responses (about 8 MB each) outgrow the
+/// socket buffers and never reads one, so its handler blocks in a write,
+/// where it cannot see the shutdown flag. The write's stall timeout must
+/// tear that connection down; meanwhile the server keeps serving others.
+#[test]
+fn stop_returns_while_a_client_that_stopped_reading_stays_connected() {
+    let server = spawn_server(0x570C, 1, 2);
+    let mut flood = Client::connect(server.addr()).unwrap();
+    // 2 000 copies of one row: querying it returns all of them.
+    let row = random_rows(11, 1)[0];
+    flood.insert_batch(1, &vec![row; 2000]).unwrap();
+    let mut frame = Vec::new();
+    write_frame(&mut frame, &encode_query_batch(1, &vec![row; 512], None)).unwrap();
+    for _ in 0..4 {
+        flood.send_raw(&frame).unwrap();
+    }
+    let info = Client::connect(server.addr()).unwrap().info().unwrap();
+    assert_eq!(info.len, 2000);
+    let (done, stopped) = std::sync::mpsc::channel();
+    std::thread::spawn(move || done.send(server.stop()));
+    let served = stopped
+        .recv_timeout(Duration::from_secs(20))
+        .expect("stop() did not return while a client had stopped reading")
+        .unwrap();
+    assert_eq!(served.len(), 2000);
 }

@@ -175,11 +175,6 @@ fn hash_many_is_the_hash_loop_for_minhash() {
 // Batched == row at a time
 // ---------------------------------------------------------------------------
 
-fn bit_points(seed: u64, n: usize, d: usize) -> Vec<BitVector> {
-    let mut rng = seeded(seed);
-    (0..n).map(|_| BitVector::random(&mut rng, d)).collect()
-}
-
 /// Batches ending before, on and after a block boundary, at thread counts
 /// that put one, two and no full block on a worker.
 fn assert_batches_equal_the_query_loop<S, B, V>(
@@ -233,13 +228,13 @@ fn assert_verifiers_batch_like_they_loop<B: CandidateBackend<Row = [u64]>>(
 #[test]
 fn batched_queries_equal_the_query_loop_across_block_edges() {
     let d = 128;
-    let points = bit_points(0xBA7C, 220, d);
+    let points = common::bit_points(0xBA7C, 220, d);
     // Data points and fresh ones, so queries stop at different tables.
     let queries: Vec<BitVector> = points
         .iter()
         .step_by(3)
         .cloned()
-        .chain(bit_points(0xBA7D, 60, d))
+        .chain(common::bit_points(0xBA7D, 60, d))
         .collect();
     assert!(queries.len() >= 129);
     let bulk = || BitStore::from(points[..150].to_vec());

@@ -1,5 +1,6 @@
 //! Shared test harnesses for the integration suite: the statistical
-//! recall sweep, and the front-end parity script.
+//! recall sweep, the front-end parity script, and (in [`harness`]) the
+//! model-based write-path harness.
 //!
 //! The recall harness runs a seeded sweep of planted-neighbor instances
 //! and reports the fraction of runs in which the index under test
@@ -17,17 +18,33 @@
 
 #![allow(dead_code, unused_macros, unused_imports)] // each integration-test binary uses a subset
 
+pub mod harness;
+
 use dsh_core::family::DshFamily;
-use dsh_core::points::{hamming, AsRow, BitStore, DenseStore, PointStore};
-use dsh_data::hamming_data::{planted_hamming_instance, PlantedHammingInstance};
+use dsh_core::points::{
+    hamming, AppendStore, AsRow, BitStore, BitVector, DenseStore, DenseVector, PointStore,
+};
+use dsh_data::hamming_data::{self, planted_hamming_instance, PlantedHammingInstance};
+use dsh_data::sphere_data;
 use dsh_hamming::BitSampling;
 use dsh_index::{
     hyperplane, measures, sphere_annulus, AnnulusIndex, AnnulusSpec, CandidateBackend, Frontend,
     NearNeighborIndex, QueryStats, RangeReportingIndex, Verifier,
 };
 use dsh_math::rng::seeded;
+use harness::{Model, Op, Style, Subject};
 use rand::Rng;
 use std::fmt::Debug;
+
+/// `n` uniform `d`-bit vectors from `seed`.
+pub fn bit_points(seed: u64, n: usize, d: usize) -> Vec<BitVector> {
+    hamming_data::uniform_hamming(&mut seeded(seed), n, d)
+}
+
+/// `n` uniform unit vectors in dimension `d` from `seed`.
+pub fn dense_points(seed: u64, n: usize, d: usize) -> Vec<DenseVector> {
+    sphere_data::uniform_sphere(&mut seeded(seed), n, d)
+}
 
 /// Parameters of one recall@1 sweep over planted Hamming instances.
 pub struct RecallSweep {
@@ -108,8 +125,8 @@ where
 // function generic over the backend (`make` builds it from the family
 // and `L` the front-end hands over, e.g.
 // `|g, l| DynamicIndex::build(g, store, l, rng)`), and one script —
-// `front_end_parity!` — drives any number of them through the same
-// write schedule.
+// `front_end_script`, in the harness's op language — drives any number
+// of them through the same writes.
 // ---------------------------------------------------------------------------
 
 /// `NearNeighborIndex` over a bit-sampling family in dimension `d`,
@@ -200,81 +217,113 @@ where
     sequential
 }
 
-/// The front-end parity script. `reference` is a static build over
-/// `points`; every subject is the same front-end over an **empty**
-/// mutable backend built from the same RNG stream. Each subject is
-///
-/// 1. grown by per-op `backend_mut().insert`, sealing every 41 inserts,
-///    and queried on that multi-segment layout;
-/// 2. compacted — and must now answer exactly like `reference`;
-/// 3. churned through `backend_mut()`: a `remove`, then one
-///    `apply_batch` inserting `extra` and removing live, fresh and
-///    already-dead ids, and queried over the resulting sealed + delta +
-///    tombstone layout;
-/// 4. compacted again and queried.
-///
-/// Every subject must agree with the first one on the derived parameters
-/// (`$params`: the accessor to compare), on every write result, and on
-/// every answer (ids, order, full `QueryStats`) at steps 1, 3 and 4 — and
-/// at each step the batched query paths must reproduce query-at-a-time
-/// (see [`answers`]).
+/// The front-end parity script as four stages of harness ops over a
+/// pool whose first `n` points are the ones the reference was built
+/// over: grow by per-op inserts, sealing every 41; compact; churn — a
+/// remove, then one group commit inserting the rest of the pool and
+/// removing an id it just assigned, a live one and an already dead one;
+/// compact again.
+fn front_end_script(n: usize, pool: usize) -> [Vec<Op>; 4] {
+    let seal_after = |i| (i % 41 == 40).then_some(Op::Seal);
+    let grow = (0..n).flat_map(|i| [Some(Op::Insert(i)), seal_after(i)]);
+    let staged = (n..pool).map(Op::Insert);
+    let staged = staged.chain([n, n + 2, 7].map(Op::Remove)).collect();
+    let churn = vec![Op::Remove(7), Op::Batch(staged)];
+    let compact = vec![Op::Compact];
+    [grow.flatten().collect(), compact.clone(), churn, compact]
+}
+
+/// Drive the mutable backend under `subject` through
+/// [`front_end_script`] — every write outcome checked against the
+/// harness model — and return its [`answers`] after each stage.
+pub fn front_end_stages<S, B, V, Q>(
+    mut subject: Frontend<S, B, V>,
+    pool: &[Q],
+    n: usize,
+    queries: &Vec<Q>,
+    name: &str,
+) -> Vec<Vec<(V::Answer, QueryStats)>>
+where
+    S: AppendStore + Clone,
+    B: CandidateBackend<Row = S::Row> + Subject<S>,
+    V: Verifier<S::Row>,
+    V::Answer: PartialEq + Debug,
+    Q: AsRow<Row = S::Row>,
+    Vec<Q>: PointStore<Row = S::Row>,
+{
+    let mut model = Model::default();
+    let mut stage = |ops: &Vec<Op>| {
+        for op in ops {
+            let outcome = harness::apply(subject.backend_mut(), op, pool, Style::Group);
+            assert_eq!(outcome, model.apply(op).outcome, "{name}: {op:?}");
+        }
+        answers(&subject, queries, name)
+    };
+    front_end_script(n, pool.len())
+        .iter()
+        .map(&mut stage)
+        .collect()
+}
+
+/// Front-end parity over `$case = (empty store, pool, n, queries)`.
+/// `$reference` is a static build over the first `n` points of the pool;
+/// `$over` is the same front-end over the backend `$make` builds, and is
+/// instantiated over an **empty** `DynamicIndex` and `ShardedIndex`es of
+/// 1, 2 and 8 shards, all sampled from `$seed` like the reference and
+/// driven through [`front_end_stages`]. Every subject must agree with
+/// the reference on the derived parameters (`$params`: the accessor to
+/// compare) and, once grown and compacted, on every answer (ids, order,
+/// full `QueryStats`); with the first subject on every answer at every
+/// stage; and at each stage the batched query paths must reproduce
+/// query-at-a-time (see [`answers`]).
 macro_rules! front_end_parity {
     (
         $name:expr,
         $params:ident,
+        seed: $seed:expr,
         reference: $reference:expr,
-        subjects: [$($subject:expr),+ $(,)?],
-        points: $points:expr,
-        extra: $extra:expr,
-        queries: $queries:expr $(,)?
+        over: |$make:ident| $over:expr,
+        case: $case:expr $(,)?
     ) => {{
-        let (name, points, extra, queries) = ($name, $points, $extra, $queries);
+        use dsh_core::family::DshFamily;
+        use dsh_index::{DynamicIndex, ShardedIndex};
+        let (name, seed) = ($name, $seed);
+        let &(ref empty, pool, n, queries) = $case;
         let reference = $reference;
         let want = $crate::common::answers(&reference, queries, name);
-        let victims = [points.len(), points.len() + 2, 7];
-        let (mut grown, mut writes, mut churned, mut compacted) =
-            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-        $({
-            let mut subject = $subject;
-            assert_eq!(reference.$params(), subject.$params(), "{name}: derived parameters");
-            for (i, p) in points.iter().enumerate() {
-                subject.backend_mut().insert(p).unwrap();
-                if i % 41 == 40 {
-                    subject.backend_mut().seal();
-                }
-            }
-            grown.push($crate::common::answers(&subject, queries, name));
-            subject.backend_mut().compact();
+        let rng = || dsh_math::rng::seeded(seed);
+        let dynamic = {
+            let $make =
+                |g: &dyn DshFamily<_>, l| DynamicIndex::build(g, empty.clone(), l, &mut rng());
+            $over
+        };
+        assert_eq!(
+            reference.$params(),
+            dynamic.$params(),
+            "{name}: derived parameters"
+        );
+        let first = $crate::common::front_end_stages(dynamic, pool, n, queries, name);
+        assert_eq!(
+            want, first[1],
+            "{name}: grown + compacted vs the static build"
+        );
+        for shards in $crate::common::harness::SHARD_COUNTS {
+            let sharded = {
+                let $make = |g: &dyn DshFamily<_>, l| {
+                    ShardedIndex::build(g, empty.clone(), l, shards, &mut rng())
+                };
+                $over
+            };
             assert_eq!(
-                want,
-                $crate::common::answers(&subject, queries, name),
-                "{name}: grown + compacted vs the static build"
+                reference.$params(),
+                sharded.$params(),
+                "{name}: derived parameters"
             );
-            let backend = subject.backend_mut();
-            let removed = backend.remove(7);
-            let mut batch = backend.new_batch();
-            for i in 0..extra.len() {
-                batch.insert(extra.row(i));
-            }
-            for id in victims {
-                batch.remove(id);
-            }
-            writes.push((removed, backend.apply_batch(&batch)));
-            churned.push($crate::common::answers(&subject, queries, name));
-            subject.backend_mut().compact();
-            compacted.push($crate::common::answers(&subject, queries, name));
-        })+
-        for (subject, w) in writes.iter().enumerate() {
-            assert_eq!(&writes[0], w, "{name}: write results (subject {subject})");
-        }
-        for (stage, runs) in [
-            ("grown, pre-compact", &grown),
-            ("churned, pre-compact", &churned),
-            ("churned, post-compact", &compacted),
-        ] {
-            for (subject, run) in runs.iter().enumerate() {
-                assert_eq!(&runs[0], run, "{name}: {stage} (subject {subject})");
-            }
+            let run = $crate::common::front_end_stages(sharded, pool, n, queries, name);
+            assert_eq!(
+                first, run,
+                "{name}: {shards} shards vs unsharded, every stage"
+            );
         }
     }};
 }
