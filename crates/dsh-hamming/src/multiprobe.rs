@@ -47,7 +47,7 @@ impl MultiProbeBitSampling {
     }
 
     /// Number of probe buckets `L = sum_{i<=w} C(k, i)`.
-    pub fn probe_count(&self) -> u64 {
+    fn probe_count(&self) -> u64 {
         (0..=self.w)
             .map(|i| binomial(self.k as u64, i as u64) as u64)
             .sum()

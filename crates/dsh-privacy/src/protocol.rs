@@ -18,6 +18,12 @@
 //! `[0, r]`, the intersection size does not reveal how close the points
 //! are, unlike a standard LSH whose collision counts grow sharply as
 //! `dist -> 0` (the triangulation attack of \[45\]).
+//!
+//! The protocol takes any [`DshFamily`]; the flat one in this workspace
+//! is the §6.3 [`dsh_hamming::MultiProbeBitSampling`], whose CPF at
+//! `k = 16`, `w = 3` is `1/697` at `dist = 0` and within 1 % of it up to
+//! relative distance `0.05`. A powered bit sampling `(1 - t)^k`, or its
+//! product with anti bit sampling, is not flat there.
 
 use crate::psi::{digest, PsiTranscript};
 use dsh_core::family::{DshFamily, HasherPair};

@@ -176,44 +176,44 @@ impl AnalyticCpf for PolynomialSphereDsh {
     }
 }
 
-/// The normalized polynomials plotted in the paper's Figure 4.
-///
-/// Left pane: `t^2`, `-t^2`, `(-t^3 + t^2 - t)/3`; right pane:
-/// `(2t^2 - 1)/3`, `(4t^3 - 3t)/7`, `(8t^4 - 8t^2 + 1)/17`,
-/// `(16t^5 - 20t^3 + 5t)/41` (normalized Chebyshev polynomials).
-pub fn figure4_polynomials() -> Vec<(&'static str, Polynomial)> {
-    vec![
-        ("t^2", Polynomial::new(vec![0.0, 0.0, 1.0])),
-        ("-t^2", Polynomial::new(vec![0.0, 0.0, -1.0])),
-        (
-            "(-t^3 + t^2 - t)/3",
-            Polynomial::new(vec![0.0, -1.0 / 3.0, 1.0 / 3.0, -1.0 / 3.0]),
-        ),
-        (
-            "(2t^2 - 1)/3",
-            Polynomial::new(vec![-1.0 / 3.0, 0.0, 2.0 / 3.0]),
-        ),
-        (
-            "(4t^3 - 3t)/7",
-            Polynomial::new(vec![0.0, -3.0 / 7.0, 0.0, 4.0 / 7.0]),
-        ),
-        (
-            "(8t^4 - 8t^2 + 1)/17",
-            Polynomial::new(vec![1.0 / 17.0, 0.0, -8.0 / 17.0, 0.0, 8.0 / 17.0]),
-        ),
-        (
-            "(16t^5 - 20t^3 + 5t)/41",
-            Polynomial::new(vec![0.0, 5.0 / 41.0, 0.0, -20.0 / 41.0, 0.0, 16.0 / 41.0]),
-        ),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::geometry::pair_with_inner_product;
     use dsh_core::estimate::CpfEstimator;
     use dsh_math::rng::seeded;
+
+    /// The normalized polynomials plotted in the paper's Figure 4.
+    ///
+    /// Left pane: `t^2`, `-t^2`, `(-t^3 + t^2 - t)/3`; right pane:
+    /// `(2t^2 - 1)/3`, `(4t^3 - 3t)/7`, `(8t^4 - 8t^2 + 1)/17`,
+    /// `(16t^5 - 20t^3 + 5t)/41` (normalized Chebyshev polynomials).
+    fn figure4_polynomials() -> Vec<(&'static str, Polynomial)> {
+        vec![
+            ("t^2", Polynomial::new(vec![0.0, 0.0, 1.0])),
+            ("-t^2", Polynomial::new(vec![0.0, 0.0, -1.0])),
+            (
+                "(-t^3 + t^2 - t)/3",
+                Polynomial::new(vec![0.0, -1.0 / 3.0, 1.0 / 3.0, -1.0 / 3.0]),
+            ),
+            (
+                "(2t^2 - 1)/3",
+                Polynomial::new(vec![-1.0 / 3.0, 0.0, 2.0 / 3.0]),
+            ),
+            (
+                "(4t^3 - 3t)/7",
+                Polynomial::new(vec![0.0, -3.0 / 7.0, 0.0, 4.0 / 7.0]),
+            ),
+            (
+                "(8t^4 - 8t^2 + 1)/17",
+                Polynomial::new(vec![1.0 / 17.0, 0.0, -8.0 / 17.0, 0.0, 8.0 / 17.0]),
+            ),
+            (
+                "(16t^5 - 20t^3 + 5t)/41",
+                Polynomial::new(vec![0.0, 5.0 / 41.0, 0.0, -20.0 / 41.0, 0.0, 16.0 / 41.0]),
+            ),
+        ]
+    }
 
     #[test]
     fn tensor_power_basics() {

@@ -1,10 +1,12 @@
 //! Integration test: the §6.4 privacy protocol end to end, including the
-//! (eps, delta) guarantees and the leakage accounting.
+//! (eps, delta) guarantees, the leakage accounting and the flat
+//! intersection signal of a step CPF.
 
 use dsh::prelude::*;
 use dsh_data::hamming_data::point_at_distance;
-use dsh_hamming::BitSampling;
+use dsh_hamming::{BitSampling, MultiProbeBitSampling};
 use dsh_math::rng::seeded;
+use dsh_math::stats::{mean, variance};
 use dsh_privacy::DistanceEstimationProtocol;
 
 #[test]
@@ -34,6 +36,39 @@ fn close_yes_far_no() {
     }
     assert!(fneg <= runs / 10, "false negatives {fneg}/{runs}");
     assert!(fpos <= runs / 10, "false positives {fpos}/{runs}");
+}
+
+/// Mean and standard error of the intersection size at Hamming distances
+/// 0, r/2 and r (r = 12 of d = 256), over 40 runs that each share a fresh
+/// protocol of 2 000 pairs: a run's intersection is `Bin(N, f(dist))`.
+fn intersection_by_distance<F: DshFamily<[u64]>>(family: &F, seed: u64) -> [(f64, f64); 3] {
+    let d = 256;
+    let rng = &mut seeded(seed);
+    let mut sizes: [Vec<f64>; 3] = Default::default();
+    for _ in 0..40 {
+        let proto = DistanceEstimationProtocol::new(family, 2000, 16, rng);
+        let x = BitVector::random(rng, d);
+        for (dist, runs) in [0, 6, 12].into_iter().zip(&mut sizes) {
+            let y = point_at_distance(rng, &x, dist);
+            runs.push(proto.run(&x, &y).intersection_size as f64);
+        }
+    }
+    sizes.map(|s| (mean(&s), (variance(&s) / s.len() as f64).sqrt()))
+}
+
+#[test]
+fn flat_step_family_hides_distance_within_range() {
+    // The privacy claim: with a CPF flat on [0, r] the intersection size
+    // does not say where in the range the client is. The §6.3 multiprobe
+    // family is flat to 1 % there; (1 - t)^14 falls to 0.51 by t = r.
+    let flat = MultiProbeBitSampling::new(256, 16, 3);
+    assert!(flat.flatness(12.0 / 256.0) < 1.01);
+    let plain = Power::new(BitSampling::new(256), 14);
+    let apart = |[a, b, c]: [(f64, f64); 3]| {
+        [(a, b), (a, c), (b, c)].map(|((m1, s1), (m2, s2))| (m1 - m2).abs() > 4.0 * s1.hypot(s2))
+    };
+    assert_eq!(apart(intersection_by_distance(&flat, 0x1E5793)), [false; 3]);
+    assert_eq!(apart(intersection_by_distance(&plain, 0x1E5794)), [true; 3]);
 }
 
 #[test]
