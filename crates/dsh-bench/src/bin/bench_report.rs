@@ -39,8 +39,8 @@ use dsh_core::combinators::Power;
 use dsh_core::family::{DshFamily, PointHasher};
 use dsh_core::kernels;
 use dsh_core::points::{BitStore, BitVector, DenseStore, DenseVector, PointStore};
-use dsh_data::hamming_data::uniform_hamming_store;
-use dsh_data::sphere_data::uniform_sphere_store;
+use dsh_data::hamming_data::uniform_hamming;
+use dsh_data::sphere_data::uniform_sphere;
 use dsh_euclidean::ShiftedEuclideanDsh;
 use dsh_hamming::{AntiBitSampling, BitSampling, PolynomialHammingDsh};
 use dsh_index::{DynamicIndex, HashTableIndex, QueryStats, ShardedIndex};
@@ -302,7 +302,7 @@ fn run_benches(s: &Sizes) -> Vec<Sample> {
     // a block shares.
     let d = 32;
     let mut rng = seeded(0xBE2);
-    let points = uniform_sphere_store(&mut rng, s.hash_points, d);
+    let points = DenseStore::from(uniform_sphere(&mut rng, s.hash_points, d));
     for t in [1.0, 1.5, 2.0, 2.5] {
         let pair = FilterDshMinus::new(d, t).sample(&mut rng);
         record_hashing(&mut samples, s.reps, &*pair.data, &points, d);
@@ -315,7 +315,7 @@ fn run_benches(s: &Sizes) -> Vec<Sample> {
     let cube = Polynomial::new(vec![0.0, 0.0, 0.0, 1.0]);
     for d in [8, 16, 32] {
         let mut rng = seeded(0xBE7);
-        let points = uniform_sphere_store(&mut rng, s.hash_points, d);
+        let points = DenseStore::from(uniform_sphere(&mut rng, s.hash_points, d));
         let exact = PolynomialSphereDsh::new(d, &cube).sample(&mut rng);
         record_hashing(&mut samples, s.reps, &*exact.data, &points, d);
         let sketched = SketchedPolynomialSphereDsh::new(d, &cube, 1024).sample(&mut rng);
@@ -325,8 +325,8 @@ fn run_benches(s: &Sizes) -> Vec<Sample> {
     // The per-point price of one `(h, g)` evaluation of each family.
     let d = 64;
     let mut rng = seeded(0xBE1);
-    let bit_points = uniform_hamming_store(&mut rng, s.hash_points, d);
-    let points = uniform_sphere_store(&mut rng, s.hash_points, d);
+    let bit_points = BitStore::from(uniform_hamming(&mut rng, s.hash_points, d));
+    let points = DenseStore::from(uniform_sphere(&mut rng, s.hash_points, d));
     let poly = PolynomialHammingDsh::from_polynomial(d, &Polynomial::new(vec![0.0, 1.0, -1.0]))
         .expect("t(1 - t) is a valid Hamming CPF");
     for h in [

@@ -9,12 +9,10 @@
 //!   ([`DenseStore::dot_many`], [`BitStore::hamming_many`]) that verify a
 //!   whole candidate list against contiguous rows in one pass;
 //! * the [`AsRow`] bridge from owned points to their borrowed row type;
-//! * the [`PointStore`] trait over row-addressable point collections, with
-//!   [`DenseStore`] (row-major `Vec<f64>`) and [`BitStore`] (contiguous
-//!   `Vec<u64>` blocks) as the flat implementations and `Vec<P>` kept as
-//!   the pointer-per-point compatibility implementation;
-//! * the [`AppendStore`] extension for stores that grow one row at a
-//!   time — the contract the mutable (segmented) index layer builds on;
+//! * the [`PointStore`] trait over row-addressable, append-only point
+//!   collections, with [`DenseStore`] (row-major `Vec<f64>`) and
+//!   [`BitStore`] (contiguous `Vec<u64>` blocks) as the flat
+//!   implementations;
 //! * the snapshot-friendly [`ChunkedStore`] wrapper: frozen `Arc`-shared
 //!   chunks plus a small mutable tail, so cloning a store for an
 //!   immutable snapshot costs the tail, not the dataset — the storage
@@ -292,17 +290,6 @@ impl DenseVector {
             }
         }
     }
-
-    /// A uniformly random point in `{-1/sqrt(d), +1/sqrt(d)}^d` (scaled
-    /// hypercube corner on the sphere).
-    pub fn random_hypercube_corner(rng: &mut dyn Rng, d: usize) -> Self {
-        let s = 1.0 / (d as f64).sqrt();
-        DenseVector::new(
-            (0..d)
-                .map(|_| if rng.random_bool(0.5) { s } else { -s })
-                .collect(),
-        )
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -330,8 +317,8 @@ pub use crate::kernels::{dot, euclidean, hamming};
 ///
 /// Hash families and measures operate on the row type (`[f64]` for dense
 /// points, `[u64]` for packed bit points); owned [`DenseVector`] /
-/// [`BitVector`] values, store row views, and rows themselves all
-/// implement `AsRow`, so query APIs accept any of them interchangeably.
+/// [`BitVector`] values and rows themselves both implement `AsRow`, so
+/// single-query APIs accept either.
 pub trait AsRow {
     /// The borrowed row type (`[f64]`, `[u64]`, or `Self` for point types
     /// that are their own row, e.g. scalars).
@@ -386,14 +373,24 @@ self_row!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, f32, f64, bool);
 // Point stores
 // ---------------------------------------------------------------------------
 
-/// A row-addressable collection of points, the storage abstraction the
-/// index layer builds from and verifies against.
+/// A row-addressable, append-only collection of points: the storage
+/// abstraction the index layer builds from, verifies against and (in
+/// its mutable layer) grows one row at a time.
 ///
-/// The flat implementations are [`DenseStore`] and [`BitStore`]; `Vec<P>`
-/// (one heap allocation per point) is kept as the compatibility
-/// implementation so existing call sites keep working and so store-built
-/// indexes can be checked query-for-query against Vec-built ones.
-pub trait PointStore: Send + Sync {
+/// The implementations are the flat [`DenseStore`] (row-major
+/// `Vec<f64>`) and [`BitStore`] (contiguous `Vec<u64>` blocks), plus the
+/// snapshot wrapper [`ChunkedStore`] over either. Owned points enter a
+/// store through `From<Vec<_>>` or [`PointStore::push_row`].
+///
+/// ```
+/// use dsh_core::points::{BitStore, BitVector, PointStore};
+/// let mut store = BitStore::with_dim(70);
+/// let p = BitVector::ones(70);
+/// store.push_row(p.as_blocks());
+/// assert_eq!(store.len(), 1);
+/// assert_eq!(store.row(0), p.as_blocks());
+/// ```
+pub trait PointStore: Clone + Send + Sync {
     /// The borrowed row type handed to hash functions and measures.
     type Row: ?Sized + 'static;
 
@@ -417,114 +414,21 @@ pub trait PointStore: Send + Sync {
     fn prefetch_row(&self, i: usize) {
         let _ = i;
     }
-}
 
-/// A [`PointStore`] that can grow one row at a time — the storage
-/// contract of the mutable index layer (`dsh-index`'s `DynamicIndex`
-/// appends every inserted point to its backing store).
-///
-/// Appending is already natural for the flat stores: [`DenseStore`] is
-/// row-major (`push_row` is one `extend_from_slice`) and [`BitStore`] is
-/// bit-packed with a fixed block count per row. `Vec<DenseVector>` is
-/// supported for the pointer-per-point compatibility path; `Vec<BitVector>`
-/// is not, because a raw `[u64]` row does not carry the bit dimension an
-/// owned [`BitVector`] needs.
-///
-/// ```
-/// use dsh_core::points::{AppendStore, BitStore, BitVector, PointStore};
-/// let mut store = BitStore::with_dim(70);
-/// let p = BitVector::ones(70);
-/// store.push_row(p.as_blocks());
-/// assert_eq!(store.len(), 1);
-/// assert_eq!(store.row(0), p.as_blocks());
-/// ```
-pub trait AppendStore: PointStore {
     /// Append one row (must match the store's row shape).
     fn push_row(&mut self, row: &Self::Row);
 
     /// Pre-allocate for `additional` more rows. A batched write path
     /// (the index layer's group commits) knows its append count up
     /// front; reserving once turns the per-row buffer growth into a
-    /// single allocation. The default is a no-op, so stores without a
-    /// useful notion of capacity need not implement it.
-    fn reserve_rows(&mut self, additional: usize) {
-        let _ = additional;
-    }
+    /// single allocation.
+    fn reserve_rows(&mut self, additional: usize);
 
     /// A fresh empty store of the same row shape (same dimension /
     /// block count), ready to receive rows of this store. This is what
     /// lets generic code split one store into shards, or freeze a write
     /// head and start a new one, without knowing the concrete backend.
-    fn empty_like(&self) -> Self
-    where
-        Self: Sized;
-}
-
-impl AppendStore for DenseStore {
-    fn push_row(&mut self, row: &[f64]) {
-        self.push(row);
-    }
-
-    fn reserve_rows(&mut self, additional: usize) {
-        self.data.reserve(additional.saturating_mul(self.dim));
-    }
-
-    fn empty_like(&self) -> Self {
-        DenseStore::with_dim(self.dim())
-    }
-}
-
-impl AppendStore for BitStore {
-    fn push_row(&mut self, row: &[u64]) {
-        BitStore::push_row(self, row);
-    }
-
-    fn reserve_rows(&mut self, additional: usize) {
-        self.blocks
-            .reserve(additional.saturating_mul(self.blocks_per_row));
-    }
-
-    fn empty_like(&self) -> Self {
-        BitStore::with_dim(self.dim())
-    }
-}
-
-impl AppendStore for Vec<DenseVector> {
-    fn push_row(&mut self, row: &[f64]) {
-        if let Some(first) = self.first() {
-            // lint: allow(panic) — caller contract: row shape fixed by the first append; a mismatch is a caller bug
-            assert_eq!(row.len(), first.dim(), "dimension mismatch");
-        }
-        self.push(DenseVector::new(row.to_vec()));
-    }
-
-    fn reserve_rows(&mut self, additional: usize) {
-        self.reserve(additional);
-    }
-
-    fn empty_like(&self) -> Self {
-        Vec::new()
-    }
-}
-
-impl<P: AsRow + Send + Sync> PointStore for Vec<P> {
-    type Row = P::Row;
-    fn len(&self) -> usize {
-        Vec::len(self)
-    }
-    fn row(&self, i: usize) -> &P::Row {
-        self[i].as_row()
-    }
-}
-
-impl<P: AsRow + Send + Sync> PointStore for [P] {
-    type Row = P::Row;
-    fn len(&self) -> usize {
-        <[P]>::len(self)
-    }
-    fn row(&self, i: usize) -> &P::Row {
-        self[i].as_row()
-    }
+    fn empty_like(&self) -> Self;
 }
 
 /// Row-major contiguous storage for `n` points of `R^d`: one `Vec<f64>`
@@ -661,6 +565,15 @@ impl PointStore for DenseStore {
             crate::kernels::prefetch_span(&self.data, start, self.dim);
         }
     }
+    fn push_row(&mut self, row: &[f64]) {
+        self.push(row);
+    }
+    fn reserve_rows(&mut self, additional: usize) {
+        self.data.reserve(additional.saturating_mul(self.dim));
+    }
+    fn empty_like(&self) -> Self {
+        DenseStore::with_dim(self.dim)
+    }
 }
 
 /// Contiguous storage for `n` points of `{0,1}^d`: all rows bit-packed
@@ -719,8 +632,8 @@ impl BitStore {
     }
 
     /// Append a uniformly random point, drawing the same RNG stream as
-    /// [`BitVector::random`] (so generators can fill a store directly and
-    /// still produce bit-identical data to the `Vec<BitVector>` path).
+    /// [`BitVector::random`] (so the store holds bit-identical rows to
+    /// `BitStore::from` over the same draws).
     pub fn push_random(&mut self, rng: &mut dyn Rng) {
         let start = self.blocks.len();
         for _ in 0..self.blocks_per_row {
@@ -814,6 +727,16 @@ impl PointStore for BitStore {
             crate::kernels::prefetch_span(&self.blocks, start, self.blocks_per_row);
         }
     }
+    fn push_row(&mut self, row: &[u64]) {
+        BitStore::push_row(self, row);
+    }
+    fn reserve_rows(&mut self, additional: usize) {
+        self.blocks
+            .reserve(additional.saturating_mul(self.blocks_per_row));
+    }
+    fn empty_like(&self) -> Self {
+        BitStore::with_dim(self.dim)
+    }
 }
 
 /// A snapshot-friendly append-only store: a list of **frozen** chunks
@@ -836,7 +759,7 @@ impl PointStore for BitStore {
 /// (`dsh-index`'s `ShardedIndex`) publishes its snapshots on.
 ///
 /// ```
-/// use dsh_core::points::{AppendStore, BitStore, BitVector, ChunkedStore, PointStore};
+/// use dsh_core::points::{BitStore, BitVector, ChunkedStore, PointStore};
 /// let mut store = ChunkedStore::new(BitStore::with_dim(70));
 /// let p = BitVector::ones(70);
 /// store.push_row(p.as_blocks());
@@ -847,7 +770,7 @@ impl PointStore for BitStore {
 /// assert_eq!(snapshot.len(), 1);
 /// assert_eq!(snapshot.row(0), p.as_blocks());
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ChunkedStore<S> {
     chunks: Vec<Arc<S>>,
     /// Cumulative first-row index of each chunk (`starts[c]` is the
@@ -857,18 +780,7 @@ pub struct ChunkedStore<S> {
     tail_start: usize,
 }
 
-impl<S: Clone> Clone for ChunkedStore<S> {
-    fn clone(&self) -> Self {
-        ChunkedStore {
-            chunks: self.chunks.clone(),
-            starts: self.starts.clone(),
-            tail: self.tail.clone(),
-            tail_start: self.tail_start,
-        }
-    }
-}
-
-impl<S: AppendStore> ChunkedStore<S> {
+impl<S: PointStore> ChunkedStore<S> {
     /// Start from an empty tail store (which fixes the row shape —
     /// dimension, block count — of everything appended later).
     pub fn new(empty: S) -> Self {
@@ -892,11 +804,6 @@ impl<S: AppendStore> ChunkedStore<S> {
             chunked.chunks.push(Arc::new(store));
         }
         chunked
-    }
-
-    /// Number of frozen chunks currently held.
-    pub fn num_chunks(&self) -> usize {
-        self.chunks.len()
     }
 
     /// Rows sitting in the mutable tail (copied by every clone — callers
@@ -940,7 +847,7 @@ impl<S: AppendStore> ChunkedStore<S> {
     }
 }
 
-impl<S: AppendStore> PointStore for ChunkedStore<S> {
+impl<S: PointStore> PointStore for ChunkedStore<S> {
     type Row = S::Row;
 
     fn len(&self) -> usize {
@@ -966,9 +873,7 @@ impl<S: AppendStore> PointStore for ChunkedStore<S> {
         let c = self.starts.partition_point(|&s| s <= i) - 1;
         self.chunks[c].prefetch_row(i - self.starts[c]);
     }
-}
 
-impl<S: AppendStore> AppendStore for ChunkedStore<S> {
     fn push_row(&mut self, row: &S::Row) {
         self.tail.push_row(row);
     }
@@ -1135,9 +1040,12 @@ mod tests {
 
     #[test]
     fn hypercube_corner_on_sphere() {
+        // A random point of {0,1}^64 embeds as a corner of
+        // {-1/8, +1/8}^64 on the unit sphere.
         let mut rng = seeded(3);
-        let v = DenseVector::random_hypercube_corner(&mut rng, 64);
+        let v = BitVector::random(&mut rng, 64).to_unit_vector();
         assert!((v.norm() - 1.0).abs() < 1e-12);
+        assert!(v.as_slice().iter().all(|c| (c.abs() - 0.125).abs() < 1e-12));
     }
 
     #[test]
@@ -1198,7 +1106,7 @@ mod store_tests {
         assert_eq!(store.as_flat().len(), 45);
         for (i, p) in points.iter().enumerate() {
             assert_eq!(store.row(i), p.as_slice());
-            assert_eq!(PointStore::row(&store, i), PointStore::row(&points, i));
+            assert_eq!(PointStore::row(&store, i), p.as_slice());
         }
     }
 
@@ -1258,16 +1166,6 @@ mod store_tests {
     }
 
     #[test]
-    fn vec_and_slice_are_stores() {
-        let points = vec![BitVector::zeros(10), BitVector::ones(10)];
-        assert_eq!(PointStore::len(&points), 2);
-        assert_eq!(PointStore::row(&points, 1), points[1].as_blocks());
-        let slice: &[BitVector] = &points;
-        assert_eq!(PointStore::len(slice), 2);
-        assert!(!PointStore::is_empty(&points));
-    }
-
-    #[test]
     fn as_row_reflexivity_and_views() {
         let v = DenseVector::new(vec![1.0, 2.0]);
         assert_eq!(v.as_row(), v.as_slice());
@@ -1305,7 +1203,7 @@ mod store_tests {
             let whole = BitStore::from(points.clone());
             let mut grown = BitStore::with_dim(d);
             for p in &points {
-                AppendStore::push_row(&mut grown, p.as_blocks());
+                PointStore::push_row(&mut grown, p.as_blocks());
             }
             assert_eq!(grown, whole, "d = {d}");
             let mut copied = BitStore::with_dim(d);
@@ -1314,16 +1212,13 @@ mod store_tests {
             }
             assert_eq!(copied, whole, "d = {d}");
         }
-        // DenseStore and Vec<DenseVector> append the same rows.
+        // DenseStore appends the same rows its `From` conversion packs.
         let points: Vec<DenseVector> = (0..5).map(|_| DenseVector::gaussian(&mut rng, 7)).collect();
         let mut dense = DenseStore::with_dim(7);
-        let mut vec_store: Vec<DenseVector> = Vec::new();
         for p in &points {
-            AppendStore::push_row(&mut dense, p.as_slice());
-            AppendStore::push_row(&mut vec_store, p.as_slice());
+            PointStore::push_row(&mut dense, p.as_slice());
         }
-        assert_eq!(dense, DenseStore::from(points.clone()));
-        assert_eq!(vec_store, points);
+        assert_eq!(dense, DenseStore::from(points));
     }
 
     #[test]
@@ -1446,9 +1341,6 @@ mod proptests {
         let fresh = dense.empty_like();
         assert_eq!(fresh.dim(), 5);
         assert!(fresh.is_empty());
-
-        let vecs = vec![DenseVector::zeros(3)];
-        assert!(AppendStore::empty_like(&vecs).is_empty());
     }
 
     #[test]
@@ -1466,14 +1358,14 @@ mod proptests {
             }
         }
         assert_eq!(chunked.len(), flat.len());
-        assert_eq!(chunked.num_chunks(), 7);
+        assert_eq!(chunked.chunks.len(), 7);
         assert_eq!(chunked.tail_rows(), 1);
         for i in 0..flat.len() {
             assert_eq!(chunked.row(i), flat.row(i), "row {i}");
         }
         // Consolidation changes the chunk layout, not the rows.
         chunked.consolidate();
-        assert_eq!(chunked.num_chunks(), 1);
+        assert_eq!(chunked.chunks.len(), 1);
         assert_eq!(chunked.tail_rows(), 0);
         for i in 0..flat.len() {
             assert_eq!(chunked.row(i), flat.row(i), "row {i} post-consolidate");
@@ -1487,14 +1379,14 @@ mod proptests {
         dense.push(&[4.0, 5.0, 6.0]);
         let mut chunked = ChunkedStore::from_store(dense);
         assert_eq!(chunked.len(), 2);
-        assert_eq!(chunked.num_chunks(), 1);
+        assert_eq!(chunked.chunks.len(), 1);
         assert_eq!(chunked.tail_rows(), 0);
         chunked.push_row(&[7.0, 8.0, 9.0]);
         assert_eq!(chunked.row(1), &[4.0, 5.0, 6.0]);
         assert_eq!(chunked.row(2), &[7.0, 8.0, 9.0]);
         // Empty initial store: no chunk at all.
         let empty = ChunkedStore::from_store(DenseStore::with_dim(3));
-        assert_eq!(empty.num_chunks(), 0);
+        assert_eq!(empty.chunks.len(), 0);
         assert!(empty.is_empty());
     }
 

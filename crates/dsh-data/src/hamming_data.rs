@@ -1,23 +1,12 @@
 //! Hamming-cube datasets: uniform points, alpha-correlated pairs
 //! (Definition 3.1), and planted fixed-distance instances.
 
-use dsh_core::points::{BitStore, BitVector};
+use dsh_core::points::BitVector;
 use rand::Rng;
 
 /// `n` uniformly random points of `{0,1}^d`.
 pub fn uniform_hamming(rng: &mut dyn Rng, n: usize, d: usize) -> Vec<BitVector> {
     (0..n).map(|_| BitVector::random(rng, d)).collect()
-}
-
-/// [`uniform_hamming`] written directly into a flat [`BitStore`]: no
-/// per-point allocation, and bit-identical data to the `Vec` generator
-/// for the same RNG stream (the stores consume randomness the same way).
-pub fn uniform_hamming_store(rng: &mut dyn Rng, n: usize, d: usize) -> BitStore {
-    let mut store = BitStore::with_dim(d);
-    for _ in 0..n {
-        store.push_random(rng);
-    }
-    store
 }
 
 /// A randomly alpha-correlated pair (Definition 3.1): `x` uniform, each
@@ -118,16 +107,6 @@ mod tests {
         for &k in &[0usize, 1, 37, 100] {
             let y = point_at_distance(&mut rng, &x, k);
             assert_eq!(x.hamming(&y), k as u64);
-        }
-    }
-
-    #[test]
-    fn store_generator_matches_vec_generator() {
-        use dsh_core::points::BitStore;
-        for d in [1usize, 64, 100, 130] {
-            let store = uniform_hamming_store(&mut seeded(215), 25, d);
-            let owned = uniform_hamming(&mut seeded(215), 25, d);
-            assert_eq!(store, BitStore::from(owned), "d = {d}");
         }
     }
 

@@ -9,6 +9,5 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod euclidean_data;
 pub mod hamming_data;
 pub mod sphere_data;

@@ -1,22 +1,12 @@
 //! Unit-sphere datasets: uniform, clustered (recommender-style), and
 //! planted annulus/hyperplane instances.
 
-use dsh_core::points::{DenseStore, DenseVector};
+use dsh_core::points::DenseVector;
 use rand::Rng;
 
 /// `n` uniformly random points on `S^{d-1}`.
 pub fn uniform_sphere(rng: &mut dyn Rng, n: usize, d: usize) -> Vec<DenseVector> {
     (0..n).map(|_| DenseVector::random_unit(rng, d)).collect()
-}
-
-/// [`uniform_sphere`] written directly into a flat [`DenseStore`]:
-/// bit-identical data to the `Vec` generator for the same RNG stream.
-pub fn uniform_sphere_store(rng: &mut dyn Rng, n: usize, d: usize) -> DenseStore {
-    let mut store = DenseStore::with_dim(d);
-    for _ in 0..n {
-        store.push(DenseVector::random_unit(rng, d).as_slice());
-    }
-    store
 }
 
 /// Clustered dataset mimicking topic clusters in a recommender corpus:
@@ -38,26 +28,6 @@ pub fn clustered_sphere(
             c.add(&g).normalized()
         })
         .collect()
-}
-
-/// [`clustered_sphere`] written directly into a flat [`DenseStore`]:
-/// bit-identical data to the `Vec` generator for the same RNG stream.
-pub fn clustered_sphere_store(
-    rng: &mut dyn Rng,
-    n: usize,
-    d: usize,
-    k: usize,
-    noise: f64,
-) -> DenseStore {
-    assert!(k >= 1 && noise >= 0.0);
-    let centers = uniform_sphere(rng, k, d);
-    let mut store = DenseStore::with_dim(d);
-    for i in 0..n {
-        let c = &centers[i % k];
-        let g = DenseVector::gaussian(rng, d).scaled(noise);
-        store.push(c.add(&g).normalized().as_slice());
-    }
-    store
 }
 
 /// A planted annulus-search instance on the sphere: a query point `q`, one
@@ -149,16 +119,6 @@ mod tests {
             same > cross + 0.5,
             "same-cluster mean {same} not separated from cross-cluster mean {cross}"
         );
-    }
-
-    #[test]
-    fn store_generators_match_vec_generators() {
-        let store = uniform_sphere_store(&mut seeded(205), 12, 9);
-        let owned = uniform_sphere(&mut seeded(205), 12, 9);
-        assert_eq!(store, DenseStore::from(owned));
-        let store = clustered_sphere_store(&mut seeded(206), 18, 7, 3, 0.1);
-        let owned = clustered_sphere(&mut seeded(206), 18, 7, 3, 0.1);
-        assert_eq!(store, DenseStore::from(owned));
     }
 
     #[test]

@@ -182,7 +182,7 @@ impl<S: PointStore> NearNeighborIndex<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsh_core::points::BitVector;
+    use dsh_core::points::{BitStore, BitVector};
     use dsh_data::hamming_data;
     use dsh_hamming::BitSampling;
     use dsh_math::rng::seeded;
@@ -263,7 +263,7 @@ mod tests {
                 &BitSampling::new(d),
                 measure,
                 r2_rel,
-                inst.points,
+                BitStore::from(inst.points),
                 p1,
                 p2,
                 2.0,
@@ -285,7 +285,7 @@ mod tests {
         let d = 32;
         // Degenerate data: all identical points far from the query.
         let mut rng = seeded(0xA229);
-        let points: Vec<BitVector> = (0..500).map(|_| BitVector::zeros(d)).collect();
+        let points = BitStore::from(vec![BitVector::zeros(d); 500]);
         let q = BitVector::ones(d);
         let measure = crate::measures::relative_hamming(d);
         let idx = NearNeighborIndex::build(
@@ -308,19 +308,19 @@ mod tests {
         let d = 128;
         let mut rng = seeded(0xA230);
         let inst = hamming_data::planted_hamming_instance(&mut rng, 200, d, 6);
-        let queries: Vec<BitVector> = (0..12).map(|_| BitVector::random(&mut rng, d)).collect();
+        let queries = BitStore::from(hamming_data::uniform_hamming(&mut rng, 12, d));
         let measure = crate::measures::relative_hamming(d);
         let idx = NearNeighborIndex::build(
             &BitSampling::new(d),
             measure,
             0.25,
-            inst.points,
+            BitStore::from(inst.points),
             0.95,
             0.75,
             2.0,
             &mut rng,
         );
-        let sequential: Vec<_> = queries.iter().map(|q| idx.query(q)).collect();
+        let sequential: Vec<_> = queries.rows().map(|q| idx.query(q)).collect();
         for threads in [1usize, 2, 5] {
             assert_eq!(
                 sequential,
@@ -338,7 +338,7 @@ mod tests {
             &BitSampling::new(8),
             measure,
             0.1,
-            Vec::<BitVector>::new(),
+            BitStore::with_dim(8),
             0.9,
             0.5,
             1.0,
@@ -354,7 +354,7 @@ mod tests {
             &BitSampling::new(8),
             measure,
             f64::NAN,
-            vec![BitVector::zeros(8)],
+            BitStore::from(vec![BitVector::zeros(8)]),
             0.9,
             0.5,
             1.0,

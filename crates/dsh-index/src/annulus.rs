@@ -85,7 +85,7 @@ impl<S: PointStore, B: CandidateBackend<Row = S::Row>> AnnulusIndex<S, B> {
     /// success probability guarantee (>= 1/2 in Theorem 6.1).
     pub fn success_rate<QS>(&self, queries: &QS) -> f64
     where
-        QS: PointStore<Row = S::Row> + ?Sized,
+        QS: PointStore<Row = S::Row>,
     {
         assert!(!queries.is_empty());
         let hits = self
@@ -142,7 +142,7 @@ pub fn powering_parameters(n: usize, f_peak: f64, f_out: f64, factor: f64) -> (u
 mod tests {
     use super::*;
     use dsh_core::combinators::{Concat, Power};
-    use dsh_core::points::BitVector;
+    use dsh_core::points::{BitStore, BitVector, DenseStore};
     use dsh_core::AnalyticCpf;
     use dsh_data::hamming_data;
     use dsh_data::sphere_data;
@@ -170,7 +170,8 @@ mod tests {
         let mut rng = seeded(311);
         let inst = hamming_data::planted_hamming_instance(&mut rng, n, d, 64); // t = 0.25
         let measure = crate::measures::relative_hamming(d);
-        let idx = AnnulusIndex::build(&fam, measure, (0.15, 0.35), inst.points, l, &mut rng);
+        let points = BitStore::from(inst.points);
+        let idx = AnnulusIndex::build(&fam, measure, (0.15, 0.35), points, l, &mut rng);
         let (hit, stats) = idx.query(&inst.query);
         let m = hit.expect("planted point at the peak should be found");
         assert!((0.15..=0.35).contains(&m.value));
@@ -190,7 +191,8 @@ mod tests {
         let mut rng = seeded(312);
         let inst = sphere_data::planted_sphere_instance(&mut rng, n, d, alpha_max);
         let measure = crate::measures::inner_product();
-        let idx = AnnulusIndex::build(&fam, measure, (lo, hi), inst.points, l, &mut rng);
+        let points = DenseStore::from(inst.points);
+        let idx = AnnulusIndex::build(&fam, measure, (lo, hi), points, l, &mut rng);
         // Success probability is >= 1/2 per query; amplify by retrying the
         // query a few times (fresh randomness lives in the index build, so
         // instead assert the single-shot success over several instances in
@@ -223,7 +225,8 @@ mod tests {
             let mut rng = seeded(313 + run);
             let inst = hamming_data::planted_hamming_instance(&mut rng, 150, d, 64);
             let measure = crate::measures::relative_hamming(d);
-            let idx = AnnulusIndex::build(&fam, measure, (0.1, 0.4), inst.points, l, &mut rng);
+            let points = BitStore::from(inst.points);
+            let idx = AnnulusIndex::build(&fam, measure, (0.1, 0.4), points, l, &mut rng);
             if idx.query(&inst.query).0.is_some() {
                 successes += 1;
             }
@@ -240,7 +243,7 @@ mod tests {
         let fam = Power::new(AntiBitSampling::new(d), 2);
         let mut rng = seeded(314);
         // All points are far (t ~ 0.5); ask for an annulus around 0.1.
-        let points = hamming_data::uniform_hamming(&mut rng, 100, d);
+        let points = BitStore::from(hamming_data::uniform_hamming(&mut rng, 100, d));
         let q = BitVector::random(&mut rng, d);
         let measure = crate::measures::relative_hamming(d);
         let idx = AnnulusIndex::build(&fam, measure, (0.05, 0.15), points, 20, &mut rng);
@@ -282,7 +285,7 @@ mod tests {
             &BitSampling::new(d),
             measure,
             (0.0, 0.5),
-            vec![BitVector::zeros(d)],
+            BitStore::from(vec![BitVector::zeros(d)]),
             0,
             &mut seeded(1),
         );
@@ -296,7 +299,7 @@ mod tests {
             &BitSampling::new(16),
             measure,
             (0.0, 0.5),
-            Vec::<BitVector>::new(),
+            BitStore::with_dim(16),
             4,
             &mut seeded(2),
         );
@@ -310,7 +313,7 @@ mod tests {
             &BitSampling::new(16),
             measure,
             (0.0, f64::INFINITY),
-            vec![BitVector::zeros(16)],
+            BitStore::from(vec![BitVector::zeros(16)]),
             4,
             &mut seeded(3),
         );
@@ -321,10 +324,11 @@ mod tests {
         let d = 128;
         let mut rng = seeded(316);
         let points = hamming_data::uniform_hamming(&mut rng, 120, d);
-        let queries: Vec<BitVector> = points[..30].to_vec();
+        let queries = BitStore::from(points[..30].to_vec());
         let measure = crate::measures::relative_hamming(d);
+        let points = BitStore::from(points);
         let idx = AnnulusIndex::build(&fam_for_batch(d), measure, (0.0, 0.2), points, 12, &mut rng);
-        let sequential: Vec<_> = queries.iter().map(|q| idx.query(q)).collect();
+        let sequential: Vec<_> = queries.rows().map(|q| idx.query(q)).collect();
         for threads in [1usize, 2, 7] {
             assert_eq!(
                 sequential,
@@ -363,7 +367,8 @@ mod tests {
         let mut rng = seeded(0x991);
         let inst = dsh_data::hamming_data::planted_hamming_instance(&mut rng, n, d, d / 2);
         let measure = crate::measures::relative_hamming(d);
-        let idx = AnnulusIndex::build(&fam, measure, (0.4, 0.6), inst.points, l, &mut rng);
+        let points = BitStore::from(inst.points);
+        let idx = AnnulusIndex::build(&fam, measure, (0.4, 0.6), points, l, &mut rng);
         // The planted point sits at the peak; over a few rebuilds it is
         // found at least once (each attempt succeeds w.p. >= 1/2).
         let (hit, stats) = idx.query(&inst.query);
@@ -379,7 +384,8 @@ mod tests {
         let fam = BitSampling::new(d);
         let mut rng = seeded(315);
         let points = hamming_data::uniform_hamming(&mut rng, 50, d);
-        let queries: Vec<BitVector> = points[..10].to_vec();
+        let queries = BitStore::from(points[..10].to_vec());
+        let points = BitStore::from(points);
         let measure = crate::measures::relative_hamming(d);
         let idx = AnnulusIndex::build(&fam, measure, (0.0, 0.0), points, 10, &mut rng);
         // Identical points always within [0,0] and symmetric family

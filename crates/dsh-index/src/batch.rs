@@ -39,7 +39,7 @@
 //! assert_eq!(idx.epoch(), 1); // one publication for the whole batch
 //! ```
 
-use dsh_core::points::{AppendStore, AsRow};
+use dsh_core::points::{AsRow, PointStore};
 
 /// Hard cap on the id space every bucket layout shares: slot ids are
 /// `u32`, so an index (or shard family) holds at most `u32::MAX`
@@ -182,11 +182,11 @@ impl std::fmt::Display for BatchError {
 impl std::error::Error for BatchError {}
 
 /// An ordered sequence of inserts and removes, staged for one group
-/// commit. Inserted rows are buffered in an [`AppendStore`] of the
+/// commit. Inserted rows are buffered in a [`PointStore`] of the
 /// target index's row shape (obtain an empty batch from the index's
 /// `new_batch`); apply with `apply_batch` on [`crate::DynamicIndex`]
 /// or [`crate::ShardedIndex`]. See the module docs for semantics.
-pub struct WriteBatch<BS: AppendStore> {
+pub struct WriteBatch<BS: PointStore> {
     rows: BS,
     ops: Vec<BatchOp>,
     /// Op index of the first insert staged past [`MAX_POINTS`], if any.
@@ -196,7 +196,7 @@ pub struct WriteBatch<BS: AppendStore> {
     overflowed: Option<usize>,
 }
 
-impl<BS: AppendStore> WriteBatch<BS> {
+impl<BS: PointStore> WriteBatch<BS> {
     /// Start an empty batch staging rows in `rows` (which fixes the row
     /// shape and must be empty).
     pub fn new(rows: BS) -> Self {

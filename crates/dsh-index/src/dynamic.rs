@@ -28,7 +28,7 @@ use crate::batch::{
 use crate::parallel;
 use crate::shard::Snapshot;
 use dsh_core::family::DshFamily;
-use dsh_core::points::{AppendStore, AsRow};
+use dsh_core::points::{AsRow, PointStore};
 use rand::Rng;
 use std::ops::Deref;
 
@@ -118,11 +118,11 @@ impl Tombstones {
 /// assert_eq!(idx.len(), 0);
 /// ```
 #[derive(Clone)]
-pub struct DynamicIndex<S: AppendStore + Clone> {
+pub struct DynamicIndex<S: PointStore> {
     current: Snapshot<S>,
 }
 
-impl<S: AppendStore + Clone> DynamicIndex<S> {
+impl<S: PointStore> DynamicIndex<S> {
     /// Build with `l` independently sampled `(h, g)` pairs over an initial
     /// point set (which may be empty — the "start from nothing" case).
     /// Non-empty initial points become the first sealed segment, built in
@@ -196,7 +196,7 @@ impl<S: AppendStore + Clone> DynamicIndex<S> {
         batch: &WriteBatch<BS>,
     ) -> Result<Vec<WriteOutcome>, BatchError>
     where
-        BS: AppendStore<Row = S::Row>,
+        BS: PointStore<Row = S::Row>,
     {
         batch.validate(self.id_bound())?;
         Ok(self.current.apply_validated(batch))
@@ -229,7 +229,7 @@ impl<S: AppendStore + Clone> DynamicIndex<S> {
 }
 
 /// Every read of the index is the same call on its [`Snapshot`].
-impl<S: AppendStore + Clone> Deref for DynamicIndex<S> {
+impl<S: PointStore> Deref for DynamicIndex<S> {
     type Target = Snapshot<S>;
 
     fn deref(&self) -> &Snapshot<S> {
@@ -414,7 +414,7 @@ mod tests {
     fn batch_matches_sequential_queries() {
         let d = 64;
         let points = dataset(0xDE, d, 100);
-        let queries = dataset(0xDF, d, 21);
+        let queries = BitStore::from(dataset(0xDF, d, 21));
         let mut idx = DynamicIndex::build(
             &BitSampling::new(d),
             BitStore::with_dim(d),
@@ -431,7 +431,7 @@ mod tests {
             }
         }
         for limit in [None, Some(13)] {
-            let sequential: Vec<_> = queries.iter().map(|q| idx.candidates(q, limit)).collect();
+            let sequential: Vec<_> = queries.rows().map(|q| idx.candidates(q, limit)).collect();
             for threads in [1usize, 3, 8] {
                 assert_eq!(
                     sequential,
@@ -552,7 +552,7 @@ mod tests {
         claimed: usize,
     }
 
-    impl dsh_core::points::PointStore for FakeHugeStore {
+    impl PointStore for FakeHugeStore {
         type Row = [u64];
 
         fn len(&self) -> usize {
@@ -566,12 +566,12 @@ mod tests {
         fn row(&self, _i: usize) -> &[u64] {
             &[0]
         }
-    }
 
-    impl AppendStore for FakeHugeStore {
         fn push_row(&mut self, _row: &[u64]) {
             self.claimed += 1;
         }
+
+        fn reserve_rows(&mut self, _additional: usize) {}
 
         fn empty_like(&self) -> Self {
             FakeHugeStore { claimed: 0 }

@@ -161,7 +161,7 @@ impl<S: PointStore, B: CandidateBackend<Row = S::Row>, V: Verifier<S::Row>> Fron
     /// query-at-a-time loop.
     pub fn query_batch<QS>(&self, queries: &QS) -> Vec<(V::Answer, QueryStats)>
     where
-        QS: PointStore<Row = S::Row> + ?Sized,
+        QS: PointStore<Row = S::Row>,
     {
         self.query_batch_with_threads(queries, parallel::available_threads())
     }
@@ -176,7 +176,7 @@ impl<S: PointStore, B: CandidateBackend<Row = S::Row>, V: Verifier<S::Row>> Fron
         threads: usize,
     ) -> Vec<(V::Answer, QueryStats)>
     where
-        QS: PointStore<Row = S::Row> + ?Sized,
+        QS: PointStore<Row = S::Row>,
     {
         map_rows_blocked(
             &self.backend,

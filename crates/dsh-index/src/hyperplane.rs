@@ -71,6 +71,7 @@ pub fn theoretical_rho(alpha: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dsh_core::points::DenseStore;
     use dsh_data::sphere_data;
     use dsh_math::rng::seeded;
 
@@ -82,7 +83,7 @@ mod tests {
         for run in 0..runs {
             let mut rng = seeded(321 + run);
             let inst = sphere_data::planted_sphere_instance(&mut rng, 200, d, 0.0);
-            let idx = build(inst.points, d, 1.4, 0.4, 1.5, &mut rng);
+            let idx = build(DenseStore::from(inst.points), d, 1.4, 0.4, 1.5, &mut rng);
             if let (Some(m), _) = idx.query(&inst.query) {
                 assert!(m.value.abs() <= 0.4, "reported alpha {}", m.value);
                 successes += 1;
@@ -108,7 +109,7 @@ mod tests {
     fn accessors() {
         let mut rng = seeded(322);
         let pts = sphere_data::uniform_sphere(&mut rng, 30, 16);
-        let idx = build(pts, 16, 1.0, 0.5, 1.0, &mut rng);
+        let idx = build(DenseStore::from(pts), 16, 1.0, 0.5, 1.0, &mut rng);
         assert!(idx.repetitions() >= 1);
         assert_eq!(idx.backend().len(), 30);
     }

@@ -56,10 +56,9 @@
 //! Points live in a [`dsh_core::points::PointStore`]: the flat
 //! [`dsh_core::points::BitStore`] / [`dsh_core::points::DenseStore`]
 //! (contiguous rows — hashing and candidate verification at memory
-//! bandwidth) or a plain `Vec` of owned points. Indexes built over either
-//! backend from the same RNG stream are query-for-query identical;
-//! candidate verification goes through row-based [`annulus::Measure`]s
-//! (see [`measures`] for the stock kernels).
+//! bandwidth); owned points convert with `From<Vec<_>>`. Candidate
+//! verification goes through row-based [`annulus::Measure`]s (see
+//! [`measures`] for the stock kernels).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

@@ -8,16 +8,15 @@
 use crate::annulus::Measure;
 use crate::batch::{ensure_known, WriteError};
 use crate::dynamic::Tombstones;
-use dsh_core::points::{AppendStore, AsRow, PointStore};
+use dsh_core::points::{AsRow, PointStore};
 
-/// Exact scan over any point store (flat stores stream their rows at
-/// memory bandwidth; `Vec<P>` remains supported).
+/// Exact scan over a point store (the flat stores stream their rows at
+/// memory bandwidth).
 ///
 /// The scan doubles as the exact baseline for the *dynamic* index path:
-/// over an [`AppendStore`] it supports [`LinearScan::insert`], and
-/// removal tombstones an id so every scan skips it — mirroring
-/// [`crate::DynamicIndex`]'s id semantics (ids are stable handles, rows
-/// are append-only).
+/// it supports [`LinearScan::insert`], and removal tombstones an id so
+/// every scan skips it — mirroring [`crate::DynamicIndex`]'s id
+/// semantics (ids are stable handles, rows are append-only).
 pub struct LinearScan<S: PointStore> {
     points: S,
     measure: Measure<S::Row>,
@@ -124,9 +123,7 @@ impl<S: PointStore> LinearScan<S> {
             .map(|i| (i, (self.measure)(self.points.row(i), q)))
             .min_by(|a, b| a.1.total_cmp(&b.1))
     }
-}
 
-impl<S: AppendStore> LinearScan<S> {
     /// Append a point (an owned point, a store row view, or a raw row),
     /// returning its id — the dynamic counterpart of building the scan
     /// from a full point set up front.
@@ -143,16 +140,16 @@ impl<S: AppendStore> LinearScan<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsh_core::points::BitVector;
+    use dsh_core::points::{BitStore, BitVector, DenseStore, DenseVector};
     use dsh_data::hamming_data;
     use dsh_math::rng::seeded;
 
-    fn scan(seed: u64, n: usize, d: usize) -> (LinearScan<Vec<BitVector>>, BitVector) {
+    fn scan(seed: u64, n: usize, d: usize) -> (LinearScan<BitStore>, BitVector) {
         let mut rng = seeded(seed);
         let points = hamming_data::uniform_hamming(&mut rng, n, d);
         let q = BitVector::random(&mut rng, d);
         (
-            LinearScan::new(points, crate::measures::relative_hamming(d)),
+            LinearScan::new(BitStore::from(points), crate::measures::relative_hamming(d)),
             q,
         )
     }
@@ -201,13 +198,12 @@ mod tests {
         // moment any measure evaluation produced NaN. With total-order
         // comparison, NaN sorts above every real value, so the argmin is
         // the smallest real measure.
-        use dsh_core::points::DenseVector;
-        let points = vec![
+        let points = DenseStore::from(vec![
             DenseVector::new(vec![-1.0, 5.0]), // measure -> NaN
             DenseVector::new(vec![1.0, 3.0]),  // distance 3 to q
             DenseVector::new(vec![1.0, 1.0]),  // distance 1 to q (argmin)
             DenseVector::new(vec![-2.0, 0.0]), // measure -> NaN
-        ];
+        ]);
         let measure: crate::annulus::Measure<[f64]> = Box::new(|x, q| {
             if x[0] < 0.0 {
                 f64::NAN
@@ -222,14 +218,13 @@ mod tests {
         assert_eq!(v, 1.0);
         // All-NaN degenerate case: no panic, the NaN value is surfaced.
         let all_nan: crate::annulus::Measure<[f64]> = Box::new(|_, _| f64::NAN);
-        let scan = LinearScan::new(vec![DenseVector::zeros(2)], all_nan);
+        let scan = LinearScan::new(DenseStore::from(vec![DenseVector::zeros(2)]), all_nan);
         let (_, v) = scan.argmin(&q).expect("non-empty scan");
         assert!(v.is_nan());
     }
 
     #[test]
     fn insert_and_remove_drive_the_scan() {
-        use dsh_core::points::BitStore;
         let d = 64;
         let mut rng = seeded(346);
         let points = hamming_data::uniform_hamming(&mut rng, 30, d);
@@ -241,7 +236,7 @@ mod tests {
         assert_eq!(ids, (0..30).collect::<Vec<_>>());
         assert_eq!(grown.len(), 30);
         // Grown scan matches a scan built from the full set up front.
-        let whole = LinearScan::new(points.clone(), crate::measures::relative_hamming(d));
+        let whole = LinearScan::new(BitStore::from(points), crate::measures::relative_hamming(d));
         assert_eq!(grown.argmin(&q), whole.argmin(&q));
         assert_eq!(
             grown.all_in_interval(&q, 0.3, 0.7),
@@ -270,22 +265,23 @@ mod tests {
 
     #[test]
     fn store_backed_scan_matches_vec_backed() {
-        use dsh_core::points::BitStore;
+        // The store-backed scan against the same scan written out over
+        // the owned points.
         let mut rng = seeded(345);
         let d = 96;
         let points = hamming_data::uniform_hamming(&mut rng, 40, d);
         let q = BitVector::random(&mut rng, d);
-        let vec_scan = LinearScan::new(points.clone(), crate::measures::relative_hamming(d));
+        let dist: Vec<f64> = points.iter().map(|p| p.relative_hamming(&q)).collect();
         let store_scan =
             LinearScan::new(BitStore::from(points), crate::measures::relative_hamming(d));
-        assert_eq!(
-            vec_scan.all_in_interval(&q, 0.3, 0.7),
-            store_scan.all_in_interval(&q, 0.3, 0.7)
-        );
-        assert_eq!(vec_scan.argmin(&q), store_scan.argmin(&q));
-        assert_eq!(
-            vec_scan.find_in_interval(&q, 0.0, 1.0),
-            store_scan.find_in_interval(&q, 0.0, 1.0)
-        );
+        let inside: Vec<usize> = (0..dist.len())
+            .filter(|&i| (0.3..=0.7).contains(&dist[i]))
+            .collect();
+        assert_eq!(store_scan.all_in_interval(&q, 0.3, 0.7), (inside, 40));
+        let best = (0..dist.len())
+            .min_by(|&a, &b| dist[a].total_cmp(&dist[b]))
+            .map(|i| (i, dist[i]));
+        assert_eq!(store_scan.argmin(&q), best);
+        assert_eq!(store_scan.find_in_interval(&q, 0.0, 1.0), (Some(0), 1));
     }
 }

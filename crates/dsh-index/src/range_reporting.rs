@@ -111,7 +111,7 @@ impl<S: PointStore> RangeReportingIndex<S> {
 mod tests {
     use super::*;
     use dsh_core::combinators::{Concat, Power};
-    use dsh_core::points::BitVector;
+    use dsh_core::points::{BitStore, BitVector};
     use dsh_core::BoxedDshFamily;
     use dsh_data::hamming_data;
     use dsh_hamming::{AntiBitSampling, BitSampling};
@@ -149,7 +149,15 @@ mod tests {
         let l = (3.0 / f_close).ceil() as usize;
         let mut rng = seeded(332);
         let measure = crate::measures::relative_hamming(d);
-        let idx = RangeReportingIndex::build(&fam, measure, 0.05, 0.2, points, l, &mut rng);
+        let idx = RangeReportingIndex::build(
+            &fam,
+            measure,
+            0.05,
+            0.2,
+            BitStore::from(points),
+            l,
+            &mut rng,
+        );
         let rec = idx.recall(&q, &truth);
         assert!(rec > 0.9, "recall {rec}");
         // Nothing reported beyond r_plus.
@@ -188,6 +196,7 @@ mod tests {
         let mut rng = seeded(334);
         let m1 = crate::measures::relative_hamming(d);
         let m2 = crate::measures::relative_hamming(d);
+        let points = BitStore::from(points);
         let idx_plain =
             RangeReportingIndex::build(&plain, m1, 0.05, 0.2, points.clone(), l_plain, &mut rng);
         let idx_step = RangeReportingIndex::build(&step, m2, 0.05, 0.2, points, l_step, &mut rng);
@@ -222,8 +231,17 @@ mod tests {
             .collect();
         let fam = Power::new(BitSampling::new(d), 8);
         let measure = crate::measures::relative_hamming(d);
-        let idx = RangeReportingIndex::build(&fam, measure, 0.05, 0.2, points, 40, &mut rng);
+        let idx = RangeReportingIndex::build(
+            &fam,
+            measure,
+            0.05,
+            0.2,
+            BitStore::from(points),
+            40,
+            &mut rng,
+        );
         let sequential: Vec<_> = queries.iter().map(|q| idx.query(q)).collect();
+        let queries = BitStore::from(queries);
         for threads in [1usize, 4, 9] {
             assert_eq!(
                 sequential,
@@ -242,7 +260,7 @@ mod tests {
             measure,
             0.1,
             0.2,
-            vec![BitVector::zeros(16)],
+            BitStore::from(vec![BitVector::zeros(16)]),
             0,
             &mut seeded(1),
         );
@@ -257,7 +275,7 @@ mod tests {
             measure,
             0.1,
             0.2,
-            Vec::<BitVector>::new(),
+            BitStore::with_dim(16),
             4,
             &mut seeded(2),
         );
@@ -272,7 +290,7 @@ mod tests {
             measure,
             0.1,
             f64::INFINITY,
-            vec![BitVector::zeros(16)],
+            BitStore::from(vec![BitVector::zeros(16)]),
             4,
             &mut seeded(3),
         );
@@ -290,7 +308,7 @@ mod tests {
             measure,
             0.01,
             0.05,
-            points,
+            BitStore::from(points),
             5,
             &mut rng,
         );

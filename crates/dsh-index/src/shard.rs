@@ -93,7 +93,7 @@ use crate::table::{
     STAMP_AHEAD,
 };
 use dsh_core::family::{DshFamily, HasherPair, PointHasher};
-use dsh_core::points::{AppendStore, AsRow, ChunkedStore, PointStore};
+use dsh_core::points::{AsRow, ChunkedStore, PointStore};
 use rand::Rng;
 use std::collections::HashMap;
 use std::ops::Deref;
@@ -152,7 +152,7 @@ struct Shard<S> {
     tombstones: Tombstones,
 }
 
-impl<S: AppendStore + Clone> Shard<S> {
+impl<S: PointStore> Shard<S> {
     /// Index `points` as the first sealed segment (none when empty), in
     /// parallel exactly like [`crate::HashTableIndex::build`]. The store
     /// is wrapped, not copied.
@@ -246,7 +246,7 @@ impl<S: AppendStore + Clone> Shard<S> {
 /// functions, the shards, and the logical-segment alignment map. Writers
 /// reach it through [`Arc::make_mut`]; every read goes through the
 /// [`Snapshot`] that owns it.
-struct ShardedState<S: AppendStore + Clone> {
+struct ShardedState<S: PointStore> {
     /// The `L` sampled `(h, g)` pairs, in repetition order.
     pairs: Arc<[HasherPair<S::Row>]>,
     shards: Vec<Arc<Shard<S>>>,
@@ -263,7 +263,7 @@ struct ShardedState<S: AppendStore + Clone> {
 
 // Manual impl: the builtin derive would also demand `S::Row: Clone`,
 // which unsized rows like `[u64]` cannot satisfy.
-impl<S: AppendStore + Clone> Clone for ShardedState<S> {
+impl<S: PointStore> Clone for ShardedState<S> {
     fn clone(&self) -> Self {
         ShardedState {
             pairs: Arc::clone(&self.pairs),
@@ -298,11 +298,11 @@ fn single_segment_map<S>(shards: &[Arc<Shard<S>>]) -> Vec<Vec<Option<usize>>> {
 /// candidate lists, stats, live-id set, and rows are frozen at
 /// acquisition time. Cloning is a reference-count bump.
 #[derive(Clone)]
-pub struct Snapshot<S: AppendStore + Clone> {
+pub struct Snapshot<S: PointStore> {
     state: Arc<ShardedState<S>>,
 }
 
-impl<S: AppendStore + Clone> Snapshot<S> {
+impl<S: PointStore> Snapshot<S> {
     /// The one constructor: sample `l` `(h, g)` pairs sequentially from
     /// `rng` — the stream [`crate::HashTableIndex::build`] consumes — and
     /// bulk-build one shard over each store of `rows` (shard `s` holding
@@ -594,7 +594,7 @@ impl<S: AppendStore + Clone> Snapshot<S> {
         retrieval_limit: Option<usize>,
     ) -> Vec<(Vec<usize>, QueryStats)>
     where
-        QS: PointStore<Row = S::Row> + ?Sized,
+        QS: PointStore<Row = S::Row>,
     {
         self.candidates_batch_with_threads(queries, retrieval_limit, parallel::available_threads())
     }
@@ -608,7 +608,7 @@ impl<S: AppendStore + Clone> Snapshot<S> {
         threads: usize,
     ) -> Vec<(Vec<usize>, QueryStats)>
     where
-        QS: PointStore<Row = S::Row> + ?Sized,
+        QS: PointStore<Row = S::Row>,
     {
         map_rows_blocked(
             self,
@@ -658,7 +658,7 @@ impl<S: AppendStore + Clone> Snapshot<S> {
     /// once, up front.
     pub(crate) fn apply_validated<BS>(&mut self, batch: &WriteBatch<BS>) -> Vec<WriteOutcome>
     where
-        BS: AppendStore<Row = S::Row>,
+        BS: PointStore<Row = S::Row>,
     {
         let inserts = batch.inserts();
         if inserts > 0 {
@@ -729,7 +729,7 @@ impl<S: AppendStore + Clone> Snapshot<S> {
     }
 }
 
-impl<S: AppendStore + Clone> CandidateBackend for Snapshot<S> {
+impl<S: PointStore> CandidateBackend for Snapshot<S> {
     type Row = S::Row;
 
     fn repetitions(&self) -> usize {
@@ -770,7 +770,7 @@ impl<S: AppendStore + Clone> CandidateBackend for Snapshot<S> {
 /// second read path to keep in step.
 macro_rules! backend_through_snapshot {
     ($owner:ident) => {
-        impl<S: AppendStore + Clone> CandidateBackend for $owner<S> {
+        impl<S: PointStore> CandidateBackend for $owner<S> {
             type Row = S::Row;
 
             fn repetitions(&self) -> usize {
@@ -845,13 +845,13 @@ backend_through_snapshot!(ShardedIndex);
 /// assert!(!idx.candidates(&p, None).0.contains(&id));
 /// assert!(snapshot.candidates(&p, None).0.contains(&id)); // still pre-remove
 /// ```
-pub struct ShardedIndex<S: AppendStore + Clone> {
+pub struct ShardedIndex<S: PointStore> {
     /// The writer's current snapshot and the cell readers load it from,
     /// both private to `txn`: write verbs reach them only by committing.
     published: txn::Published<S>,
 }
 
-impl<S: AppendStore + Clone> ShardedIndex<S> {
+impl<S: PointStore> ShardedIndex<S> {
     /// Build with `l` sampled `(h, g)` pairs over `num_shards` shards and
     /// an initial point set (which may be empty). The RNG stream consumed
     /// is identical to [`crate::DynamicIndex::build`] — the root of
@@ -930,7 +930,7 @@ impl<S: AppendStore + Clone> ShardedIndex<S> {
         batch: &WriteBatch<BS>,
     ) -> Result<Vec<WriteOutcome>, BatchError>
     where
-        BS: AppendStore<Row = S::Row>,
+        BS: PointStore<Row = S::Row>,
     {
         batch.validate(self.id_bound())?;
         let mut txn = self.published.begin();
@@ -969,7 +969,7 @@ impl<S: AppendStore + Clone> ShardedIndex<S> {
 /// in two statements (`ReaderHandle`'s load and store), so no guard can
 /// outlive a statement.
 mod txn {
-    use super::{AppendStore, Arc, Deref, RwLock, ShardedIndex, Snapshot};
+    use super::{Arc, Deref, PointStore, RwLock, ShardedIndex, Snapshot};
     use std::sync::PoisonError;
 
     /// Rows a shard's store tail may hold before a commit freezes it into
@@ -979,12 +979,12 @@ mod txn {
 
     /// The writer's current snapshot plus the handle on the cell readers
     /// load it from; the two always hold the same epoch.
-    pub(super) struct Published<S: AppendStore + Clone> {
+    pub(super) struct Published<S: PointStore> {
         current: Snapshot<S>,
         handle: ReaderHandle<S>,
     }
 
-    impl<S: AppendStore + Clone> Published<S> {
+    impl<S: PointStore> Published<S> {
         pub(super) fn new(current: Snapshot<S>) -> Self {
             let cell = Arc::new(RwLock::new(current.clone()));
             Published {
@@ -1010,7 +1010,7 @@ mod txn {
         }
     }
 
-    impl<S: AppendStore + Clone> ShardedIndex<S> {
+    impl<S: PointStore> ShardedIndex<S> {
         /// An immutable snapshot of the current state. Stays valid — and
         /// keeps answering identically — no matter what writers do next.
         pub fn reader(&self) -> Snapshot<S> {
@@ -1027,7 +1027,7 @@ mod txn {
     /// Every read of the index — `candidates*`, `len`, `is_live`, `point`,
     /// `epoch`, the shape accessors — is the same call on its current
     /// [`Snapshot`]; there is no second read path to keep in step.
-    impl<S: AppendStore + Clone> Deref for ShardedIndex<S> {
+    impl<S: PointStore> Deref for ShardedIndex<S> {
         type Target = Snapshot<S>;
 
         fn deref(&self) -> &Snapshot<S> {
@@ -1038,12 +1038,12 @@ mod txn {
     /// One write in flight: `next` starts as the current state and is
     /// written through [`Snapshot`]'s copy-on-write mutators. Dropped
     /// uncommitted (`?`, a panic unwinding) it changes nothing.
-    pub(super) struct WriteTxn<'a, S: AppendStore + Clone> {
+    pub(super) struct WriteTxn<'a, S: PointStore> {
         published: &'a mut Published<S>,
         pub(super) next: Snapshot<S>,
     }
 
-    impl<S: AppendStore + Clone> WriteTxn<'_, S> {
+    impl<S: PointStore> WriteTxn<'_, S> {
         /// Publish `next` as the next epoch — iff a mutator forked it.
         pub(super) fn commit(mut self) {
             if Arc::ptr_eq(&self.next.state, &self.published.current.state) {
@@ -1079,11 +1079,11 @@ mod txn {
     /// store recover the guard instead of propagating the poison, which
     /// would take down every wait-free reader forever after one panic.
     #[derive(Clone)]
-    pub struct ReaderHandle<S: AppendStore + Clone> {
+    pub struct ReaderHandle<S: PointStore> {
         cell: Arc<RwLock<Snapshot<S>>>,
     }
 
-    impl<S: AppendStore + Clone> ReaderHandle<S> {
+    impl<S: PointStore> ReaderHandle<S> {
         /// The latest published snapshot. Survives a poisoned cell:
         /// readers must never be taken down by a writer-side panic.
         pub fn snapshot(&self) -> Snapshot<S> {
@@ -1285,7 +1285,7 @@ mod tests {
     fn index_and_its_snapshots_read_identically_after_every_write_kind() {
         let d = 64;
         let points = dataset(0x5A28, d, 48);
-        let queries = dataset(0x5A29, d, 6);
+        let queries = BitStore::from(dataset(0x5A29, d, 6));
         let mut idx = ShardedIndex::build(
             &BitSampling::new(d),
             store_of(&points[..20], d),
@@ -1298,7 +1298,7 @@ mod tests {
             for (view, snap) in [("reader", idx.reader()), ("handle", handle.snapshot())] {
                 let ctx = format!("after {after}, via {view}");
                 let (mut own, mut theirs) = (idx.new_scratch(), snap.new_scratch());
-                for q in &queries {
+                for q in queries.rows() {
                     for limit in [None, Some(5)] {
                         let got = idx.candidates(q, limit);
                         assert_eq!(got, snap.candidates(q, limit), "{ctx}");
@@ -1511,7 +1511,7 @@ mod tests {
     fn batch_matches_sequential_queries() {
         let d = 64;
         let points = dataset(0x5A40, d, 100);
-        let queries = dataset(0x5A41, d, 21);
+        let queries = BitStore::from(dataset(0x5A41, d, 21));
         let mut idx = ShardedIndex::build(
             &BitSampling::new(d),
             BitStore::with_dim(d),
@@ -1529,7 +1529,7 @@ mod tests {
             }
         }
         for limit in [None, Some(13)] {
-            let sequential: Vec<_> = queries.iter().map(|q| idx.candidates(q, limit)).collect();
+            let sequential: Vec<_> = queries.rows().map(|q| idx.candidates(q, limit)).collect();
             for threads in [1usize, 3, 8] {
                 assert_eq!(
                     sequential,

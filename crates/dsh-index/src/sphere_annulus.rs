@@ -105,6 +105,7 @@ pub fn build<S: PointStore<Row = [f64]>>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dsh_core::points::DenseStore;
     use dsh_data::sphere_data;
     use dsh_math::rng::seeded;
 
@@ -142,7 +143,7 @@ mod tests {
         for run in 0..runs {
             let mut rng = seeded(0x5A1 + run);
             let inst = sphere_data::planted_sphere_instance(&mut rng, 250, d, 0.6);
-            let idx = build(inst.points, d, spec, 1.4, 1.5, &mut rng);
+            let idx = build(DenseStore::from(inst.points), d, spec, 1.4, 1.5, &mut rng);
             if let (Some(m), _) = idx.query(&inst.query) {
                 assert!(
                     m.value >= spec.beta.0 && m.value <= spec.beta.1,

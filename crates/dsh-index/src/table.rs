@@ -303,11 +303,10 @@ pub(crate) const ROW_AHEAD: usize = 4;
 
 /// An `L`-repetition DSH hash table over a [`PointStore`].
 ///
-/// `S` is the storage backend: the flat [`dsh_core::points::BitStore`] /
-/// [`dsh_core::points::DenseStore`] for contiguous rows, or `Vec<P>` for
-/// the classic pointer-per-point layout. Hash functions and queries
-/// operate on the store's row type, so the same sampled family builds a
-/// bit-identical index over either backend.
+/// `S` is the storage backend, a flat [`dsh_core::points::BitStore`] /
+/// [`dsh_core::points::DenseStore`] of contiguous rows (or a
+/// [`dsh_core::points::ChunkedStore`] over one). Hash functions and
+/// queries operate on the store's row type.
 pub struct HashTableIndex<S: PointStore> {
     tables: Vec<Table<S::Row>>,
     points: S,
@@ -468,15 +467,15 @@ impl<S: PointStore> HashTableIndex<S> {
     /// Run [`HashTableIndex::candidates`] for a batch of queries, fanned
     /// out across [`parallel::available_threads`] workers with one scratch
     /// buffer per worker. The batch may be any store over the same row
-    /// type (a `Vec` of owned points or a flat store). Results line up
-    /// with `queries` and are identical to a query-at-a-time loop.
+    /// type. Results line up with `queries` and are identical to a
+    /// query-at-a-time loop.
     pub fn candidates_batch<QS>(
         &self,
         queries: &QS,
         retrieval_limit: Option<usize>,
     ) -> Vec<(Vec<usize>, QueryStats)>
     where
-        QS: PointStore<Row = S::Row> + ?Sized,
+        QS: PointStore<Row = S::Row>,
     {
         self.candidates_batch_with_threads(queries, retrieval_limit, parallel::available_threads())
     }
@@ -493,7 +492,7 @@ impl<S: PointStore> HashTableIndex<S> {
         threads: usize,
     ) -> Vec<(Vec<usize>, QueryStats)>
     where
-        QS: PointStore<Row = S::Row> + ?Sized,
+        QS: PointStore<Row = S::Row>,
     {
         map_rows_blocked(
             self,
@@ -583,10 +582,7 @@ const QUERY_BLOCK: usize = 64;
 /// is 8 bytes a row for the length of the build (it put the gate's
 /// `lib-range-hamming` `peak_rss_mb` at 56.7 from 52.8), and a filter
 /// hasher already generates only 0.5 caps per row at 256.
-pub(crate) fn hash_store<S: PointStore + ?Sized>(
-    h: &dyn PointHasher<S::Row>,
-    points: &S,
-) -> Vec<u64> {
+pub(crate) fn hash_store<S: PointStore>(h: &dyn PointHasher<S::Row>, points: &S) -> Vec<u64> {
     let mut hashes = vec![0; points.len()];
     let mut rows = Vec::with_capacity(BUILD_BLOCK);
     for (b, out) in hashes.chunks_mut(BUILD_BLOCK).enumerate() {
@@ -624,7 +620,7 @@ pub(crate) fn map_rows_blocked<B, QS, U>(
 ) -> Vec<U>
 where
     B: CandidateBackend,
-    QS: PointStore<Row = B::Row> + ?Sized,
+    QS: PointStore<Row = B::Row>,
     U: Send,
 {
     let threads = parallel::capped_threads(queries.len(), threads, MIN_QUERIES_PER_WORKER);
@@ -697,23 +693,27 @@ impl<S: PointStore> CandidateBackend for HashTableIndex<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsh_core::points::BitVector;
+    use dsh_core::points::{BitStore, BitVector};
     use dsh_hamming::{AntiBitSampling, BitSampling};
     use dsh_math::rng::seeded;
 
-    fn dataset(d: usize, n: usize) -> Vec<BitVector> {
+    fn dataset(d: usize, n: usize) -> BitStore {
         let mut rng = seeded(301);
-        (0..n).map(|_| BitVector::random(&mut rng, d)).collect()
+        BitStore::from(
+            (0..n)
+                .map(|_| BitVector::random(&mut rng, d))
+                .collect::<Vec<_>>(),
+        )
     }
 
     #[test]
     fn symmetric_family_finds_identical_point() {
         let d = 64;
         let points = dataset(d, 50);
-        let q = points[17].clone();
+        let q = points.row(17).to_vec();
         let mut rng = seeded(302);
         let idx = HashTableIndex::build(&BitSampling::new(d), points, 8, &mut rng);
-        let (cands, stats) = idx.candidates(&q, None);
+        let (cands, stats) = idx.candidates(q.as_slice(), None);
         assert!(
             cands.contains(&17),
             "identical point must collide somewhere"
@@ -731,10 +731,10 @@ mod tests {
         // can never be retrieved.
         let d = 64;
         let points = dataset(d, 50);
-        let q = points[3].clone();
+        let q = points.row(3).to_vec();
         let mut rng = seeded(303);
         let idx = HashTableIndex::build(&AntiBitSampling::new(d), points, 16, &mut rng);
-        let (cands, _) = idx.candidates(&q, None);
+        let (cands, _) = idx.candidates(q.as_slice(), None);
         assert!(
             !cands.contains(&3),
             "anti family must not retrieve the query itself"
@@ -745,7 +745,7 @@ mod tests {
     fn retrieval_limit_stops_early() {
         let d = 16;
         // All points identical => every bucket contains everything.
-        let points: Vec<BitVector> = (0..100).map(|_| BitVector::zeros(d)).collect();
+        let points = BitStore::from(vec![BitVector::zeros(d); 100]);
         let q = BitVector::zeros(d);
         let mut rng = seeded(304);
         let idx = HashTableIndex::build(&BitSampling::new(d), points, 10, &mut rng);
@@ -761,13 +761,13 @@ mod tests {
     fn accessors() {
         let d = 8;
         let points = dataset(d, 5);
-        let p0 = points[0].clone();
+        let p0 = points.row(0).to_vec();
         let mut rng = seeded(305);
         let idx = HashTableIndex::build(&BitSampling::new(d), points, 3, &mut rng);
         assert_eq!(idx.repetitions(), 3);
         assert_eq!(idx.len(), 5);
         assert!(!idx.is_empty());
-        assert_eq!(idx.point(0), p0.as_blocks());
+        assert_eq!(idx.point(0), p0);
     }
 
     #[test]
@@ -815,7 +815,7 @@ mod tests {
                 &mut rng,
                 threads,
             );
-            let answers: Vec<_> = queries.iter().map(|q| idx.candidates(q, None)).collect();
+            let answers: Vec<_> = queries.rows().map(|q| idx.candidates(q, None)).collect();
             built.push(answers);
         }
         for other in &built[1..] {
@@ -831,7 +831,7 @@ mod tests {
         let mut rng = seeded(307);
         let idx = HashTableIndex::build(&BitSampling::new(d), points, 10, &mut rng);
         for limit in [None, Some(17)] {
-            let sequential: Vec<_> = queries.iter().map(|q| idx.candidates(q, limit)).collect();
+            let sequential: Vec<_> = queries.rows().map(|q| idx.candidates(q, limit)).collect();
             for threads in [1usize, 3, 8] {
                 let batched = idx.candidates_batch_with_threads(&queries, limit, threads);
                 assert_eq!(
@@ -850,7 +850,7 @@ mod tests {
         let mut rng = seeded(308);
         let idx = HashTableIndex::build(&BitSampling::new(d), points, 6, &mut rng);
         let mut scratch = idx.new_scratch();
-        for q in &queries {
+        for q in queries.rows() {
             let (cands, stats) = idx.candidates_with(q, None, &mut scratch);
             assert_eq!(stats.distinct_candidates, cands.len());
             assert_eq!(
@@ -883,7 +883,7 @@ mod tests {
         let idx = HashTableIndex::build(&BitSampling::new(d), points, 4, &mut rng);
         let mut scratch = idx.new_scratch();
         for round in 0..40 {
-            for q in &queries {
+            for q in queries.rows() {
                 let with_reuse = idx.candidates_with(q, None, &mut scratch);
                 let fresh = idx.candidates(q, None);
                 assert_eq!(with_reuse, fresh, "round {round} diverged");
@@ -896,10 +896,10 @@ mod tests {
     fn mismatched_scratch_rejected() {
         let d = 16;
         let points = dataset(d, 10);
-        let q = points[0].clone();
+        let q = points.row(0).to_vec();
         let mut rng = seeded(309);
         let idx = HashTableIndex::build(&BitSampling::new(d), points, 2, &mut rng);
         let mut wrong = QueryScratch::new(3);
-        let _ = idx.candidates_with(&q, None, &mut wrong);
+        let _ = idx.candidates_with(q.as_slice(), None, &mut wrong);
     }
 }

@@ -204,7 +204,7 @@ fn recall_harness_digest() -> u64 {
         &BitSampling::new(d),
         dsh_index::measures::relative_hamming(d),
         0.25,
-        inst.points,
+        BitStore::from(inst.points),
         0.95,
         0.75,
         2.0,

@@ -42,7 +42,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
-use dsh_core::points::{AppendStore, AsRow};
+use dsh_core::points::{AsRow, PointStore};
 use dsh_index::shard::ReaderHandle;
 use dsh_index::{BatchError, ShardedIndex, WriteOutcome};
 
@@ -83,7 +83,7 @@ impl ServerConfig {
 /// handler thread — and with it `ServerHandle::stop` — forever.
 const WRITE_STALL_TIMEOUT: Duration = Duration::from_secs(2);
 
-struct Shared<'a, S: AppendStore + Clone> {
+struct Shared<'a, S: PointStore> {
     index: Mutex<ShardedIndex<S>>,
     reader: ReaderHandle<S>,
     row_elems: usize,
@@ -103,7 +103,7 @@ pub fn serve<E, S>(
 ) -> std::io::Result<ShardedIndex<S>>
 where
     E: WireElem,
-    S: AppendStore<Row = [E]> + Clone,
+    S: PointStore<Row = [E]>,
     [E]: AsRow<Row = [E]>,
 {
     if config.row_elems == 0 {
@@ -157,13 +157,13 @@ where
 }
 
 /// A server running on a background OS thread; see [`spawn`].
-pub struct ServerHandle<S: AppendStore + Clone> {
+pub struct ServerHandle<S: PointStore> {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
     thread: std::thread::JoinHandle<std::io::Result<ShardedIndex<S>>>,
 }
 
-impl<S: AppendStore + Clone> ServerHandle<S> {
+impl<S: PointStore> ServerHandle<S> {
     /// The bound address (with the ephemeral port resolved).
     pub fn addr(&self) -> SocketAddr {
         self.addr
@@ -198,7 +198,7 @@ pub fn spawn<E, S>(
 ) -> std::io::Result<ServerHandle<S>>
 where
     E: WireElem,
-    S: AppendStore<Row = [E]> + Clone + 'static,
+    S: PointStore<Row = [E]> + 'static,
     [E]: AsRow<Row = [E]>,
 {
     let listener = TcpListener::bind(addr)?;
@@ -283,7 +283,7 @@ fn handle_connection<E, S>(
 ) -> std::io::Result<()>
 where
     E: WireElem,
-    S: AppendStore<Row = [E]> + Clone,
+    S: PointStore<Row = [E]>,
     [E]: AsRow<Row = [E]>,
 {
     stream.set_nodelay(true).ok();
@@ -327,7 +327,7 @@ where
 fn handle_request<E, S>(shared: &Shared<'_, S>, request: Request<E>) -> (Vec<u8>, bool)
 where
     E: WireElem,
-    S: AppendStore<Row = [E]> + Clone,
+    S: PointStore<Row = [E]>,
     [E]: AsRow<Row = [E]>,
 {
     match request {
@@ -444,7 +444,7 @@ where
 /// `WriteTxn` in `dsh-index/src/shard.rs`; the one store into the
 /// publication cell is `ReaderHandle`'s, with its own poisoning policy),
 /// so a panicked earlier writer must not wedge the write path forever.
-fn lock_writer<'a, S: AppendStore + Clone>(
+fn lock_writer<'a, S: PointStore>(
     shared: &'a Shared<'_, S>,
 ) -> std::sync::MutexGuard<'a, ShardedIndex<S>> {
     shared.index.lock().unwrap_or_else(PoisonError::into_inner)

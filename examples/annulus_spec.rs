@@ -6,6 +6,7 @@
 //! cargo run --release --example annulus_spec
 //! ```
 
+use dsh_core::points::DenseStore;
 use dsh_data::sphere_data::planted_sphere_instance;
 use dsh_index::{sphere_annulus, AnnulusSpec};
 use dsh_math::rng::seeded;
@@ -35,7 +36,8 @@ fn main() {
     for trial in 0..trials {
         let mut rng = seeded(1000 + trial);
         let inst = planted_sphere_instance(&mut rng, n, d, 0.6);
-        let index = sphere_annulus::build(inst.points, d, spec, 1.4, 1.5, &mut rng);
+        let points = DenseStore::from(inst.points);
+        let index = sphere_annulus::build(points, d, spec, 1.4, 1.5, &mut rng);
         let (hit, stats) = index.query(&inst.query);
         match hit {
             Some(m) => {

@@ -6,7 +6,7 @@
 //! cargo run --release --example hyperplane_queries
 //! ```
 
-use dsh_core::points::DenseVector;
+use dsh_core::points::{DenseStore, DenseVector};
 use dsh_data::sphere_data::{plant_at_alpha, uniform_sphere};
 use dsh_index::hyperplane;
 use dsh_math::rng::seeded;
@@ -30,7 +30,8 @@ fn main() {
         pool.push(plant_at_alpha(&mut rng, &query, 0.02));
     }
 
-    let index = hyperplane::build(pool.clone(), d, 1.4, alpha_report, 1.5, &mut rng);
+    let store = DenseStore::from(pool.clone());
+    let index = hyperplane::build(store, d, 1.4, alpha_report, 1.5, &mut rng);
     println!(
         "pool of {n} vectors, reporting bound |alpha| <= {alpha_report}, L = {} repetitions",
         index.repetitions()

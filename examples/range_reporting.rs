@@ -6,7 +6,7 @@
 //! ```
 
 use dsh_core::combinators::{Concat, Power};
-use dsh_core::points::BitVector;
+use dsh_core::points::{BitStore, BitVector};
 use dsh_core::BoxedDshFamily;
 use dsh_data::hamming_data::{point_at_distance, uniform_hamming};
 use dsh_hamming::{AntiBitSampling, BitSampling};
@@ -40,6 +40,7 @@ fn main() {
     let l = (2.5 / f_r).ceil() as usize;
 
     let measure = dsh_index::measures::relative_hamming(d);
+    let points = BitStore::from(points);
     let index = RangeReportingIndex::build(&family, measure, r, r_plus, points, l, &mut rng);
     println!("dataset: {close} points at distance {r}d + {far} background; L = {l} repetitions");
 
@@ -64,6 +65,7 @@ fn main() {
     let batch: Vec<BitVector> = std::iter::once(q.clone())
         .chain((0..7).map(|_| BitVector::random(&mut rng, d)))
         .collect();
+    let batch = BitStore::from(batch);
     let answers = index.query_batch(&batch);
     let total_reported: usize = answers.iter().map(|(out, _)| out.len()).sum();
     let total_work: usize = answers.iter().map(|(_, s)| s.candidates_retrieved).sum();

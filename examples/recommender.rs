@@ -11,7 +11,7 @@
 //! inner product 0.55: similar enough to be on-topic, but excluding
 //! near-duplicates (alpha ~ 1).
 
-use dsh_core::points::DenseVector;
+use dsh_core::points::{DenseStore, DenseVector};
 use dsh_core::AnalyticCpf;
 use dsh_data::sphere_data::{clustered_sphere, plant_at_alpha};
 use dsh_index::annulus::AnnulusIndex;
@@ -51,6 +51,7 @@ fn main() {
     );
 
     let measure = dsh_index::measures::inner_product();
+    let corpus = DenseStore::from(corpus);
     let index = AnnulusIndex::build(&family, measure, (lo, hi), corpus.clone(), l, &mut rng);
 
     match index.query(&query) {
@@ -82,6 +83,7 @@ fn main() {
     let users: Vec<DenseVector> = std::iter::once(query.clone())
         .chain((0..31).map(|_| DenseVector::random_unit(&mut rng, d)))
         .collect();
+    let users = DenseStore::from(users);
     let answers = index.query_batch(&users);
     let served = answers.iter().filter(|(hit, _)| hit.is_some()).count();
     let retrieved: usize = answers

@@ -25,6 +25,6 @@ pub mod prelude {
     pub use dsh_core::estimate::{estimate_collision_probability, CpfEstimator};
     pub use dsh_core::family::{BoxedDshFamily, DshFamily, HasherPair, PointHasher};
     pub use dsh_core::points::{
-        AppendStore, BitStore, BitVector, ChunkedStore, DenseStore, DenseVector, PointStore,
+        BitStore, BitVector, ChunkedStore, DenseStore, DenseVector, PointStore,
     };
 }

@@ -27,7 +27,8 @@ fn hamming_annulus_succeeds_with_probability_half() {
         let mut rng = dsh_math::rng::seeded(0x1E5720 + run);
         let inst = hamming_data::planted_hamming_instance(&mut rng, 300, d, 64);
         let measure = dsh_index::measures::relative_hamming(d);
-        let idx = AnnulusIndex::build(&fam, measure, (0.15, 0.35), inst.points, l, &mut rng);
+        let points = BitStore::from(inst.points);
+        let idx = AnnulusIndex::build(&fam, measure, (0.15, 0.35), points, l, &mut rng);
         let (hit, stats) = idx.query(&inst.query);
         assert!(
             stats.candidates_retrieved <= 8 * l,
@@ -58,7 +59,8 @@ fn sphere_annulus_succeeds_and_respects_interval() {
         let mut rng = dsh_math::rng::seeded(0x1E5730 + run);
         let inst = sphere_data::planted_sphere_instance(&mut rng, 250, d, alpha_max);
         let measure = dsh_index::measures::inner_product();
-        let idx = AnnulusIndex::build(&fam, measure, (lo, hi), inst.points, l, &mut rng);
+        let points = DenseStore::from(inst.points);
+        let idx = AnnulusIndex::build(&fam, measure, (lo, hi), points, l, &mut rng);
         if let (Some(m), _) = idx.query(&inst.query) {
             assert!(
                 (lo..=hi).contains(&m.value),
@@ -77,7 +79,7 @@ fn annulus_never_reports_outside_window() {
     let d = 128;
     let fam = Power::new(AntiBitSampling::new(d), 2);
     let mut rng = dsh_math::rng::seeded(0x1E5740);
-    let points = dsh_data::hamming_data::uniform_hamming(&mut rng, 200, d);
+    let points = BitStore::from(hamming_data::uniform_hamming(&mut rng, 200, d));
     let q = BitVector::random(&mut rng, d);
     let measure = dsh_index::measures::relative_hamming(d);
     let idx = AnnulusIndex::build(&fam, measure, (0.45, 0.55), points, 15, &mut rng);

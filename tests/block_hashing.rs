@@ -4,7 +4,8 @@
 //!   every family the workspace exports, at block sizes on both sides of
 //!   the index's 64- and 256-row blocks;
 //! * the batched query paths, which hash their queries in blocks, answer
-//!   exactly like a query-at-a-time loop over every backend and verifier;
+//!   exactly like a query-at-a-time loop over every backend and verifier,
+//!   and through the two derived front-ends over `[f64]` rows;
 //! * the block driver stays lazy: a table is hashed for the rows of a
 //!   block from the first row that reaches it onward, and not at all when
 //!   no row of the block reaches it.
@@ -13,6 +14,7 @@ mod common;
 
 use dsh::prelude::*;
 use dsh_core::combinators::{AlwaysCollide, MapPoints, MapPointsAsym, NeverCollide};
+use dsh_core::points::AsRow;
 use dsh_core::{MinHash, TokenSet};
 use dsh_euclidean::{EuclideanLsh, KernelizedFamily, ShiftedEuclideanDsh};
 use dsh_hamming::{
@@ -20,7 +22,8 @@ use dsh_hamming::{
     ScaledBiasedAntiBitSampling, ScaledBitSampling,
 };
 use dsh_index::{
-    CandidateBackend, DynamicIndex, Frontend, HashTableIndex, QueryStats, ShardedIndex, Verifier,
+    hyperplane, sphere_annulus, CandidateBackend, DynamicIndex, Frontend, HashTableIndex,
+    QueryStats, ShardedIndex, Verifier,
 };
 use dsh_math::rng::seeded;
 use dsh_math::Polynomial;
@@ -177,19 +180,21 @@ fn hash_many_is_the_hash_loop_for_minhash() {
 
 /// Batches ending before, on and after a block boundary, at thread counts
 /// that put one, two and no full block on a worker.
-fn assert_batches_equal_the_query_loop<S, B, V>(
-    index: &Frontend<S, B, V>,
-    queries: &[BitVector],
-    ctx: &str,
-) where
-    S: PointStore<Row = [u64]>,
-    B: CandidateBackend<Row = [u64]>,
-    V: Verifier<[u64]>,
+fn assert_batches_equal_the_query_loop<S, B, V>(index: &Frontend<S, B, V>, queries: &S, ctx: &str)
+where
+    S: PointStore,
+    S::Row: AsRow<Row = S::Row>,
+    B: CandidateBackend<Row = S::Row>,
+    V: Verifier<S::Row>,
     V::Answer: PartialEq + Debug,
 {
     for size in [1usize, 63, 64, 65, 129] {
-        let batch = queries[..size].to_vec();
-        let want: Vec<(V::Answer, QueryStats)> = batch.iter().map(|q| index.query(q)).collect();
+        let mut batch = queries.empty_like();
+        for i in 0..size {
+            batch.push_row(queries.row(i));
+        }
+        let each = |i| index.query(batch.row(i));
+        let want: Vec<(V::Answer, QueryStats)> = (0..size).map(each).collect();
         for threads in [1usize, 2, 5] {
             assert_eq!(
                 want,
@@ -205,7 +210,7 @@ fn assert_verifiers_batch_like_they_loop<B: CandidateBackend<Row = [u64]>>(
     ctx: &str,
     d: usize,
     points: &[BitVector],
-    queries: &[BitVector],
+    queries: &BitStore,
     make: impl Fn(&dyn DshFamily<[u64]>, usize, u64) -> B,
 ) {
     assert_batches_equal_the_query_loop(
@@ -236,6 +241,7 @@ fn batched_queries_equal_the_query_loop_across_block_edges() {
         .cloned()
         .chain(common::bit_points(0xBA7D, 60, d))
         .collect();
+    let queries = BitStore::from(queries);
     assert!(queries.len() >= 129);
     let bulk = || BitStore::from(points[..150].to_vec());
     // A bulk segment, a sealed one, a delta and two tombstones.
@@ -266,6 +272,22 @@ fn batched_queries_equal_the_query_loop_across_block_edges() {
             grown!(ShardedIndex::build(g, bulk(), l, shards, &mut seeded(seed)))
         });
     }
+
+    // The two derived front-ends over `[f64]` rows.
+    let d = 24;
+    let points = || DenseStore::from(common::dense_points(0xBA7E, 150, d));
+    let queries = DenseStore::from(common::dense_points(0xBA7F, 130, d));
+    let spec = common::sphere_spec();
+    assert_batches_equal_the_query_loop(
+        &sphere_annulus::build(points(), d, spec, 1.4, 1.5, &mut seeded(4)),
+        &queries,
+        "sphere_annulus",
+    );
+    assert_batches_equal_the_query_loop(
+        &hyperplane::build(points(), d, 1.4, 0.4, 1.5, &mut seeded(5)),
+        &queries,
+        "hyperplane",
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -325,7 +347,7 @@ fn assert_block_is_lazy(
     evals: &[AtomicUsize],
     block: &[BitVector],
     candidates_of: impl Fn(&BitVector) -> (Vec<usize>, QueryStats),
-    batch_of: impl Fn(&Vec<BitVector>) -> Vec<(Vec<usize>, QueryStats)>,
+    batch_of: impl Fn(&BitStore) -> Vec<(Vec<usize>, QueryStats)>,
 ) -> Vec<usize> {
     drain(evals);
     let mut want = Vec::new();
@@ -337,7 +359,11 @@ fn assert_block_is_lazy(
         assert!(counts.iter().all(|&c| c <= 1), "{ctx}: one row, one key");
         reach.push(counts.iter().sum::<usize>());
     }
-    assert_eq!(want, batch_of(&block.to_vec()), "{ctx}: answers");
+    assert_eq!(
+        want,
+        batch_of(&BitStore::from(block.to_vec())),
+        "{ctx}: answers"
+    );
     for (j, &got) in drain(evals).iter().enumerate() {
         let first = reach.iter().position(|&tables| tables > j);
         let bound = first.map_or(0, |r| block.len() - r);

@@ -34,9 +34,7 @@
 
 use super::{bit_points, dense_points};
 use dsh_core::family::DshFamily;
-use dsh_core::points::{
-    AppendStore, AsRow, BitStore, BitVector, DenseStore, DenseVector, PointStore,
-};
+use dsh_core::points::{AsRow, BitStore, BitVector, DenseStore, DenseVector, PointStore};
 use dsh_hamming::BitSampling;
 use dsh_index::annulus::Measure;
 use dsh_index::{
@@ -318,7 +316,7 @@ fn batch_items(
 
 /// The write verbs of the two owners of a [`Snapshot`], so that one
 /// schedule drives either; reads go through the deref.
-pub trait Subject<S: AppendStore + Clone>: Deref<Target = Snapshot<S>> + Send {
+pub trait Subject<S: PointStore>: Deref<Target = Snapshot<S>> + Send {
     /// Whether effectual writes publish epochs (`ShardedIndex`) or land
     /// in place with the epoch left at 0 (`DynamicIndex`).
     fn publishes(&self) -> bool;
@@ -334,7 +332,7 @@ pub trait Subject<S: AppendStore + Clone>: Deref<Target = Snapshot<S>> + Send {
 
 macro_rules! writes_through {
     ($owner:ident, publishes: $publishes:expr, hold: $hold:expr) => {
-        impl<S: AppendStore + Clone> Subject<S> for $owner<S> {
+        impl<S: PointStore> Subject<S> for $owner<S> {
             fn publishes(&self) -> bool {
                 $publishes
             }
@@ -375,7 +373,7 @@ pub enum Style {
 /// Apply `op` to `subject` and report what it returned.
 pub fn apply<S, P>(subject: &mut dyn Subject<S>, op: &Op, pool: &[P], style: Style) -> Outcome
 where
-    S: AppendStore + Clone,
+    S: PointStore,
     P: AsRow<Row = S::Row>,
 {
     let single = |err| match err {
@@ -425,14 +423,14 @@ where
 
 /// A subject being driven through a schedule, with the epoch the model
 /// says it must be at.
-pub struct Driven<S: AppendStore + Clone> {
+pub struct Driven<S: PointStore> {
     pub name: String,
     style: Style,
     pub subject: Box<dyn Subject<S>>,
     epoch: u64,
 }
 
-impl<S: AppendStore + Clone + 'static> Driven<S> {
+impl<S: PointStore + 'static> Driven<S> {
     pub fn new(style: Style, subject: impl Subject<S> + 'static) -> Self {
         let kind = ["dynamic", "sharded"][usize::from(subject.publishes())];
         Driven {
@@ -473,7 +471,7 @@ impl<S: AppendStore + Clone + 'static> Driven<S> {
 
 /// A point pool, queries, a family and the seed every index is built
 /// from: everything a schedule needs to run.
-pub struct Fixture<S: AppendStore + Clone, P> {
+pub struct Fixture<S: PointStore, P> {
     /// The constructor call, for failure reports.
     call: String,
     family: Box<dyn DshFamily<S::Row>>,
@@ -482,7 +480,7 @@ pub struct Fixture<S: AppendStore + Clone, P> {
     /// Whether a point always collides with itself (`h = g`).
     symmetric: bool,
     pub pool: Vec<P>,
-    queries: Vec<P>,
+    queries: S,
     l: usize,
     seed: u64,
 }
@@ -498,7 +496,7 @@ impl Fixture<BitStore, BitVector> {
             measure: measures::hamming,
             symmetric: true,
             pool: bit_points(seed, points, d),
-            queries: bit_points(seed + 1, queries, d),
+            queries: BitStore::from(bit_points(seed + 1, queries, d)),
             l,
             seed: seed + 2,
         }
@@ -517,7 +515,7 @@ impl Fixture<DenseStore, DenseVector> {
             measure: measures::euclidean,
             symmetric: false,
             pool: dense_points(seed, points, d),
-            queries: dense_points(seed + 1, queries, d),
+            queries: DenseStore::from(dense_points(seed + 1, queries, d)),
             l,
             seed: seed + 2,
         }
@@ -526,10 +524,9 @@ impl Fixture<DenseStore, DenseVector> {
 
 impl<S, P> Fixture<S, P>
 where
-    S: AppendStore + Clone + 'static,
-    S::Row: Debug + PartialEq,
-    P: AsRow<Row = S::Row> + Send + Sync,
-    Vec<P>: PointStore<Row = S::Row>,
+    S: PointStore + 'static,
+    S::Row: AsRow<Row = S::Row> + Debug + PartialEq,
+    P: AsRow<Row = S::Row>,
 {
     pub fn dynamic(&self) -> DynamicIndex<S> {
         let rng = &mut seeded(self.seed);
@@ -560,8 +557,8 @@ where
     /// retrieval limit.
     fn answers(&self, view: &Snapshot<S>) -> Vec<(Vec<usize>, dsh_index::QueryStats)> {
         let limits = self.limits();
-        let each = |q| limits.map(|limit| view.candidates(q, limit));
-        self.queries.iter().flat_map(each).collect()
+        let each = |q| limits.map(|limit| view.candidates(self.queries.row(q), limit));
+        (0..self.queries.len()).flat_map(each).collect()
     }
 
     /// The comparison every schedule point gets: each view has the
@@ -635,7 +632,8 @@ where
         let rebuilt =
             HashTableIndex::build_with_threads(&*self.family, live_store, self.l, rng, threads);
         let compacted = subject.sealed_segments() == 1 && subject.delta_rows() == 0;
-        for (qi, q) in self.queries.iter().enumerate() {
+        for qi in 0..self.queries.len() {
+            let q = self.queries.row(qi);
             for limit in self.limits() {
                 let at = format!("{at}: static rebuild, query {qi}, limit {limit:?}");
                 let (want, want_stats) = rebuilt.candidates(q, limit);
@@ -664,8 +662,8 @@ where
     /// thread count.
     fn batched_agree(&self, view: &Snapshot<S>, at: &str) {
         for limit in self.limits() {
-            let each = |q| view.candidates(q, limit);
-            let want: Vec<_> = self.queries.iter().map(each).collect();
+            let each = |q| view.candidates(self.queries.row(q), limit);
+            let want: Vec<_> = (0..self.queries.len()).map(each).collect();
             for threads in BATCH_THREADS {
                 let got = view.candidates_batch_with_threads(&self.queries, limit, threads);
                 assert_eq!(
@@ -756,7 +754,7 @@ where
 }
 
 /// Every driven subject's current state, by name.
-fn views<S: AppendStore + Clone>(subjects: &[Driven<S>]) -> Vec<(&str, &Snapshot<S>)> {
+fn views<S: PointStore>(subjects: &[Driven<S>]) -> Vec<(&str, &Snapshot<S>)> {
     let mut views = Vec::new();
     for driven in subjects {
         views.push((driven.name.as_str(), &**driven.subject));

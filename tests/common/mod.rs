@@ -21,9 +21,7 @@
 pub mod harness;
 
 use dsh_core::family::DshFamily;
-use dsh_core::points::{
-    hamming, AppendStore, AsRow, BitStore, BitVector, DenseStore, DenseVector, PointStore,
-};
+use dsh_core::points::{hamming, AsRow, BitStore, BitVector, DenseStore, DenseVector, PointStore};
 use dsh_data::hamming_data::{self, planted_hamming_instance, PlantedHammingInstance};
 use dsh_data::sphere_data;
 use dsh_hamming::BitSampling;
@@ -192,20 +190,20 @@ pub fn sphere_annulus_over<B: CandidateBackend<Row = [f64]>>(
 /// Query-at-a-time answers of `index`, after checking that every batched
 /// path (`query_batch`, `query_batch_with_threads` at 1 and 4 threads)
 /// reproduces them.
-pub fn answers<S, B, V, Q>(
+pub fn answers<S, B, V>(
     index: &Frontend<S, B, V>,
-    queries: &Vec<Q>,
+    queries: &S,
     ctx: &str,
 ) -> Vec<(V::Answer, QueryStats)>
 where
     S: PointStore,
+    S::Row: AsRow<Row = S::Row>,
     B: CandidateBackend<Row = S::Row>,
     V: Verifier<S::Row>,
     V::Answer: PartialEq + Debug,
-    Q: AsRow<Row = S::Row>,
-    Vec<Q>: PointStore<Row = S::Row>,
 {
-    let sequential: Vec<_> = queries.iter().map(|q| index.query(q)).collect();
+    let each = |i| index.query(queries.row(i));
+    let sequential: Vec<_> = (0..queries.len()).map(each).collect();
     for threads in [1usize, 4] {
         assert_eq!(
             sequential,
@@ -240,16 +238,16 @@ pub fn front_end_stages<S, B, V, Q>(
     mut subject: Frontend<S, B, V>,
     pool: &[Q],
     n: usize,
-    queries: &Vec<Q>,
+    queries: &S,
     name: &str,
 ) -> Vec<Vec<(V::Answer, QueryStats)>>
 where
-    S: AppendStore + Clone,
+    S: PointStore,
+    S::Row: AsRow<Row = S::Row>,
     B: CandidateBackend<Row = S::Row> + Subject<S>,
     V: Verifier<S::Row>,
     V::Answer: PartialEq + Debug,
     Q: AsRow<Row = S::Row>,
-    Vec<Q>: PointStore<Row = S::Row>,
 {
     let mut model = Model::default();
     let mut stage = |ops: &Vec<Op>| {

@@ -144,7 +144,7 @@ fn per_segment_query_stats_totals_are_pinned() {
 
     // Batched queries must report the same per-query stats, so the batch
     // totals are exact multiples.
-    let queries: Vec<BitVector> = (0..9).map(|_| zero.clone()).collect();
+    let queries = BitStore::from(vec![zero.clone(); 9]);
     for threads in [1usize, 4] {
         let batch = idx.candidates_batch_with_threads(&queries, None, threads);
         assert_eq!(batch.len(), 9);

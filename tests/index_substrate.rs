@@ -5,7 +5,7 @@
 
 use dsh_core::combinators::{Concat, Power};
 use dsh_core::family::{BoxedDshFamily, DshFamily};
-use dsh_core::points::{BitVector, DenseVector};
+use dsh_core::points::{BitStore, BitVector, DenseStore, DenseVector};
 use dsh_data::{hamming_data, sphere_data};
 use dsh_hamming::{AntiBitSampling, BitSampling};
 use dsh_index::{sphere_annulus, AnnulusSpec, QueryStats};
@@ -13,7 +13,7 @@ use dsh_index::{AnnulusIndex, HashTableIndex, NearNeighborIndex, RangeReportingI
 use dsh_math::rng::seeded;
 use std::collections::HashSet;
 
-fn hamming_workload(seed: u64, n: usize, nq: usize, d: usize) -> (Vec<BitVector>, Vec<BitVector>) {
+fn hamming_workload(seed: u64, n: usize, nq: usize, d: usize) -> (BitStore, BitStore) {
     let mut rng = seeded(seed);
     let points = hamming_data::uniform_hamming(&mut rng, n, d);
     // Mix of in-dataset queries (duplicate-heavy) and fresh queries.
@@ -22,7 +22,7 @@ fn hamming_workload(seed: u64, n: usize, nq: usize, d: usize) -> (Vec<BitVector>
         .cloned()
         .chain((0..nq - nq / 2).map(|_| BitVector::random(&mut rng, d)))
         .collect();
-    (points, queries)
+    (BitStore::from(points), BitStore::from(queries))
 }
 
 #[test]
@@ -36,7 +36,7 @@ fn substrate_batch_parity_and_thread_determinism() {
         HashTableIndex::build_with_threads(&BitSampling::new(d), points.clone(), 16, &mut rng, 1)
     };
     let sequential: Vec<_> = queries
-        .iter()
+        .rows()
         .map(|q| reference.candidates(q, None))
         .collect();
     for threads in [2usize, 4, 32] {
@@ -48,7 +48,7 @@ fn substrate_batch_parity_and_thread_determinism() {
             &mut rng,
             threads,
         );
-        let answers: Vec<_> = queries.iter().map(|q| idx.candidates(q, None)).collect();
+        let answers: Vec<_> = queries.rows().map(|q| idx.candidates(q, None)).collect();
         assert_eq!(sequential, answers, "build with {threads} threads diverged");
         // Batched queries equal the sequential loop, per thread count.
         for qthreads in [1usize, 3, 8] {
@@ -101,7 +101,7 @@ fn static_index_matches_the_definition_of_the_structure() {
     for fam in [symmetric, asymmetric] {
         let idx = HashTableIndex::build(&fam, points.clone(), l, &mut seeded(0x5B62));
         let mut limited_walk_saw_duplicates = false;
-        for q in &queries {
+        for q in queries.rows() {
             for limit in [None, Some(60)] {
                 let budget = limit.unwrap_or(usize::MAX);
                 let mut want = Vec::new();
@@ -154,7 +154,7 @@ fn annulus_front_end_batch_parity() {
         10,
         &mut rng,
     );
-    let sequential: Vec<_> = queries.iter().map(|q| idx.query(q)).collect();
+    let sequential: Vec<_> = queries.rows().map(|q| idx.query(q)).collect();
     for threads in [1usize, 2, 6] {
         assert_eq!(sequential, idx.query_batch_with_threads(&queries, threads));
     }
@@ -168,18 +168,19 @@ fn near_neighbor_front_end_batch_parity() {
     let queries: Vec<BitVector> = std::iter::once(inst.query.clone())
         .chain((0..15).map(|_| BitVector::random(&mut rng, d)))
         .collect();
+    let queries = BitStore::from(queries);
     let measure = dsh_index::measures::relative_hamming(d);
     let idx = NearNeighborIndex::build(
         &BitSampling::new(d),
         measure,
         0.25,
-        inst.points,
+        BitStore::from(inst.points),
         0.95,
         0.75,
         2.0,
         &mut rng,
     );
-    let sequential: Vec<_> = queries.iter().map(|q| idx.query(q)).collect();
+    let sequential: Vec<_> = queries.rows().map(|q| idx.query(q)).collect();
     for threads in [1usize, 4] {
         assert_eq!(sequential, idx.query_batch_with_threads(&queries, threads));
     }
@@ -197,10 +198,12 @@ fn range_reporting_front_end_batch_parity() {
     let queries: Vec<BitVector> = std::iter::once(q)
         .chain((0..11).map(|_| BitVector::random(&mut rng, d)))
         .collect();
+    let queries = BitStore::from(queries);
     let fam = dsh_core::combinators::Power::new(BitSampling::new(d), 8);
     let measure = dsh_index::measures::relative_hamming(d);
+    let points = BitStore::from(points);
     let idx = RangeReportingIndex::build(&fam, measure, 0.05, 0.2, points, 30, &mut rng);
-    let sequential: Vec<_> = queries.iter().map(|q| idx.query(q)).collect();
+    let sequential: Vec<_> = queries.rows().map(|q| idx.query(q)).collect();
     for threads in [1usize, 3, 5] {
         assert_eq!(sequential, idx.query_batch_with_threads(&queries, threads));
     }
@@ -224,7 +227,7 @@ fn sphere_front_end_batch_parity() {
     let queries: Vec<DenseVector> = std::iter::once(inst.query.clone())
         .chain((0..7).map(|_| DenseVector::random_unit(&mut rng, d)))
         .collect();
-    let idx = sphere_annulus::build(inst.points, d, spec, 1.4, 1.5, &mut rng);
+    let idx = sphere_annulus::build(DenseStore::from(inst.points), d, spec, 1.4, 1.5, &mut rng);
     let sequential: Vec<_> = queries.iter().map(|q| idx.query(q)).collect();
-    assert_eq!(sequential, idx.query_batch(&queries));
+    assert_eq!(sequential, idx.query_batch(&DenseStore::from(queries)));
 }

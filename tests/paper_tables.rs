@@ -77,7 +77,7 @@ fn duplicates_follow_theorem_6_5<F: DshFamily<[u64]>>(
         relative_hamming(q.len()),
         R,
         R_PLUS,
-        points.to_vec(),
+        BitStore::from(points.to_vec()),
         l,
         &mut seeded(0x66),
     );
@@ -151,7 +151,7 @@ fn near_neighbor_repetitions_scale_like_n_to_the_rho() {
                     &BitSampling::new(d),
                     relative_hamming(d),
                     r2,
-                    inst.points,
+                    BitStore::from(inst.points),
                     p1,
                     p2,
                     factor,

@@ -24,7 +24,7 @@
 mod common;
 
 use common::harness::{generate, Driven, Fixture, Model, Op, Style, SHARD_COUNTS};
-use dsh_core::points::{AppendStore, AsRow, PointStore};
+use dsh_core::points::{AsRow, PointStore};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 const READERS: usize = 3;
@@ -53,10 +53,9 @@ fn flattened(ops: Vec<Op>) -> Vec<Op> {
 /// first-held snapshot at the end.
 fn soak<S, P>(fx: &Fixture<S, P>, ops: &[Op])
 where
-    S: AppendStore + Clone + 'static,
-    S::Row: std::fmt::Debug + PartialEq,
-    P: AsRow<Row = S::Row> + Send + Sync,
-    Vec<P>: PointStore<Row = S::Row>,
+    S: PointStore + 'static,
+    S::Row: AsRow<Row = S::Row> + std::fmt::Debug + PartialEq,
+    P: AsRow<Row = S::Row> + Sync,
 {
     let mut model = Model::default();
     let last_epoch: u64 = (ops.iter())

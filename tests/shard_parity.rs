@@ -85,7 +85,7 @@ fn hamming_front_ends_sharded_equals_dynamic() {
     let seed = 0x5DF1;
     let points = bit_points(seed, 160, d);
     let pool = [points.clone(), bit_points(seed + 9, 6, d)].concat();
-    let queries = [points[..8].to_vec(), bit_points(seed + 1, 8, d)].concat();
+    let queries = BitStore::from([points[..8].to_vec(), bit_points(seed + 1, 8, d)].concat());
     let all = || BitStore::from(points.clone());
     let case = (BitStore::with_dim(d), &pool, points.len(), &queries);
 
@@ -134,7 +134,7 @@ fn sphere_front_ends_sharded_equals_dynamic() {
     let seed = 0x5DF9;
     let points = dense_points(seed, 150, d);
     let pool = [points.clone(), dense_points(seed + 9, 5, d)].concat();
-    let queries = dense_points(seed + 1, 10, d);
+    let queries = DenseStore::from(dense_points(seed + 1, 10, d));
     let all = || DenseStore::from(points.clone());
     let case = (DenseStore::with_dim(d), &pool, points.len(), &queries);
 

@@ -9,7 +9,7 @@ use common::harness::{apply, generate, Model, Op, Style, Subject};
 use dsh::prelude::*;
 use dsh_core::combinators::Power;
 use dsh_core::cpf::peak_of;
-use dsh_core::points::{AppendStore, AsRow};
+use dsh_core::points::{AsRow, PointStore};
 use dsh_core::AnalyticCpf;
 use dsh_data::{hamming_data, sphere_data};
 use dsh_euclidean::{EuclideanLsh, ShiftedEuclideanDsh};
@@ -124,7 +124,7 @@ fn retrieval_follows_the_cpf<S, P>(
     l: usize,
     seed: u64,
 ) where
-    S: AppendStore + Clone,
+    S: PointStore,
     P: AsRow<Row = S::Row>,
 {
     let dynamic = DynamicIndex::build(family, empty.clone(), l, &mut seeded(seed));
