@@ -794,14 +794,15 @@ impl<S: PointStore> ChunkedStore<S> {
         }
     }
 
-    /// Wrap an existing store, freezing its rows as the first chunk.
-    pub fn from_store(store: S) -> Self {
+    /// Wrap an existing store as the first frozen chunk, sharing its
+    /// allocation instead of copying its rows.
+    pub fn from_store(store: Arc<S>) -> Self {
         let tail = store.empty_like();
         let mut chunked = ChunkedStore::new(tail);
         if store.len() > 0 {
             chunked.starts.push(0);
             chunked.tail_start = store.len();
-            chunked.chunks.push(Arc::new(store));
+            chunked.chunks.push(store);
         }
         chunked
     }
@@ -817,6 +818,15 @@ impl<S: PointStore> ChunkedStore<S> {
     /// rows in before they are appended across chunked shard stores.
     pub fn empty_inner(&self) -> S {
         self.tail.empty_like()
+    }
+
+    /// The one frozen chunk holding every row, if that is the layout (a
+    /// store wrapped by [`ChunkedStore::from_store`], or consolidated).
+    pub fn single_chunk(&self) -> Option<&S> {
+        match &self.chunks[..] {
+            [only] if self.tail.is_empty() => Some(only),
+            _ => None,
+        }
     }
 
     /// Freeze the tail into a new shared chunk and start an empty one.
@@ -843,7 +853,7 @@ impl<S: PointStore> ChunkedStore<S> {
         for i in 0..self.len() {
             merged.push_row(self.row(i));
         }
-        *self = ChunkedStore::from_store(merged);
+        *self = ChunkedStore::from_store(Arc::new(merged));
     }
 }
 
@@ -1377,15 +1387,19 @@ mod proptests {
         let mut dense = DenseStore::with_dim(3);
         dense.push(&[1.0, 2.0, 3.0]);
         dense.push(&[4.0, 5.0, 6.0]);
-        let mut chunked = ChunkedStore::from_store(dense);
+        let dense = Arc::new(dense);
+        let mut chunked = ChunkedStore::from_store(Arc::clone(&dense));
         assert_eq!(chunked.len(), 2);
         assert_eq!(chunked.chunks.len(), 1);
         assert_eq!(chunked.tail_rows(), 0);
+        // Shared, not copied.
+        assert!(std::ptr::eq(chunked.single_chunk().unwrap(), &*dense));
         chunked.push_row(&[7.0, 8.0, 9.0]);
+        assert!(chunked.single_chunk().is_none());
         assert_eq!(chunked.row(1), &[4.0, 5.0, 6.0]);
         assert_eq!(chunked.row(2), &[7.0, 8.0, 9.0]);
         // Empty initial store: no chunk at all.
-        let empty = ChunkedStore::from_store(DenseStore::with_dim(3));
+        let empty = ChunkedStore::from_store(Arc::new(DenseStore::with_dim(3)));
         assert_eq!(empty.chunks.len(), 0);
         assert!(empty.is_empty());
     }

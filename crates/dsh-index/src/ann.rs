@@ -13,12 +13,14 @@
 //! [`Frontend`] substrate with a symmetric family.
 
 use crate::annulus::Measure;
-use crate::frontend::{measured, static_backend, Frontend, Verifier};
-use crate::table::{CandidateBackend, HashTableIndex, QueryStats};
+use crate::frontend::{assert_non_empty, measured, Frontend, Verifier};
+use crate::shard::Snapshot;
+use crate::table::{HashTableIndex, QueryStats};
 use dsh_core::combinators::Power;
 use dsh_core::family::DshFamily;
 use dsh_core::points::PointStore;
 use rand::Rng;
+use std::borrow::Borrow;
 
 /// Hard ceiling on the repetition count `L` any parameter derivation in
 /// this crate may request.
@@ -99,14 +101,14 @@ impl<R: ?Sized + 'static> Verifier<R> for FirstWithin<R> {
         Some(3 * l)
     }
 
-    fn verify<B: CandidateBackend<Row = R>>(
+    fn verify<S: PointStore<Row = R>>(
         &self,
-        backend: &B,
+        snapshot: &Snapshot<S>,
         cands: &[usize],
         q: &R,
         stats: &mut QueryStats,
     ) -> Option<usize> {
-        measured(backend, &self.measure, cands, q, stats)
+        measured(snapshot, &self.measure, cands, q, stats)
             .find(|&(_, v)| v <= self.r2)
             .map(|(i, _)| i)
     }
@@ -117,7 +119,7 @@ impl<R: ?Sized + 'static> Verifier<R> for FirstWithin<R> {
 pub type NearNeighborIndex<S, B = HashTableIndex<S>> =
     Frontend<S, B, FirstWithin<<S as PointStore>::Row>>;
 
-impl<S: PointStore, B: CandidateBackend<Row = S::Row>> NearNeighborIndex<S, B> {
+impl<S: PointStore, B: Borrow<Snapshot<S>>> NearNeighborIndex<S, B> {
     /// Derive `(k, L)` for an anticipated live set of `n` points from the
     /// CPF values `p1 >= f(r1)`, `p2 <= f(r2)` of the base (width-1)
     /// family `family` at the target radii, and verify over the backend
@@ -172,9 +174,10 @@ impl<S: PointStore> NearNeighborIndex<S> {
         factor: f64,
         rng: &mut dyn Rng,
     ) -> Self {
+        assert_non_empty(&points);
         let n = points.len();
         Self::over(family, measure, r2, n, p1, p2, factor, |g, l| {
-            static_backend(g, points, l, rng)
+            HashTableIndex::build(g, points, l, rng)
         })
     }
 }

@@ -9,11 +9,13 @@
 //! `O(L)` regardless of how adversarial the data is.
 
 use crate::ann::repetition_count;
-use crate::frontend::{measured, static_backend, Frontend, Verifier};
-use crate::table::{CandidateBackend, HashTableIndex, QueryStats};
+use crate::frontend::{assert_non_empty, measured, Frontend, Verifier};
+use crate::shard::Snapshot;
+use crate::table::{HashTableIndex, QueryStats};
 use dsh_core::family::DshFamily;
 use dsh_core::points::PointStore;
 use rand::Rng;
+use std::borrow::Borrow;
 
 /// A pairwise measure (distance or similarity — the structure is
 /// agnostic) over borrowed rows, used to verify candidates exactly.
@@ -47,14 +49,14 @@ impl<R: ?Sized + 'static> Verifier<R> for Interval<R> {
         Some(8 * l)
     }
 
-    fn verify<B: CandidateBackend<Row = R>>(
+    fn verify<S: PointStore<Row = R>>(
         &self,
-        backend: &B,
+        snapshot: &Snapshot<S>,
         cands: &[usize],
         q: &R,
         stats: &mut QueryStats,
     ) -> Option<AnnulusMatch> {
-        measured(backend, &self.measure, cands, q, stats)
+        measured(snapshot, &self.measure, cands, q, stats)
             .find(|&(_, v)| v >= self.lo && v <= self.hi)
             .map(|(index, value)| AnnulusMatch { index, value })
     }
@@ -65,7 +67,7 @@ impl<R: ?Sized + 'static> Verifier<R> for Interval<R> {
 /// one exists in the narrower planted interval.
 pub type AnnulusIndex<S, B = HashTableIndex<S>> = Frontend<S, B, Interval<<S as PointStore>::Row>>;
 
-impl<S: PointStore, B: CandidateBackend<Row = S::Row>> AnnulusIndex<S, B> {
+impl<S: PointStore, B: Borrow<Snapshot<S>>> AnnulusIndex<S, B> {
     /// Verify over an already-built `backend` — a [`crate::DynamicIndex`]
     /// or [`crate::ShardedIndex`] (which may start empty and is written
     /// through [`Frontend::backend_mut`]), or a [`crate::Snapshot`]. The
@@ -78,22 +80,6 @@ impl<S: PointStore, B: CandidateBackend<Row = S::Row>> AnnulusIndex<S, B> {
         );
         assert!(lo <= hi, "empty reporting interval");
         Frontend::new(backend, Interval { measure, lo, hi })
-    }
-
-    /// Run the batched query path over `queries` and return the fraction
-    /// that reported a point — used by the experiments to measure the
-    /// success probability guarantee (>= 1/2 in Theorem 6.1).
-    pub fn success_rate<QS>(&self, queries: &QS) -> f64
-    where
-        QS: PointStore<Row = S::Row>,
-    {
-        assert!(!queries.is_empty());
-        let hits = self
-            .query_batch(queries)
-            .iter()
-            .filter(|(hit, _)| hit.is_some())
-            .count();
-        hits as f64 / queries.len() as f64
     }
 }
 
@@ -109,8 +95,9 @@ impl<S: PointStore> AnnulusIndex<S> {
         l: usize,
         rng: &mut dyn Rng,
     ) -> Self {
+        assert_non_empty(&points);
         Self::over(
-            static_backend(family, points, l, rng),
+            HashTableIndex::build(family, points, l, rng),
             measure,
             report_interval,
         )
@@ -379,7 +366,7 @@ mod tests {
     }
 
     #[test]
-    fn success_rate_helper() {
+    fn batched_queries_find_identical_points() {
         let d = 64;
         let fam = BitSampling::new(d);
         let mut rng = seeded(315);
@@ -390,7 +377,8 @@ mod tests {
         let idx = AnnulusIndex::build(&fam, measure, (0.0, 0.0), points, 10, &mut rng);
         // Identical points always within [0,0] and symmetric family
         // retrieves them easily with L=10.
-        let rate = idx.success_rate(&queries);
-        assert!(rate > 0.9, "rate {rate}");
+        let answers = idx.query_batch(&queries);
+        let hits = answers.iter().filter(|(hit, _)| hit.is_some()).count();
+        assert_eq!(hits, queries.len(), "identical points must be reported");
     }
 }

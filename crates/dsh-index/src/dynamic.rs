@@ -4,7 +4,8 @@
 //! [`DynamicIndex`] is the **one-shard, unpublished** case of the
 //! segmented state in [`crate::shard`]: sealed CSR segments, a `HashMap`
 //! delta segment and tombstones over one appendable store, read through
-//! the same [`Snapshot`] walk a [`crate::ShardedIndex`] serves from (the
+//! the one [`Snapshot`] walk a [`crate::ShardedIndex`] serves from and a
+//! [`crate::HashTableIndex`] freezes (the
 //! layout, the re-hash-free compaction and the exactness argument are in
 //! that module's docs). What this type adds is ownership: it holds a
 //! snapshot nobody else does, so the copy-on-write mutators behind every
@@ -15,12 +16,13 @@
 //! Point ids are global, stable handles (`insert` returns the id,
 //! `remove` takes it) that survive every [`DynamicIndex::seal`] and
 //! [`DynamicIndex::compact`]. An index grown by inserts and then
-//! compacted answers every query — ids, order, and
-//! [`crate::QueryStats`] — bit-identically to a static
+//! compacted holds the one-segment state a static
 //! [`crate::HashTableIndex`] built from the same seed over the same
-//! final point set, on every store backend and thread count (pinned by
-//! the write-path harness, `tests/common/harness.rs`, which
-//! `tests/dynamic_parity.rs` runs).
+//! final point set freezes, so it answers every query — ids, order, and
+//! [`crate::QueryStats`] — bit-identically, on every store backend and
+//! thread count (pinned by the write-path harness,
+//! `tests/common/harness.rs`, which `tests/dynamic_parity.rs` runs,
+//! against the structure's definition as well as the rebuild).
 
 use crate::batch::{
     ensure_capacity, ensure_known, BatchError, WriteBatch, WriteError, WriteOutcome,
@@ -30,7 +32,9 @@ use crate::shard::Snapshot;
 use dsh_core::family::DshFamily;
 use dsh_core::points::{AsRow, PointStore};
 use rand::Rng;
+use std::borrow::Borrow;
 use std::ops::Deref;
+use std::sync::Arc;
 
 /// Bitset over point ids marking removed points (one per shard of the
 /// segmented state, and one in the dynamic [`crate::LinearScan`]
@@ -126,10 +130,10 @@ impl<S: PointStore> DynamicIndex<S> {
     /// Build with `l` independently sampled `(h, g)` pairs over an initial
     /// point set (which may be empty — the "start from nothing" case).
     /// Non-empty initial points become the first sealed segment, built in
-    /// parallel exactly like [`crate::HashTableIndex::build`]; the RNG
-    /// stream consumed is identical, so a dynamic and a static index built
-    /// from the same seed share their hash functions. The store is
-    /// wrapped, not copied.
+    /// parallel by the one builder [`crate::HashTableIndex::build`] also
+    /// runs; the RNG stream consumed is identical, so a dynamic and a
+    /// static index built from the same seed share their hash functions.
+    /// The store is wrapped, not copied.
     pub fn build(
         family: &(impl DshFamily<S::Row> + ?Sized),
         points: S,
@@ -149,7 +153,7 @@ impl<S: PointStore> DynamicIndex<S> {
         threads: usize,
     ) -> Self {
         DynamicIndex {
-            current: Snapshot::build(family, vec![points], l, rng, threads),
+            current: Snapshot::build(family, vec![Arc::new(points)], l, rng, threads),
         }
     }
 
@@ -234,6 +238,12 @@ impl<S: PointStore> Deref for DynamicIndex<S> {
 
     fn deref(&self) -> &Snapshot<S> {
         &self.current
+    }
+}
+
+impl<S: PointStore> Borrow<Snapshot<S>> for DynamicIndex<S> {
+    fn borrow(&self) -> &Snapshot<S> {
+        self
     }
 }
 

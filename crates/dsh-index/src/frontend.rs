@@ -4,9 +4,8 @@
 //! tables under `g`, then keep the candidates a predicate accepts. A
 //! [`Verifier`] is that predicate — how many bucket entries to retrieve
 //! as a function of `L`, what an answer looks like, and which candidates
-//! make it in — and [`Frontend`] runs it over any
-//! [`CandidateBackend`]. The named indexes are aliases over the three
-//! verifiers:
+//! make it in — and [`Frontend`] runs it over the one walk of a
+//! [`Snapshot`]. The named indexes are aliases over the three verifiers:
 //!
 //! | alias | verifier | keeps |
 //! |---|---|---|
@@ -18,17 +17,20 @@
 //! parameter derivations that return an [`crate::AnnulusIndex`]; see
 //! [`crate::hyperplane`] and [`crate::sphere_annulus`].
 //!
-//! A front-end only reads. Writes go to the backend through
-//! [`Frontend::backend_mut`] — `idx.backend_mut().insert(&p)` on a
-//! [`crate::DynamicIndex`] or [`crate::ShardedIndex`] backend — and the
-//! next query sees them.
+//! The backend `B` is the *owner* of that snapshot: the build-once
+//! [`crate::HashTableIndex`] the `build` constructors make, a
+//! [`crate::DynamicIndex`], a [`crate::ShardedIndex`], or a bare
+//! [`Snapshot`] — anything that [`Borrow`]s one. A front-end only reads.
+//! Writes go to the backend through [`Frontend::backend_mut`] —
+//! `idx.backend_mut().insert(&p)` on a dynamic or sharded backend — and
+//! the next query sees them.
 
 use crate::annulus::Measure;
 use crate::parallel;
-use crate::table::{map_rows_blocked, CandidateBackend, HashTableIndex, QueryStats, ROW_AHEAD};
-use dsh_core::family::DshFamily;
+use crate::shard::Snapshot;
+use crate::table::{QueryStats, ROW_AHEAD};
 use dsh_core::points::{AsRow, PointStore};
-use rand::Rng;
+use std::borrow::Borrow;
 use std::marker::PhantomData;
 
 /// The verification policy of a [`Frontend`] over rows of type `R`.
@@ -36,16 +38,16 @@ pub trait Verifier<R: ?Sized>: Send + Sync {
     /// What one query returns next to its [`QueryStats`].
     type Answer: Send;
 
-    /// How many raw bucket entries a query may retrieve from a backend
+    /// How many raw bucket entries a query may retrieve from an index
     /// with `l` repetitions before giving up (`None`: no limit).
     fn retrieval_limit(&self, l: usize) -> Option<usize>;
 
-    /// Turn the retrieved candidates `cands` (in retrieval order) into
-    /// the answer for query row `q`, counting every exact measure
-    /// evaluation into `stats.distance_computations`.
-    fn verify<B: CandidateBackend<Row = R>>(
+    /// Turn the candidates `cands` (in retrieval order) that `snapshot`
+    /// retrieved into the answer for query row `q`, counting every exact
+    /// measure evaluation into `stats.distance_computations`.
+    fn verify<S: PointStore<Row = R>>(
         &self,
-        backend: &B,
+        snapshot: &Snapshot<S>,
         cands: &[usize],
         q: &R,
         stats: &mut QueryStats,
@@ -56,51 +58,56 @@ pub trait Verifier<R: ?Sized>: Send + Sync {
 /// order — the one verification loop every [`Verifier`] consumes. Each
 /// item pulled counts one distance computation, so a verifier that stops
 /// at the first acceptable candidate pays only for what it looked at.
-pub(crate) fn measured<'a, B: CandidateBackend>(
-    backend: &'a B,
-    measure: &'a Measure<B::Row>,
+pub(crate) fn measured<'a, S: PointStore>(
+    snapshot: &'a Snapshot<S>,
+    measure: &'a Measure<S::Row>,
     cands: &'a [usize],
-    q: &'a B::Row,
+    q: &'a S::Row,
     stats: &'a mut QueryStats,
 ) -> impl Iterator<Item = (usize, f64)> + 'a {
+    let flat = snapshot.flat_rows();
     cands.iter().enumerate().map(move |(j, &i)| {
         // Gather the row a few candidates ahead so its cache misses
         // overlap this candidate's distance computation.
         if let Some(&ahead) = cands.get(j + ROW_AHEAD) {
-            backend.prefetch_point(ahead);
+            match flat {
+                Some(rows) => rows.prefetch_row(ahead),
+                None => snapshot.prefetch_point(ahead),
+            }
         }
         stats.distance_computations += 1;
-        (i, measure(backend.point(i), q))
+        let row = match flat {
+            Some(rows) => rows.row(i),
+            None => snapshot.point(i),
+        };
+        (i, measure(row, q))
     })
 }
 
-/// The static backend of every `build` constructor: `l` repetitions of
-/// `family` over a fixed, non-empty point set. (The mutable backends may
-/// start empty; a static index over nothing can never answer anything.)
-pub(crate) fn static_backend<S: PointStore>(
-    family: &(impl DshFamily<S::Row> + ?Sized),
-    points: S,
-    l: usize,
-    rng: &mut dyn Rng,
-) -> HashTableIndex<S> {
+/// The contract of every static `build` constructor: the point set is
+/// fixed and non-empty. (The mutable backends of the `over` constructors
+/// may start empty; a static index over nothing can never answer
+/// anything.)
+pub(crate) fn assert_non_empty(points: &impl PointStore) {
     assert!(
         !points.is_empty(),
         "cannot build a static index over an empty point set"
     );
-    HashTableIndex::build(family, points, l, rng)
 }
 
-/// A query front-end: candidates from backend `B`, verified by `V`.
+/// A query front-end: candidates from the [`Snapshot`] backend `B`
+/// owns, verified by `V`.
 ///
 /// `S` is the point store the rows live in; it fixes the row type and
-/// makes [`HashTableIndex<S>`] the default backend of the named aliases.
-pub struct Frontend<S: PointStore, B: CandidateBackend<Row = S::Row>, V: Verifier<S::Row>> {
+/// makes [`crate::HashTableIndex<S>`] the default backend of the named
+/// aliases.
+pub struct Frontend<S: PointStore, B: Borrow<Snapshot<S>>, V: Verifier<S::Row>> {
     backend: B,
     pub(crate) verifier: V,
     store: PhantomData<fn() -> S>,
 }
 
-impl<S: PointStore, B: CandidateBackend<Row = S::Row>, V: Verifier<S::Row>> Frontend<S, B, V> {
+impl<S: PointStore, B: Borrow<Snapshot<S>>, V: Verifier<S::Row>> Frontend<S, B, V> {
     pub(crate) fn new(backend: B, verifier: V) -> Self {
         Frontend {
             backend,
@@ -109,38 +116,33 @@ impl<S: PointStore, B: CandidateBackend<Row = S::Row>, V: Verifier<S::Row>> Fron
         }
     }
 
-    /// The candidate backend (e.g. to take a [`crate::Snapshot`] of a
-    /// sharded one, or inspect a dynamic one's segment layout).
+    /// The backend (e.g. to take a [`Snapshot`] of a sharded one,
+    /// inspect a dynamic one's segment layout, or read a static one's
+    /// store).
     pub fn backend(&self) -> &B {
         &self.backend
     }
 
-    /// Mutable access to the candidate backend: the write path
-    /// (`insert` / `remove` / `apply_batch` / `seal` / `compact` of a
-    /// mutable backend).
+    /// Mutable access to the backend: the write path (`insert` /
+    /// `remove` / `apply_batch` / `seal` / `compact` of a mutable
+    /// backend).
     pub fn backend_mut(&mut self) -> &mut B {
         &mut self.backend
     }
 
+    /// The snapshot every read goes through.
+    fn snapshot(&self) -> &Snapshot<S> {
+        self.backend.borrow()
+    }
+
     /// Number of repetitions `L`.
     pub fn repetitions(&self) -> usize {
-        self.backend.repetitions()
+        self.snapshot().repetitions()
     }
 
     /// The retrieval budget of one query.
     fn limit(&self) -> Option<usize> {
-        self.verifier.retrieval_limit(self.backend.repetitions())
-    }
-
-    /// Verify one query's retrieved candidates.
-    fn verified(
-        &self,
-        q: &S::Row,
-        cands: &[usize],
-        mut stats: QueryStats,
-    ) -> (V::Answer, QueryStats) {
-        let answer = self.verifier.verify(&self.backend, cands, q, &mut stats);
-        (answer, stats)
+        self.verifier.retrieval_limit(self.repetitions())
     }
 
     /// Answer one query.
@@ -148,11 +150,13 @@ impl<S: PointStore, B: CandidateBackend<Row = S::Row>, V: Verifier<S::Row>> Fron
     where
         Q: AsRow<Row = S::Row> + ?Sized,
     {
-        let (q, backend) = (q.as_row(), &self.backend);
-        let mut key_of = |j| backend.query_hasher(j).hash(q);
-        let (cands, stats) =
-            backend.candidates_row(&mut key_of, self.limit(), &mut backend.new_scratch());
-        self.verified(q, &cands, stats)
+        let snapshot = self.snapshot();
+        let (cands, mut stats) =
+            snapshot.candidates_with(q, self.limit(), &mut snapshot.new_scratch());
+        let answer = self
+            .verifier
+            .verify(snapshot, &cands, q.as_row(), &mut stats);
+        (answer, stats)
     }
 
     /// Run [`Frontend::query`] for a batch of queries, fanned out across
@@ -178,12 +182,10 @@ impl<S: PointStore, B: CandidateBackend<Row = S::Row>, V: Verifier<S::Row>> Fron
     where
         QS: PointStore<Row = S::Row>,
     {
-        map_rows_blocked(
-            &self.backend,
-            queries,
-            self.limit(),
-            threads,
-            |q, cands, stats| self.verified(q, &cands, stats),
-        )
+        let (snapshot, verifier) = (self.snapshot(), &self.verifier);
+        snapshot.map_rows_blocked(queries, self.limit(), threads, |q, cands, mut stats| {
+            let answer = verifier.verify(snapshot, &cands, q, &mut stats);
+            (answer, stats)
+        })
     }
 }

@@ -9,13 +9,15 @@
 
 use crate::ann::repetition_count;
 use crate::annulus::AnnulusIndex;
-use crate::frontend::static_backend;
+use crate::frontend::assert_non_empty;
 use crate::measures;
-use crate::table::CandidateBackend;
+use crate::shard::Snapshot;
+use crate::table::HashTableIndex;
 use dsh_core::points::PointStore;
 use dsh_core::AnalyticCpf;
 use dsh_sphere::UnimodalFilterDsh;
 use rand::Rng;
+use std::borrow::Borrow;
 
 /// Hyperplane-query index over unit vectors in `R^d`: an
 /// [`AnnulusIndex`] reporting a point with `|<x, q>| <= alpha_report`.
@@ -32,7 +34,7 @@ pub fn over<S, B>(
 ) -> AnnulusIndex<S, B>
 where
     S: PointStore<Row = [f64]>,
-    B: CandidateBackend<Row = [f64]>,
+    B: Borrow<Snapshot<S>>,
 {
     assert!(alpha_report > 0.0 && alpha_report < 1.0);
     assert!(repetition_factor > 0.0);
@@ -56,8 +58,9 @@ pub fn build<S: PointStore<Row = [f64]>>(
     repetition_factor: f64,
     rng: &mut dyn Rng,
 ) -> AnnulusIndex<S> {
+    assert_non_empty(&points);
     over(d, t, alpha_report, repetition_factor, |family, l| {
-        static_backend(family, points, l, rng)
+        HashTableIndex::build(family, points, l, rng)
     })
 }
 

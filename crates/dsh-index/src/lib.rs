@@ -2,7 +2,9 @@
 //! (paper §6.1–§6.3).
 //!
 //! * [`table`] — the `L`-repetition asymmetric hash table underlying
-//!   every structure: points inserted under `h`, queries probed under `g`;
+//!   every structure: points inserted under `h`, queries probed under
+//!   `g`; the CSR buckets, the query scratch, and the build-once
+//!   [`HashTableIndex`] (a frozen one-segment [`Snapshot`]);
 //! * [`frontend`] — the one query surface: a [`Frontend`] retrieves
 //!   candidates from a backend and keeps the ones its [`Verifier`]
 //!   accepts; the named indexes are aliases over three verifiers;
@@ -44,14 +46,14 @@
 //! out across threads. Batched results are always identical to a
 //! query-at-a-time loop, for every thread count.
 //!
-//! A [`Frontend`] is generic over its [`table::CandidateBackend`]: the
-//! static [`HashTableIndex`] its `build` constructor makes, or — through
-//! the `over` constructors — the segmented [`DynamicIndex`], the
-//! concurrent [`ShardedIndex`], or a frozen [`Snapshot`] of one. It only
-//! reads; points are inserted and retired online through
-//! [`Frontend::backend_mut`]. A dynamic index grown by inserts and then
-//! compacted answers queries bit-identically to a static build over the
-//! same final point set.
+//! There is one walk, [`Snapshot`]'s, and a [`Frontend`] reads through
+//! it whoever owns the snapshot (`B: Borrow<Snapshot<S>>`): the static
+//! [`HashTableIndex`] its `build` constructor makes, or — through the
+//! `over` constructors — the segmented [`DynamicIndex`], the concurrent
+//! [`ShardedIndex`], or a bare [`Snapshot`] of one. It only reads; points
+//! are inserted and retired online through [`Frontend::backend_mut`]. A
+//! dynamic index grown by inserts and then compacted answers queries
+//! bit-identically to a static build over the same final point set.
 //!
 //! Points live in a [`dsh_core::points::PointStore`]: the flat
 //! [`dsh_core::points::BitStore`] / [`dsh_core::points::DenseStore`]
@@ -86,4 +88,4 @@ pub use linear_scan::LinearScan;
 pub use range_reporting::RangeReportingIndex;
 pub use shard::{ReaderHandle, ShardedIndex, Snapshot};
 pub use sphere_annulus::AnnulusSpec;
-pub use table::{CandidateBackend, HashTableIndex, QueryScratch, QueryStats};
+pub use table::{HashTableIndex, QueryScratch, QueryStats};

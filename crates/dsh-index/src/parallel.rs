@@ -93,26 +93,7 @@ where
     out
 }
 
-/// Map `f` over contiguous chunks of `items` using up to `threads` scoped
-/// threads.
-///
-/// `f` receives the absolute index of its chunk's first element plus the
-/// chunk itself, and must return exactly one output per input, in input
-/// order — the chunk shape exists so callers can amortize per-worker
-/// state (e.g. a query scratch buffer) across a whole chunk.
-///
-/// Panics if `threads == 0` or if `f` returns a result of the wrong
-/// length for some chunk.
-pub fn map_chunks<T, U, F>(items: &[T], threads: usize, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &[T]) -> Vec<U> + Sync,
-{
-    map_index_chunks(items.len(), threads, |range| f(range.start, &items[range]))
-}
-
-/// Item-wise convenience over [`map_chunks`]: `f` receives each item's
+/// Item-wise [`map_index_chunks`] over a slice: `f` receives each item's
 /// absolute index and the item. Output order matches input order for every
 /// thread count.
 pub fn map_items<T, U, F>(items: &[T], threads: usize, f: F) -> Vec<U>
@@ -121,12 +102,8 @@ where
     U: Send,
     F: Fn(usize, &T) -> U + Sync,
 {
-    map_chunks(items, threads, |start, chunk| {
-        chunk
-            .iter()
-            .enumerate()
-            .map(|(i, t)| f(start + i, t))
-            .collect()
+    map_index_chunks(items.len(), threads, |range| {
+        range.map(|i| f(i, &items[i])).collect()
     })
 }
 
@@ -148,11 +125,9 @@ mod tests {
     }
 
     #[test]
-    fn map_chunks_covers_all_items_exactly_once() {
+    fn map_items_covers_all_items_exactly_once() {
         let items: Vec<usize> = (0..50).collect();
-        let got = map_chunks(&items, 7, |start, chunk| {
-            chunk.iter().enumerate().map(|(i, _)| start + i).collect()
-        });
+        let got = map_items(&items, 7, |i, _| i);
         assert_eq!(got, items);
     }
 

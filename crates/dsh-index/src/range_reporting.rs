@@ -8,11 +8,13 @@
 //! (Theorem 6.5's `O(d n^rho + d |S| f_max / f_min)` query time).
 
 use crate::annulus::Measure;
-use crate::frontend::{measured, static_backend, Frontend, Verifier};
-use crate::table::{CandidateBackend, HashTableIndex, QueryStats};
+use crate::frontend::{assert_non_empty, measured, Frontend, Verifier};
+use crate::shard::Snapshot;
+use crate::table::{HashTableIndex, QueryStats};
 use dsh_core::family::DshFamily;
 use dsh_core::points::{AsRow, PointStore};
 use rand::Rng;
+use std::borrow::Borrow;
 
 /// The range-reporting [`Verifier`]: keep every retrieved candidate
 /// within `r_plus`, with no retrieval limit. The stats expose the
@@ -31,14 +33,14 @@ impl<R: ?Sized + 'static> Verifier<R> for AllWithin<R> {
         None
     }
 
-    fn verify<B: CandidateBackend<Row = R>>(
+    fn verify<S: PointStore<Row = R>>(
         &self,
-        backend: &B,
+        snapshot: &Snapshot<S>,
         cands: &[usize],
         q: &R,
         stats: &mut QueryStats,
     ) -> Vec<usize> {
-        measured(backend, &self.measure, cands, q, stats)
+        measured(snapshot, &self.measure, cands, q, stats)
             .filter(|&(_, v)| v <= self.r_plus)
             .map(|(i, _)| i)
             .collect()
@@ -51,7 +53,7 @@ impl<R: ?Sized + 'static> Verifier<R> for AllWithin<R> {
 pub type RangeReportingIndex<S, B = HashTableIndex<S>> =
     Frontend<S, B, AllWithin<<S as PointStore>::Row>>;
 
-impl<S: PointStore, B: CandidateBackend<Row = S::Row>> RangeReportingIndex<S, B> {
+impl<S: PointStore, B: Borrow<Snapshot<S>>> RangeReportingIndex<S, B> {
     /// Verify over an already-built `backend` — a [`crate::DynamicIndex`]
     /// or [`crate::ShardedIndex`] (which may start empty and is written
     /// through [`Frontend::backend_mut`]), or a [`crate::Snapshot`].
@@ -69,11 +71,6 @@ impl<S: PointStore, B: CandidateBackend<Row = S::Row>> RangeReportingIndex<S, B>
     /// Inner radius `r` (the recall target).
     pub fn radius(&self) -> f64 {
         self.verifier.r
-    }
-
-    /// Outer radius `r_plus` (the reporting slack).
-    pub fn outer_radius(&self) -> f64 {
-        self.verifier.r_plus
     }
 
     /// Recall against a ground-truth set of indices within distance `r`
@@ -103,7 +100,9 @@ impl<S: PointStore> RangeReportingIndex<S> {
         l: usize,
         rng: &mut dyn Rng,
     ) -> Self {
-        Self::over(static_backend(family, points, l, rng), measure, r, r_plus)
+        assert_non_empty(&points);
+        let backend = HashTableIndex::build(family, points, l, rng);
+        Self::over(backend, measure, r, r_plus)
     }
 }
 
@@ -314,6 +313,5 @@ mod tests {
         );
         assert_eq!(idx.recall(&q, &[]), 1.0);
         assert_eq!(idx.radius(), 0.01);
-        assert_eq!(idx.outer_radius(), 0.05);
     }
 }

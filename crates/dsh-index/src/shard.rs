@@ -2,17 +2,16 @@
 //! concurrent serving layer that publishes it: snapshot reads under live
 //! writes.
 //!
-//! Every structure in [`crate::table`] is build-once. Serving a live
-//! workload means ingesting and retiring points without a full
-//! `O(n · L · k)` re-hash per change, and answering queries *while* that
-//! happens. One state type does both, and two owners wrap it:
+//! Serving a live workload means ingesting and retiring points without a
+//! full `O(n · L · k)` re-hash per change, and answering queries *while*
+//! that happens. One state type does both and also serves the build-once
+//! case, and three owners wrap it:
 //!
 //! * points are partitioned across `N` **shards** by the stable mapping
 //!   `shard = id % N` (ids are assigned in insertion order). Each shard is
 //!   an LSM-style segmented layout over the flat CSR storage: a list of
-//!   **sealed segments** (one immutable CSR bucket table per repetition —
-//!   the layout, builder and probe of the static
-//!   [`crate::HashTableIndex`]), one mutable **delta segment** (per-table
+//!   **sealed segments** (one immutable CSR bucket table per
+//!   repetition), one mutable **delta segment** (per-table
 //!   `HashMap<u64, Vec<u32>>` buckets absorbing inserts at `L` hash
 //!   evaluations per point), a **tombstone** bitset of removed ids, and
 //!   its rows in a snapshot-friendly [`ChunkedStore`]. The `L` sampled
@@ -23,7 +22,9 @@
 //!   write touches (the written shard's delta, store tail and
 //!   tombstones; sealed segments and frozen store chunks are shared by
 //!   reference count);
-//! * [`crate::DynamicIndex`] owns a **one-shard** snapshot nobody else
+//! * [`crate::HashTableIndex`] owns a **frozen** one-shard snapshot —
+//!   one sealed segment, no delta, no tombstones — that nothing writes;
+//!   [`crate::DynamicIndex`] owns a **one-shard** snapshot nobody else
 //!   holds, so its writes land in place; [`ShardedIndex`] owns an
 //!   `N`-shard one that readers share, so each of its writes (`&mut
 //!   self`) is one transaction that forks the state and, iff it changed
@@ -54,14 +55,14 @@
 //! There is one walk ([`Snapshot`]'s), so every shard count answers
 //! bit-identically (ids, order, full [`QueryStats`]) at *any*
 //! insert/remove/seal/compact interleaving point, and — after a
-//! compaction — bit-identically to a static [`crate::HashTableIndex`]
-//! built from the same seed over the live rows. Three properties make
-//! that work:
+//! compaction — bit-identically to a fresh one-segment build (a static
+//! [`crate::HashTableIndex`]) from the same seed over the live rows.
+//! Three properties make that work:
 //!
-//! 1. the `L` pairs are sampled sequentially from the caller's RNG
-//!    exactly like [`crate::HashTableIndex::build`] samples its own, the
-//!    bulk build fans out over the same per-table builder, and the sorted
-//!    `(key, id)` sweep produces the layout the static sort produces;
+//! 1. every build samples the `L` pairs sequentially from the caller's
+//!    RNG through the one `Snapshot::build`, the bulk build and
+//!    compaction end in the same per-table builder, and the sorted
+//!    `(key, id)` sweep produces the layout a fresh build's sort produces;
 //! 2. the walk merges each logical bucket's per-shard entries in
 //!    ascending **global id** order. Per-shard buckets hold ascending
 //!    local ids, and `global = local * N + shard` is monotone per shard,
@@ -78,7 +79,8 @@
 //! (`tests/common/harness.rs`, run by `tests/dynamic_parity.rs` and
 //! `tests/shard_parity.rs`) pins all of this — generated schedules, a
 //! model of every op's outcome and epoch, 1, 2 and 8 shards against each
-//! other and against the static rebuild — and
+//! other and against the static rebuild, which itself faces the
+//! structure's definition computed straight from the hashers — and
 //! `tests/shard_concurrency.rs` is the concurrency soak (snapshots held
 //! across concurrent writes keep answering from their frozen state).
 
@@ -86,20 +88,26 @@ use crate::batch::{
     ensure_capacity, ensure_known, BatchError, BatchOp, WriteBatch, WriteError, WriteOutcome,
     MAX_POINTS,
 };
-use crate::dynamic::{DynamicIndex, Tombstones};
+use crate::dynamic::Tombstones;
 use crate::parallel;
-use crate::table::{
-    hash_store, map_rows_blocked, CandidateBackend, CsrBuckets, QueryScratch, QueryStats,
-    STAMP_AHEAD,
-};
-use dsh_core::family::{DshFamily, HasherPair, PointHasher};
+use crate::table::{hash_store, CsrBuckets, QueryScratch, QueryStats, STAMP_AHEAD};
+use dsh_core::family::{DshFamily, HasherPair};
 use dsh_core::points::{AsRow, ChunkedStore, PointStore};
 use rand::Rng;
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::ops::Deref;
 use std::sync::{Arc, RwLock};
 
 pub use txn::ReaderHandle;
+
+/// Minimum queries per worker in the batched query paths: a worker costs
+/// a thread spawn plus one O(n) scratch allocation, which a single cheap
+/// query does not amortize.
+const MIN_QUERIES_PER_WORKER: usize = 8;
+
+/// Rows a batched-query worker hashes together.
+const QUERY_BLOCK: usize = 64;
 
 /// One immutable segment: a CSR bucket table per repetition, all covering
 /// the same id set. Shared behind [`Arc`] so that forking a shard bumps a
@@ -153,15 +161,14 @@ struct Shard<S> {
 }
 
 impl<S: PointStore> Shard<S> {
-    /// Index `points` as the first sealed segment (none when empty), in
-    /// parallel exactly like [`crate::HashTableIndex::build`]. The store
-    /// is wrapped, not copied.
-    fn build(pairs: &[HasherPair<S::Row>], points: S, threads: usize) -> Self {
+    /// Index `points` as the first sealed segment (none when empty), one
+    /// table per worker item. The store is shared, not copied.
+    fn build(pairs: &[HasherPair<S::Row>], points: Arc<S>, threads: usize) -> Self {
         let sealed = if points.is_empty() {
             Vec::new()
         } else {
             let tables = parallel::map_items(pairs, threads, |_, pair| {
-                CsrBuckets::build(&hash_store(&*pair.data, &points))
+                CsrBuckets::build(&hash_store(&*pair.data, &*points))
             });
             vec![Arc::new(SealedSegment { tables })]
         };
@@ -304,19 +311,19 @@ pub struct Snapshot<S: PointStore> {
 
 impl<S: PointStore> Snapshot<S> {
     /// The one constructor: sample `l` `(h, g)` pairs sequentially from
-    /// `rng` — the stream [`crate::HashTableIndex::build`] consumes — and
-    /// bulk-build one shard over each store of `rows` (shard `s` holding
-    /// the points with global id `local * rows.len() + s`).
+    /// `rng` and bulk-build one shard over each store of `rows` (shard `s`
+    /// holding the points with global id `local * rows.len() + s`), each
+    /// store becoming its shard's first frozen chunk without a copy.
     pub(crate) fn build(
         family: &(impl DshFamily<S::Row> + ?Sized),
-        rows: Vec<S>,
+        rows: Vec<Arc<S>>,
         l: usize,
         rng: &mut dyn Rng,
         threads: usize,
     ) -> Self {
         // lint: allow(panic) — build-time parameter validation, not on the query path
         assert!(l >= 1, "need at least one repetition");
-        let total_rows = rows.iter().map(PointStore::len).sum();
+        let total_rows = rows.iter().map(|points| points.len()).sum();
         // lint: allow(panic) — build-time capacity check, not on the query path
         assert!(
             total_rows <= MAX_POINTS,
@@ -405,6 +412,27 @@ impl<S: PointStore> Snapshot<S> {
         self.state.shards[id % n].store.row(id / n)
     }
 
+    /// Hint that the row of point `id` will be read soon: best-effort
+    /// software prefetch, used by the verification loop to gather rows a
+    /// few candidates ahead. Out-of-range ids are ignored.
+    #[inline]
+    pub(crate) fn prefetch_point(&self, id: usize) {
+        if id < self.state.total_rows {
+            let n = self.num_shards();
+            self.state.shards[id % n].store.prefetch_row(id / n);
+        }
+    }
+
+    /// The one flat store that holds every row — one shard whose rows are
+    /// one frozen chunk, as in a static or a compacted index — if there
+    /// is one.
+    pub(crate) fn flat_rows(&self) -> Option<&S> {
+        match &self.state.shards[..] {
+            [only] => only.store.single_chunk(),
+            _ => None,
+        }
+    }
+
     fn shards(&self) -> impl Iterator<Item = &Shard<S>> {
         self.state.shards.iter().map(|sh| &**sh)
     }
@@ -421,10 +449,14 @@ impl<S: PointStore> Snapshot<S> {
         QueryScratch::new(self.state.total_rows)
     }
 
-    /// The one walk over a segmented index: tables outermost, then the
-    /// logical segments in creation order, then the delta, stopping once
-    /// `retrieval_limit` entries have been pulled. Table `j`'s probe key
-    /// is `key_of(j)`, asked for only once the walk reaches table `j`.
+    /// The one walk: tables outermost, then the logical segments in
+    /// creation order, then the delta, stopping once `retrieval_limit`
+    /// entries have been pulled. Table `j`'s probe key is `key_of(j)`,
+    /// asked for only once the walk reaches table `j`, so a limited query
+    /// that stops early never pays for the later tables' keys. The
+    /// closure is `dyn` so that the walk is compiled once, whoever feeds
+    /// it keys: generic over the closure, it read ~1 us slower on the
+    /// gate's single-row wire path.
     fn candidates_row(
         &self,
         key_of: &mut dyn FnMut(usize) -> u64,
@@ -478,14 +510,19 @@ impl<S: PointStore> Snapshot<S> {
             let mut start = 0;
             for &end in &ends {
                 stats.tables_probed += 1;
-                self.consume_merged(
-                    &mut staged[start..end],
-                    limit,
-                    &mut stats,
-                    scratch,
-                    generation,
-                    &mut out,
-                );
+                match &mut staged[start..end] {
+                    &mut [(s, bucket)] if state.shards[s].tombstones.dead() == 0 => {
+                        let at = (state.shards.len(), s);
+                        consume_bucket(
+                            bucket, at, limit, &mut stats, scratch, generation, &mut out,
+                        );
+                    }
+                    probe => {
+                        self.consume_merged(
+                            probe, limit, &mut stats, scratch, generation, &mut out,
+                        );
+                    }
+                }
                 if stats.candidates_retrieved >= limit {
                     break 'tables;
                 }
@@ -500,7 +537,8 @@ impl<S: PointStore> Snapshot<S> {
     /// `limit` entries have been retrieved in all, k-way-merging the
     /// shard buckets in ascending global-id order — the exact entry
     /// sequence the one-shard bucket holds. Tombstoned entries are
-    /// skipped without counting against the limit.
+    /// skipped without counting against the limit. A probe with one
+    /// bucket and no dead ids takes [`consume_bucket`] instead.
     // lint: hot
     fn consume_merged(
         &self,
@@ -610,13 +648,72 @@ impl<S: PointStore> Snapshot<S> {
     where
         QS: PointStore<Row = S::Row>,
     {
-        map_rows_blocked(
-            self,
-            queries,
-            retrieval_limit,
-            threads,
-            |_, cands, stats| (cands, stats),
-        )
+        self.map_rows_blocked(queries, retrieval_limit, threads, |_, cands, stats| {
+            (cands, stats)
+        })
+    }
+
+    /// The one batched-query driver: `finish(q, candidates, stats)` of
+    /// every row of `queries`, in order, fanned out over up to `threads`
+    /// workers (capped so each serves several queries per scratch buffer)
+    /// and, per worker, hashed in blocks of [`QUERY_BLOCK`] rows.
+    ///
+    /// A block's probe keys live in a `QUERY_BLOCK x L` matrix that is
+    /// filled lazily, a table at a time: the first row of the block whose
+    /// walk reaches table `j` triggers one
+    /// [`dsh_core::family::PointHasher::hash_many`] of `g_j` over that row
+    /// and the rows after it. Rows before it stopped short of table `j`,
+    /// and a table no row reaches is never hashed, so a limited query
+    /// costs at most its block-mates' tables. The walk is
+    /// [`Snapshot::candidates_row`], reading its keys from the matrix.
+    ///
+    /// Each row is walked *and finished* before the next is walked.
+    /// Walking the block first and finishing afterwards holds up to
+    /// `limit` ids for each of 64 rows per worker — on the gate's
+    /// `lib-annulus-sphere` that alone was +12–15 % `peak_rss_mb`. Both
+    /// block sizes are constants for the same reason: nothing outside
+    /// this file can size them better.
+    pub(crate) fn map_rows_blocked<QS, U>(
+        &self,
+        queries: &QS,
+        retrieval_limit: Option<usize>,
+        threads: usize,
+        finish: impl Fn(&S::Row, Vec<usize>, QueryStats) -> U + Sync,
+    ) -> Vec<U>
+    where
+        QS: PointStore<Row = S::Row>,
+        U: Send,
+    {
+        let threads = parallel::capped_threads(queries.len(), threads, MIN_QUERIES_PER_WORKER);
+        parallel::map_index_chunks(queries.len(), threads, |range| {
+            let l = self.repetitions();
+            let mut scratch = self.new_scratch();
+            // Table-major, so the rows `r..` of one table are one slice.
+            let mut keys = vec![0; l * QUERY_BLOCK];
+            let mut hashed = vec![false; l];
+            let mut rows = Vec::with_capacity(QUERY_BLOCK);
+            let mut out = Vec::with_capacity(range.len());
+            for start in range.clone().step_by(QUERY_BLOCK) {
+                rows.clear();
+                rows.extend((start..range.end.min(start + QUERY_BLOCK)).map(|i| queries.row(i)));
+                hashed.fill(false);
+                for (r, &q) in rows.iter().enumerate() {
+                    let mut key_of = |j: usize| {
+                        let table = &mut keys[j * QUERY_BLOCK..][..rows.len()];
+                        if !hashed[j] {
+                            hashed[j] = true;
+                            let g = &self.state.pairs[j].query;
+                            g.hash_many(&rows[r..], &mut table[r..]);
+                        }
+                        table[r]
+                    };
+                    let (cands, stats) =
+                        self.candidates_row(&mut key_of, retrieval_limit, &mut scratch);
+                    out.push(finish(q, cands, stats));
+                }
+            }
+            out
+        })
     }
 
     // -----------------------------------------------------------------
@@ -729,84 +826,36 @@ impl<S: PointStore> Snapshot<S> {
     }
 }
 
-impl<S: PointStore> CandidateBackend for Snapshot<S> {
-    type Row = S::Row;
-
-    fn repetitions(&self) -> usize {
-        Snapshot::repetitions(self)
-    }
-
-    fn point(&self, i: usize) -> &S::Row {
-        Snapshot::point(self, i)
-    }
-
-    #[inline]
-    fn prefetch_point(&self, i: usize) {
-        if i < self.state.total_rows {
-            let n = self.num_shards();
-            self.state.shards[i % n].store.prefetch_row(i / n);
+/// The walk's loop over one logical probe that staged a single bucket,
+/// from shard `shard` of `n` with no dead ids: nothing to merge and
+/// nothing to skip, so it costs what a build-once table's loop costs
+/// (`consume_merged` pays a merge step and a tombstone check per entry).
+/// Truncated to the budget up front, so it carries no per-entry limit
+/// branch.
+// lint: hot
+fn consume_bucket(
+    bucket: &[u32],
+    (n, shard): (usize, usize),
+    limit: usize,
+    stats: &mut QueryStats,
+    scratch: &mut QueryScratch,
+    generation: u8,
+    out: &mut Vec<usize>,
+) {
+    let take = bucket.len().min(limit - stats.candidates_retrieved);
+    for (k, &local) in bucket[..take].iter().enumerate() {
+        if let Some(&ahead) = bucket.get(k + STAMP_AHEAD) {
+            scratch.prefetch(ahead as usize * n + shard);
+        }
+        let global = local as usize * n + shard;
+        if scratch.visit(global, generation) {
+            out.push(global);
+        } else {
+            stats.duplicates += 1;
         }
     }
-
-    fn new_scratch(&self) -> QueryScratch {
-        Snapshot::new_scratch(self)
-    }
-
-    fn query_hasher(&self, j: usize) -> &dyn PointHasher<S::Row> {
-        &*self.state.pairs[j].query
-    }
-
-    fn candidates_row(
-        &self,
-        key_of: &mut dyn FnMut(usize) -> u64,
-        retrieval_limit: Option<usize>,
-        scratch: &mut QueryScratch,
-    ) -> (Vec<usize>, QueryStats) {
-        Snapshot::candidates_row(self, key_of, retrieval_limit, scratch)
-    }
+    stats.candidates_retrieved += take;
 }
-
-/// The two owners of a [`Snapshot`] are backends through it: there is no
-/// second read path to keep in step.
-macro_rules! backend_through_snapshot {
-    ($owner:ident) => {
-        impl<S: PointStore> CandidateBackend for $owner<S> {
-            type Row = S::Row;
-
-            fn repetitions(&self) -> usize {
-                Snapshot::repetitions(self)
-            }
-
-            fn point(&self, i: usize) -> &S::Row {
-                Snapshot::point(self, i)
-            }
-
-            #[inline]
-            fn prefetch_point(&self, i: usize) {
-                CandidateBackend::prefetch_point(&**self, i);
-            }
-
-            fn new_scratch(&self) -> QueryScratch {
-                Snapshot::new_scratch(self)
-            }
-
-            fn query_hasher(&self, j: usize) -> &dyn PointHasher<S::Row> {
-                CandidateBackend::query_hasher(&**self, j)
-            }
-
-            fn candidates_row(
-                &self,
-                key_of: &mut dyn FnMut(usize) -> u64,
-                retrieval_limit: Option<usize>,
-                scratch: &mut QueryScratch,
-            ) -> (Vec<usize>, QueryStats) {
-                Snapshot::candidates_row(self, key_of, retrieval_limit, scratch)
-            }
-        }
-    };
-}
-backend_through_snapshot!(DynamicIndex);
-backend_through_snapshot!(ShardedIndex);
 
 /// A mutable index partitioned across `N` shards, publishing an immutable
 /// epoch-stamped snapshot of itself after every write.
@@ -872,6 +921,7 @@ impl<S: PointStore> ShardedIndex<S> {
         for i in 0..points.len() {
             rows[i % num_shards].push_row(points.row(i));
         }
+        let rows = rows.into_iter().map(Arc::new).collect();
         let threads = parallel::available_threads();
         ShardedIndex {
             published: txn::Published::new(Snapshot::build(family, rows, l, rng, threads)),
@@ -969,7 +1019,7 @@ impl<S: PointStore> ShardedIndex<S> {
 /// in two statements (`ReaderHandle`'s load and store), so no guard can
 /// outlive a statement.
 mod txn {
-    use super::{Arc, Deref, PointStore, RwLock, ShardedIndex, Snapshot};
+    use super::{Arc, Borrow, Deref, PointStore, RwLock, ShardedIndex, Snapshot};
     use std::sync::PoisonError;
 
     /// Rows a shard's store tail may hold before a commit freezes it into
@@ -1032,6 +1082,12 @@ mod txn {
 
         fn deref(&self) -> &Snapshot<S> {
             &self.published.current
+        }
+    }
+
+    impl<S: PointStore> Borrow<Snapshot<S>> for ShardedIndex<S> {
+        fn borrow(&self) -> &Snapshot<S> {
+            self
         }
     }
 
@@ -1103,6 +1159,7 @@ mod txn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DynamicIndex;
     use dsh_core::points::{BitStore, BitVector};
     use dsh_hamming::BitSampling;
     use dsh_math::rng::seeded;

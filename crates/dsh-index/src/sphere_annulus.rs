@@ -12,14 +12,16 @@
 
 use crate::ann::repetition_count;
 use crate::annulus::AnnulusIndex;
-use crate::frontend::static_backend;
+use crate::frontend::assert_non_empty;
 use crate::measures;
-use crate::table::CandidateBackend;
+use crate::shard::Snapshot;
+use crate::table::HashTableIndex;
 use dsh_core::distance::{alpha_from_ratio, alpha_ratio};
 use dsh_core::points::PointStore;
 use dsh_core::AnalyticCpf;
 use dsh_sphere::unimodal::{annulus_rho, UnimodalFilterDsh};
 use rand::Rng;
+use std::borrow::Borrow;
 
 /// Specification of a Definition 6.3 instance.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -77,7 +79,7 @@ pub fn over<S, B>(
 ) -> AnnulusIndex<S, B>
 where
     S: PointStore<Row = [f64]>,
-    B: CandidateBackend<Row = [f64]>,
+    B: Borrow<Snapshot<S>>,
 {
     assert!(repetition_factor >= 1.0);
     let family = UnimodalFilterDsh::new(d, spec.peak(), t);
@@ -97,8 +99,9 @@ pub fn build<S: PointStore<Row = [f64]>>(
     repetition_factor: f64,
     rng: &mut dyn Rng,
 ) -> AnnulusIndex<S> {
+    assert_non_empty(&points);
     over(d, spec, t, repetition_factor, |family, l| {
-        static_backend(family, points, l, rng)
+        HashTableIndex::build(family, points, l, rng)
     })
 }
 

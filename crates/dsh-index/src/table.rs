@@ -1,6 +1,7 @@
 //! The `L`-repetition asymmetric hash table (the "straightforward
 //! adaptation of the near neighbor data structure using LSH" from the
-//! proof of Theorem 6.1).
+//! proof of Theorem 6.1): its bucket layout, its query scratch, and
+//! [`HashTableIndex`], the build-once index over them.
 //!
 //! `L` pairs `(h_j, g_j)` are sampled from a distance-sensitive family.
 //! Every data point `x` is stored in table `j` under key `h_j(x)`; a query
@@ -24,16 +25,25 @@
 //! [`crate::parallel`] worker threads. All `L` `(h, g)` pairs are sampled
 //! *sequentially* from the caller's RNG before any worker starts, so the
 //! randomness stream — and therefore the built index — is identical for
-//! every thread count. Queries come in two flavors: the classic one-shot
-//! [`HashTableIndex::candidates`], and the batched
-//! [`HashTableIndex::candidates_batch`] that fans queries out across
-//! threads while reusing one generation-stamped [`QueryScratch`] per
-//! worker instead of allocating an O(n) `seen` vector per query.
+//! every thread count.
+//!
+//! # Queries
+//!
+//! A [`HashTableIndex`] has no walk of its own: it is a frozen
+//! [`Snapshot`] with one shard, one sealed segment, no delta and no
+//! tombstones, and every query is that snapshot's — the one walk the
+//! mutable indexes run, one-shot ([`Snapshot::candidates`]) or batched
+//! ([`Snapshot::candidates_batch`], reusing one generation-stamped
+//! [`QueryScratch`] per worker instead of allocating an O(n) `seen`
+//! vector per query).
 
 use crate::parallel;
-use dsh_core::family::{DshFamily, HasherPair, PointHasher};
-use dsh_core::points::{AsRow, PointStore};
+use crate::shard::Snapshot;
+use dsh_core::family::{DshFamily, PointHasher};
+use dsh_core::points::PointStore;
 use rand::Rng;
+use std::borrow::Borrow;
+use std::ops::Deref;
 use std::sync::Arc;
 
 /// Counters describing the work a query performed.
@@ -103,11 +113,6 @@ pub(crate) struct CsrBuckets {
 /// Cap on the prefix-table size (2^16 entries = 256 KiB of `u32` per
 /// table at most, and only when the directory itself is that large).
 const MAX_PREFIX_BITS: u32 = 16;
-
-/// Minimum queries per worker in the batched query paths: a worker costs
-/// a thread spawn plus one O(n) scratch allocation, which a single cheap
-/// query does not amortize.
-pub(crate) const MIN_QUERIES_PER_WORKER: usize = 8;
 
 impl CsrBuckets {
     /// Construction from per-point hash keys in one sort-and-sweep pass:
@@ -223,13 +228,6 @@ impl CsrBuckets {
     }
 }
 
-/// One hash table: the sampled data/query hashers and the CSR buckets.
-struct Table<P: ?Sized> {
-    data_fn: Arc<dyn PointHasher<P>>,
-    query_fn: Arc<dyn PointHasher<P>>,
-    buckets: CsrBuckets,
-}
-
 /// Reusable per-worker query state: a generation-stamped `seen` array.
 ///
 /// Marking a point visited writes the current generation into its stamp
@@ -301,49 +299,24 @@ pub(crate) const STAMP_AHEAD: usize = 16;
 /// prefetches would evict its own oldest lines on wide rows.
 pub(crate) const ROW_AHEAD: usize = 4;
 
-/// An `L`-repetition DSH hash table over a [`PointStore`].
+/// An `L`-repetition DSH hash table over a [`PointStore`], built once.
 ///
 /// `S` is the storage backend, a flat [`dsh_core::points::BitStore`] /
-/// [`dsh_core::points::DenseStore`] of contiguous rows (or a
-/// [`dsh_core::points::ChunkedStore`] over one). Hash functions and
-/// queries operate on the store's row type.
+/// [`dsh_core::points::DenseStore`] of contiguous rows. The index is the
+/// frozen case of the segmented state: a [`Snapshot`] with one shard, one
+/// sealed segment, no delta and no tombstones, which nothing can write.
+/// It dereferences to that snapshot for every read —
+/// [`Snapshot::candidates`], [`Snapshot::candidates_batch`],
+/// [`Snapshot::point`], a front-end over the index as its backend — so a
+/// static query runs the one walk [`crate::DynamicIndex`] and
+/// [`crate::ShardedIndex`] run.
 pub struct HashTableIndex<S: PointStore> {
-    tables: Vec<Table<S::Row>>,
-    points: S,
+    snapshot: Snapshot<S>,
+    /// The store the snapshot's one frozen chunk shares.
+    points: Arc<S>,
 }
 
 impl<S: PointStore> HashTableIndex<S> {
-    /// Number of repetitions `L`.
-    pub fn repetitions(&self) -> usize {
-        self.tables.len()
-    }
-
-    /// Number of indexed points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// True when no points are indexed.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// Borrow the row of indexed point `i`.
-    pub fn point(&self, i: usize) -> &S::Row {
-        self.points.row(i)
-    }
-
-    /// The underlying point store.
-    pub fn store(&self) -> &S {
-        &self.points
-    }
-
-    /// A query scratch buffer sized for this index, for use with
-    /// [`HashTableIndex::candidates_with`].
-    pub fn new_scratch(&self) -> QueryScratch {
-        QueryScratch::new(self.points.len())
-    }
-
     /// Build with `l` independently sampled `(h, g)` pairs, fanning table
     /// construction out over [`parallel::available_threads`] workers.
     pub fn build(
@@ -369,213 +342,37 @@ impl<S: PointStore> HashTableIndex<S> {
         rng: &mut dyn Rng,
         threads: usize,
     ) -> Self {
-        // lint: allow(panic) — build-time parameter validation, not on the query path
-        assert!(l >= 1, "need at least one repetition");
-        // lint: allow(panic) — build-time capacity check, not on the query path
-        assert!(
-            points.len() < u32::MAX as usize,
-            "point count exceeds index capacity"
-        );
-        let pairs: Vec<HasherPair<S::Row>> = (0..l).map(|_| family.sample(rng)).collect();
-        let points_ref = &points;
-        let tables = parallel::map_items(&pairs, threads, |_, pair| Table {
-            data_fn: Arc::clone(&pair.data),
-            query_fn: Arc::clone(&pair.query),
-            buckets: CsrBuckets::build(&hash_store(&*pair.data, points_ref)),
-        });
-        HashTableIndex { tables, points }
-    }
-
-    /// Retrieve query candidates table-by-table, stopping once
-    /// `retrieval_limit` raw entries have been pulled (the `8L`
-    /// early-termination device from the proof of Theorem 6.1).
-    /// Returns distinct candidate indices in retrieval order. The query
-    /// may be an owned point, a store row view, or a raw row.
-    pub fn candidates<Q>(&self, q: &Q, retrieval_limit: Option<usize>) -> (Vec<usize>, QueryStats)
-    where
-        Q: AsRow<Row = S::Row> + ?Sized,
-    {
-        self.candidates_with(q, retrieval_limit, &mut self.new_scratch())
-    }
-
-    /// [`HashTableIndex::candidates`] against a caller-provided scratch
-    /// buffer, letting tight query loops skip the per-query O(n)
-    /// allocation. The scratch must come from this index's
-    /// [`HashTableIndex::new_scratch`] (or one of identical size).
-    pub fn candidates_with<Q>(
-        &self,
-        q: &Q,
-        retrieval_limit: Option<usize>,
-        scratch: &mut QueryScratch,
-    ) -> (Vec<usize>, QueryStats)
-    where
-        Q: AsRow<Row = S::Row> + ?Sized,
-    {
-        let q = q.as_row();
-        self.candidates_row(
-            &mut |j| self.tables[j].query_fn.hash(q),
-            retrieval_limit,
-            scratch,
-        )
-    }
-
-    /// The walk, with table `j`'s probe key coming from `key_of(j)` —
-    /// asked for only once the walk reaches table `j`, so a limited query
-    /// that stops early never pays for the later tables' keys.
-    pub(crate) fn candidates_row(
-        &self,
-        key_of: &mut dyn FnMut(usize) -> u64,
-        retrieval_limit: Option<usize>,
-        scratch: &mut QueryScratch,
-    ) -> (Vec<usize>, QueryStats) {
-        // lint: allow(panic) — contract: scratch must come from this index's new_scratch
-        assert_eq!(
-            scratch.len(),
-            self.points.len(),
-            "scratch buffer sized for a different index"
-        );
-        let generation = scratch.begin();
-        let limit = retrieval_limit.unwrap_or(usize::MAX);
-        let mut stats = QueryStats::default();
-        let mut out = Vec::new();
-        for (j, table) in self.tables.iter().enumerate() {
-            stats.tables_probed += 1;
-            let bucket = table.buckets.bucket(key_of(j));
-            // Truncate to the retrieval budget up front so the hot loop
-            // carries no per-entry limit branch.
-            let take = bucket.len().min(limit - stats.candidates_retrieved);
-            for (j, &i) in bucket[..take].iter().enumerate() {
-                if let Some(&ahead) = bucket.get(j + STAMP_AHEAD) {
-                    scratch.prefetch(ahead as usize);
-                }
-                let i = i as usize;
-                if scratch.visit(i, generation) {
-                    out.push(i);
-                } else {
-                    stats.duplicates += 1;
-                }
-            }
-            stats.candidates_retrieved += take;
-            if stats.candidates_retrieved >= limit {
-                break;
-            }
+        let points = Arc::new(points);
+        let rows = vec![Arc::clone(&points)];
+        HashTableIndex {
+            snapshot: Snapshot::build(family, rows, l, rng, threads),
+            points,
         }
-        stats.distinct_candidates = out.len();
-        (out, stats)
     }
 
-    /// Run [`HashTableIndex::candidates`] for a batch of queries, fanned
-    /// out across [`parallel::available_threads`] workers with one scratch
-    /// buffer per worker. The batch may be any store over the same row
-    /// type. Results line up with `queries` and are identical to a
-    /// query-at-a-time loop.
-    pub fn candidates_batch<QS>(
-        &self,
-        queries: &QS,
-        retrieval_limit: Option<usize>,
-    ) -> Vec<(Vec<usize>, QueryStats)>
-    where
-        QS: PointStore<Row = S::Row>,
-    {
-        self.candidates_batch_with_threads(queries, retrieval_limit, parallel::available_threads())
-    }
-
-    /// [`HashTableIndex::candidates_batch`] with an explicit worker-thread
-    /// count (the output does not depend on it). The count is capped so
-    /// every worker serves at least a handful of queries — one worker per
-    /// query would pay a thread spawn and an O(n) scratch allocation per
-    /// single query.
-    pub fn candidates_batch_with_threads<QS>(
-        &self,
-        queries: &QS,
-        retrieval_limit: Option<usize>,
-        threads: usize,
-    ) -> Vec<(Vec<usize>, QueryStats)>
-    where
-        QS: PointStore<Row = S::Row>,
-    {
-        map_rows_blocked(
-            self,
-            queries,
-            retrieval_limit,
-            threads,
-            |_, cands, stats| (cands, stats),
-        )
-    }
-
-    /// Whether data point `i` and the query collide in table `j`
-    /// (diagnostic helper for tests).
-    pub fn collides_in_table<Q>(&self, j: usize, i: usize, q: &Q) -> bool
-    where
-        Q: AsRow<Row = S::Row> + ?Sized,
-    {
-        let t = &self.tables[j];
-        t.data_fn.hash(self.points.row(i)) == t.query_fn.hash(q.as_row())
+    /// The underlying point store.
+    pub fn store(&self) -> &S {
+        &self.points
     }
 }
 
-/// A bucket-candidate backend a [`crate::Frontend`] can verify against:
-/// the static [`HashTableIndex`], or a segmented
-/// [`crate::shard::Snapshot`] — held directly, or through one of its two
-/// owners, the single-threaded [`crate::dynamic::DynamicIndex`] and the
-/// concurrent sharded [`crate::shard::ShardedIndex`], which forward here
-/// to the snapshot they dereference to.
-///
-/// The trait is the read side only — what one verification loop needs to
-/// serve a build-once index, one grown online, and one sharded for
-/// concurrent serving. There are two walks behind it, the static table's
-/// and the snapshot's, and they answer queries exactly alike over the
-/// same live point set (pinned by the write-path harness that
-/// `tests/dynamic_parity.rs` and `tests/shard_parity.rs` run); the
-/// mutable owners are written through
-/// their own inherent methods, reached via
-/// [`crate::Frontend::backend_mut`].
-pub trait CandidateBackend: Send + Sync {
-    /// The borrowed row type stored points and queries share.
-    type Row: ?Sized + 'static;
+/// Every read of the index is the same call on its [`Snapshot`].
+impl<S: PointStore> Deref for HashTableIndex<S> {
+    type Target = Snapshot<S>;
 
-    /// Number of repetitions `L` (each query probes `L` logical tables).
-    fn repetitions(&self) -> usize;
-
-    /// Borrow the row of indexed point `i`.
-    fn point(&self, i: usize) -> &Self::Row;
-
-    /// Hint that the row of point `i` will be read soon: best-effort
-    /// software prefetch of the row, used by the verification loops to
-    /// gather candidate rows a few entries ahead of the distance
-    /// computations. Default is a no-op; out-of-range ids are ignored.
-    #[inline]
-    fn prefetch_point(&self, i: usize) {
-        let _ = i;
+    fn deref(&self) -> &Snapshot<S> {
+        &self.snapshot
     }
+}
 
-    /// A query scratch buffer sized for this backend.
-    fn new_scratch(&self) -> QueryScratch;
-
-    /// The query-side function `g_j` of repetition `j < L`.
-    fn query_hasher(&self, j: usize) -> &dyn PointHasher<Self::Row>;
-
-    /// Retrieve distinct candidate ids for the query whose probe key in
-    /// table `j` is `key_of(j)`, stopping once `retrieval_limit` raw
-    /// bucket entries have been pulled. `key_of` is called at most once
-    /// per table, in table order, and only for the tables the walk
-    /// reaches. One row alone passes `&mut |j| self.query_hasher(j).hash(q)`.
-    /// The closure is `dyn` so that a backend's walk is compiled once,
-    /// whoever feeds it keys: generic over the closure, the segmented
-    /// walk read ~1 us slower on the gate's single-row wire path.
-    fn candidates_row(
-        &self,
-        key_of: &mut dyn FnMut(usize) -> u64,
-        retrieval_limit: Option<usize>,
-        scratch: &mut QueryScratch,
-    ) -> (Vec<usize>, QueryStats);
+impl<S: PointStore> Borrow<Snapshot<S>> for HashTableIndex<S> {
+    fn borrow(&self) -> &Snapshot<S> {
+        self
+    }
 }
 
 /// Rows per [`PointHasher::hash_many`] call of the bulk builds.
 const BUILD_BLOCK: usize = 256;
-
-/// Rows a batched-query worker hashes together.
-const QUERY_BLOCK: usize = 64;
 
 /// `h` of every row of `points`, in [`BUILD_BLOCK`]-row blocks. The block
 /// is a constant, not the whole store: a `Vec<&Row>` over all `n` rows
@@ -591,103 +388,6 @@ pub(crate) fn hash_store<S: PointStore>(h: &dyn PointHasher<S::Row>, points: &S)
         h.hash_many(&rows, out);
     }
     hashes
-}
-
-/// The one batched-query driver: `finish(q, candidates, stats)` of every
-/// row of `queries`, in order, fanned out over up to `threads` workers
-/// (capped so each serves several queries per scratch buffer) and, per
-/// worker, hashed in blocks of [`QUERY_BLOCK`] rows.
-///
-/// A block's probe keys live in a `QUERY_BLOCK x L` matrix that is
-/// filled lazily, a table at a time: the first row of the block whose
-/// walk reaches table `j` triggers one [`PointHasher::hash_many`] of
-/// `g_j` over that row and the rows after it. Rows before it stopped
-/// short of table `j`, and a table no row reaches is never hashed, so a
-/// limited query costs at most its block-mates' tables. The walk is the
-/// backend's own `candidates_row`, reading its keys from the matrix.
-///
-/// Each row is walked *and finished* before the next is walked. Walking
-/// the block first and finishing afterwards holds up to `limit` ids for
-/// each of 64 rows per worker — on the gate's `lib-annulus-sphere` that
-/// alone was +12–15 % `peak_rss_mb`. Both block sizes are constants for
-/// the same reason: nothing outside this file can size them better.
-pub(crate) fn map_rows_blocked<B, QS, U>(
-    backend: &B,
-    queries: &QS,
-    retrieval_limit: Option<usize>,
-    threads: usize,
-    finish: impl Fn(&B::Row, Vec<usize>, QueryStats) -> U + Sync,
-) -> Vec<U>
-where
-    B: CandidateBackend,
-    QS: PointStore<Row = B::Row>,
-    U: Send,
-{
-    let threads = parallel::capped_threads(queries.len(), threads, MIN_QUERIES_PER_WORKER);
-    parallel::map_index_chunks(queries.len(), threads, |range| {
-        let l = backend.repetitions();
-        let mut scratch = backend.new_scratch();
-        // Table-major, so the rows `r..` of one table are one slice.
-        let mut keys = vec![0; l * QUERY_BLOCK];
-        let mut hashed = vec![false; l];
-        let mut rows = Vec::with_capacity(QUERY_BLOCK);
-        let mut out = Vec::with_capacity(range.len());
-        for start in range.clone().step_by(QUERY_BLOCK) {
-            rows.clear();
-            rows.extend((start..range.end.min(start + QUERY_BLOCK)).map(|i| queries.row(i)));
-            hashed.fill(false);
-            for (r, &q) in rows.iter().enumerate() {
-                let mut key_of = |j: usize| {
-                    let table = &mut keys[j * QUERY_BLOCK..][..rows.len()];
-                    if !hashed[j] {
-                        hashed[j] = true;
-                        backend
-                            .query_hasher(j)
-                            .hash_many(&rows[r..], &mut table[r..]);
-                    }
-                    table[r]
-                };
-                let (cands, stats) =
-                    backend.candidates_row(&mut key_of, retrieval_limit, &mut scratch);
-                out.push(finish(q, cands, stats));
-            }
-        }
-        out
-    })
-}
-
-impl<S: PointStore> CandidateBackend for HashTableIndex<S> {
-    type Row = S::Row;
-
-    fn repetitions(&self) -> usize {
-        HashTableIndex::repetitions(self)
-    }
-
-    fn point(&self, i: usize) -> &S::Row {
-        HashTableIndex::point(self, i)
-    }
-
-    #[inline]
-    fn prefetch_point(&self, i: usize) {
-        self.points.prefetch_row(i);
-    }
-
-    fn new_scratch(&self) -> QueryScratch {
-        HashTableIndex::new_scratch(self)
-    }
-
-    fn query_hasher(&self, j: usize) -> &dyn PointHasher<S::Row> {
-        &*self.tables[j].query_fn
-    }
-
-    fn candidates_row(
-        &self,
-        key_of: &mut dyn FnMut(usize) -> u64,
-        retrieval_limit: Option<usize>,
-        scratch: &mut QueryScratch,
-    ) -> (Vec<usize>, QueryStats) {
-        HashTableIndex::candidates_row(self, key_of, retrieval_limit, scratch)
-    }
 }
 
 #[cfg(test)]
@@ -768,6 +468,8 @@ mod tests {
         assert_eq!(idx.len(), 5);
         assert!(!idx.is_empty());
         assert_eq!(idx.point(0), p0);
+        // The store is the snapshot's one frozen chunk, not a copy of it.
+        assert!(std::ptr::eq(idx.store(), idx.flat_rows().unwrap()));
     }
 
     #[test]

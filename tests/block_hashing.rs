@@ -22,8 +22,8 @@ use dsh_hamming::{
     ScaledBiasedAntiBitSampling, ScaledBitSampling,
 };
 use dsh_index::{
-    hyperplane, sphere_annulus, CandidateBackend, DynamicIndex, Frontend, HashTableIndex,
-    QueryStats, ShardedIndex, Verifier,
+    hyperplane, sphere_annulus, DynamicIndex, Frontend, HashTableIndex, QueryStats, ShardedIndex,
+    Snapshot, Verifier,
 };
 use dsh_math::rng::seeded;
 use dsh_math::Polynomial;
@@ -33,6 +33,7 @@ use dsh_sphere::{
     PolynomialSphereDsh, SimHash, UnimodalFilterDsh,
 };
 use rand::Rng;
+use std::borrow::Borrow;
 use std::fmt::Debug;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -184,7 +185,7 @@ fn assert_batches_equal_the_query_loop<S, B, V>(index: &Frontend<S, B, V>, queri
 where
     S: PointStore,
     S::Row: AsRow<Row = S::Row>,
-    B: CandidateBackend<Row = S::Row>,
+    B: Borrow<Snapshot<S>>,
     V: Verifier<S::Row>,
     V::Answer: PartialEq + Debug,
 {
@@ -206,7 +207,7 @@ where
 }
 
 /// The three verifiers over `make`'s backend, each grown the same way.
-fn assert_verifiers_batch_like_they_loop<B: CandidateBackend<Row = [u64]>>(
+fn assert_verifiers_batch_like_they_loop<B: Borrow<Snapshot<BitStore>>>(
     ctx: &str,
     d: usize,
     points: &[BitVector],

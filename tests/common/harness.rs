@@ -2,7 +2,8 @@
 //! generator ([`generate`]), one [`Model`] that says what any op must
 //! do, one [`Subject`] trait over the two index owners, one oracle
 //! (`LinearScan` for the live set and rows, the static `HashTableIndex`
-//! rebuild for ids, order and `QueryStats`) and one shrinker.
+//! rebuild for ids, order and `QueryStats`, itself checked against the
+//! structure's definition, [`super::by_definition`]) and one shrinker.
 //!
 //! A [`Fixture`] owns a point pool, queries and a family. Its
 //! [`Fixture::check`] drives `DynamicIndex` and `ShardedIndex` at 1, 2
@@ -32,7 +33,7 @@
 //! `tests/dynamic_parity.rs` and run
 //! `cargo test --test dynamic_parity pasted_schedule` to step through it.
 
-use super::{bit_points, dense_points};
+use super::{bit_points, by_definition, dense_points};
 use dsh_core::family::DshFamily;
 use dsh_core::points::{AsRow, BitStore, BitVector, DenseStore, DenseVector, PointStore};
 use dsh_hamming::BitSampling;
@@ -603,10 +604,12 @@ where
     /// set and the rows; a static `HashTableIndex` built with `threads`
     /// workers from the same seed over the live pool points pins ids
     /// (through the live-rank order, which is monotone), order and
-    /// `QueryStats`. Segments hold ascending id ranges and dead entries
-    /// are skipped uncounted, so order and truncation agree on every
-    /// layout; `tables_probed` counts one probe per segment, so it is
-    /// compared on a freshly compacted layout only.
+    /// `QueryStats`. The rebuild runs the subjects' walk, so it first
+    /// faces [`by_definition`] over the same points and seed: that is
+    /// what pins the walk itself. Segments hold ascending id ranges and
+    /// dead entries are skipped uncounted, so order and truncation agree
+    /// on every layout; `tables_probed` counts one probe per segment, so
+    /// it is compared on a freshly compacted layout only.
     fn oracle(&self, subject: &Snapshot<S>, model: &Model, threads: usize, at: &str) {
         let mut scan = LinearScan::new(self.empty.clone(), (self.measure)());
         let mut live_store = self.empty.clone();
@@ -628,15 +631,26 @@ where
             "{at}: live set vs the scan"
         );
 
+        let (family, limits) = (&*self.family, self.limits());
         let rng = &mut seeded(self.seed);
-        let rebuilt =
-            HashTableIndex::build_with_threads(&*self.family, live_store, self.l, rng, threads);
+        let defined = by_definition(family, self.l, rng, &live_store, &self.queries, &limits);
+        let rng = &mut seeded(self.seed);
+        let rebuilt = HashTableIndex::build_with_threads(family, live_store, self.l, rng, threads);
         let compacted = subject.sealed_segments() == 1 && subject.delta_rows() == 0;
         for qi in 0..self.queries.len() {
             let q = self.queries.row(qi);
-            for limit in self.limits() {
+            for (li, limit) in limits.into_iter().enumerate() {
                 let at = format!("{at}: static rebuild, query {qi}, limit {limit:?}");
                 let (want, want_stats) = rebuilt.candidates(q, limit);
+                let mut defined = defined[qi * limits.len() + li].clone();
+                if rebuilt.sealed_segments() == 0 {
+                    defined.1.tables_probed = 0; // an empty build has no segment to probe
+                }
+                assert_eq!(
+                    (&want, &want_stats),
+                    (&defined.0, &defined.1),
+                    "{at}: by definition"
+                );
                 let (got, mut got_stats) = subject.candidates(q, limit);
                 let rank = |id: &usize| live.binary_search(id).expect("candidates are live");
                 assert_eq!(got.iter().map(rank).collect::<Vec<_>>(), want, "{at}");

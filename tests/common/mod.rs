@@ -26,12 +26,14 @@ use dsh_data::hamming_data::{self, planted_hamming_instance, PlantedHammingInsta
 use dsh_data::sphere_data;
 use dsh_hamming::BitSampling;
 use dsh_index::{
-    hyperplane, measures, sphere_annulus, AnnulusIndex, AnnulusSpec, CandidateBackend, Frontend,
-    NearNeighborIndex, QueryStats, RangeReportingIndex, Verifier,
+    hyperplane, measures, sphere_annulus, AnnulusIndex, AnnulusSpec, Frontend, NearNeighborIndex,
+    QueryStats, RangeReportingIndex, Snapshot, Verifier,
 };
 use dsh_math::rng::seeded;
 use harness::{Model, Op, Style, Subject};
 use rand::Rng;
+use std::borrow::Borrow;
+use std::collections::HashSet;
 use std::fmt::Debug;
 
 /// `n` uniform `d`-bit vectors from `seed`.
@@ -42,6 +44,63 @@ pub fn bit_points(seed: u64, n: usize, d: usize) -> Vec<BitVector> {
 /// `n` uniform unit vectors in dimension `d` from `seed`.
 pub fn dense_points(seed: u64, n: usize, d: usize) -> Vec<DenseVector> {
     sphere_data::uniform_sphere(&mut seeded(seed), n, d)
+}
+
+/// The `L`-table structure by its definition, straight from the hashers
+/// — the reference every index walk is checked against, so the one walk
+/// is never checked only against itself. Sample the `l` pairs
+/// `(h_j, g_j)` from `rng` as every build does (the RNG-stream
+/// contract); then per query and limit, walk tables `0..l` in order,
+/// take the rows of `points` with `h_j(x) == g_j(q)` in ascending id
+/// order, dedupe across tables, and stop once `limit` raw entries are
+/// pulled (mid-bucket if need be). Answers are query-major: query `i`
+/// at `limits[k]` is entry `i * limits.len() + k`.
+pub fn by_definition<S: PointStore>(
+    family: &(impl DshFamily<S::Row> + ?Sized),
+    l: usize,
+    rng: &mut dyn Rng,
+    points: &S,
+    queries: &S,
+    limits: &[Option<usize>],
+) -> Vec<(Vec<usize>, QueryStats)> {
+    let pairs: Vec<_> = (0..l).map(|_| family.sample(rng)).collect();
+    let stored: Vec<Vec<u64>> = pairs
+        .iter()
+        .map(|pair| {
+            (0..points.len())
+                .map(|i| pair.data.hash(points.row(i)))
+                .collect()
+        })
+        .collect();
+    let mut answers = Vec::new();
+    for q in (0..queries.len()).map(|i| queries.row(i)) {
+        let probed: Vec<u64> = pairs.iter().map(|pair| pair.query.hash(q)).collect();
+        for &limit in limits {
+            let budget = limit.unwrap_or(usize::MAX);
+            let (mut ids, mut stats) = (Vec::new(), QueryStats::default());
+            let mut seen = HashSet::new();
+            for (keys, &key) in stored.iter().zip(&probed) {
+                stats.tables_probed += 1;
+                for i in (0..points.len()).filter(|&i| keys[i] == key) {
+                    if stats.candidates_retrieved == budget {
+                        break;
+                    }
+                    stats.candidates_retrieved += 1;
+                    if seen.insert(i) {
+                        ids.push(i);
+                    } else {
+                        stats.duplicates += 1;
+                    }
+                }
+                if stats.candidates_retrieved >= budget {
+                    break;
+                }
+            }
+            stats.distinct_candidates = ids.len();
+            answers.push((ids, stats));
+        }
+    }
+    answers
 }
 
 /// Parameters of one recall@1 sweep over planted Hamming instances.
@@ -129,7 +188,7 @@ where
 
 /// `NearNeighborIndex` over a bit-sampling family in dimension `d`,
 /// sized for `n` points.
-pub fn near_neighbor_over<B: CandidateBackend<Row = [u64]>>(
+pub fn near_neighbor_over<B: Borrow<Snapshot<BitStore>>>(
     d: usize,
     n: usize,
     make: impl FnOnce(&dyn DshFamily<[u64]>, usize) -> B,
@@ -148,7 +207,7 @@ pub fn near_neighbor_over<B: CandidateBackend<Row = [u64]>>(
 }
 
 /// `AnnulusIndex` with 12 repetitions of bit sampling in dimension `d`.
-pub fn annulus_over<B: CandidateBackend<Row = [u64]>>(
+pub fn annulus_over<B: Borrow<Snapshot<BitStore>>>(
     d: usize,
     make: impl FnOnce(&dyn DshFamily<[u64]>, usize) -> B,
 ) -> AnnulusIndex<BitStore, B> {
@@ -158,7 +217,7 @@ pub fn annulus_over<B: CandidateBackend<Row = [u64]>>(
 
 /// `RangeReportingIndex` with 20 repetitions of bit sampling in
 /// dimension `d`.
-pub fn range_reporting_over<B: CandidateBackend<Row = [u64]>>(
+pub fn range_reporting_over<B: Borrow<Snapshot<BitStore>>>(
     d: usize,
     make: impl FnOnce(&dyn DshFamily<[u64]>, usize) -> B,
 ) -> RangeReportingIndex<BitStore, B> {
@@ -167,7 +226,7 @@ pub fn range_reporting_over<B: CandidateBackend<Row = [u64]>>(
 }
 
 /// The hyperplane-query derivation (§6.1) in dimension `d`.
-pub fn hyperplane_over<B: CandidateBackend<Row = [f64]>>(
+pub fn hyperplane_over<B: Borrow<Snapshot<DenseStore>>>(
     d: usize,
     make: impl FnOnce(&dyn DshFamily<[f64]>, usize) -> B,
 ) -> AnnulusIndex<DenseStore, B> {
@@ -180,7 +239,7 @@ pub fn sphere_spec() -> AnnulusSpec {
 }
 
 /// The sphere-annulus derivation (Theorem 6.4) in dimension `d`.
-pub fn sphere_annulus_over<B: CandidateBackend<Row = [f64]>>(
+pub fn sphere_annulus_over<B: Borrow<Snapshot<DenseStore>>>(
     d: usize,
     make: impl FnOnce(&dyn DshFamily<[f64]>, usize) -> B,
 ) -> AnnulusIndex<DenseStore, B> {
@@ -198,7 +257,7 @@ pub fn answers<S, B, V>(
 where
     S: PointStore,
     S::Row: AsRow<Row = S::Row>,
-    B: CandidateBackend<Row = S::Row>,
+    B: Borrow<Snapshot<S>>,
     V: Verifier<S::Row>,
     V::Answer: PartialEq + Debug,
 {
@@ -244,7 +303,7 @@ pub fn front_end_stages<S, B, V, Q>(
 where
     S: PointStore,
     S::Row: AsRow<Row = S::Row>,
-    B: CandidateBackend<Row = S::Row> + Subject<S>,
+    B: Borrow<Snapshot<S>> + Subject<S>,
     V: Verifier<S::Row>,
     V::Answer: PartialEq + Debug,
     Q: AsRow<Row = S::Row>,

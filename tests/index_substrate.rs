@@ -8,10 +8,11 @@ use dsh_core::family::{BoxedDshFamily, DshFamily};
 use dsh_core::points::{BitStore, BitVector, DenseStore, DenseVector};
 use dsh_data::{hamming_data, sphere_data};
 use dsh_hamming::{AntiBitSampling, BitSampling};
-use dsh_index::{sphere_annulus, AnnulusSpec, QueryStats};
+use dsh_index::{sphere_annulus, AnnulusSpec};
 use dsh_index::{AnnulusIndex, HashTableIndex, NearNeighborIndex, RangeReportingIndex};
 use dsh_math::rng::seeded;
-use std::collections::HashSet;
+
+mod common;
 
 fn hamming_workload(seed: u64, n: usize, nq: usize, d: usize) -> (BitStore, BitStore) {
     let mut rng = seeded(seed);
@@ -84,10 +85,8 @@ fn substrate_stats_accounting_invariant() {
 }
 
 /// Every parity sweep is relative to the static rebuild; this is the
-/// static index against the definition of the structure itself. Walk
-/// tables `0..L` in order, within a table take the colliding ids
-/// ascending, dedupe across tables, stop once `limit` raw entries are
-/// pulled (mid-bucket if need be).
+/// static index against the definition of the structure itself
+/// ([`common::by_definition`]), with a limit that cuts mid-bucket.
 #[test]
 fn static_index_matches_the_definition_of_the_structure() {
     let d = 64;
@@ -98,45 +97,21 @@ fn static_index_matches_the_definition_of_the_structure() {
         Box::new(Power::new(BitSampling::new(d), 3)) as BoxedDshFamily<[u64]>,
         Box::new(AntiBitSampling::new(d)),
     ]));
+    let limits = [None, Some(60)];
     for fam in [symmetric, asymmetric] {
         let idx = HashTableIndex::build(&fam, points.clone(), l, &mut seeded(0x5B62));
-        let mut limited_walk_saw_duplicates = false;
-        for q in queries.rows() {
-            for limit in [None, Some(60)] {
-                let budget = limit.unwrap_or(usize::MAX);
-                let mut want = Vec::new();
-                let mut stats = QueryStats::default();
-                let mut seen = HashSet::new();
-                for j in 0..l {
-                    stats.tables_probed += 1;
-                    for i in (0..points.len()).filter(|&i| idx.collides_in_table(j, i, q)) {
-                        if stats.candidates_retrieved == budget {
-                            break;
-                        }
-                        stats.candidates_retrieved += 1;
-                        if seen.insert(i) {
-                            want.push(i);
-                        } else {
-                            stats.duplicates += 1;
-                        }
-                    }
-                    if stats.candidates_retrieved >= budget {
-                        break;
-                    }
-                }
-                stats.distinct_candidates = want.len();
-                assert_eq!(
-                    idx.candidates(q, limit),
-                    (want, stats),
-                    "{} at limit {limit:?}",
-                    fam.name()
-                );
-                limited_walk_saw_duplicates |= limit.is_some() && stats.duplicates > 0;
-            }
-        }
+        let rng = &mut seeded(0x5B62);
+        let want = common::by_definition(&fam, l, rng, &points, &queries, &limits);
+        let got: Vec<_> = queries
+            .rows()
+            .flat_map(|q| limits.map(|limit| idx.candidates(q, limit)))
+            .collect();
+        assert_eq!(got, want, "{}", fam.name());
         // Duplicates count against the limit; a limit that only ever cut
         // inside the first bucket would leave that unexercised.
-        assert!(limited_walk_saw_duplicates, "{}", fam.name());
+        let mut limited = want.iter().skip(1).step_by(2);
+        let saw_duplicates = limited.any(|(_, stats)| stats.duplicates > 0);
+        assert!(saw_duplicates, "{}", fam.name());
     }
 }
 
