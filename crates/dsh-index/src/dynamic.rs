@@ -514,19 +514,37 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "sized for a different index")]
-    fn stale_scratch_after_insert_rejected() {
+    fn scratch_taken_before_inserts_answers_like_a_fresh_one() {
+        // One scratch, taken before any insert, alternates between a
+        // growing index and a larger static one for more queries than
+        // the u8 generation space, answering exactly as a fresh scratch.
         let d = 32;
+        let points = dataset(0xE7, d, 150);
         let mut idx = DynamicIndex::build(
             &BitSampling::new(d),
             BitStore::with_dim(d),
             2,
             &mut seeded(0xE6),
         );
-        let q = BitVector::random(&mut seeded(0xE7), d);
+        let other = HashTableIndex::build(
+            &BitSampling::new(d),
+            store_of(&points, d),
+            3,
+            &mut seeded(0xE9),
+        );
         let mut scratch = idx.new_scratch();
-        idx.insert(&q).unwrap();
-        let _ = idx.candidates_with(&q, None, &mut scratch);
+        for (i, p) in points.iter().enumerate() {
+            idx.insert(p).unwrap();
+            let q = &points[i * 7 % points.len()];
+            let reused = idx.candidates_with(q, None, &mut scratch);
+            assert_eq!(reused, idx.candidates(q, None), "after insert {i}");
+            let reused = other.candidates_with(q, None, &mut scratch);
+            assert_eq!(
+                reused,
+                other.candidates(q, None),
+                "static, after insert {i}"
+            );
+        }
     }
 
     #[test]

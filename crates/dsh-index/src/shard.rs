@@ -96,6 +96,7 @@ use dsh_core::points::{AsRow, ChunkedStore, PointStore};
 use rand::Rng;
 use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Deref;
 use std::sync::{Arc, RwLock};
 
@@ -108,6 +109,12 @@ const MIN_QUERIES_PER_WORKER: usize = 8;
 
 /// Rows a batched-query worker hashes together.
 const QUERY_BLOCK: usize = 64;
+
+/// Tables whose bucket lookups the walk overlaps (group prefetching
+/// across the `L` independent probes): enough misses in flight to hide
+/// most of one lookup's dependent chain, few enough that a limited
+/// query stopping in the first table wastes little hashing.
+const PROBE_WINDOW: usize = 8;
 
 /// One immutable segment: a CSR bucket table per repetition, all covering
 /// the same id set. Shared behind [`Arc`] so that forking a shard bumps a
@@ -124,18 +131,47 @@ impl SealedSegment {
     }
 }
 
+/// The hasher of the delta's bucket maps. Their keys are already 64-bit
+/// hash values, so one folded multiply (both halves of the 128-bit
+/// product, so high and low key bits reach the bits the map reads)
+/// replaces SipHash on every delta probe and insert. Only
+/// [`Shard::merged_tables`] iterates the maps, and it sorts, so the
+/// iteration order this changes reaches no layout.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write_u64(&mut self, key: u64) {
+        let p = u128::from(self.0 ^ key) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = p as u64 ^ (p >> 64) as u64;
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// One delta table: bucket key to the ids filed under it.
+type DeltaTable = HashMap<u64, Vec<u32>, BuildHasherDefault<KeyHasher>>;
+
 /// The mutable write head: `HashMap` buckets per repetition, absorbing
 /// inserts until the segment is sealed or compacted away.
 #[derive(Clone)]
 struct DeltaSegment {
-    tables: Vec<HashMap<u64, Vec<u32>>>,
+    tables: Vec<DeltaTable>,
     rows: usize,
 }
 
 impl DeltaSegment {
     fn new(l: usize) -> Self {
         DeltaSegment {
-            tables: (0..l).map(|_| HashMap::new()).collect(),
+            tables: (0..l).map(|_| DeltaTable::default()).collect(),
             rows: 0,
         }
     }
@@ -442,18 +478,26 @@ impl<S: PointStore> Snapshot<S> {
         WriteBatch::new(self.state.shards[0].store.empty_inner())
     }
 
-    /// A query scratch buffer sized for the **current** id space.
-    /// Inserting grows the id space, so a scratch taken before an insert
-    /// is rejected (loudly) by the query paths afterwards.
+    /// A query scratch buffer sized for the **current** id space. Any
+    /// scratch serves any snapshot — one taken before inserts, or from
+    /// another index, is grown to the id space by the query that uses
+    /// it — so this only saves that first query the growth.
     pub fn new_scratch(&self) -> QueryScratch {
         QueryScratch::new(self.state.total_rows)
     }
 
     /// The one walk: tables outermost, then the logical segments in
     /// creation order, then the delta, stopping once `retrieval_limit`
-    /// entries have been pulled. Table `j`'s probe key is `key_of(j)`,
-    /// asked for only once the walk reaches table `j`, so a limited query
-    /// that stops early never pays for the later tables' keys. The
+    /// entries have been pulled.
+    ///
+    /// Tables are probed in windows of [`PROBE_WINDOW`]: the window's
+    /// keys are taken, then each stage of every sealed bucket lookup in
+    /// the window runs before the next stage of any (see
+    /// [`CsrBuckets::prefetch_slot`]), and only then is the window
+    /// consumed table by table. Table `j`'s probe key is `key_of(j)`,
+    /// asked for only once the walk reaches the window holding table
+    /// `j`, so a limited query that stops early never pays for later
+    /// windows' keys (it does pay for the rest of its last window). The
     /// closure is `dyn` so that the walk is compiled once, whoever feeds
     /// it keys: generic over the closure, it read ~1 us slower on the
     /// gate's single-row wire path.
@@ -464,69 +508,96 @@ impl<S: PointStore> Snapshot<S> {
         scratch: &mut QueryScratch,
     ) -> (Vec<usize>, QueryStats) {
         let state = &*self.state;
-        // lint: allow(panic) — contract: scratch must come from this index's new_scratch
-        assert_eq!(
-            scratch.len(),
-            state.total_rows,
-            "scratch buffer sized for a different index"
-        );
-        let generation = scratch.begin();
+        let generation = scratch.begin(state.total_rows);
         let limit = retrieval_limit.unwrap_or(usize::MAX);
         let mut stats = QueryStats::default();
         let mut out = Vec::new();
-        // Every bucket of a table is looked up before any is consumed:
-        // the lookups are independent cache misses (nearly all of them
-        // finding nothing), and back to back they overlap instead of
-        // queueing behind the merge. `staged` holds the table's non-empty
-        // shard buckets as (shard, unread entries), `ends[i]` where the
-        // ones of logical probe `i` stop. A limit landing mid-table has
-        // paid for at most that one table's remaining lookups.
+        // One table's sealed probes in walk order, as (shard, segment);
+        // logical segment `i`'s probes end at `seg_ends[i]`.
+        let mut sealed: Vec<(usize, &SealedSegment)> = Vec::new();
+        let mut seg_ends = Vec::with_capacity(state.segments.len());
+        for map in &state.segments {
+            for (s, (shard, phys)) in self.shards().zip(map).enumerate() {
+                if let Some(p) = *phys {
+                    sealed.push((s, &*shard.sealed[p]));
+                }
+            }
+            seg_ends.push(sealed.len());
+        }
+        // A window's lookups, table-major: stage-2 ranges, then buckets.
+        let mut ranges = Vec::with_capacity(PROBE_WINDOW * sealed.len());
+        let mut buckets: Vec<&[u32]> = Vec::with_capacity(PROBE_WINDOW * sealed.len());
+        // `staged` holds one table's non-empty shard buckets as (shard,
+        // unread entries), `ends[i]` where the ones of logical probe `i`
+        // stop.
         let mut staged: Vec<(usize, &[u32])> = Vec::new();
         let probe_delta = self.shards().any(|sh| sh.delta.rows > 0);
         let mut ends = Vec::with_capacity(state.segments.len() + usize::from(probe_delta));
-        'tables: for j in 0..state.pairs.len() {
-            let key = key_of(j);
-            staged.clear();
-            ends.clear();
-            for map in &state.segments {
-                for (s, (shard, phys)) in self.shards().zip(map).enumerate() {
-                    if let Some(p) = *phys {
-                        let bucket = shard.sealed[p].tables[j].bucket(key);
-                        if !bucket.is_empty() {
+        let mut keys = [0; PROBE_WINDOW];
+        let l = state.pairs.len();
+        'windows: for first in (0..l).step_by(PROBE_WINDOW) {
+            let keys = &mut keys[..PROBE_WINDOW.min(l - first)];
+            for (j, key) in (first..).zip(keys.iter_mut()) {
+                *key = key_of(j);
+            }
+            for (j, &key) in (first..).zip(keys.iter()) {
+                for &(_, seg) in &sealed {
+                    seg.tables[j].prefetch_slot(key);
+                }
+            }
+            ranges.clear();
+            for (j, &key) in (first..).zip(keys.iter()) {
+                ranges.extend(sealed.iter().map(|&(_, seg)| seg.tables[j].dir_range(key)));
+            }
+            buckets.clear();
+            for (j, &key) in (first..).zip(keys.iter()) {
+                let table = sealed.iter().zip(&ranges[buckets.len()..]);
+                buckets.extend(table.map(|(&(_, seg), &r)| seg.tables[j].search(key, r)));
+            }
+            for (i, (j, &key)) in (first..).zip(keys.iter()).enumerate() {
+                let table = &buckets[i * sealed.len()..][..sealed.len()];
+                staged.clear();
+                ends.clear();
+                let mut from = 0;
+                for &to in &seg_ends {
+                    let probes = sealed[from..to].iter().zip(&table[from..to]);
+                    staged.extend(
+                        probes
+                            .filter(|(_, bucket)| !bucket.is_empty())
+                            .map(|(&(s, _), &bucket)| (s, bucket)),
+                    );
+                    ends.push(staged.len());
+                    from = to;
+                }
+                if probe_delta {
+                    for (s, shard) in self.shards().enumerate() {
+                        if let Some(bucket) = shard.delta.tables[j].get(&key) {
                             staged.push((s, bucket));
                         }
                     }
+                    ends.push(staged.len());
                 }
-                ends.push(staged.len());
-            }
-            if probe_delta {
-                for (s, shard) in self.shards().enumerate() {
-                    if let Some(bucket) = shard.delta.tables[j].get(&key) {
-                        staged.push((s, bucket));
+                let mut start = 0;
+                for &end in &ends {
+                    stats.tables_probed += 1;
+                    match &mut staged[start..end] {
+                        &mut [(s, bucket)] if state.shards[s].tombstones.dead() == 0 => {
+                            let at = (state.shards.len(), s);
+                            consume_bucket(
+                                bucket, at, limit, &mut stats, scratch, generation, &mut out,
+                            );
+                        }
+                        probe => {
+                            self.consume_merged(
+                                probe, limit, &mut stats, scratch, generation, &mut out,
+                            );
+                        }
                     }
-                }
-                ends.push(staged.len());
-            }
-            let mut start = 0;
-            for &end in &ends {
-                stats.tables_probed += 1;
-                match &mut staged[start..end] {
-                    &mut [(s, bucket)] if state.shards[s].tombstones.dead() == 0 => {
-                        let at = (state.shards.len(), s);
-                        consume_bucket(
-                            bucket, at, limit, &mut stats, scratch, generation, &mut out,
-                        );
+                    if stats.candidates_retrieved >= limit {
+                        break 'windows;
                     }
-                    probe => {
-                        self.consume_merged(
-                            probe, limit, &mut stats, scratch, generation, &mut out,
-                        );
-                    }
+                    start = end;
                 }
-                if stats.candidates_retrieved >= limit {
-                    break 'tables;
-                }
-                start = end;
             }
         }
         stats.distinct_candidates = out.len();
@@ -609,7 +680,8 @@ impl<S: PointStore> Snapshot<S> {
     }
 
     /// [`Snapshot::candidates`] against a caller-provided scratch buffer
-    /// (from [`Snapshot::new_scratch`], taken after the last insert).
+    /// (any [`QueryScratch`]: reusing one across queries, snapshots and
+    /// writes saves each query allocating and zeroing its own).
     pub fn candidates_with<Q>(
         &self,
         q: &Q,
@@ -660,11 +732,12 @@ impl<S: PointStore> Snapshot<S> {
     ///
     /// A block's probe keys live in a `QUERY_BLOCK x L` matrix that is
     /// filled lazily, a table at a time: the first row of the block whose
-    /// walk reaches table `j` triggers one
+    /// walk reaches the window holding table `j` (the walk asks its keys
+    /// a [`PROBE_WINDOW`] of tables at a time) triggers one
     /// [`dsh_core::family::PointHasher::hash_many`] of `g_j` over that row
-    /// and the rows after it. Rows before it stopped short of table `j`,
-    /// and a table no row reaches is never hashed, so a limited query
-    /// costs at most its block-mates' tables. The walk is
+    /// and the rows after it. Rows before it stopped short of that
+    /// window, and a window no row reaches is never hashed, so a limited
+    /// query costs at most its block-mates' windows. The walk is
     /// [`Snapshot::candidates_row`], reading its keys from the matrix.
     ///
     /// Each row is walked *and finished* before the next is walked.
@@ -1968,19 +2041,35 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "sized for a different index")]
-    fn stale_scratch_after_insert_rejected() {
+    fn scratch_taken_before_inserts_answers_like_a_fresh_one() {
+        // One scratch, taken before any insert, answers the live index
+        // and every snapshot held along the way (smaller id spaces than
+        // the scratch has grown to) exactly as a fresh scratch does,
+        // across seals and past the u8 generation wrap.
         let d = 32;
         let mut idx = ShardedIndex::build(
             &BitSampling::new(d),
             BitStore::with_dim(d),
-            2,
+            4,
             2,
             &mut seeded(0x5A62),
         );
-        let q = BitVector::random(&mut seeded(0x5A63), d);
+        let points = dataset(0x5A63, d, 120);
         let mut scratch = idx.new_scratch();
-        idx.insert(&q).unwrap();
-        let _ = idx.candidates_with(&q, None, &mut scratch);
+        let mut held = Vec::new();
+        for (i, p) in points.iter().enumerate() {
+            idx.insert(p).unwrap();
+            if i % 40 == 39 {
+                idx.seal();
+                held.push(idx.reader());
+            }
+            let q = &points[i * 7 % points.len()];
+            for snap in std::iter::once(&*idx).chain(&held) {
+                for limit in [None, Some(50)] {
+                    let reused = snap.candidates_with(q, limit, &mut scratch);
+                    assert_eq!(reused, snap.candidates(q, limit), "after insert {i}");
+                }
+            }
+        }
     }
 }

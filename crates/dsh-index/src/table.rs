@@ -163,7 +163,7 @@ impl CsrBuckets {
             prefix_starts[p] = prefix_starts[p].max(prefix_starts[p - 1]);
         }
 
-        // Dynamic complement to dsh-lint: `bucket`'s binary search and the
+        // Dynamic complement to dsh-lint: `search`'s binary search and the
         // prefix table are only correct over a strictly ascending directory
         // with monotone offsets. The sentinel entry is excluded — a real
         // u64::MAX key may legitimately share its key value.
@@ -209,22 +209,55 @@ impl CsrBuckets {
             .map(move |(b, e)| (e.0, &self.ids[e.1 as usize..self.dir[b + 1].1 as usize]))
     }
 
-    /// The bucket for `key` (empty slice when no data point hashed to it).
+    /// Lookup stage 1 of 3: hint the prefix-table slot of `key`.
+    ///
+    /// A lookup is three dependent reads — prefix slot, directory
+    /// entries, ids — so the walk runs each stage over a window of
+    /// tables before the next: every stage's misses then overlap across
+    /// the window instead of queueing behind each other.
     // lint: hot
     #[inline]
-    pub(crate) fn bucket(&self, key: u64) -> &[u32] {
+    pub(crate) fn prefetch_slot(&self, key: u64) {
         let p = Self::prefix_of(key, self.prefix_bits) as usize;
-        let lo = self.prefix_starts[p] as usize;
-        let hi = self.prefix_starts[p + 1] as usize;
+        dsh_core::kernels::prefetch_read(&self.prefix_starts, p);
+    }
+
+    /// Lookup stage 2 of 3: the directory range `[lo, hi)` of the keys
+    /// sharing `key`'s prefix, hinting its first entry.
+    // lint: hot
+    #[inline]
+    pub(crate) fn dir_range(&self, key: u64) -> (u32, u32) {
+        let p = Self::prefix_of(key, self.prefix_bits) as usize;
+        let (lo, hi) = (self.prefix_starts[p], self.prefix_starts[p + 1]);
+        dsh_core::kernels::prefetch_read(&self.dir, lo as usize);
+        (lo, hi)
+    }
+
+    /// Lookup stage 3 of 3: the bucket for `key` (empty slice when no
+    /// data point hashed to it), binary-searched within its stage-2
+    /// `range`, hinting the bucket's first id.
+    // lint: hot
+    #[inline]
+    pub(crate) fn search(&self, key: u64, (lo, hi): (u32, u32)) -> &[u32] {
+        let lo = lo as usize;
         // The sentinel is never inside [lo, hi): prefix counts cover only
         // real entries, so dir[b + 1] is always a valid end marker.
-        match self.dir[lo..hi].binary_search_by(|e| e.0.cmp(&key)) {
+        match self.dir[lo..hi as usize].binary_search_by(|e| e.0.cmp(&key)) {
             Ok(b) => {
                 let b = lo + b;
-                &self.ids[self.dir[b].1 as usize..self.dir[b + 1].1 as usize]
+                let start = self.dir[b].1 as usize;
+                dsh_core::kernels::prefetch_read(&self.ids, start);
+                &self.ids[start..self.dir[b + 1].1 as usize]
             }
             Err(_) => &[],
         }
+    }
+
+    /// The three stages back to back: the bucket for `key`.
+    #[cfg(test)]
+    fn bucket(&self, key: u64) -> &[u32] {
+        self.prefetch_slot(key);
+        self.search(key, self.dir_range(key))
     }
 }
 
@@ -235,6 +268,11 @@ impl CsrBuckets {
 /// clearing cost of a fresh `vec![false; n]` per query is paid once per
 /// 255 queries instead of once per query. Stamps are a single byte so
 /// the array is no larger (hence no colder) than the seed's `Vec<bool>`.
+///
+/// A scratch serves any index: each query grows it to that index's id
+/// space first, so one taken before inserts, from another index, or
+/// from [`Default`] answers exactly as a fresh one does.
+#[derive(Default)]
 pub struct QueryScratch {
     stamps: Vec<u8>,
     generation: u8,
@@ -248,10 +286,17 @@ impl QueryScratch {
         }
     }
 
-    /// Start a new query: bump the generation, resetting the stamps on the
-    /// (once per 255 queries) wrap-around.
+    /// Start a new query over ids `0..n`: grow the stamps to `n` (new
+    /// slots are 0, never a generation), then bump the generation,
+    /// resetting the stamps on the (once per 255 queries) wrap-around.
+    /// Every stamp is then below the returned generation, so no id reads
+    /// as visited, whatever queries the scratch served before. The growth
+    /// allocates only when the id space has grown since the last query.
     // lint: hot
-    pub(crate) fn begin(&mut self) -> u8 {
+    pub(crate) fn begin(&mut self, n: usize) -> u8 {
+        if self.stamps.len() < n {
+            self.stamps.resize(n, 0);
+        }
         if self.generation == u8::MAX {
             self.stamps.fill(0);
             self.generation = 0;
@@ -270,11 +315,6 @@ impl QueryScratch {
             self.stamps[i] = generation;
             true
         }
-    }
-
-    /// Number of id slots (the indexed id-space size this scratch serves).
-    pub(crate) fn len(&self) -> usize {
-        self.stamps.len()
     }
 
     /// Best-effort prefetch of id `i`'s visited stamp. The bucket walks
@@ -567,9 +607,9 @@ mod tests {
         let mut scratch = QueryScratch::new(4);
         scratch.generation = u8::MAX - 1;
         scratch.stamps = vec![u8::MAX - 1; 4];
-        let g = scratch.begin(); // reaches u8::MAX
+        let g = scratch.begin(4); // reaches u8::MAX
         assert_eq!(g, u8::MAX);
-        let g = scratch.begin(); // wraps: stamps reset, generation restarts
+        let g = scratch.begin(4); // wraps: stamps reset, generation restarts
         assert_eq!(g, 1);
         assert!(scratch.stamps.iter().all(|&s| s == 0));
     }
@@ -594,14 +634,35 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "sized for a different index")]
-    fn mismatched_scratch_rejected() {
+    fn scratch_from_another_index_answers_like_a_fresh_one() {
+        // One scratch alternating between two differently sized indexes,
+        // for more queries than the u8 generation space, answers every
+        // query exactly as a fresh scratch does — whatever it was sized
+        // for when taken.
         let d = 16;
-        let points = dataset(d, 10);
-        let q = points.row(0).to_vec();
-        let mut rng = seeded(309);
-        let idx = HashTableIndex::build(&BitSampling::new(d), points, 2, &mut rng);
-        let mut wrong = QueryScratch::new(3);
-        let _ = idx.candidates_with(q.as_slice(), None, &mut wrong);
+        let queries = dataset(d, 20);
+        let small =
+            HashTableIndex::build(&BitSampling::new(d), dataset(d, 10), 2, &mut seeded(309));
+        let large =
+            HashTableIndex::build(&BitSampling::new(d), dataset(d, 90), 3, &mut seeded(311));
+        let taken = [
+            QueryScratch::new(3),
+            QueryScratch::default(),
+            large.new_scratch(),
+        ];
+        for (s, mut scratch) in taken.into_iter().enumerate() {
+            for round in 0..7 {
+                for q in queries.rows() {
+                    for idx in [&small, &large] {
+                        let reused = idx.candidates_with(q, None, &mut scratch);
+                        assert_eq!(
+                            reused,
+                            idx.candidates(q, None),
+                            "scratch {s}, round {round}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

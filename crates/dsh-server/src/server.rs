@@ -44,7 +44,7 @@ use std::time::Duration;
 
 use dsh_core::points::{AsRow, PointStore};
 use dsh_index::shard::ReaderHandle;
-use dsh_index::{BatchError, ShardedIndex, WriteOutcome};
+use dsh_index::{BatchError, QueryScratch, ShardedIndex, WriteOutcome};
 
 use crate::protocol::{
     decode_request, encode_done, encode_error, encode_info_response, encode_inserted,
@@ -290,6 +290,10 @@ where
     stream.set_read_timeout(Some(config.read_timeout))?;
     stream.set_write_timeout(Some(WRITE_STALL_TIMEOUT))?;
     let mut buf = Vec::new();
+    // Every query on this connection reuses one scratch, whatever
+    // snapshot answers it: each query grows it to its snapshot's id
+    // space, so writes in between cannot leave it stale.
+    let mut scratch = QueryScratch::default();
     loop {
         match read_frame_polling(&mut stream, &mut buf, shared.shutdown)? {
             ConnRead::Closed | ConnRead::Shutdown => return Ok(()),
@@ -305,7 +309,7 @@ where
             ConnRead::Frame => {}
         }
         let (payload, last) = match decode_request::<E>(&buf, shared.row_elems) {
-            Ok(request) => handle_request(shared, request),
+            Ok(request) => handle_request(shared, request, &mut scratch),
             Err(err) => {
                 let status = err.status();
                 let op = buf.first().copied().and_then(Opcode::from_u8);
@@ -322,9 +326,14 @@ where
     }
 }
 
-/// Answer one decoded request. Returns the response payload and whether
-/// the connection must close afterwards.
-fn handle_request<E, S>(shared: &Shared<'_, S>, request: Request<E>) -> (Vec<u8>, bool)
+/// Answer one decoded request, querying with the connection's
+/// `scratch`. Returns the response payload and whether the connection
+/// must close afterwards.
+fn handle_request<E, S>(
+    shared: &Shared<'_, S>,
+    request: Request<E>,
+    scratch: &mut QueryScratch,
+) -> (Vec<u8>, bool)
 where
     E: WireElem,
     S: PointStore<Row = [E]>,
@@ -389,7 +398,7 @@ where
         }
         Request::Query { row, limit } => {
             let snap = shared.reader.snapshot();
-            let (ids, stats) = snap.candidates(&row[..], limit);
+            let (ids, stats) = snap.candidates_with(&row[..], limit, scratch);
             let result = WireQueryResult {
                 epoch: snap.epoch(),
                 stats: stats_to_wire(&stats),
@@ -405,12 +414,11 @@ where
             // One snapshot answers the whole batch: results are mutually
             // consistent and carry one epoch.
             let snap = shared.reader.snapshot();
-            let mut scratch = snap.new_scratch();
             let epoch = snap.epoch();
             let results: Vec<WireQueryResult> = rows
                 .chunks(shared.row_elems)
                 .map(|row| {
-                    let (ids, stats) = snap.candidates_with(row, limit, &mut scratch);
+                    let (ids, stats) = snap.candidates_with(row, limit, scratch);
                     WireQueryResult {
                         epoch,
                         stats: stats_to_wire(&stats),

@@ -65,40 +65,6 @@ fn wire_answers_match_an_in_process_replica() {
     let mut replica = build_index(0xA11CE, 8, 4);
     let rows = random_rows(7, 40);
 
-    // One wire batch = one group commit = one epoch.
-    let (epoch, ids) = client.insert_batch(1, &rows[..24]).unwrap();
-    assert_eq!(epoch, 1);
-    assert_eq!(ids, (0..24).collect::<Vec<u64>>());
-    let (epoch, ids) = client.insert_batch(1, &rows[24..]).unwrap();
-    assert_eq!(epoch, 2);
-    assert_eq!(ids, (24..40).collect::<Vec<u64>>());
-    // Mirror the wire batches as the same group commits, so the
-    // replica's epoch trajectory matches too.
-    for range in [&rows[..24], &rows[24..]] {
-        let mut batch = replica.new_batch();
-        for row in range.chunks(1) {
-            batch.insert(row);
-        }
-        replica.apply_batch(&batch).unwrap();
-    }
-
-    let (epoch, removed) = client.remove_batch(&[3, 3, 17]).unwrap();
-    assert_eq!(epoch, 3);
-    assert_eq!(removed, vec![true, false, true]);
-    let mut batch = replica.new_batch();
-    for id in [3, 3, 17] {
-        batch.remove(id);
-    }
-    let outcomes = replica.apply_batch(&batch).unwrap();
-    assert_eq!(
-        outcomes,
-        vec![
-            WriteOutcome::Removed(true),
-            WriteOutcome::Removed(false),
-            WriteOutcome::Removed(true),
-        ]
-    );
-
     // Queries answer identically to the replica: ids and all five stats,
     // with and without a retrieval limit, across seal and compact.
     let queries = random_rows(1234, 12);
@@ -123,6 +89,44 @@ fn wire_answers_match_an_in_process_replica() {
             }
         }
     };
+
+    // A second connection queries the same rows before and after each
+    // insert batch the first one commits: its connection's one scratch,
+    // sized by its earlier queries, must answer the grown index exactly.
+    let mut reader = Client::connect(server.addr()).unwrap();
+    check_parity(&mut reader, &replica);
+    // One wire batch = one group commit = one epoch.
+    for (epoch, range) in [(1, 0..24), (2, 24..40)] {
+        let (got, ids) = client.insert_batch(1, &rows[range.clone()]).unwrap();
+        assert_eq!(got, epoch);
+        assert_eq!(ids, range.clone().map(|i| i as u64).collect::<Vec<u64>>());
+        // Mirror the wire batch as the same group commit, so the
+        // replica's epoch trajectory matches too.
+        let mut batch = replica.new_batch();
+        for row in rows[range].chunks(1) {
+            batch.insert(row);
+        }
+        replica.apply_batch(&batch).unwrap();
+        check_parity(&mut reader, &replica);
+    }
+
+    let (epoch, removed) = client.remove_batch(&[3, 3, 17]).unwrap();
+    assert_eq!(epoch, 3);
+    assert_eq!(removed, vec![true, false, true]);
+    let mut batch = replica.new_batch();
+    for id in [3, 3, 17] {
+        batch.remove(id);
+    }
+    let outcomes = replica.apply_batch(&batch).unwrap();
+    assert_eq!(
+        outcomes,
+        vec![
+            WriteOutcome::Removed(true),
+            WriteOutcome::Removed(false),
+            WriteOutcome::Removed(true),
+        ]
+    );
+
     check_parity(&mut client, &replica);
 
     assert_eq!(client.seal().unwrap(), 4);

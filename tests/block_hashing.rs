@@ -6,9 +6,10 @@
 //! * the batched query paths, which hash their queries in blocks, answer
 //!   exactly like a query-at-a-time loop over every backend and verifier,
 //!   and through the two derived front-ends over `[f64]` rows;
-//! * the block driver stays lazy: a table is hashed for the rows of a
-//!   block from the first row that reaches it onward, and not at all when
-//!   no row of the block reaches it.
+//! * the block driver stays lazy: the walk asks the keys of a window of
+//!   tables at a time, and a table is hashed for the rows of a block from
+//!   the first row whose walk reaches its window onward, and not at all
+//!   when no row of the block does.
 
 mod common;
 
@@ -340,25 +341,35 @@ fn drain(evals: &[AtomicUsize]) -> Vec<usize> {
     evals.iter().map(|c| c.swap(0, Ordering::Relaxed)).collect()
 }
 
-/// One block on one worker: table `j` is evaluated for at most the rows
-/// from the first that reached it onward, and never when none did.
-/// `candidates_of` is the row-at-a-time path, `batch_of` the batched one.
+/// One block on one worker. Row at a time, each row asks one key of each
+/// of its walk's first tables and none of the rest; batched, table `j`
+/// is evaluated for at most the rows from the first that asked its key
+/// onward, never when none did, and at least once per row that did.
+/// `candidates_of` is the row-at-a-time path, `batch_of` the batched
+/// one. Returns each row's `(tables_probed, keys asked)`.
 fn assert_block_is_lazy(
     ctx: &str,
     evals: &[AtomicUsize],
     block: &[BitVector],
     candidates_of: impl Fn(&BitVector) -> (Vec<usize>, QueryStats),
     batch_of: impl Fn(&BitStore) -> Vec<(Vec<usize>, QueryStats)>,
-) -> Vec<usize> {
+) -> Vec<(usize, usize)> {
     drain(evals);
     let mut want = Vec::new();
-    // How many tables each row's own walk asks a key of.
-    let mut reach = Vec::new();
+    let mut walked = Vec::new();
     for q in block {
-        want.push(candidates_of(q));
+        let answer = candidates_of(q);
         let counts = drain(evals);
-        assert!(counts.iter().all(|&c| c <= 1), "{ctx}: one row, one key");
-        reach.push(counts.iter().sum::<usize>());
+        let keys = counts.iter().sum::<usize>();
+        assert!(
+            counts
+                .iter()
+                .enumerate()
+                .all(|(j, &c)| c == usize::from(j < keys)),
+            "{ctx}: one key for each of the first {keys} tables, got {counts:?}"
+        );
+        walked.push((answer.1.tables_probed, keys));
+        want.push(answer);
     }
     assert_eq!(
         want,
@@ -366,22 +377,22 @@ fn assert_block_is_lazy(
         "{ctx}: answers"
     );
     for (j, &got) in drain(evals).iter().enumerate() {
-        let first = reach.iter().position(|&tables| tables > j);
+        let first = walked.iter().position(|&(_, keys)| keys > j);
         let bound = first.map_or(0, |r| block.len() - r);
         assert!(
             got <= bound,
-            "{ctx}: table {j} evaluated {got} times, first reached by row {first:?} of {}",
+            "{ctx}: table {j} evaluated {got} times, first asked by row {first:?} of {}",
             block.len()
         );
-        let reached = reach.iter().filter(|&&tables| tables > j).count();
-        assert!(got >= reached, "{ctx}: table {j} under-evaluated");
+        let asked = walked.iter().filter(|&&(_, keys)| keys > j).count();
+        assert!(got >= asked, "{ctx}: table {j} under-evaluated");
     }
-    reach
+    walked
 }
 
 #[test]
 fn block_driver_hashes_a_table_only_from_the_first_row_that_reaches_it() {
-    let (d, l, limit) = (64, 12, Some(6));
+    let (d, l, limit) = (64, 24, Some(6));
     // A hundred copies of one point: a query equal to it fills its limit
     // in the first table; one a few bits away in whichever table first
     // samples none of those bits; a random one only after several.
@@ -424,8 +435,10 @@ fn block_driver_hashes_a_table_only_from_the_first_row_that_reaches_it() {
 
     let fixed = HashTableIndex::build(&family(), store(), l, &mut seeded(9));
     let sharded = ShardedIndex::build(&family(), store(), l, 3, &mut seeded(9));
-    for (name, block) in [("mixed", &mixed), ("all-centre", &all_centre)] {
-        let reach = assert_block_is_lazy(
+    // The walk's window (capped at `L`), read off the all-centre block.
+    let mut window = 0;
+    for (name, block) in [("all-centre", &all_centre), ("mixed", &mixed)] {
+        let walked = assert_block_is_lazy(
             &format!("static, {name}"),
             &evals,
             block,
@@ -439,12 +452,28 @@ fn block_driver_hashes_a_table_only_from_the_first_row_that_reaches_it() {
             |q| sharded.candidates(q, limit),
             |qs| sharded.candidates_batch_with_threads(qs, limit, 1),
         );
-        assert_eq!(reach, same, "{name}: both walks stop at the same table");
-        if name == "mixed" {
-            let distinct: std::collections::BTreeSet<_> = reach.iter().collect();
-            assert!(distinct.len() >= 4, "rows must stop at different tables");
+        assert_eq!(walked, same, "{name}: both walks stop at the same table");
+        let reach: std::collections::BTreeSet<_> =
+            walked.iter().map(|&(tables, _)| tables).collect();
+        if name == "all-centre" {
+            assert_eq!(reach, [1].into(), "every row stops in the first table");
+            window = walked[0].1;
+            assert!(window > 1, "the walk asks one window of keys, not one key");
         } else {
-            assert!(reach.iter().all(|&tables| tables == 1));
+            assert!(reach.len() >= 4, "rows must stop at different tables");
+            let keys: std::collections::BTreeSet<_> =
+                walked.iter().map(|&(_, keys)| keys).collect();
+            assert!(
+                keys.len() >= 2 && keys.last() < Some(&l),
+                "rows must stop in different windows, and none in the last"
+            );
+        }
+        for &(tables, keys) in &walked {
+            assert_eq!(
+                keys,
+                l.min(tables.div_ceil(window) * window),
+                "{name}: a row stopping in table {tables} asks the keys of its windows"
+            );
         }
     }
 }
