@@ -91,7 +91,7 @@ impl BitVector {
 
     /// Get bit `i`.
     pub fn get(&self, i: usize) -> bool {
-        // lint: allow(panic) — caller contract: bit index bounded by the vector dimension
+        // lint: allow(panic) — name-resolution false positive (reached by name from the walk's `HashMap::get`); callers bound the bit index by the dimension
         assert!(
             i < self.len,
             "bit index {i} out of range (d = {})",
@@ -474,7 +474,7 @@ impl DenseStore {
 
     /// Append one point.
     pub fn push(&mut self, row: &[f64]) {
-        // lint: allow(panic) — caller contract: row shape fixed at store construction; a mismatch is a caller bug
+        // lint: allow(panic) — name-resolution false positive (reached by name from untyped `Vec::push` receivers); row shape fixed at store construction
         assert_eq!(row.len(), self.dim, "dimension mismatch");
         self.data.extend_from_slice(row);
         self.n += 1;
@@ -608,7 +608,7 @@ impl BitStore {
 
     /// Append one point (must match the store dimension).
     pub fn push(&mut self, v: &BitVector) {
-        // lint: allow(panic) — caller contract: row shape fixed at store construction; a mismatch is a caller bug
+        // lint: allow(panic) — name-resolution false positive (reached by name from untyped `Vec::push` receivers); row shape fixed at store construction
         assert_eq!(v.len(), self.dim, "dimension mismatch");
         self.blocks.extend_from_slice(v.as_blocks());
         self.n += 1;
@@ -760,7 +760,7 @@ impl PointStore for BitStore {
 ///
 /// ```
 /// use dsh_core::points::{BitStore, BitVector, ChunkedStore, PointStore};
-/// let mut store = ChunkedStore::new(BitStore::with_dim(70));
+/// let mut store = ChunkedStore::new(&BitStore::with_dim(70));
 /// let p = BitVector::ones(70);
 /// store.push_row(p.as_blocks());
 /// store.freeze_tail();
@@ -781,15 +781,13 @@ pub struct ChunkedStore<S> {
 }
 
 impl<S: PointStore> ChunkedStore<S> {
-    /// Start from an empty tail store (which fixes the row shape —
-    /// dimension, block count — of everything appended later).
-    pub fn new(empty: S) -> Self {
-        // lint: allow(panic) — constructor contract (empty tail store); violations are build bugs, not data-dependent
-        assert!(empty.is_empty(), "ChunkedStore::new takes an empty store");
+    /// An empty store with `shape`'s row shape (dimension, block
+    /// count); `shape`'s rows are not taken.
+    pub fn new(shape: &S) -> Self {
         ChunkedStore {
             chunks: Vec::new(),
             starts: Vec::new(),
-            tail: empty,
+            tail: shape.empty_like(),
             tail_start: 0,
         }
     }
@@ -797,8 +795,7 @@ impl<S: PointStore> ChunkedStore<S> {
     /// Wrap an existing store as the first frozen chunk, sharing its
     /// allocation instead of copying its rows.
     pub fn from_store(store: Arc<S>) -> Self {
-        let tail = store.empty_like();
-        let mut chunked = ChunkedStore::new(tail);
+        let mut chunked = ChunkedStore::new(&*store);
         if store.len() > 0 {
             chunked.starts.push(0);
             chunked.tail_start = store.len();
@@ -813,11 +810,12 @@ impl<S: PointStore> ChunkedStore<S> {
         self.tail.len()
     }
 
-    /// A fresh empty store of the **inner** backend type, with this
-    /// store's row shape — the staging buffer a write batch accumulates
-    /// rows in before they are appended across chunked shard stores.
-    pub fn empty_inner(&self) -> S {
-        self.tail.empty_like()
+    /// A store of the **inner** backend type with this store's row
+    /// shape (the tail), for shaping the staging buffer a write batch
+    /// accumulates rows in before they are appended across chunked
+    /// shard stores.
+    pub fn shape(&self) -> &S {
+        &self.tail
     }
 
     /// The one frozen chunk holding every row, if that is the layout (a
@@ -893,7 +891,7 @@ impl<S: PointStore> PointStore for ChunkedStore<S> {
     }
 
     fn empty_like(&self) -> Self {
-        ChunkedStore::new(self.tail.empty_like())
+        ChunkedStore::new(&self.tail)
     }
 }
 
@@ -1358,7 +1356,7 @@ mod proptests {
         let mut rng = seeded(0xC02);
         let d = 130;
         let mut flat = BitStore::with_dim(d);
-        let mut chunked = ChunkedStore::new(BitStore::with_dim(d));
+        let mut chunked = ChunkedStore::new(&BitStore::with_dim(d));
         for i in 0..50 {
             let p = BitVector::random(&mut rng, d);
             flat.push(&p);
@@ -1409,7 +1407,7 @@ mod proptests {
         let d = 64;
         let mut rng = seeded(0xC03);
         let rows: Vec<BitVector> = (0..12).map(|_| BitVector::random(&mut rng, d)).collect();
-        let mut store = ChunkedStore::new(BitStore::with_dim(d));
+        let mut store = ChunkedStore::new(&BitStore::with_dim(d));
         for p in &rows[..8] {
             store.push_row(p.as_blocks());
         }
@@ -1433,10 +1431,13 @@ mod proptests {
     }
 
     #[test]
-    #[should_panic(expected = "empty store")]
-    fn chunked_store_new_rejects_non_empty_tail() {
+    fn chunked_store_new_takes_only_the_shape() {
         let mut dense = DenseStore::with_dim(2);
         dense.push(&[1.0, 2.0]);
-        let _ = ChunkedStore::new(dense);
+        let mut chunked = ChunkedStore::new(&dense);
+        assert!(chunked.is_empty());
+        chunked.push_row(&[3.0, 4.0]);
+        assert_eq!(chunked.len(), 1);
+        assert_eq!(chunked.row(0), &[3.0, 4.0]);
     }
 }

@@ -197,13 +197,11 @@ pub struct WriteBatch<BS: PointStore> {
 }
 
 impl<BS: PointStore> WriteBatch<BS> {
-    /// Start an empty batch staging rows in `rows` (which fixes the row
-    /// shape and must be empty).
-    pub fn new(rows: BS) -> Self {
-        // lint: allow(panic) — constructor contract (empty staging store); violations are build bugs, not data-dependent
-        assert!(rows.is_empty(), "WriteBatch::new takes an empty store");
+    /// An empty batch staging rows of `shape`'s row shape; `shape`'s
+    /// rows are not taken.
+    pub fn new(shape: &BS) -> Self {
         WriteBatch {
-            rows,
+            rows: shape.empty_like(),
             ops: Vec::new(),
             overflowed: None,
         }
@@ -315,7 +313,7 @@ mod tests {
     #[test]
     fn staging_tracks_ops_and_rows() {
         let d = 64;
-        let mut batch = WriteBatch::new(BitStore::with_dim(d));
+        let mut batch = WriteBatch::new(&BitStore::with_dim(d));
         assert!(batch.is_empty());
         let p = BitVector::random(&mut seeded(1), d);
         batch.insert(&p);
@@ -329,7 +327,7 @@ mod tests {
     #[test]
     fn validate_advances_the_bound_through_inserts() {
         let d = 32;
-        let mut batch = WriteBatch::new(BitStore::with_dim(d));
+        let mut batch = WriteBatch::new(&BitStore::with_dim(d));
         let p = BitVector::zeros(d);
         batch.insert(&p); // would get id 5 on a bound-5 index
         batch.remove(5); // valid: removes the id just inserted
@@ -349,7 +347,7 @@ mod tests {
     #[test]
     fn validate_rejects_before_bound_not_after() {
         let d = 32;
-        let mut batch = WriteBatch::new(BitStore::with_dim(d));
+        let mut batch = WriteBatch::new(&BitStore::with_dim(d));
         batch.remove(9);
         assert!(matches!(
             batch.validate(9),
@@ -407,7 +405,7 @@ mod tests {
     #[test]
     fn batch_validate_agrees_with_ensure_capacity_at_the_boundary() {
         let d = 32;
-        let mut batch = WriteBatch::new(BitStore::with_dim(d));
+        let mut batch = WriteBatch::new(&BitStore::with_dim(d));
         batch.insert(&BitVector::zeros(d));
         // One insert on a bound one shy of the cap lands exactly on it.
         assert_eq!(batch.validate(MAX_POINTS - 1), Ok(()));
@@ -443,11 +441,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "empty store")]
-    fn new_rejects_nonempty_staging_store() {
+    fn new_takes_only_the_shape() {
         let d = 32;
         let mut rows = BitStore::with_dim(d);
         rows.push(&BitVector::zeros(d));
-        let _ = WriteBatch::new(rows);
+        let mut batch = WriteBatch::new(&rows);
+        assert!(batch.is_empty());
+        assert_eq!(batch.inserts(), 0);
+        let p = BitVector::ones(d);
+        batch.insert(&p);
+        assert_eq!(batch.row(0), p.as_blocks());
     }
 }

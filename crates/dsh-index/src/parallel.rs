@@ -2,18 +2,20 @@
 //!
 //! The workspace vendors only `rand`, so there is no rayon.
 //! This module provides the one fan-out shape the index substrate needs —
-//! an order-preserving map over a slice, chunked across worker threads —
-//! on plain [`std::thread::scope`].
+//! an order-preserving map over `0..n`, chunked across worker threads that
+//! each build their own state once — on plain [`std::thread::scope`].
 //!
 //! Work is split into at most `threads` contiguous chunks; one scoped
 //! thread runs per extra chunk while the first chunk runs on the calling
-//! thread. Results are concatenated in input order, so the output is a
-//! pure function of the input: **identical for every `threads >= 1`**.
+//! thread. Each chunk writes its own slot of the results, concatenated in
+//! input order, so the output is a pure function of the input:
+//! **identical for every `threads >= 1`**.
 //! That property is what lets table builds and batched queries stay
 //! deterministic regardless of the machine's core count (and is covered
 //! by the thread-count determinism tests in `tests/index_substrate.rs`).
 
 use std::num::NonZeroUsize;
+use std::ops::Range;
 
 /// Number of worker threads to use by default: the OS-reported
 /// [`std::thread::available_parallelism`], falling back to 1 when the
@@ -34,22 +36,26 @@ pub fn capped_threads(items: usize, threads: usize, min_per_worker: usize) -> us
     threads.min(items.div_ceil(min_per_worker)).max(1)
 }
 
-/// Map `f` over contiguous index ranges of `0..n` using up to `threads`
-/// scoped threads — the storage-agnostic fan-out shape: callers index
-/// into whatever row-addressable structure they hold (a slice, a
+/// Map `f` over `0..n` in index order, using up to `threads` scoped
+/// threads — the storage-agnostic fan-out shape: callers index into
+/// whatever row-addressable structure they hold (a slice, a
 /// [`dsh_core::points::PointStore`]) instead of the fan-out requiring a
 /// materialized `&[T]`.
 ///
-/// `f` receives a half-open index range and must return exactly one
-/// output per index, in index order; results are concatenated in input
-/// order, so the output is identical for every `threads >= 1`.
+/// `0..n` is split into at most `threads` contiguous ranges. Each
+/// worker builds its state once with `init(range)`, then calls
+/// `f(&mut state, i)` once per index of its range, in order, so the
+/// output holds one result per index and is identical for every
+/// `threads >= 1`. The first range runs on the calling thread; a panic
+/// in any worker reaches the caller, re-raised by
+/// [`std::thread::scope`].
 ///
-/// Panics if `threads == 0` or if `f` returns a result of the wrong
-/// length for some range.
-pub fn map_index_chunks<U, F>(n: usize, threads: usize, f: F) -> Vec<U>
+/// Panics if `threads == 0`.
+pub fn map_indices<St, U, I, F>(n: usize, threads: usize, init: I, f: F) -> Vec<U>
 where
     U: Send,
-    F: Fn(std::ops::Range<usize>) -> Vec<U> + Sync,
+    I: Fn(Range<usize>) -> St + Sync,
+    F: Fn(&mut St, usize) -> U + Sync,
 {
     // lint: allow(panic) — documented contract: threads == 0 is a caller bug
     assert!(threads >= 1, "need at least one worker thread");
@@ -57,43 +63,31 @@ where
         return Vec::new();
     }
     let chunk_size = n.div_ceil(threads.min(n));
-    if chunk_size >= n {
-        let out = f(0..n);
-        // lint: allow(panic) — documented contract: f must return one output per index
-        assert_eq!(out.len(), n, "chunk result length mismatch");
-        return out;
-    }
-
-    let starts: Vec<usize> = (0..n).step_by(chunk_size).collect();
-    let mut per_chunk: Vec<Vec<U>> = Vec::new();
+    let run = |start: usize, out: &mut Vec<U>| {
+        let range = start..(start + chunk_size).min(n);
+        let mut state = init(range.clone());
+        out.extend(range.map(|i| f(&mut state, i)));
+    };
+    let mut per_chunk: Vec<Vec<U>> = (0..n.div_ceil(chunk_size)).map(|_| Vec::new()).collect();
     std::thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = starts
-            .iter()
-            .skip(1)
-            .map(|&start| scope.spawn(move || f(start..(start + chunk_size).min(n))))
-            .collect();
-        per_chunk.push(f(0..chunk_size));
-        for h in handles {
-            // lint: allow(panic) — propagating a worker's panic to the caller, not originating one
-            per_chunk.push(h.join().expect("index worker thread panicked"));
+        let run = &run;
+        let mut chunks = per_chunk.iter_mut().enumerate();
+        let first = chunks.next();
+        for (c, out) in chunks {
+            scope.spawn(move || run(c * chunk_size, out));
+        }
+        if let Some((_, out)) = first {
+            run(0, out);
         }
     });
-
     let mut out = Vec::with_capacity(n);
-    for (c, (&start, result)) in starts.iter().zip(per_chunk).enumerate() {
-        // lint: allow(panic) — documented contract: f must return one output per index
-        assert_eq!(
-            result.len(),
-            (start + chunk_size).min(n) - start,
-            "chunk {c} result length mismatch"
-        );
-        out.extend(result);
+    for chunk in per_chunk {
+        out.extend(chunk);
     }
     out
 }
 
-/// Item-wise [`map_index_chunks`] over a slice: `f` receives each item's
+/// Item-wise [`map_indices`] over a slice: `f` receives each item's
 /// absolute index and the item. Output order matches input order for every
 /// thread count.
 pub fn map_items<T, U, F>(items: &[T], threads: usize, f: F) -> Vec<U>
@@ -102,14 +96,13 @@ where
     U: Send,
     F: Fn(usize, &T) -> U + Sync,
 {
-    map_index_chunks(items.len(), threads, |range| {
-        range.map(|i| f(i, &items[i])).collect()
-    })
+    map_indices(items.len(), threads, |_| (), |(), i| f(i, &items[i]))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn map_items_preserves_order_for_every_thread_count() {
@@ -132,14 +125,44 @@ mod tests {
     }
 
     #[test]
-    fn map_index_chunks_covers_every_index_in_order() {
+    fn map_indices_covers_every_index_in_order() {
         for n in [0usize, 1, 7, 50, 97] {
             for threads in [1usize, 2, 3, 8, 200] {
-                let got = map_index_chunks(n, threads, std::iter::Iterator::collect);
+                let got = map_indices(
+                    n,
+                    threads,
+                    |range| range,
+                    |range, i| {
+                        assert!(range.contains(&i), "{i} outside its worker's {range:?}");
+                        i
+                    },
+                );
                 let want: Vec<usize> = (0..n).collect();
                 assert_eq!(got, want, "n = {n}, threads = {threads}");
             }
         }
+    }
+
+    #[test]
+    fn map_indices_builds_state_once_per_worker() {
+        for threads in [1usize, 3, 8] {
+            let inits = AtomicUsize::new(0);
+            let got = map_indices(
+                50,
+                threads,
+                |_| inits.fetch_add(1, Ordering::Relaxed),
+                |_, i| i,
+            );
+            assert_eq!(got, (0..50).collect::<Vec<_>>());
+            assert_eq!(inits.into_inner(), threads, "threads = {threads}");
+        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn a_spawned_workers_panic_reaches_the_caller() {
+        // Four workers over 0..8: index 7 belongs to the last spawned one.
+        let _ = map_indices(8, 4, |_| (), |(), i| assert!(i < 7, "worker panic at {i}"));
     }
 
     #[test]

@@ -116,6 +116,22 @@ const QUERY_BLOCK: usize = 64;
 /// query stopping in the first table wastes little hashing.
 const PROBE_WINDOW: usize = 8;
 
+/// One batched-query worker's state in [`Snapshot::map_rows_blocked`]:
+/// its scratch and its current block of query rows, whose probe keys are
+/// filled lazily a table at a time.
+struct BlockState<'q, R: ?Sized> {
+    scratch: QueryScratch,
+    /// `L x QUERY_BLOCK` keys, table-major, so the rows `r..` of one
+    /// table are one slice.
+    keys: Vec<u64>,
+    /// Per table: are the block's keys hashed yet?
+    hashed: Vec<bool>,
+    rows: Vec<&'q R>,
+    /// The index of `rows[0]`, and one past the worker's last index.
+    start: usize,
+    end: usize,
+}
+
 /// One immutable segment: a CSR bucket table per repetition, all covering
 /// the same id set. Shared behind [`Arc`] so that forking a shard bumps a
 /// reference count instead of copying bucket arrays.
@@ -475,7 +491,7 @@ impl<S: PointStore> Snapshot<S> {
 
     /// An empty [`WriteBatch`] staging rows of this index's shape.
     pub(crate) fn new_batch(&self) -> WriteBatch<S> {
-        WriteBatch::new(self.state.shards[0].store.empty_inner())
+        WriteBatch::new(self.state.shards[0].store.shape())
     }
 
     /// A query scratch buffer sized for the **current** id space. Any
@@ -758,34 +774,36 @@ impl<S: PointStore> Snapshot<S> {
         U: Send,
     {
         let threads = parallel::capped_threads(queries.len(), threads, MIN_QUERIES_PER_WORKER);
-        parallel::map_index_chunks(queries.len(), threads, |range| {
-            let l = self.repetitions();
-            let mut scratch = self.new_scratch();
-            // Table-major, so the rows `r..` of one table are one slice.
-            let mut keys = vec![0; l * QUERY_BLOCK];
-            let mut hashed = vec![false; l];
-            let mut rows = Vec::with_capacity(QUERY_BLOCK);
-            let mut out = Vec::with_capacity(range.len());
-            for start in range.clone().step_by(QUERY_BLOCK) {
-                rows.clear();
-                rows.extend((start..range.end.min(start + QUERY_BLOCK)).map(|i| queries.row(i)));
-                hashed.fill(false);
-                for (r, &q) in rows.iter().enumerate() {
-                    let mut key_of = |j: usize| {
-                        let table = &mut keys[j * QUERY_BLOCK..][..rows.len()];
-                        if !hashed[j] {
-                            hashed[j] = true;
-                            let g = &self.state.pairs[j].query;
-                            g.hash_many(&rows[r..], &mut table[r..]);
-                        }
-                        table[r]
-                    };
-                    let (cands, stats) =
-                        self.candidates_row(&mut key_of, retrieval_limit, &mut scratch);
-                    out.push(finish(q, cands, stats));
-                }
+        let init = |range: std::ops::Range<usize>| BlockState {
+            scratch: self.new_scratch(),
+            keys: vec![0; self.repetitions() * QUERY_BLOCK],
+            hashed: vec![false; self.repetitions()],
+            rows: Vec::with_capacity(QUERY_BLOCK),
+            start: range.start,
+            end: range.end,
+        };
+        parallel::map_indices(queries.len(), threads, init, |st, i| {
+            if i == st.start + st.rows.len() {
+                // The next block: its rows, and no table hashed yet.
+                st.start = i;
+                st.rows.clear();
+                st.rows
+                    .extend((i..st.end.min(i + QUERY_BLOCK)).map(|k| queries.row(k)));
+                st.hashed.fill(false);
             }
-            out
+            let r = i - st.start;
+            let (rows, keys, hashed) = (&st.rows, &mut st.keys, &mut st.hashed);
+            let mut key_of = |j: usize| {
+                let table = &mut keys[j * QUERY_BLOCK..][..rows.len()];
+                if !hashed[j] {
+                    hashed[j] = true;
+                    let g = &self.state.pairs[j].query;
+                    g.hash_many(&rows[r..], &mut table[r..]);
+                }
+                table[r]
+            };
+            let (cands, stats) = self.candidates_row(&mut key_of, retrieval_limit, &mut st.scratch);
+            finish(rows[r], cands, stats)
         })
     }
 

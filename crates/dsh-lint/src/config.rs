@@ -1,7 +1,7 @@
 //! `dsh-lint.toml` — the checked-in lint configuration, and its reader.
 //!
-//! The module sets the lints operate on (serving roots, extra entry
-//! points) live in a `dsh-lint.toml` at the workspace root
+//! The module set the lints operate on (the serving roots) lives in a
+//! `dsh-lint.toml` at the workspace root
 //! instead of hardcoded Rust, so covering a new crate is a one-line
 //! config change. The reader is a tiny hand-rolled
 //! TOML-subset parser in the repo's vendored-shim tradition (offline
@@ -16,7 +16,6 @@
 //! ```toml
 //! [serving]
 //! roots = ["crates/dsh-index/src/shard.rs"]   # L1': pub fns here are entry points
-//! entry_points = ["ShardedIndex::query"]      # L1': extra roots by name
 //! ```
 //!
 //! Every path named by the config must exist under the workspace root —
@@ -32,12 +31,8 @@ use std::path::Path;
 #[derive(Debug, Clone, Default)]
 pub struct Config {
     /// Path suffixes of serving-root modules: their public functions are
-    /// the L1' entry points, and the files are subject to the local
-    /// panic-shape scan.
+    /// the L1' entry points.
     pub serving_roots: Vec<String>,
-    /// Extra entry-point functions by name: `"Type::method"` or a free
-    /// `"function"` name, matched anywhere in the workspace.
-    pub entry_points: Vec<String>,
 }
 
 /// A configuration error: parse failure or a path that no longer exists.
@@ -105,7 +100,6 @@ impl Config {
             }
             match (section.as_str(), key.as_str()) {
                 ("serving", "roots") => cfg.serving_roots = parse_array(ln, &value)?,
-                ("serving", "entry_points") => cfg.entry_points = parse_array(ln, &value)?,
                 (s, k) => {
                     return Err(err(ln, format!("unknown key `{k}` in section `[{s}]`")));
                 }
@@ -195,18 +189,17 @@ mod tests {
                 "crates/a/src/serve.rs",  # inline comment
                 "crates/b/src/serve.rs",
             ]
-            entry_points = ["T::m", "free"]
             "#,
         )
         .expect("parses");
         assert_eq!(cfg.serving_roots.len(), 2);
-        assert_eq!(cfg.entry_points, vec!["T::m", "free"]);
     }
 
     #[test]
     fn unknown_sections_and_keys_are_errors() {
         assert!(Config::from_toml("[srving]\nroots = []").is_err());
         assert!(Config::from_toml("[serving]\nroot = []").is_err());
+        assert!(Config::from_toml("[serving]\nentry_points = []").is_err());
         assert!(Config::from_toml("[serving]\nroots = [oops]").is_err());
         assert!(Config::from_toml("[publication]\nfile = \"x\"").is_err());
         assert!(Config::from_toml("[kernel]\nmodules = []").is_err());

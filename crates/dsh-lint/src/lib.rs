@@ -19,7 +19,7 @@
 //! Module sets live in `dsh-lint.toml` at the workspace root (see
 //! [`config`]); a configured path that does not exist fails the run
 //! loudly. Run with `cargo run -p dsh-lint -- check [--format
-//! text|json|github]`; text output is one finding per line:
+//! text|github]`; text output is one finding per line:
 //! `<file>:<line>: <lint-id> <message>`. Exit 0 = clean, 1 = findings,
 //! 2 = usage/config error.
 
@@ -40,18 +40,14 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// One lint finding. Renders as `<file>:<line>: <lint> <message>`.
+/// One lint finding. Renders as `<file>:<line>: <lint> <message>`; an
+/// interprocedural finding's message carries its call chain.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Finding {
     pub file: String,
     pub line: u32,
     pub lint: &'static str,
     pub message: String,
-    /// Stable site descriptor (line-number-free), hashed into [`Finding::id`].
-    pub site: String,
-    /// Call chain for interprocedural findings (`shard.rs:query`, ...);
-    /// empty for file-local ones.
-    pub chain: Vec<String>,
 }
 
 impl Finding {
@@ -61,34 +57,7 @@ impl Finding {
             line,
             lint,
             message,
-            site: String::new(),
-            chain: Vec::new(),
         }
-    }
-
-    /// Stable finding id: FNV-1a over lint, file, and the line-free site
-    /// descriptor (falling back to the message with digits stripped), so
-    /// ids survive unrelated edits that only shift line numbers.
-    pub fn id(&self) -> String {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        };
-        eat(self.lint.as_bytes());
-        eat(b"|");
-        eat(self.file.as_bytes());
-        eat(b"|");
-        if self.site.is_empty() {
-            for c in self.message.chars().filter(|c| !c.is_ascii_digit()) {
-                eat(c.to_string().as_bytes());
-            }
-        } else {
-            eat(self.site.as_bytes());
-        }
-        format!("{}-{:012x}", self.lint, h & 0xffff_ffff_ffff)
     }
 }
 
@@ -108,6 +77,8 @@ pub struct Stats {
     pub files: usize,
     pub functions: usize,
     pub edges: usize,
+    /// `// lint: allow(..)` escape hatches outside test code.
+    pub allows: usize,
     pub findings: usize,
 }
 
@@ -115,54 +86,6 @@ pub struct Stats {
 pub struct Report {
     pub findings: Vec<Finding>,
     pub stats: Stats,
-}
-
-impl Report {
-    /// Serialize to JSON (hand-rolled; no serde in the offline build).
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{\"findings\":[");
-        for (i, f) in self.findings.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"id\":{},\"file\":{},\"line\":{},\"lint\":{},\"message\":{},\"chain\":[{}]}}",
-                json_str(&f.id()),
-                json_str(&f.file),
-                f.line,
-                json_str(f.lint),
-                json_str(&f.message),
-                f.chain
-                    .iter()
-                    .map(|c| json_str(c))
-                    .collect::<Vec<_>>()
-                    .join(",")
-            ));
-        }
-        s.push_str(&format!(
-            "],\"stats\":{{\"files\":{},\"functions\":{},\"edges\":{},\"findings\":{}}}}}",
-            self.stats.files, self.stats.functions, self.stats.edges, self.stats.findings
-        ));
-        s
-    }
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Lint a set of in-memory `(rel_path, source)` files as one workspace.
@@ -175,6 +98,7 @@ pub fn check_sources(sources: &[(String, String)], cfg: &Config) -> Report {
         files: ws.files.len(),
         functions: ws.fns.len(),
         edges,
+        allows: ws.files.iter().map(|f| f.live_allows().count()).sum(),
         findings: findings.len(),
     };
     Report { findings, stats }
@@ -259,54 +183,6 @@ mod tests {
     fn finding_display_is_machine_readable() {
         let f = Finding::new("crates/x/src/lib.rs", 12, "L1", "boom".to_string());
         assert_eq!(f.to_string(), "crates/x/src/lib.rs:12: L1 boom");
-    }
-
-    #[test]
-    fn finding_ids_are_stable_across_line_shifts() {
-        let a = Finding {
-            site: "panic:`.unwrap()`:shard.rs:query".to_string(),
-            ..Finding::new("crates/x/src/lib.rs", 12, "L1", "x at line 12".to_string())
-        };
-        let b = Finding {
-            site: "panic:`.unwrap()`:shard.rs:query".to_string(),
-            ..Finding::new("crates/x/src/lib.rs", 99, "L1", "x at line 99".to_string())
-        };
-        assert_eq!(a.id(), b.id());
-        assert!(a.id().starts_with("L1-"), "{}", a.id());
-    }
-
-    #[test]
-    fn finding_ids_differ_by_site() {
-        let a = Finding {
-            site: "panic:`.unwrap()`:a".to_string(),
-            ..Finding::new("f.rs", 1, "L1", String::new())
-        };
-        let b = Finding {
-            site: "panic:`.expect()`:a".to_string(),
-            ..Finding::new("f.rs", 1, "L1", String::new())
-        };
-        assert_ne!(a.id(), b.id());
-    }
-
-    #[test]
-    fn report_json_is_well_formed_enough() {
-        let report = Report {
-            findings: vec![Finding {
-                site: "s".to_string(),
-                chain: vec!["a.rs:f".to_string()],
-                ..Finding::new("x.rs", 3, "L1", "say \"hi\"".to_string())
-            }],
-            stats: Stats {
-                files: 1,
-                functions: 2,
-                edges: 3,
-                findings: 1,
-            },
-        };
-        let j = report.to_json();
-        assert!(j.contains("\"say \\\"hi\\\"\""), "{j}");
-        assert!(j.contains("\"chain\":[\"a.rs:f\"]"), "{j}");
-        assert!(j.contains("\"edges\":3"), "{j}");
     }
 
     #[test]

@@ -3,10 +3,9 @@
 //! Lint ids:
 //!
 //! * **L1** — transitive panic-freedom: no serving entry point (public
-//!   function of a configured serving root, or a configured
-//!   `entry_points` name) may *reach* a panic site (`unwrap`/`expect`,
-//!   `panic!`/`assert!`-family) anywhere in the workspace, on any call
-//!   path. Findings report the full call chain. Escape:
+//!   function of a configured serving root) may *reach* a panic site
+//!   (`unwrap`/`expect`, `panic!`/`assert!`-family) anywhere in the
+//!   workspace, on any call path. Findings report the full call chain. Escape:
 //!   `// lint: allow(panic) — <reason>` at the site.
 //! * **L2** — transitive no-alloc hot kernels: `// lint: hot` marks a
 //!   root; allocation shapes (`vec!`, `.collect()`, `Vec::new`, ...) in
@@ -34,8 +33,7 @@
 
 use crate::config::Config;
 use crate::graph::{Graph, Reach};
-use crate::resolve::{FnId, Workspace};
-use crate::scope::Marker;
+use crate::resolve::{Facts, FnId, Site, Workspace};
 use crate::Finding;
 use std::collections::HashSet;
 
@@ -84,102 +82,35 @@ struct Ctx<'a> {
 }
 
 impl<'a> Ctx<'a> {
-    /// Whether lint `name` is allowed at `line` of `file` (marker on the
-    /// same line or the line above); records the consumption for M2.
+    /// Whether lint `name` is allowed at `line` of `file`; records the
+    /// consumed marker for M2.
     fn allowed(&mut self, file: usize, name: &str, line: u32) -> bool {
-        let scope = &self.ws.files[file].scope;
-        for l in [line, line.saturating_sub(1)] {
-            let hit = scope.allows.get(&l).is_some_and(|ms| {
-                ms.iter()
-                    .any(|m| matches!(m, Marker::Allow { lint, .. } if lint == name))
-            });
-            if hit {
-                self.used.insert((file, l, name.to_string()));
-                return true;
-            }
-        }
-        false
+        let Some(at) = self.ws.files[file].scope.allowed_at(name, line) else {
+            return false;
+        };
+        self.used.insert((file, at, name.to_string()));
+        true
     }
 
-    fn push(&mut self, file: usize, line: u32, lint: &'static str, site: String, message: String) {
-        self.push_chain(file, line, lint, site, message, Vec::new());
-    }
-
-    fn push_chain(
-        &mut self,
-        file: usize,
-        line: u32,
-        lint: &'static str,
-        site: String,
-        message: String,
-        chain: Vec<String>,
-    ) {
-        self.out.push(Finding {
-            file: self.ws.files[file].rel.clone(),
-            line,
-            lint,
-            site,
-            message,
-            chain,
-        });
-    }
-
-    /// The call chain to `id` as display labels (`shard.rs:query`, ...).
-    fn chain_of(&self, reach: &Reach, id: FnId) -> Vec<String> {
-        reach
-            .chain(id)
-            .iter()
-            .map(|&f| self.ws.chain_label(f))
-            .collect()
+    fn push(&mut self, file: usize, line: u32, lint: &'static str, message: String) {
+        let rel = &self.ws.files[file].rel;
+        self.out.push(Finding::new(rel, line, lint, message));
     }
 
     // -- roots -------------------------------------------------------------
 
-    /// Public functions of the serving-root files, plus configured
-    /// `entry_points` names.
-    fn entry_roots(&mut self, cfg: &Config) -> Vec<FnId> {
-        let mut roots = Vec::new();
-        let serving_files: Vec<usize> = self
-            .ws
-            .files
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| {
-                cfg.serving_roots
-                    .iter()
-                    .any(|s| f.rel.ends_with(s.as_str()))
+    /// Public functions of the serving-root files.
+    fn entry_roots(&self, cfg: &Config) -> Vec<FnId> {
+        let serving = |file: usize| {
+            let rel = &self.ws.files[file].rel;
+            cfg.serving_roots.iter().any(|s| rel.ends_with(s.as_str()))
+        };
+        (0..self.ws.fns.len())
+            .filter(|&id| {
+                let info = &self.ws.fns[id];
+                info.func.is_pub && info.func.body.is_some() && serving(info.file)
             })
-            .map(|(i, _)| i)
-            .collect();
-        for (id, info) in self.ws.fns.iter().enumerate() {
-            if serving_files.contains(&info.file) && info.func.is_pub && info.func.body.is_some() {
-                roots.push(id);
-            }
-        }
-        for name in &cfg.entry_points {
-            let matched: Vec<FnId> = self
-                .ws
-                .fns
-                .iter()
-                .enumerate()
-                .filter(|(_, f)| f.qual() == *name || f.func.name == *name)
-                .map(|(id, _)| id)
-                .collect();
-            if matched.is_empty() {
-                self.out.push(Finding {
-                    file: "dsh-lint.toml".to_string(),
-                    line: 1,
-                    lint: "L1",
-                    site: format!("entry:{name}"),
-                    message: format!(
-                        "configured entry point `{name}` matches no workspace function"
-                    ),
-                    chain: Vec::new(),
-                });
-            }
-            roots.extend(matched);
-        }
-        roots
+            .collect()
     }
 
     /// Bound `// lint: hot` markers; dangling / bodiless markers become
@@ -198,7 +129,6 @@ impl<'a> Ctx<'a> {
                         fi,
                         marker_line,
                         "L2",
-                        "dangling-hot".to_string(),
                         "dangling `// lint: hot` marker: no function definition follows"
                             .to_string(),
                     );
@@ -212,7 +142,6 @@ impl<'a> Ctx<'a> {
                         fi,
                         marker_line,
                         "L2",
-                        format!("bodiless-hot:{}", f.name),
                         format!("`// lint: hot` marker on bodiless declaration `{}`", f.name),
                     );
                     continue;
@@ -231,67 +160,48 @@ impl<'a> Ctx<'a> {
 
     // -- graph lints -------------------------------------------------------
 
-    fn l1_panic_reach(&mut self, reach: &Reach) {
-        for id in 0..self.ws.fns.len() {
-            if !reach.visited[id] {
-                continue;
-            }
-            let fi = self.ws.fns[id].file;
-            let sites: Vec<(u32, String)> = self.ws.facts[id]
-                .panics
-                .iter()
-                .map(|s| (s.line, s.what.clone()))
-                .collect();
-            for (line, what) in sites {
-                if self.allowed(fi, "panic", line) {
+    /// Report every `sites` entry of every function `reach` visited that
+    /// no `allow(<allow>)` covers; `message(what, qual, chain)` words it.
+    fn reached_sites(
+        &mut self,
+        reach: &Reach,
+        sites: fn(&Facts) -> &[Site],
+        allow: &str,
+        lint: &'static str,
+        message: impl Fn(&str, &str, &str) -> String,
+    ) {
+        let ws = self.ws;
+        for id in (0..ws.fns.len()).filter(|&id| reach.visited[id]) {
+            let fi = ws.fns[id].file;
+            for site in sites(&ws.facts[id]) {
+                if self.allowed(fi, allow, site.line) {
                     continue;
                 }
-                let chain_v = self.chain_of(reach, id);
-                let chain = chain_v.join(" → ");
-                self.push_chain(
+                let chain = reach.chain_display(ws, id);
+                self.push(
                     fi,
-                    line,
-                    "L1",
-                    format!("panic:{what}:{chain}"),
-                    format!(
-                        "{what} reachable from a serving entry (path: {chain}); make it infallible or annotate `// lint: allow(panic) — <reason>`"
-                    ),
-                    chain_v,
+                    site.line,
+                    lint,
+                    message(&site.what, &ws.fns[id].qual(), &chain),
                 );
             }
         }
     }
 
+    fn l1_panic_reach(&mut self, reach: &Reach) {
+        self.reached_sites(reach, |f| &f.panics, "panic", "L1", |what, _, chain| {
+            format!(
+                "{what} reachable from a serving entry (path: {chain}); make it infallible or annotate `// lint: allow(panic) — <reason>`"
+            )
+        });
+    }
+
     fn l2_alloc_reach(&mut self, reach: &Reach) {
-        for id in 0..self.ws.fns.len() {
-            if !reach.visited[id] {
-                continue;
-            }
-            let fi = self.ws.fns[id].file;
-            let qual = self.ws.fns[id].qual();
-            let sites: Vec<(u32, String)> = self.ws.facts[id]
-                .allocs
-                .iter()
-                .map(|s| (s.line, s.what.clone()))
-                .collect();
-            for (line, what) in sites {
-                if self.allowed(fi, "alloc", line) {
-                    continue;
-                }
-                let chain_v = self.chain_of(reach, id);
-                let chain = chain_v.join(" → ");
-                self.push_chain(
-                    fi,
-                    line,
-                    "L2",
-                    format!("alloc:{what}:{chain}"),
-                    format!(
-                        "{what} in hot code `{qual}` (hot via {chain}); hoist the allocation to the caller or annotate `// lint: allow(alloc) — <reason>`"
-                    ),
-                    chain_v,
-                );
-            }
-        }
+        self.reached_sites(reach, |f| &f.allocs, "alloc", "L2", |what, qual, chain| {
+            format!(
+                "{what} in hot code `{qual}` (hot via {chain}); hoist the allocation to the caller or annotate `// lint: allow(alloc) — <reason>`"
+            )
+        });
     }
 
     /// Greedy redundant-marker elimination: a marker whose function is
@@ -316,52 +226,25 @@ impl<'a> Ctx<'a> {
                     continue;
                 }
                 let qual = self.ws.fns[h.target].qual();
-                let chain_v = self.chain_of(&r, h.target);
-                let via = chain_v.join(" → ");
-                self.push_chain(
+                let via = r.chain_display(self.ws, h.target);
+                self.push(
                     h.file,
                     h.marker_line,
                     "L2",
-                    format!("redundant-hot:{qual}"),
                     format!(
                         "redundant `// lint: hot` marker on `{qual}` — already hot via {via}; remove the marker (or annotate `// lint: allow(hot) — <reason>`)"
                     ),
-                    chain_v,
                 );
             }
         }
     }
 
     fn c1_opaque(&mut self, reach: &Reach) {
-        for id in 0..self.ws.fns.len() {
-            if !reach.visited[id] {
-                continue;
-            }
-            let fi = self.ws.fns[id].file;
-            let qual = self.ws.fns[id].qual();
-            let sites: Vec<(u32, String)> = self.ws.facts[id]
-                .opaques
-                .iter()
-                .map(|s| (s.line, s.what.clone()))
-                .collect();
-            for (line, what) in sites {
-                if self.allowed(fi, "opaque", line) {
-                    continue;
-                }
-                let chain_v = self.chain_of(reach, id);
-                let chain = chain_v.join(" → ");
-                self.push_chain(
-                    fi,
-                    line,
-                    "C1",
-                    format!("opaque:{what}:{qual}"),
-                    format!(
-                        "cannot prove panic/alloc-freedom past unknown macro {what} (reachable via {chain}); expand it or annotate `// lint: allow(opaque) — <reason>`"
-                    ),
-                    chain_v,
-                );
-            }
-        }
+        self.reached_sites(reach, |f| &f.opaques, "opaque", "C1", |what, _, chain| {
+            format!(
+                "cannot prove panic/alloc-freedom past unknown macro {what} (reachable via {chain}); expand it or annotate `// lint: allow(opaque) — <reason>`"
+            )
+        });
     }
 
     // -- M1 ----------------------------------------------------------------
@@ -373,7 +256,6 @@ impl<'a> Ctx<'a> {
                     fi,
                     line,
                     "M1",
-                    format!("malformed:{raw}"),
                     format!(
                         "malformed `lint:` marker {raw:?}; expected `lint: hot` or `lint: allow(<id>) — <reason>`"
                     ),
@@ -388,40 +270,20 @@ impl<'a> Ctx<'a> {
     /// Runs last; allows inside test regions or test-path files are
     /// exempt (the lints they would suppress never fire there).
     fn m2_dead_allows(&mut self) {
-        let mut dead: Vec<(usize, u32, String)> = Vec::new();
-        for (fi, file) in self.ws.files.iter().enumerate() {
-            if file.is_test_path {
-                continue;
-            }
-            for (&line, markers) in &file.scope.allows {
-                if file
-                    .scope
-                    .marker_in_test
-                    .get(&line)
-                    .copied()
-                    .unwrap_or(false)
-                {
-                    continue;
-                }
-                for m in markers {
-                    if let Marker::Allow { lint, .. } = m {
-                        if !self.used.contains(&(fi, line, lint.clone())) {
-                            dead.push((fi, line, lint.clone()));
-                        }
-                    }
+        let ws = self.ws;
+        for (fi, file) in ws.files.iter().enumerate() {
+            for (line, lint) in file.live_allows() {
+                if !self.used.contains(&(fi, line, lint.to_string())) {
+                    self.push(
+                        fi,
+                        line,
+                        "M2",
+                        format!(
+                            "dead `// lint: allow({lint})` — it suppresses no finding; remove the stale escape hatch"
+                        ),
+                    );
                 }
             }
-        }
-        for (fi, line, lint) in dead {
-            self.push(
-                fi,
-                line,
-                "M2",
-                format!("dead-allow:{lint}"),
-                format!(
-                    "dead `// lint: allow({lint})` — it suppresses no finding; remove the stale escape hatch"
-                ),
-            );
         }
     }
 }

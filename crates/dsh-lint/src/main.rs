@@ -1,16 +1,14 @@
 //! CLI for the workspace linter:
-//! `cargo run -p dsh-lint -- check [--root PATH] [--format text|json|github]`.
+//! `cargo run -p dsh-lint -- check [--root PATH] [--format text|github]`.
 //!
 //! Reads `dsh-lint.toml` from the root (empty config when absent; exit 2
 //! when it parses badly or names a module that does not exist).
 //!
 //! Formats:
 //! * `text` (default) — one `<file>:<line>: <lint-id> <message>` per
-//!   line, then a one-line files/functions/edges stats summary;
-//! * `github` — GitHub Actions `::error file=...,line=...::` annotations,
-//!   then the stats summary;
-//! * `json` — a single `{"findings":[...],"stats":{...}}` object with
-//!   stable finding ids and call chains.
+//!   line, then a one-line files/functions/edges/allows stats summary;
+//! * `github` — GitHub Actions `::error file=...,line=...,title=<lint-id>::`
+//!   annotations, then the stats summary.
 //!
 //! Exit codes: 0 = clean, 1 = findings, 2 = usage / IO / config error.
 
@@ -22,7 +20,6 @@ use std::time::Instant;
 
 enum Format {
     Text,
-    Json,
     Github,
 }
 
@@ -47,10 +44,9 @@ fn main() -> ExitCode {
             },
             "--format" => match iter.next().map(String::as_str) {
                 Some("text") => format = Format::Text,
-                Some("json") => format = Format::Json,
                 Some("github") => format = Format::Github,
                 Some(other) => return usage(&format!("unknown format `{other}`")),
-                None => return usage("--format requires text|json|github"),
+                None => return usage("--format requires text|github"),
             },
             other => return usage(&format!("unknown argument `{other}`")),
         }
@@ -74,8 +70,8 @@ fn main() -> ExitCode {
     let elapsed_ms = started.elapsed().as_millis();
     let s = report.stats;
     let stats_line = format!(
-        "dsh-lint: {} finding(s) · {} files · {} functions · {} call edges · {elapsed_ms} ms",
-        s.findings, s.files, s.functions, s.edges
+        "dsh-lint: {} finding(s) · {} files · {} functions · {} call edges · {} allow(s) · {elapsed_ms} ms",
+        s.findings, s.files, s.functions, s.edges, s.allows
     );
 
     match format {
@@ -91,18 +87,14 @@ fn main() -> ExitCode {
         Format::Github => {
             for f in &report.findings {
                 println!(
-                    "::error file={},line={},title={}::{} {}",
+                    "::error file={},line={},title={}::{}",
                     f.file,
                     f.line,
-                    f.id(),
                     f.lint,
                     f.message.replace(['\n', '\r'], " ")
                 );
             }
             println!("{stats_line}");
-        }
-        Format::Json => {
-            println!("{}", report.to_json());
         }
     }
 
@@ -115,6 +107,6 @@ fn main() -> ExitCode {
 
 fn usage(err: &str) -> ExitCode {
     eprintln!("dsh-lint: {err}");
-    eprintln!("usage: dsh-lint check [--root PATH] [--format text|json|github]");
+    eprintln!("usage: dsh-lint check [--root PATH] [--format text|github]");
     ExitCode::from(2)
 }

@@ -14,10 +14,15 @@
 //!   `Arc<dyn PointHasher<P>>` dispatches to every workspace
 //!   implementation of `PointHasher` (conservative trait fan-out);
 //! * `let x: T` / `let x = T::new(..)` / parameter types feed a local
-//!   variable-type map;
+//!   variable-type map, one type per name per function (the last `let`
+//!   wins; a `let` that cannot be typed clears the name);
 //! * receivers that resolve to std types, primitives, slices, or
 //!   literals are cut off (no edge): `.len()`/`.push()` on a `Vec` field
-//!   never links to a workspace function that happens to share the name;
+//!   never links to a workspace function that happens to share the name.
+//!   A std constructor that returns its own type — `StdType::new(..)`,
+//!   `std::…::Type::with_capacity(..)` — types both a `let` bound to it
+//!   and a receiver that is such a call, except for `Arc`, `Rc`, `Box`,
+//!   `Cow` and `ManuallyDrop`, whose methods reach the inner type;
 //! * receivers we cannot type at all fall back to *every* workspace
 //!   method of that name (trait/dyn-dispatch fallback);
 //! * free calls resolve same-file first (shadowing), then to all free
@@ -35,7 +40,7 @@
 //! the conservative name fallback or as C1 findings, never as silence.
 
 use crate::lexer::{Token, TokenKind};
-use crate::scope::{FileScope, Function};
+use crate::scope::{FileScope, Function, Marker};
 use std::collections::{BTreeSet, HashMap};
 
 /// Index into [`Workspace::fns`].
@@ -88,6 +93,14 @@ const STD_TYPES: [&str; 40] = [
     "Receiver",
     "RandomState",
 ];
+
+/// Std types that dereference to their contents: a call returning one
+/// is never typed [`Ty::Std`], since methods on it reach the inner type.
+const DEREF_TYPES: [&str; 5] = ["Arc", "Rc", "Box", "Cow", "ManuallyDrop"];
+
+/// Constructors that return their own type: `StdType::new(..)` is a
+/// std value, and so is `std::…::Type::new(..)`.
+const SELF_CTORS: [&str; 3] = ["new", "with_capacity", "default"];
 
 /// Macros that panic: their invocation is a panic site (L1').
 pub const PANIC_MACROS: [&str; 7] = [
@@ -173,6 +186,22 @@ impl SourceFile {
     /// The last path component (`shard.rs`), used in call-chain display.
     pub fn short(&self) -> &str {
         self.rel.rsplit('/').next().unwrap_or(&self.rel)
+    }
+
+    /// `(line, lint)` of every `allow` marker outside test code: the
+    /// escape hatches M2 audits and the stats line counts.
+    pub fn live_allows(&self) -> impl Iterator<Item = (u32, &str)> + '_ {
+        let scope = &self.scope;
+        scope
+            .allows
+            .iter()
+            .filter(move |(l, _)| !self.is_test_path && scope.marker_in_test.get(l) != Some(&true))
+            .flat_map(|(&l, ms)| {
+                ms.iter().filter_map(move |m| match m {
+                    Marker::Allow { lint, .. } => Some((l, lint.as_str())),
+                    _ => None,
+                })
+            })
     }
 }
 
@@ -642,13 +671,19 @@ impl Workspace {
                 p += 1;
             }
             let Some(&nk) = body.get(p) else { continue };
-            if t(nk).kind != TokenKind::Ident {
-                continue; // destructuring pattern
-            }
-            let name = t(nk).text.clone();
             let Some(&after) = body.get(p + 1) else {
                 continue;
             };
+            if t(nk).kind != TokenKind::Ident || !(t(after).is_punct(':') || t(after).is_punct('='))
+            {
+                // A pattern: whatever it binds shadows the names it reuses.
+                let pattern = body[p..].iter().take_while(|&&j| !t(j).is_punct('='));
+                for &j in pattern.take_while(|&&j| !t(j).is_punct(';')) {
+                    vars.remove(&t(j).text);
+                }
+                continue;
+            }
+            let name = t(nk).text.clone();
             if t(after).is_punct(':') {
                 // Annotated: type runs to `=` or `;` at depth 0.
                 let mut ts: Vec<&Token> = Vec::new();
@@ -660,27 +695,29 @@ impl Workspace {
                     ts.push(tok);
                 }
                 vars.insert(name, parse_ty(&ts));
-            } else if t(after).is_punct('=') {
-                // `= Type::ctor(` / `= Type {` / `= Type(`.
-                let Some(&vk) = body.get(p + 2) else { continue };
-                let vt = t(vk);
-                if vt.kind == TokenKind::Ident
-                    && vt
-                        .text
-                        .chars()
-                        .next()
-                        .is_some_and(|c| c.is_ascii_uppercase())
-                {
-                    let follows = body.get(p + 3).map(|&j| t(j));
-                    let ctorish = follows.is_some_and(|f| {
-                        f.is_punct(':')
-                            || f.kind == TokenKind::OpenBrace
-                            || f.kind == TokenKind::OpenParen
-                    });
-                    if ctorish && !STD_TYPES.contains(&vt.text.as_str()) {
-                        vars.insert(name, Ty::Concrete(vt.text.clone()));
-                    }
-                }
+            } else {
+                // `= StdType::new(..);` / `= Type::ctor(` / `= Type {` /
+                // `= Type(`; anything else clears an earlier binding.
+                let init = p + 2;
+                let semi = (init..body.len()).find(|&q| t(body[q]).is_punct(';'));
+                let std_ctor = semi
+                    .is_some_and(|q| q > init && std_ctor_start(file, body, q - 1) == Some(init));
+                let vt = body.get(init).map(|&j| t(j));
+                let ctorish = vt.is_some_and(|vt| {
+                    vt.kind == TokenKind::Ident
+                        && vt.text.starts_with(|c: char| c.is_ascii_uppercase())
+                        && !STD_TYPES.contains(&vt.text.as_str())
+                        && body.get(init + 1).is_some_and(|&j| {
+                            let f = t(j);
+                            f.is_punct(':')
+                                || matches!(f.kind, TokenKind::OpenBrace | TokenKind::OpenParen)
+                        })
+                });
+                match vt {
+                    _ if std_ctor => vars.insert(name, Ty::Std),
+                    Some(vt) if ctorish => vars.insert(name, Ty::Concrete(vt.text.clone())),
+                    _ => vars.remove(&name),
+                };
             }
         }
         vars
@@ -703,6 +740,7 @@ impl Workspace {
         let b = t(body[bp - 1]);
         match b.kind {
             TokenKind::Literal => Ty::Std,
+            TokenKind::CloseParen if std_ctor_start(file, body, bp - 1).is_some() => Ty::Std,
             TokenKind::Ident if b.is_ident("self") => self_ty(&info.func),
             TokenKind::Ident => {
                 let prev_dot = bp >= 2 && t(body[bp - 2]).is_punct('.');
@@ -838,6 +876,40 @@ impl Workspace {
         }
         self.free_by_name.get(name).cloned().unwrap_or_default()
     }
+}
+
+/// If body position `close` is the `)` of a call to a std
+/// constructor that returns its own type — `StdType::new(..)` or
+/// `std::…::Type::with_capacity(..)`, never a [`DEREF_TYPES`] one —
+/// the body position where that call's path starts.
+fn std_ctor_start(file: &SourceFile, body: &[usize], close: usize) -> Option<usize> {
+    let toks = &file.scope.tokens;
+    let t = |k: usize| &toks[file.view[k]];
+    if t(body[close]).kind != TokenKind::CloseParen {
+        return None;
+    }
+    let mut depth = 0usize;
+    let mut open = close;
+    loop {
+        match t(body[open]).kind {
+            TokenKind::CloseParen => depth += 1,
+            TokenKind::OpenParen => depth -= 1,
+            _ => {}
+        }
+        if depth == 0 {
+            break;
+        }
+        open = open.checked_sub(1)?;
+    }
+    let ctor = open.checked_sub(1)?;
+    if !SELF_CTORS.contains(&t(body[ctor]).text.as_str()) {
+        return None;
+    }
+    let segments = path_segments(toks, &file.view, body, ctor);
+    let (first, ty) = (segments.first()?.as_str(), segments.last()?.as_str());
+    let std_path = matches!(first, "std" | "core" | "alloc") && segments.len() > 1;
+    let std_type = segments.len() == 1 && STD_TYPES.contains(&ty);
+    ((std_path || std_type) && !DEREF_TYPES.contains(&ty)).then(|| ctor - 3 * segments.len())
 }
 
 /// The type `self` has inside function `f`.
@@ -1184,6 +1256,33 @@ mod tests {
             w.facts[touch].calls.is_empty(),
             "Vec::push / slice len must not link to workspace fns"
         );
+    }
+
+    #[test]
+    fn std_constructed_receivers_are_cut_off() {
+        let w = ws(&[(
+            "crates/a/src/lib.rs",
+            "struct S;\nimpl S { pub fn push(&self) {} pub fn name(&self) {} }\n\
+             fn local() { let mut out = Vec::with_capacity(4); out.push(1); }\n\
+             fn chained() { let _ = std::thread::Builder::new().name(n); }\n",
+        )]);
+        assert!(w.facts[id_of(&w, "local")].calls.is_empty());
+        assert!(w.facts[id_of(&w, "chained")].calls.is_empty());
+    }
+
+    #[test]
+    fn std_typing_stops_where_it_would_cut_a_real_edge() {
+        let w = ws(&[(
+            "crates/a/src/lib.rs",
+            "struct Foo;\nimpl Foo { pub fn go(&self) {} pub fn push(&self) {} }\n\
+             fn deref() { let a = Arc::new(Foo); a.go(); }\n\
+             fn shadowed() { let x = Vec::new(); let x = make(); x.push(1); }\n\
+             fn free_std_fn(y: u8) { std::mem::take(&mut y).go(); }\n",
+        )]);
+        let (go, push) = (id_of(&w, "go"), id_of(&w, "push"));
+        assert_eq!(w.facts[id_of(&w, "deref")].calls, vec![go]);
+        assert_eq!(w.facts[id_of(&w, "shadowed")].calls, vec![push]);
+        assert_eq!(w.facts[id_of(&w, "free_std_fn")].calls, vec![go]);
     }
 
     #[test]

@@ -104,24 +104,15 @@ impl FileScope {
         }
     }
 
-    /// Whether lint `name` is allowed at `line` (annotation on the same
-    /// line or the line directly above).
-    pub fn is_allowed(&self, name: &str, line: u32) -> bool {
-        [line, line.saturating_sub(1)].iter().any(|l| {
+    /// The line of the `allow(<name>)` marker covering `line` (on the
+    /// same line or the line directly above), if any.
+    pub fn allowed_at(&self, name: &str, line: u32) -> Option<u32> {
+        [line, line.saturating_sub(1)].into_iter().find(|l| {
             self.allows.get(l).is_some_and(|ms| {
                 ms.iter()
                     .any(|m| matches!(m, Marker::Allow { lint, .. } if lint == name))
             })
         })
-    }
-
-    /// The function whose body contains token index `i`, if any (the
-    /// innermost one — nested items resolve to the closest `fn`).
-    pub fn enclosing_fn(&self, i: usize) -> Option<&Function> {
-        self.functions
-            .iter()
-            .filter(|f| f.body.is_some_and(|(open, close)| open < i && i < close))
-            .max_by_key(|f| f.body.map(|(open, _)| open))
     }
 }
 
@@ -719,24 +710,10 @@ mod tests {
         assert_eq!(s.hot_markers.len(), 1);
         let bound = s.hot_markers[0].1.expect("hot marker must bind");
         assert!(s.tokens[bound].is_ident("fn"));
-        assert!(s.is_allowed("panic", 5));
-        assert!(!s.is_allowed("alloc", 5));
+        assert_eq!(s.allowed_at("panic", 5), Some(4));
+        assert_eq!(s.allowed_at("alloc", 5), None);
         // allow without a reason is malformed.
         assert_eq!(s.malformed_markers.len(), 1);
-    }
-
-    #[test]
-    fn enclosing_fn_resolves_innermost() {
-        let s = parse("fn outer() { fn inner() { marker(); } }");
-        let marker_idx = s
-            .tokens
-            .iter()
-            .position(|t| t.is_ident("marker"))
-            .expect("token present");
-        assert_eq!(
-            s.enclosing_fn(marker_idx).map(|f| f.name.as_str()),
-            Some("inner")
-        );
     }
 
     #[test]

@@ -36,6 +36,23 @@ fn ids_and_lines(findings: &[Finding]) -> Vec<(&'static str, u32)> {
     findings.iter().map(|f| (f.lint, f.line)).collect()
 }
 
+/// The call chain an interprocedural finding prints (`(path: a → b)`,
+/// `(hot via a → b)`), one label per hop.
+fn chain(f: &Finding) -> Vec<&str> {
+    let m = &f.message;
+    let at = m
+        .find("path: ")
+        .map(|i| i + "path: ".len())
+        .or_else(|| m.find("via ").map(|i| i + "via ".len()))
+        .unwrap_or_else(|| panic!("no chain in {m:?}"));
+    m[at..]
+        .split(')')
+        .next()
+        .unwrap_or_default()
+        .split(" → ")
+        .collect()
+}
+
 #[test]
 fn l1_bad_flags_every_panic_shape() {
     let f = lint("l1_bad.rs", SERVING);
@@ -103,11 +120,10 @@ fn ws_panic_reach_reports_the_cross_crate_chain() {
     assert_eq!(f.lint, "L1");
     assert_eq!(f.file, "crates/back/src/back.rs", "{f:#?}");
     assert_eq!(
-        f.chain,
+        chain(f),
         vec!["front.rs:query", "back.rs:decode", "back.rs:inner"],
         "{f:#?}"
     );
-    assert!(f.message.contains("front.rs:query"), "{f:#?}");
 }
 
 #[test]
@@ -117,7 +133,7 @@ fn ws_transitive_alloc_flags_two_hops_below_the_marker() {
     let f = &r.findings[0];
     assert_eq!(f.lint, "L2");
     assert_eq!(
-        f.chain,
+        chain(f),
         vec!["kern.rs:kernel", "kern.rs:mid", "kern.rs:leaf"],
         "{f:#?}"
     );
@@ -129,13 +145,14 @@ fn ws_recursion_terminates_and_chains_through_the_cycle() {
     assert_eq!(r.findings.len(), 1, "{:#?}", r.findings);
     let f = &r.findings[0];
     assert_eq!(f.lint, "L1");
-    assert_eq!(f.chain.first().map(String::as_str), Some("cy.rs:serve"));
-    assert_eq!(f.chain.last().map(String::as_str), Some("cy.rs:boom"));
+    let path = chain(f);
+    assert_eq!(path.first(), Some(&"cy.rs:serve"), "{f:#?}");
+    assert_eq!(path.last(), Some(&"cy.rs:boom"), "{f:#?}");
     // The chain is an acyclic path, not an unrolled cycle.
-    let mut sorted = f.chain.clone();
-    sorted.sort();
+    let mut sorted = path.clone();
+    sorted.sort_unstable();
     sorted.dedup();
-    assert_eq!(sorted.len(), f.chain.len(), "chain repeats a node: {f:#?}");
+    assert_eq!(sorted.len(), path.len(), "chain repeats a node: {f:#?}");
 }
 
 #[test]
@@ -144,8 +161,9 @@ fn ws_trait_fallback_fans_out_to_the_panicking_impl() {
     assert_eq!(r.findings.len(), 1, "{:#?}", r.findings);
     let f = &r.findings[0];
     assert_eq!(f.lint, "L1");
-    assert_eq!(f.chain.first().map(String::as_str), Some("m.rs:serve"));
-    assert_eq!(f.chain.last().map(String::as_str), Some("m.rs:eval"));
+    let path = chain(f);
+    assert_eq!(path.first(), Some(&"m.rs:serve"), "{f:#?}");
+    assert_eq!(path.last(), Some(&"m.rs:eval"), "{f:#?}");
 }
 
 #[test]

@@ -23,7 +23,6 @@ pub fn ln_gamma(x: f64) -> f64 {
         9.984_369_578_019_572e-6,
         1.505_632_735_149_311_6e-7,
     ];
-    // lint: allow(panic) — domain precondition: every in-tree caller passes x >= 1 (binomial arguments are counts + 1)
     assert!(x > 0.0, "ln_gamma requires x > 0, got {x}");
     if x < 0.5 {
         // Reflection formula: Γ(x)Γ(1-x) = π / sin(πx).

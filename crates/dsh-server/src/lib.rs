@@ -1,4 +1,4 @@
-//! TCP serving layer for the sharded index (ROADMAP item 1).
+//! TCP serving layer for the sharded index.
 //!
 //! Three pieces:
 //!

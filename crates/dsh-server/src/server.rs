@@ -52,30 +52,27 @@ use crate::protocol::{
     Request, ServerInfo, Status, WireElem, WireQueryResult, MAX_FRAME,
 };
 
-/// Tuning knobs for [`serve`].
+/// What [`serve`] needs to know about the index it serves.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Elements per point row; every wire row must match. Must be
     /// nonzero.
     pub row_elems: usize,
-    /// Socket read timeout — the tick at which idle connection handlers
-    /// re-check the shutdown flag.
-    pub read_timeout: Duration,
-    /// Sleep between accept polls when no connection is pending.
-    pub accept_poll: Duration,
 }
 
 impl ServerConfig {
-    /// Defaults for a `row_elems`-shaped index: 25 ms read timeout,
-    /// 1 ms accept poll.
+    /// The configuration for a `row_elems`-shaped index.
     pub fn new(row_elems: usize) -> Self {
-        ServerConfig {
-            row_elems,
-            read_timeout: Duration::from_millis(25),
-            accept_poll: Duration::from_millis(1),
-        }
+        ServerConfig { row_elems }
     }
 }
+
+/// Socket read timeout: the tick at which idle connection handlers
+/// re-check the shutdown flag.
+const READ_TIMEOUT: Duration = Duration::from_millis(25);
+
+/// Sleep between accept polls when no connection is pending.
+const ACCEPT_POLL: Duration = Duration::from_millis(1);
 
 /// How long one socket write may make no progress before its connection
 /// is torn down. A handler blocked in a write cannot poll the shutdown
@@ -127,24 +124,23 @@ where
             match listener.accept() {
                 Ok((stream, _peer)) => {
                     let shared = &shared;
-                    let config = &config;
                     scope.spawn(move || {
                         // A connection dying (io error, teardown-class
                         // protocol violation) takes down its handler
                         // thread only, never the server.
-                        let _ = handle_connection(stream, shared, config);
+                        let _ = handle_connection(stream, shared);
                     });
                 }
                 Err(e)
                     if e.kind() == std::io::ErrorKind::WouldBlock
                         || e.kind() == std::io::ErrorKind::Interrupted =>
                 {
-                    std::thread::sleep(config.accept_poll);
+                    std::thread::sleep(ACCEPT_POLL);
                 }
                 Err(_) => {
                     // Accept failures (fd pressure, transient network
                     // errors) must not kill the serving loop.
-                    std::thread::sleep(config.accept_poll);
+                    std::thread::sleep(ACCEPT_POLL);
                 }
             }
         }
@@ -276,18 +272,14 @@ fn read_frame_polling(
     Ok(ConnRead::Frame)
 }
 
-fn handle_connection<E, S>(
-    mut stream: TcpStream,
-    shared: &Shared<'_, S>,
-    config: &ServerConfig,
-) -> std::io::Result<()>
+fn handle_connection<E, S>(mut stream: TcpStream, shared: &Shared<'_, S>) -> std::io::Result<()>
 where
     E: WireElem,
     S: PointStore<Row = [E]>,
     [E]: AsRow<Row = [E]>,
 {
     stream.set_nodelay(true).ok();
-    stream.set_read_timeout(Some(config.read_timeout))?;
+    stream.set_read_timeout(Some(READ_TIMEOUT))?;
     stream.set_write_timeout(Some(WRITE_STALL_TIMEOUT))?;
     let mut buf = Vec::new();
     // Every query on this connection reuses one scratch, whatever

@@ -475,7 +475,7 @@ fn stop_returns_while_an_idle_client_stays_connected() {
     let (done, stopped) = std::sync::mpsc::channel();
     std::thread::spawn(move || done.send(server.stop()));
     let served = stopped
-        .recv_timeout(80 * ServerConfig::new(1).read_timeout)
+        .recv_timeout(Duration::from_secs(2))
         .expect("stop() did not return while a client was connected")
         .unwrap();
     assert_eq!(served.len(), 3);
