@@ -8,36 +8,17 @@
 //! relevant domains; this module centralizes the conversions so that each
 //! construction can state its CPF in the paper's native parameterization.
 //!
-//! The point-pair measures here are thin names over the owned-point
-//! methods, which in turn call the runtime-dispatched kernels in
-//! [`crate::kernels`] — one implementation per metric in the workspace,
-//! SIMD-accelerated where the CPU supports it.
+//! The plain point-pair measures are the owned-point methods
+//! ([`DenseVector::dot`], [`DenseVector::euclidean`],
+//! [`BitVector::hamming`], [`BitVector::relative_hamming`]), which call
+//! the runtime-dispatched kernels in [`crate::kernels`]; this module adds
+//! only the measures derived from them.
 
 use crate::points::{BitVector, DenseVector};
-
-/// Inner product `<x, y>`.
-pub fn inner_product(x: &DenseVector, y: &DenseVector) -> f64 {
-    x.dot(y)
-}
-
-/// Euclidean distance `||x - y||_2`.
-pub fn euclidean_distance(x: &DenseVector, y: &DenseVector) -> f64 {
-    x.euclidean(y)
-}
 
 /// Angular distance: the angle between unit vectors, in radians.
 pub fn angular_distance(x: &DenseVector, y: &DenseVector) -> f64 {
     x.dot(y).clamp(-1.0, 1.0).acos()
-}
-
-/// Absolute Hamming distance.
-pub fn hamming_distance(x: &BitVector, y: &BitVector) -> u64 {
-    x.hamming(y)
-}
-
-/// Relative Hamming distance in `[0, 1]`.
-pub fn relative_hamming(x: &BitVector, y: &BitVector) -> f64 {
-    x.relative_hamming(y)
 }
 
 /// The Hamming similarity of §3: `simH(x, y) = 1 - 2 ||x - y||_1 / d`,
@@ -110,8 +91,8 @@ mod tests {
         let mut rng = seeded(8);
         let x = DenseVector::random_unit(&mut rng, 40);
         let y = DenseVector::random_unit(&mut rng, 40);
-        let alpha = inner_product(&x, &y);
-        let tau = euclidean_distance(&x, &y);
+        let alpha = x.dot(&y);
+        let tau = x.euclidean(&y);
         assert!((alpha_to_euclidean(alpha) - tau).abs() < 1e-10);
     }
 
@@ -159,8 +140,8 @@ mod tests {
     fn free_function_wrappers() {
         let x = BitVector::from_bools(&[true, false, true, true]);
         let y = BitVector::from_bools(&[true, true, false, true]);
-        assert_eq!(hamming_distance(&x, &y), 2);
-        assert!((relative_hamming(&x, &y) - 0.5).abs() < 1e-15);
+        assert_eq!(x.hamming(&y), 2);
+        assert!((x.relative_hamming(&y) - 0.5).abs() < 1e-15);
         assert!((sim_h(&x, &y) - 0.0).abs() < 1e-15);
     }
 }

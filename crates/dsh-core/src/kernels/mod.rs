@@ -44,10 +44,10 @@
 //! # Prefetch
 //!
 //! The batch kernels prefetch the candidate row a fixed distance ahead
-//! of the gather walk; [`prefetch_read`] / [`prefetch_span`] expose the
-//! same hint to the index layer (CSR id walks, visited-stamp probes,
-//! verification row gathers). All of it compiles to nothing off x86_64
-//! and is disabled at runtime on the scalar tier.
+//! of the gather walk (which is why candidate verification goes through
+//! them); [`prefetch_read`] exposes the same hint to the index layer's
+//! CSR walks and visited-stamp probes. All of it compiles to nothing off
+//! x86_64 and is disabled at runtime on the scalar tier.
 
 pub mod scalar;
 #[cfg(target_arch = "x86_64")]
@@ -219,21 +219,6 @@ pub fn prefetch_read<T>(data: &[T], index: usize) {
     }
 }
 
-/// Best-effort prefetch of the span `data[start..start + len]` (up to
-/// eight cache lines — one full 64-dimensional f64 row). Same gating as
-/// [`prefetch_read`].
-#[inline]
-pub fn prefetch_span<T>(data: &[T], start: usize, len: usize) {
-    #[cfg(target_arch = "x86_64")]
-    if active().prefetch {
-        x86::prefetch_span(data, start, len);
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = (data, start, len);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,10 +247,14 @@ mod tests {
         let data = [1.0f64; 8];
         prefetch_read(&data, 0);
         prefetch_read(&data, 1 << 40);
-        prefetch_span(&data, 0, 8);
-        prefetch_span(&data, 4, usize::MAX); // start + len overflows
-        prefetch_span(&data, 9, 1);
-        prefetch_span(&data, 0, 0);
+        // The batch kernels' row prefetch.
+        #[cfg(target_arch = "x86_64")]
+        {
+            x86::prefetch_span(&data, 0, 8);
+            x86::prefetch_span(&data, 4, usize::MAX); // start + len overflows
+            x86::prefetch_span(&data, 9, 1);
+            x86::prefetch_span(&data, 0, 0);
+        }
     }
 
     #[test]

@@ -20,14 +20,16 @@
 //! * [`points`] — packed [`points::BitVector`] for Hamming space and
 //!   [`points::DenseVector`] for `R^d`, plus the flat storage layer
 //!   ([`points::DenseStore`] / [`points::BitStore`] with the
-//!   [`points::PointStore`] trait and slice distance kernels) that the
-//!   index substrate hashes and verifies against;
+//!   [`points::PointStore`] trait, its closed per-store metrics and slice
+//!   distance kernels) that the index substrate hashes and verifies
+//!   against;
 //! * [`kernels`] — the six distance kernels (`dot`/`euclidean`/`hamming`
 //!   and batch variants) behind a one-time runtime SIMD dispatch
 //!   (scalar / SSE2 / AVX2 tiers, bit-identical f64 results, software
 //!   prefetch hints for the index layer);
-//! * [`distance`] — the distance/similarity measures used throughout the
-//!   paper, including the `simH` similarity of §3;
+//! * [`distance`] — the derived measures (angular distance, the `simH`
+//!   similarity of §3) and the conversions between the paper's
+//!   parameterizations;
 //! * [`combinators`] — Lemma 1.4: concatenation/powering (CPF product) and
 //!   mixtures (CPF convex combination), plus constant families from which
 //!   scaling and biasing are derived;

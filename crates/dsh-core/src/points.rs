@@ -12,7 +12,9 @@
 //! * the [`PointStore`] trait over row-addressable, append-only point
 //!   collections, with [`DenseStore`] (row-major `Vec<f64>`) and
 //!   [`BitStore`] (contiguous `Vec<u64>` blocks) as the flat
-//!   implementations;
+//!   implementations, each with its closed set of exact measures
+//!   ([`DenseMetric`], [`BitMetric`]) evaluated per row or through its
+//!   batch kernels;
 //! * the snapshot-friendly [`ChunkedStore`] wrapper: frozen `Arc`-shared
 //!   chunks plus a small mutable tail, so cloning a store for an
 //!   immutable snapshot costs the tail, not the dataset — the storage
@@ -370,6 +372,57 @@ macro_rules! self_row {
 self_row!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, f32, f64, bool);
 
 // ---------------------------------------------------------------------------
+// Metrics
+// ---------------------------------------------------------------------------
+
+/// The exact measures over packed bit rows ([`BitStore`]'s
+/// [`PointStore::Metric`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BitMetric {
+    /// Absolute Hamming distance `||x - y||_1`.
+    Hamming,
+    /// Relative Hamming distance `||x - y||_1 / d` in dimension `d`. A
+    /// row only knows its block count, so the dimension is carried here,
+    /// and every evaluation asserts the rows span `d.div_ceil(64)`
+    /// blocks: a metric built for the wrong dimension fails loudly
+    /// instead of silently rescaling every distance.
+    RelativeHamming(usize),
+}
+
+impl BitMetric {
+    /// The metric's value for a Hamming distance between rows of
+    /// `blocks` blocks.
+    #[inline]
+    fn of(&self, hamming: u64, blocks: usize) -> f64 {
+        match *self {
+            BitMetric::Hamming => hamming as f64,
+            BitMetric::RelativeHamming(d) => {
+                assert_eq!(
+                    blocks,
+                    d.div_ceil(64),
+                    "row has {blocks} blocks but the measure was built for d = {d}"
+                );
+                hamming as f64 / d as f64
+            }
+        }
+    }
+}
+
+/// A caller-supplied measure over dense rows ([`DenseMetric::Custom`]).
+pub type CustomMeasure = Box<dyn Fn(&[f64], &[f64]) -> f64 + Send + Sync>;
+
+/// The exact measures over dense rows ([`DenseStore`]'s
+/// [`PointStore::Metric`]).
+pub enum DenseMetric {
+    /// Inner product `<x, y>` (the sphere similarity).
+    InnerProduct,
+    /// Euclidean distance `||x - y||_2`.
+    Euclidean,
+    /// Any other measure, called as `f(row, query)`; verified row by row.
+    Custom(CustomMeasure),
+}
+
+// ---------------------------------------------------------------------------
 // Point stores
 // ---------------------------------------------------------------------------
 
@@ -394,6 +447,12 @@ pub trait PointStore: Clone + Send + Sync {
     /// The borrowed row type handed to hash functions and measures.
     type Row: ?Sized + 'static;
 
+    /// The exact measures candidates over these rows are verified with
+    /// ([`BitMetric`] for packed bit rows, [`DenseMetric`] for dense
+    /// ones): a closed set, so a measure that does not fit the row type
+    /// does not compile.
+    type Metric: Send + Sync;
+
     /// Number of stored points.
     fn len(&self) -> usize;
 
@@ -405,14 +464,22 @@ pub trait PointStore: Clone + Send + Sync {
     /// Borrow row `i`.
     fn row(&self, i: usize) -> &Self::Row;
 
-    /// Hint that row `i` will be read soon: best-effort software prefetch
-    /// of the row's cache lines. The default is a no-op; the flat stores
-    /// forward to [`crate::kernels::prefetch_span`] (itself a no-op off
-    /// x86_64 and under the scalar dispatch tier). Out-of-bounds indices
-    /// are silently ignored — a hint must never be the bounds check.
-    #[inline]
-    fn prefetch_row(&self, i: usize) {
-        let _ = i;
+    /// The measure `metric` between the rows `x` and `y`.
+    fn measure(metric: &Self::Metric, x: &Self::Row, y: &Self::Row) -> f64;
+
+    /// [`PointStore::measure`] of rows `ids` to `q`, written to `out`
+    /// (cleared first) in `ids` order and bit-identical to measuring row
+    /// by row. The flat stores override this with their batch kernels,
+    /// which prefetch the rows a few ids ahead themselves.
+    fn measure_many(
+        &self,
+        metric: &Self::Metric,
+        ids: &[usize],
+        q: &Self::Row,
+        out: &mut Vec<f64>,
+    ) {
+        out.clear();
+        out.extend(ids.iter().map(|&i| Self::measure(metric, self.row(i), q)));
     }
 
     /// Append one row (must match the store's row shape).
@@ -553,16 +620,28 @@ impl From<Vec<DenseVector>> for DenseStore {
 
 impl PointStore for DenseStore {
     type Row = [f64];
+    type Metric = DenseMetric;
     fn len(&self) -> usize {
         self.n
     }
     fn row(&self, i: usize) -> &[f64] {
         DenseStore::row(self, i)
     }
-    #[inline]
-    fn prefetch_row(&self, i: usize) {
-        if let Some(start) = i.checked_mul(self.dim) {
-            crate::kernels::prefetch_span(&self.data, start, self.dim);
+    fn measure(metric: &DenseMetric, x: &[f64], y: &[f64]) -> f64 {
+        match metric {
+            DenseMetric::InnerProduct => dot(x, y),
+            DenseMetric::Euclidean => euclidean(x, y),
+            DenseMetric::Custom(f) => f(x, y),
+        }
+    }
+    fn measure_many(&self, metric: &DenseMetric, ids: &[usize], q: &[f64], out: &mut Vec<f64>) {
+        match metric {
+            DenseMetric::InnerProduct => self.dot_many(ids, q, out),
+            DenseMetric::Euclidean => self.euclidean_many(ids, q, out),
+            DenseMetric::Custom(f) => {
+                out.clear();
+                out.extend(ids.iter().map(|&i| f(self.row(i), q)));
+            }
         }
     }
     fn push_row(&mut self, row: &[f64]) {
@@ -715,17 +794,21 @@ impl From<Vec<BitVector>> for BitStore {
 
 impl PointStore for BitStore {
     type Row = [u64];
+    type Metric = BitMetric;
     fn len(&self) -> usize {
         self.n
     }
     fn row(&self, i: usize) -> &[u64] {
         BitStore::row(self, i)
     }
-    #[inline]
-    fn prefetch_row(&self, i: usize) {
-        if let Some(start) = i.checked_mul(self.blocks_per_row) {
-            crate::kernels::prefetch_span(&self.blocks, start, self.blocks_per_row);
-        }
+    fn measure(metric: &BitMetric, x: &[u64], y: &[u64]) -> f64 {
+        metric.of(hamming(x, y), x.len())
+    }
+    fn measure_many(&self, metric: &BitMetric, ids: &[usize], q: &[u64], out: &mut Vec<f64>) {
+        let mut dists = Vec::with_capacity(ids.len());
+        self.hamming_many(ids, q, &mut dists);
+        out.clear();
+        out.extend(dists.into_iter().map(|h| metric.of(h, self.blocks_per_row)));
     }
     fn push_row(&mut self, row: &[u64]) {
         BitStore::push_row(self, row);
@@ -857,6 +940,7 @@ impl<S: PointStore> ChunkedStore<S> {
 
 impl<S: PointStore> PointStore for ChunkedStore<S> {
     type Row = S::Row;
+    type Metric = S::Metric;
 
     fn len(&self) -> usize {
         self.tail_start + self.tail.len()
@@ -872,14 +956,8 @@ impl<S: PointStore> PointStore for ChunkedStore<S> {
         self.chunks[c].row(i - self.starts[c])
     }
 
-    #[inline]
-    fn prefetch_row(&self, i: usize) {
-        if i >= self.tail_start {
-            self.tail.prefetch_row(i - self.tail_start);
-            return;
-        }
-        let c = self.starts.partition_point(|&s| s <= i) - 1;
-        self.chunks[c].prefetch_row(i - self.starts[c]);
+    fn measure(metric: &S::Metric, x: &S::Row, y: &S::Row) -> f64 {
+        S::measure(metric, x, y)
     }
 
     fn push_row(&mut self, row: &S::Row) {

@@ -12,10 +12,9 @@
 //! comparison for the DSH applications (§6) and to exercise the same
 //! [`Frontend`] substrate with a symmetric family.
 
-use crate::annulus::Measure;
-use crate::frontend::{assert_non_empty, measured, Frontend, Verifier};
+use crate::frontend::{assert_non_empty, Frontend, Select};
 use crate::shard::Snapshot;
-use crate::table::{HashTableIndex, QueryStats};
+use crate::table::HashTableIndex;
 use dsh_core::combinators::Power;
 use dsh_core::family::DshFamily;
 use dsh_core::points::PointStore;
@@ -85,39 +84,11 @@ pub fn ann_params(n: usize, p1: f64, p2: f64, factor: f64) -> AnnParams {
     }
 }
 
-/// The near-neighbor [`Verifier`]: keep the first retrieved candidate
-/// within distance `r2`, giving up after `3L` retrieved entries (the
-/// standard Markov cutoff).
-pub struct FirstWithin<R: ?Sized> {
-    measure: Measure<R>,
-    r2: f64,
-    params: AnnParams,
-}
-
-impl<R: ?Sized + 'static> Verifier<R> for FirstWithin<R> {
-    type Answer = Option<usize>;
-
-    fn retrieval_limit(&self, l: usize) -> Option<usize> {
-        Some(3 * l)
-    }
-
-    fn verify<S: PointStore<Row = R>>(
-        &self,
-        snapshot: &Snapshot<S>,
-        cands: &[usize],
-        q: &R,
-        stats: &mut QueryStats,
-    ) -> Option<usize> {
-        measured(snapshot, &self.measure, cands, q, stats)
-            .find(|&(_, v)| v <= self.r2)
-            .map(|(i, _)| i)
-    }
-}
-
 /// `(r1, r2)`-near-neighbor index: if some point is within `r1` of the
-/// query, [`Frontend::query`] returns (w.c.p.) a point within `r2`.
-pub type NearNeighborIndex<S, B = HashTableIndex<S>> =
-    Frontend<S, B, FirstWithin<<S as PointStore>::Row>>;
+/// query, [`Frontend::query`] returns (w.c.p.) a point within `r2` — the
+/// first retrieved candidate within `r2`, giving up after `3L` retrieved
+/// entries (the standard Markov cutoff).
+pub type NearNeighborIndex<S, B = HashTableIndex<S>> = Frontend<S, B, Option<usize>>;
 
 impl<S: PointStore, B: Borrow<Snapshot<S>>> NearNeighborIndex<S, B> {
     /// Derive `(k, L)` for an anticipated live set of `n` points from the
@@ -130,7 +101,7 @@ impl<S: PointStore, B: Borrow<Snapshot<S>>> NearNeighborIndex<S, B> {
     #[allow(clippy::too_many_arguments)] // mirrors the theorem's parameter list
     pub fn over<F: DshFamily<S::Row> + ?Sized>(
         family: &F,
-        measure: Measure<S::Row>,
+        metric: S::Metric,
         r2: f64,
         n: usize,
         p1: f64,
@@ -144,19 +115,8 @@ impl<S: PointStore, B: Borrow<Snapshot<S>>> NearNeighborIndex<S, B> {
         );
         let params = ann_params(n.max(2), p1, p2, factor);
         let backend = backend(&Power::new(family, params.k), params.l);
-        Frontend::new(
-            backend,
-            FirstWithin {
-                measure,
-                r2,
-                params,
-            },
-        )
-    }
-
-    /// The derived `(k, L, rho)`.
-    pub fn params(&self) -> AnnParams {
-        self.verifier.params
+        let (lo, hi, limit) = (f64::NEG_INFINITY, r2, Some(3));
+        Frontend::new(backend, metric, Select { lo, hi, limit })
     }
 }
 
@@ -166,7 +126,7 @@ impl<S: PointStore> NearNeighborIndex<S> {
     #[allow(clippy::too_many_arguments)] // mirrors the theorem's parameter list
     pub fn build(
         family: &(impl DshFamily<S::Row> + ?Sized),
-        measure: Measure<S::Row>,
+        metric: S::Metric,
         r2: f64,
         points: S,
         p1: f64,
@@ -176,7 +136,7 @@ impl<S: PointStore> NearNeighborIndex<S> {
     ) -> Self {
         assert_non_empty(&points);
         let n = points.len();
-        Self::over(family, measure, r2, n, p1, p2, factor, |g, l| {
+        Self::over(family, metric, r2, n, p1, p2, factor, |g, l| {
             HashTableIndex::build(g, points, l, rng)
         })
     }
@@ -303,7 +263,7 @@ mod tests {
         );
         let (hit, stats) = idx.query(&q);
         assert!(hit.is_none());
-        assert!(stats.candidates_retrieved <= 3 * idx.params().l);
+        assert!(stats.candidates_retrieved <= 3 * idx.repetitions());
     }
 
     #[test]

@@ -9,20 +9,13 @@
 //! `O(L)` regardless of how adversarial the data is.
 
 use crate::ann::repetition_count;
-use crate::frontend::{assert_non_empty, measured, Frontend, Verifier};
+use crate::frontend::{assert_non_empty, Frontend, Select};
 use crate::shard::Snapshot;
-use crate::table::{HashTableIndex, QueryStats};
+use crate::table::HashTableIndex;
 use dsh_core::family::DshFamily;
 use dsh_core::points::PointStore;
 use rand::Rng;
 use std::borrow::Borrow;
-
-/// A pairwise measure (distance or similarity — the structure is
-/// agnostic) over borrowed rows, used to verify candidates exactly.
-/// Operating on rows (not owned points) is what lets the verification
-/// pass stream a flat store's contiguous rows; see [`crate::measures`]
-/// for the stock kernels.
-pub type Measure<R> = Box<dyn Fn(&R, &R) -> f64 + Send + Sync>;
 
 /// Result of an annulus query.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -33,53 +26,27 @@ pub struct AnnulusMatch {
     pub value: f64,
 }
 
-/// The annulus [`Verifier`]: keep the first retrieved candidate whose
-/// measure lies in the reporting interval `[lo, hi]`, giving up after
-/// `8L` retrieved entries (the Theorem 6.1 termination rule).
-pub struct Interval<R: ?Sized> {
-    measure: Measure<R>,
-    lo: f64,
-    hi: f64,
-}
-
-impl<R: ?Sized + 'static> Verifier<R> for Interval<R> {
-    type Answer = Option<AnnulusMatch>;
-
-    fn retrieval_limit(&self, l: usize) -> Option<usize> {
-        Some(8 * l)
-    }
-
-    fn verify<S: PointStore<Row = R>>(
-        &self,
-        snapshot: &Snapshot<S>,
-        cands: &[usize],
-        q: &R,
-        stats: &mut QueryStats,
-    ) -> Option<AnnulusMatch> {
-        measured(snapshot, &self.measure, cands, q, stats)
-            .find(|&(_, v)| v >= self.lo && v <= self.hi)
-            .map(|(index, value)| AnnulusMatch { index, value })
-    }
-}
-
 /// Annulus-search data structure: [`Frontend::query`] reports a point
-/// whose measure to the query lies in the reporting interval, given that
-/// one exists in the narrower planted interval.
-pub type AnnulusIndex<S, B = HashTableIndex<S>> = Frontend<S, B, Interval<<S as PointStore>::Row>>;
+/// whose measure to the query lies in the reporting interval `[lo, hi]`,
+/// given that one exists in the narrower planted interval — the first
+/// retrieved candidate inside it, giving up after `8L` retrieved entries
+/// (the Theorem 6.1 termination rule).
+pub type AnnulusIndex<S, B = HashTableIndex<S>> = Frontend<S, B, Option<AnnulusMatch>>;
 
 impl<S: PointStore, B: Borrow<Snapshot<S>>> AnnulusIndex<S, B> {
     /// Verify over an already-built `backend` — a [`crate::DynamicIndex`]
     /// or [`crate::ShardedIndex`] (which may start empty and is written
     /// through [`Frontend::backend_mut`]), or a [`crate::Snapshot`]. The
     /// reporting interval must be finite and non-empty.
-    pub fn over(backend: B, measure: Measure<S::Row>, report_interval: (f64, f64)) -> Self {
+    pub fn over(backend: B, metric: S::Metric, report_interval: (f64, f64)) -> Self {
         let (lo, hi) = report_interval;
         assert!(
             lo.is_finite() && hi.is_finite(),
             "AnnulusIndex: reporting interval ({lo}, {hi}) must be finite"
         );
         assert!(lo <= hi, "empty reporting interval");
-        Frontend::new(backend, Interval { measure, lo, hi })
+        let limit = Some(8);
+        Frontend::new(backend, metric, Select { lo, hi, limit })
     }
 }
 
@@ -89,7 +56,7 @@ impl<S: PointStore> AnnulusIndex<S> {
     /// recover a point at the peak measure `r` with constant probability.
     pub fn build(
         family: &(impl DshFamily<S::Row> + ?Sized),
-        measure: Measure<S::Row>,
+        metric: S::Metric,
         report_interval: (f64, f64),
         points: S,
         l: usize,
@@ -98,7 +65,7 @@ impl<S: PointStore> AnnulusIndex<S> {
         assert_non_empty(&points);
         Self::over(
             HashTableIndex::build(family, points, l, rng),
-            measure,
+            metric,
             report_interval,
         )
     }

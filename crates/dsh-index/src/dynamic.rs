@@ -252,7 +252,7 @@ mod tests {
     use super::*;
     use crate::batch::MAX_POINTS;
     use crate::table::{HashTableIndex, QueryStats};
-    use dsh_core::points::{BitStore, BitVector};
+    use dsh_core::points::{BitMetric, BitStore, BitVector};
     use dsh_hamming::BitSampling;
     use dsh_math::rng::seeded;
 
@@ -582,6 +582,7 @@ mod tests {
 
     impl PointStore for FakeHugeStore {
         type Row = [u64];
+        type Metric = BitMetric;
 
         fn len(&self) -> usize {
             self.claimed
@@ -593,6 +594,10 @@ mod tests {
 
         fn row(&self, _i: usize) -> &[u64] {
             &[0]
+        }
+
+        fn measure(metric: &BitMetric, x: &[u64], y: &[u64]) -> f64 {
+            BitStore::measure(metric, x, y)
         }
 
         fn push_row(&mut self, _row: &[u64]) {

@@ -1,17 +1,20 @@
 //! The one query surface of the §6 data structures.
 //!
 //! Every structure in the paper's §6 is the same algorithm: probe the `L`
-//! tables under `g`, then keep the candidates a predicate accepts. A
-//! [`Verifier`] is that predicate — how many bucket entries to retrieve
-//! as a function of `L`, what an answer looks like, and which candidates
-//! make it in — and [`Frontend`] runs it over the one walk of a
-//! [`Snapshot`]. The named indexes are aliases over the three verifiers:
+//! tables under `g`, then keep the candidates whose exact measure to the
+//! query lies in an interval. A `Select` is that rule — the interval
+//! and how many bucket entries to retrieve as a multiple of `L` — and the
+//! [`Answer`] type decides whether a query keeps the first candidate it
+//! accepts or all of them. [`Frontend`] runs it over the one walk of a
+//! [`Snapshot`], measuring candidates with the store's
+//! [`PointStore::Metric`]. The named indexes are aliases over the three
+//! answers:
 //!
-//! | alias | verifier | keeps |
+//! | alias | answer | keeps |
 //! |---|---|---|
-//! | [`crate::NearNeighborIndex`] | [`crate::ann::FirstWithin`] | first within `r2`, after at most `3L` entries |
-//! | [`crate::AnnulusIndex`] | [`crate::annulus::Interval`] | first inside `[lo, hi]`, after at most `8L` entries (Thm 6.1) |
-//! | [`crate::RangeReportingIndex`] | [`crate::range_reporting::AllWithin`] | all within `r_plus` (Thm 6.5) |
+//! | [`crate::NearNeighborIndex`] | `Option<usize>` | first within `r2`, after at most `3L` entries |
+//! | [`crate::AnnulusIndex`] | `Option<`[`crate::annulus::AnnulusMatch`]`>` | first inside `[lo, hi]`, after at most `8L` entries (Thm 6.1) |
+//! | [`crate::RangeReportingIndex`] | `Vec<usize>` | all within `r_plus` (Thm 6.5) |
 //!
 //! Hyperplane queries (§6.1) and sphere-annulus search (Theorem 6.4) are
 //! parameter derivations that return an [`crate::AnnulusIndex`]; see
@@ -25,63 +28,108 @@
 //! `idx.backend_mut().insert(&p)` on a dynamic or sharded backend — and
 //! the next query sees them.
 
-use crate::annulus::Measure;
+use crate::annulus::AnnulusMatch;
 use crate::parallel;
 use crate::shard::Snapshot;
-use crate::table::{QueryStats, ROW_AHEAD};
+use crate::table::QueryStats;
 use dsh_core::points::{AsRow, PointStore};
 use std::borrow::Borrow;
 use std::marker::PhantomData;
 
-/// The verification policy of a [`Frontend`] over rows of type `R`.
-pub trait Verifier<R: ?Sized>: Send + Sync {
-    /// What one query returns next to its [`QueryStats`].
-    type Answer: Send;
-
-    /// How many raw bucket entries a query may retrieve from an index
-    /// with `l` repetitions before giving up (`None`: no limit).
-    fn retrieval_limit(&self, l: usize) -> Option<usize>;
-
-    /// Turn the candidates `cands` (in retrieval order) that `snapshot`
-    /// retrieved into the answer for query row `q`, counting every exact
-    /// measure evaluation into `stats.distance_computations`.
-    fn verify<S: PointStore<Row = R>>(
-        &self,
-        snapshot: &Snapshot<S>,
-        cands: &[usize],
-        q: &R,
-        stats: &mut QueryStats,
-    ) -> Self::Answer;
+/// What a query keeps: the candidates whose measure lies in `[lo, hi]`,
+/// retrieving at most `limit · L` bucket entries (`None`: no limit).
+#[derive(Clone, Copy)]
+pub(crate) struct Select {
+    pub(crate) lo: f64,
+    pub(crate) hi: f64,
+    pub(crate) limit: Option<usize>,
 }
 
-/// The exact measure of each candidate to `q`, lazily and in retrieval
-/// order — the one verification loop every [`Verifier`] consumes. Each
-/// item pulled counts one distance computation, so a verifier that stops
-/// at the first acceptable candidate pays only for what it looked at.
-pub(crate) fn measured<'a, S: PointStore>(
-    snapshot: &'a Snapshot<S>,
-    measure: &'a Measure<S::Row>,
-    cands: &'a [usize],
-    q: &'a S::Row,
-    stats: &'a mut QueryStats,
-) -> impl Iterator<Item = (usize, f64)> + 'a {
+/// The answer of one query: the first accepted candidate, or all of
+/// them.
+pub trait Answer: Default + Send {
+    /// Whether the answer is complete at the first accepted candidate.
+    const FIRST: bool;
+
+    /// Record the accepted candidate `id` and its measure `value`.
+    fn keep(&mut self, id: usize, value: f64);
+}
+
+impl Answer for Option<usize> {
+    const FIRST: bool = true;
+    fn keep(&mut self, id: usize, _value: f64) {
+        *self = Some(id);
+    }
+}
+
+impl Answer for Option<AnnulusMatch> {
+    const FIRST: bool = true;
+    fn keep(&mut self, index: usize, value: f64) {
+        *self = Some(AnnulusMatch { index, value });
+    }
+}
+
+impl Answer for Vec<usize> {
+    const FIRST: bool = false;
+    fn keep(&mut self, id: usize, _value: f64) {
+        self.push(id);
+    }
+}
+
+/// Candidates measured per batch-kernel call while looking for a first
+/// match: enough to amortise the call, few enough that the work past the
+/// match stays small.
+const FIRST_MATCH_BLOCK: usize = 8;
+
+/// The one verification loop: measure the candidates `cands` (in
+/// retrieval order) that `snapshot` retrieved for query row `q` under
+/// `metric`, and keep the ones `select` accepts — the first, or all,
+/// as `A` says. Every candidate looked at up to the answer counts one
+/// distance computation, so a first-match answer pays only for what it
+/// looked at.
+///
+/// A flat snapshot measures through the store's batch kernel
+/// ([`PointStore::measure_many`]): the whole list at once for an
+/// all-match answer, [`FIRST_MATCH_BLOCK`] candidates at a time for a
+/// first-match one. A segmented snapshot measures row by row.
+pub(crate) fn verify<S: PointStore, A: Answer>(
+    snapshot: &Snapshot<S>,
+    metric: &S::Metric,
+    select: Select,
+    cands: &[usize],
+    q: &S::Row,
+    stats: &mut QueryStats,
+) -> A {
     let flat = snapshot.flat_rows();
-    cands.iter().enumerate().map(move |(j, &i)| {
-        // Gather the row a few candidates ahead so its cache misses
-        // overlap this candidate's distance computation.
-        if let Some(&ahead) = cands.get(j + ROW_AHEAD) {
-            match flat {
-                Some(rows) => rows.prefetch_row(ahead),
-                None => snapshot.prefetch_point(ahead),
+    let block = match (A::FIRST, flat) {
+        (false, _) => cands.len(),
+        (true, Some(_)) => FIRST_MATCH_BLOCK,
+        (true, None) => 1,
+    };
+    let mut answer = A::default();
+    let mut values = Vec::with_capacity(block.min(cands.len()));
+    for ids in cands.chunks(block.max(1)) {
+        match flat {
+            Some(rows) => rows.measure_many(metric, ids, q, &mut values),
+            None => {
+                values.clear();
+                values.extend(
+                    ids.iter()
+                        .map(|&i| S::measure(metric, snapshot.point(i), q)),
+                );
             }
         }
-        stats.distance_computations += 1;
-        let row = match flat {
-            Some(rows) => rows.row(i),
-            None => snapshot.point(i),
-        };
-        (i, measure(row, q))
-    })
+        for (&id, &value) in ids.iter().zip(&values) {
+            stats.distance_computations += 1;
+            if value >= select.lo && value <= select.hi {
+                answer.keep(id, value);
+                if A::FIRST {
+                    return answer;
+                }
+            }
+        }
+    }
+    answer
 }
 
 /// The contract of every static `build` constructor: the point set is
@@ -96,23 +144,26 @@ pub(crate) fn assert_non_empty(points: &impl PointStore) {
 }
 
 /// A query front-end: candidates from the [`Snapshot`] backend `B`
-/// owns, verified by `V`.
+/// owns, measured under the store's metric and kept by the `Select` of
+/// its constructor into the answer `A`.
 ///
 /// `S` is the point store the rows live in; it fixes the row type and
-/// makes [`crate::HashTableIndex<S>`] the default backend of the named
-/// aliases.
-pub struct Frontend<S: PointStore, B: Borrow<Snapshot<S>>, V: Verifier<S::Row>> {
+/// the metric, and makes [`crate::HashTableIndex<S>`] the default
+/// backend of the named aliases.
+pub struct Frontend<S: PointStore, B: Borrow<Snapshot<S>>, A: Answer> {
     backend: B,
-    pub(crate) verifier: V,
-    store: PhantomData<fn() -> S>,
+    metric: S::Metric,
+    select: Select,
+    answer: PhantomData<fn() -> A>,
 }
 
-impl<S: PointStore, B: Borrow<Snapshot<S>>, V: Verifier<S::Row>> Frontend<S, B, V> {
-    pub(crate) fn new(backend: B, verifier: V) -> Self {
+impl<S: PointStore, B: Borrow<Snapshot<S>>, A: Answer> Frontend<S, B, A> {
+    pub(crate) fn new(backend: B, metric: S::Metric, select: Select) -> Self {
         Frontend {
             backend,
-            verifier,
-            store: PhantomData,
+            metric,
+            select,
+            answer: PhantomData,
         }
     }
 
@@ -142,20 +193,19 @@ impl<S: PointStore, B: Borrow<Snapshot<S>>, V: Verifier<S::Row>> Frontend<S, B, 
 
     /// The retrieval budget of one query.
     fn limit(&self) -> Option<usize> {
-        self.verifier.retrieval_limit(self.repetitions())
+        self.select.limit.map(|k| k * self.repetitions())
     }
 
     /// Answer one query.
-    pub fn query<Q>(&self, q: &Q) -> (V::Answer, QueryStats)
+    pub fn query<Q>(&self, q: &Q) -> (A, QueryStats)
     where
         Q: AsRow<Row = S::Row> + ?Sized,
     {
         let snapshot = self.snapshot();
         let (cands, mut stats) =
             snapshot.candidates_with(q, self.limit(), &mut snapshot.new_scratch());
-        let answer = self
-            .verifier
-            .verify(snapshot, &cands, q.as_row(), &mut stats);
+        let q = q.as_row();
+        let answer = verify(snapshot, &self.metric, self.select, &cands, q, &mut stats);
         (answer, stats)
     }
 
@@ -163,7 +213,7 @@ impl<S: PointStore, B: Borrow<Snapshot<S>>, V: Verifier<S::Row>> Frontend<S, B, 
     /// worker threads with one reusable scratch buffer per worker.
     /// Results line up with `queries` and are identical to a
     /// query-at-a-time loop.
-    pub fn query_batch<QS>(&self, queries: &QS) -> Vec<(V::Answer, QueryStats)>
+    pub fn query_batch<QS>(&self, queries: &QS) -> Vec<(A, QueryStats)>
     where
         QS: PointStore<Row = S::Row>,
     {
@@ -174,18 +224,94 @@ impl<S: PointStore, B: Borrow<Snapshot<S>>, V: Verifier<S::Row>> Frontend<S, B, 
     /// (the output does not depend on it). Workers hash their queries in
     /// blocks ([`dsh_core::family::PointHasher::hash_many`]) and verify
     /// each row as soon as it is walked.
-    pub fn query_batch_with_threads<QS>(
-        &self,
-        queries: &QS,
-        threads: usize,
-    ) -> Vec<(V::Answer, QueryStats)>
+    pub fn query_batch_with_threads<QS>(&self, queries: &QS, threads: usize) -> Vec<(A, QueryStats)>
     where
         QS: PointStore<Row = S::Row>,
     {
-        let (snapshot, verifier) = (self.snapshot(), &self.verifier);
+        let (snapshot, metric, select) = (self.snapshot(), &self.metric, self.select);
         snapshot.map_rows_blocked(queries, self.limit(), threads, |q, cands, mut stats| {
-            let answer = verifier.verify(snapshot, &cands, q, &mut stats);
+            let answer = verify(snapshot, metric, select, &cands, q, &mut stats);
             (answer, stats)
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{DynamicIndex, HashTableIndex};
+    use dsh_core::points::{BitMetric, BitStore, BitVector};
+    use dsh_hamming::BitSampling;
+    use dsh_math::rng::seeded;
+
+    /// [`verify`]'s answer and its distance computations.
+    fn verified<A: Answer>(snapshot: &Snapshot<BitStore>, cands: &[usize]) -> (A, usize) {
+        let (lo, hi, limit) = (0.0, 0.05, None);
+        let (select, metric) = (Select { lo, hi, limit }, BitMetric::RelativeHamming(64));
+        let q = BitVector::zeros(64);
+        let mut stats = QueryStats::default();
+        let answer = verify(snapshot, &metric, select, cands, q.as_blocks(), &mut stats);
+        (answer, stats.distance_computations)
+    }
+
+    /// The one accepted candidate (id 0, at relative distance 3/64 from
+    /// the query; every other id is at 10/64) sits on both sides of a
+    /// first-match block edge, last, or nowhere in the list. A first-match
+    /// answer counts the candidates up to and including it, an all-match
+    /// answer the whole list, over a flat snapshot (batch kernel) and a
+    /// multi-chunk one (row by row) alike.
+    #[test]
+    fn first_match_accounting_across_block_edges() {
+        let (n, d) = (20, 64);
+        let points: Vec<BitVector> = (0..n)
+            .map(|i| {
+                BitVector::from_bools(
+                    &(0..d)
+                        .map(|b| b < 3 || (i > 0 && b < 10))
+                        .collect::<Vec<_>>(),
+                )
+            })
+            .collect();
+        let family = BitSampling::new(d);
+        let flat =
+            HashTableIndex::build(&family, BitStore::from(points.clone()), 2, &mut seeded(1));
+        let mut grown = DynamicIndex::build(
+            &family,
+            BitStore::from(points[..15].to_vec()),
+            2,
+            &mut seeded(1),
+        );
+        for p in &points[15..] {
+            grown.insert(p).unwrap();
+        }
+        assert!(flat.flat_rows().is_some() && grown.flat_rows().is_none());
+        for snapshot in [&*flat, &*grown] {
+            let row = snapshot.point(0);
+            let value = BitStore::measure(
+                &BitMetric::RelativeHamming(d),
+                row,
+                BitVector::zeros(d).as_blocks(),
+            );
+            let edge = FIRST_MATCH_BLOCK;
+            for at in [Some(0), Some(edge - 1), Some(edge), Some(n - 1), None] {
+                let mut cands: Vec<usize> = (1..n).collect();
+                if let Some(at) = at {
+                    cands.insert(at, 0);
+                }
+                let ctx = format!("flat {}, match at {at:?}", snapshot.flat_rows().is_some());
+                let counted = at.map_or(cands.len(), |at| at + 1);
+                let (hit, evals) = verified::<Option<AnnulusMatch>>(snapshot, &cands);
+                assert_eq!(
+                    hit.map(|h| (h.index, h.value.to_bits())),
+                    at.map(|_| (0, value.to_bits())),
+                    "{ctx}"
+                );
+                assert_eq!(evals, counted, "{ctx}");
+                let id = verified::<Option<usize>>(snapshot, &cands);
+                assert_eq!(id, (at.map(|_| 0), counted), "{ctx}");
+                let all = verified::<Vec<usize>>(snapshot, &cands);
+                assert_eq!(all, (at.map_or(vec![], |_| vec![0]), cands.len()), "{ctx}");
+            }
+        }
     }
 }

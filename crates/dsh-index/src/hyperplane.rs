@@ -13,7 +13,7 @@ use crate::frontend::assert_non_empty;
 use crate::measures;
 use crate::shard::Snapshot;
 use crate::table::HashTableIndex;
-use dsh_core::points::PointStore;
+use dsh_core::points::{DenseMetric, PointStore};
 use dsh_core::AnalyticCpf;
 use dsh_sphere::UnimodalFilterDsh;
 use rand::Rng;
@@ -33,7 +33,7 @@ pub fn over<S, B>(
     backend: impl FnOnce(&UnimodalFilterDsh, usize) -> B,
 ) -> AnnulusIndex<S, B>
 where
-    S: PointStore<Row = [f64]>,
+    S: PointStore<Row = [f64], Metric = DenseMetric>,
     B: Borrow<Snapshot<S>>,
 {
     assert!(alpha_report > 0.0 && alpha_report < 1.0);
@@ -50,7 +50,7 @@ where
 }
 
 /// [`over`] a static index of the non-empty `points` (any dense store).
-pub fn build<S: PointStore<Row = [f64]>>(
+pub fn build<S: PointStore<Row = [f64], Metric = DenseMetric>>(
     points: S,
     d: usize,
     t: f64,

@@ -6,8 +6,10 @@
 //!   `g`; the CSR buckets, the query scratch, and the build-once
 //!   [`HashTableIndex`] (a frozen one-segment [`Snapshot`]);
 //! * [`frontend`] — the one query surface: a [`Frontend`] retrieves
-//!   candidates from a backend and keeps the ones its [`Verifier`]
-//!   accepts; the named indexes are aliases over three verifiers;
+//!   candidates from a backend, measures them under the store's metric
+//!   and keeps the ones its interval accepts — the first or all, as its
+//!   [`Answer`] type says; the named indexes are aliases over three
+//!   answers;
 //! * [`ann`] — `(r1, r2)`-near-neighbor search: the first candidate
 //!   within `r2`, after at most `3L` entries;
 //! * [`annulus`] — approximate annulus search with any unimodal CPF
@@ -58,9 +60,9 @@
 //! Points live in a [`dsh_core::points::PointStore`]: the flat
 //! [`dsh_core::points::BitStore`] / [`dsh_core::points::DenseStore`]
 //! (contiguous rows — hashing and candidate verification at memory
-//! bandwidth); owned points convert with `From<Vec<_>>`. Candidate
-//! verification goes through row-based [`annulus::Measure`]s (see
-//! [`measures`] for the stock kernels).
+//! bandwidth); owned points convert with `From<Vec<_>>`. Candidates are
+//! verified under the store's closed metric through its batch kernels
+//! (see [`measures`] for the stock metrics).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -83,7 +85,7 @@ pub use ann::{ann_params, AnnParams, NearNeighborIndex, MAX_REPETITIONS};
 pub use annulus::AnnulusIndex;
 pub use batch::{BatchError, WriteBatch, WriteError, WriteOutcome, MAX_POINTS};
 pub use dynamic::DynamicIndex;
-pub use frontend::{Frontend, Verifier};
+pub use frontend::{Answer, Frontend};
 pub use linear_scan::LinearScan;
 pub use range_reporting::RangeReportingIndex;
 pub use shard::{ReaderHandle, ShardedIndex, Snapshot};

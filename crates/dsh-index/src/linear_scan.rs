@@ -5,13 +5,13 @@
 //! counts its distance computations so query-time comparisons are
 //! apples-to-apples (the paper's structures win when `n^rho << n`).
 
-use crate::annulus::Measure;
 use crate::batch::{ensure_known, WriteError};
 use crate::dynamic::Tombstones;
 use dsh_core::points::{AsRow, PointStore};
 
-/// Exact scan over a point store (the flat stores stream their rows at
-/// memory bandwidth).
+/// Exact scan over a point store, measuring row by row with
+/// [`PointStore::measure`] — never through the batch kernels the indexes
+/// verify with, so the baseline does not share the path it checks.
 ///
 /// The scan doubles as the exact baseline for the *dynamic* index path:
 /// it supports [`LinearScan::insert`], and removal tombstones an id so
@@ -19,16 +19,16 @@ use dsh_core::points::{AsRow, PointStore};
 /// semantics (ids are stable handles, rows are append-only).
 pub struct LinearScan<S: PointStore> {
     points: S,
-    measure: Measure<S::Row>,
+    metric: S::Metric,
     tombstones: Tombstones,
 }
 
 impl<S: PointStore> LinearScan<S> {
-    /// Build from points and a measure.
-    pub fn new(points: S, measure: Measure<S::Row>) -> Self {
+    /// Build from points and a metric.
+    pub fn new(points: S, metric: S::Metric) -> Self {
         LinearScan {
             points,
-            measure,
+            metric,
             tombstones: Tombstones::new(),
         }
     }
@@ -78,7 +78,7 @@ impl<S: PointStore> LinearScan<S> {
                 continue;
             }
             evals += 1;
-            let v = (self.measure)(self.points.row(i), q);
+            let v = S::measure(&self.metric, self.points.row(i), q);
             if v >= lo && v <= hi {
                 return (Some(i), evals);
             }
@@ -98,7 +98,7 @@ impl<S: PointStore> LinearScan<S> {
                 if self.tombstones.is_dead(i) {
                     return false;
                 }
-                let v = (self.measure)(self.points.row(i), q);
+                let v = S::measure(&self.metric, self.points.row(i), q);
                 v >= lo && v <= hi
             })
             .collect();
@@ -120,7 +120,7 @@ impl<S: PointStore> LinearScan<S> {
         let q = q.as_row();
         (0..self.points.len())
             .filter(|&i| !self.tombstones.is_dead(i))
-            .map(|i| (i, (self.measure)(self.points.row(i), q)))
+            .map(|i| (i, S::measure(&self.metric, self.points.row(i), q)))
             .min_by(|a, b| a.1.total_cmp(&b.1))
     }
 
@@ -140,7 +140,7 @@ impl<S: PointStore> LinearScan<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsh_core::points::{BitStore, BitVector, DenseStore, DenseVector};
+    use dsh_core::points::{BitStore, BitVector, DenseMetric, DenseStore, DenseVector};
     use dsh_data::hamming_data;
     use dsh_math::rng::seeded;
 
@@ -204,20 +204,20 @@ mod tests {
             DenseVector::new(vec![1.0, 1.0]),  // distance 1 to q (argmin)
             DenseVector::new(vec![-2.0, 0.0]), // measure -> NaN
         ]);
-        let measure: crate::annulus::Measure<[f64]> = Box::new(|x, q| {
+        let measure = DenseMetric::Custom(Box::new(|x, q| {
             if x[0] < 0.0 {
                 f64::NAN
             } else {
                 dsh_core::points::euclidean(x, q)
             }
-        });
+        }));
         let scan = LinearScan::new(points, measure);
         let q = DenseVector::new(vec![1.0, 0.0]);
         let (i, v) = scan.argmin(&q).expect("non-empty scan");
         assert_eq!(i, 2);
         assert_eq!(v, 1.0);
         // All-NaN degenerate case: no panic, the NaN value is surfaced.
-        let all_nan: crate::annulus::Measure<[f64]> = Box::new(|_, _| f64::NAN);
+        let all_nan = DenseMetric::Custom(Box::new(|_, _| f64::NAN));
         let scan = LinearScan::new(DenseStore::from(vec![DenseVector::zeros(2)]), all_nan);
         let (_, v) = scan.argmin(&q).expect("non-empty scan");
         assert!(v.is_nan());

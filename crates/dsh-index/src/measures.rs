@@ -1,60 +1,40 @@
-//! Stock [`Measure`]s over store rows.
+//! Stock metrics over store rows.
 //!
-//! Measures operate on borrowed rows (`[f64]` / `[u64]`) so candidate
-//! verification streams a store's contiguous rows through the slice
-//! kernels of [`dsh_core::points`] instead of chasing one heap pointer
-//! per candidate. These constructors cover the measures every experiment
-//! in the workspace uses; ad-hoc measures are ordinary boxed closures.
+//! A front-end verifies candidates with the store's metric
+//! ([`dsh_core::points::PointStore::Metric`]): a closed [`BitMetric`]
+//! for packed bit rows, a [`DenseMetric`] for dense ones, evaluated per
+//! row or over a whole candidate list by the flat stores' batch kernels.
+//! These constructors name the metrics the indexes are built with; an
+//! ad-hoc dense measure is a [`DenseMetric::Custom`] closure.
 //!
 //! ```
-//! use dsh_core::points::BitVector;
+//! use dsh_core::points::{BitStore, BitVector, PointStore};
 //! use dsh_index::measures;
 //! let m = measures::relative_hamming(8);
 //! let x = BitVector::zeros(8);
 //! let y = BitVector::ones(8);
-//! assert_eq!(m(x.as_blocks(), y.as_blocks()), 1.0);
+//! assert_eq!(BitStore::measure(&m, x.as_blocks(), y.as_blocks()), 1.0);
 //! ```
 
-use crate::annulus::Measure;
-use dsh_core::points;
+use dsh_core::points::{BitMetric, DenseMetric};
 
 /// Inner product `<x, y>` on dense rows (the sphere similarity).
-pub fn inner_product() -> Measure<[f64]> {
-    Box::new(points::dot)
-}
-
-/// Euclidean distance `||x - y||_2` on dense rows.
-pub fn euclidean() -> Measure<[f64]> {
-    Box::new(points::euclidean)
-}
-
-/// Absolute Hamming distance on packed bit rows.
-pub fn hamming() -> Measure<[u64]> {
-    Box::new(|x, y| points::hamming(x, y) as f64)
+pub fn inner_product() -> DenseMetric {
+    DenseMetric::InnerProduct
 }
 
 /// Relative Hamming distance `||x - y||_1 / d` on packed bit rows of
-/// dimension `d` (the row itself only knows its block count, so the
-/// dimension is captured here). Each evaluation asserts the rows span
-/// `d.div_ceil(64)` blocks, so a measure built for the wrong dimension
-/// fails loudly instead of silently rescaling every distance.
-pub fn relative_hamming(d: usize) -> Measure<[u64]> {
+/// dimension `d > 0` (see [`BitMetric::RelativeHamming`] for the
+/// block-count check every evaluation makes).
+pub fn relative_hamming(d: usize) -> BitMetric {
     assert!(d > 0, "relative distance undefined in dimension 0");
-    Box::new(move |x, y| {
-        assert_eq!(
-            x.len(),
-            d.div_ceil(64),
-            "row has {} blocks but the measure was built for d = {d}",
-            x.len()
-        );
-        points::hamming(x, y) as f64 / d as f64
-    })
+    BitMetric::RelativeHamming(d)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsh_core::points::{AsRow, BitVector, DenseVector};
+    use dsh_core::points::{AsRow, BitStore, BitVector, DenseStore, DenseVector, PointStore};
     use dsh_math::rng::seeded;
 
     #[test]
@@ -62,15 +42,14 @@ mod tests {
         let mut rng = seeded(0x3EA);
         let a = DenseVector::gaussian(&mut rng, 9);
         let b = DenseVector::gaussian(&mut rng, 9);
-        assert_eq!(inner_product()(a.as_row(), b.as_row()), a.dot(&b));
-        assert_eq!(euclidean()(a.as_row(), b.as_row()), a.euclidean(&b));
+        let dense = |m| DenseStore::measure(&m, a.as_row(), b.as_row());
+        assert_eq!(dense(inner_product()), a.dot(&b));
+        assert_eq!(dense(DenseMetric::Euclidean), a.euclidean(&b));
         let x = BitVector::random(&mut rng, 70);
         let y = BitVector::random(&mut rng, 70);
-        assert_eq!(hamming()(x.as_row(), y.as_row()), x.hamming(&y) as f64);
-        assert_eq!(
-            relative_hamming(70)(x.as_row(), y.as_row()),
-            x.relative_hamming(&y)
-        );
+        let bits = |m| BitStore::measure(&m, x.as_row(), y.as_row());
+        assert_eq!(bits(BitMetric::Hamming), x.hamming(&y) as f64);
+        assert_eq!(bits(relative_hamming(70)), x.relative_hamming(&y));
     }
 
     #[test]
@@ -83,6 +62,6 @@ mod tests {
     #[should_panic(expected = "built for d = 16")]
     fn mismatched_dimension_rejected_at_evaluation() {
         let x = BitVector::zeros(128);
-        let _ = relative_hamming(16)(x.as_row(), x.as_row());
+        let _ = BitStore::measure(&relative_hamming(16), x.as_row(), x.as_row());
     }
 }

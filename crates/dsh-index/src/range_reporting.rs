@@ -7,70 +7,36 @@
 //! bounds the duplication factor by `f_max / f_min` over the flat region
 //! (Theorem 6.5's `O(d n^rho + d |S| f_max / f_min)` query time).
 
-use crate::annulus::Measure;
-use crate::frontend::{assert_non_empty, measured, Frontend, Verifier};
+use crate::frontend::{assert_non_empty, Frontend, Select};
 use crate::shard::Snapshot;
-use crate::table::{HashTableIndex, QueryStats};
+use crate::table::HashTableIndex;
 use dsh_core::family::DshFamily;
 use dsh_core::points::{AsRow, PointStore};
 use rand::Rng;
 use std::borrow::Borrow;
 
-/// The range-reporting [`Verifier`]: keep every retrieved candidate
-/// within `r_plus`, with no retrieval limit. The stats expose the
+/// Range-reporting index: [`Frontend::query`] returns every retrieved
+/// point with `dist <= r_plus`, with no retrieval limit, and each point
+/// with `dist <= r` is reported with probability at least
+/// `1 - (1 - f_min)^L` (>= 1/2 for `L >= 1/f_min`). The stats expose the
 /// duplicate count, whose ratio to the output size is the
 /// output-sensitivity overhead bounded by `f_max / f_min`.
-pub struct AllWithin<R: ?Sized> {
-    measure: Measure<R>,
-    r: f64,
-    r_plus: f64,
-}
-
-impl<R: ?Sized + 'static> Verifier<R> for AllWithin<R> {
-    type Answer = Vec<usize>;
-
-    fn retrieval_limit(&self, _l: usize) -> Option<usize> {
-        None
-    }
-
-    fn verify<S: PointStore<Row = R>>(
-        &self,
-        snapshot: &Snapshot<S>,
-        cands: &[usize],
-        q: &R,
-        stats: &mut QueryStats,
-    ) -> Vec<usize> {
-        measured(snapshot, &self.measure, cands, q, stats)
-            .filter(|&(_, v)| v <= self.r_plus)
-            .map(|(i, _)| i)
-            .collect()
-    }
-}
-
-/// Range-reporting index: [`Frontend::query`] returns points with
-/// `dist <= r_plus`, and each point with `dist <= r` is reported with
-/// probability at least `1 - (1 - f_min)^L` (>= 1/2 for `L >= 1/f_min`).
-pub type RangeReportingIndex<S, B = HashTableIndex<S>> =
-    Frontend<S, B, AllWithin<<S as PointStore>::Row>>;
+pub type RangeReportingIndex<S, B = HashTableIndex<S>> = Frontend<S, B, Vec<usize>>;
 
 impl<S: PointStore, B: Borrow<Snapshot<S>>> RangeReportingIndex<S, B> {
     /// Verify over an already-built `backend` — a [`crate::DynamicIndex`]
     /// or [`crate::ShardedIndex`] (which may start empty and is written
     /// through [`Frontend::backend_mut`]), or a [`crate::Snapshot`].
-    /// `measure` must be the *distance* the finite, ordered, non-negative
+    /// `metric` must be the *distance* the finite, ordered, non-negative
     /// radii refer to.
-    pub fn over(backend: B, measure: Measure<S::Row>, r: f64, r_plus: f64) -> Self {
+    pub fn over(backend: B, metric: S::Metric, r: f64, r_plus: f64) -> Self {
         assert!(
             r.is_finite() && r_plus.is_finite() && r >= 0.0,
             "RangeReportingIndex: radii r = {r}, r_plus = {r_plus} must be finite and non-negative"
         );
         assert!(r <= r_plus, "need r <= r_plus");
-        Frontend::new(backend, AllWithin { measure, r, r_plus })
-    }
-
-    /// Inner radius `r` (the recall target).
-    pub fn radius(&self) -> f64 {
-        self.verifier.r
+        let (lo, hi, limit) = (f64::NEG_INFINITY, r_plus, None);
+        Frontend::new(backend, metric, Select { lo, hi, limit })
     }
 
     /// Recall against a ground-truth set of indices within distance `r`
@@ -93,7 +59,7 @@ impl<S: PointStore> RangeReportingIndex<S> {
     /// the non-empty `points`.
     pub fn build(
         family: &(impl DshFamily<S::Row> + ?Sized),
-        measure: Measure<S::Row>,
+        metric: S::Metric,
         r: f64,
         r_plus: f64,
         points: S,
@@ -102,7 +68,7 @@ impl<S: PointStore> RangeReportingIndex<S> {
     ) -> Self {
         assert_non_empty(&points);
         let backend = HashTableIndex::build(family, points, l, rng);
-        Self::over(backend, measure, r, r_plus)
+        Self::over(backend, metric, r, r_plus)
     }
 }
 
@@ -312,6 +278,5 @@ mod tests {
             &mut rng,
         );
         assert_eq!(idx.recall(&q, &[]), 1.0);
-        assert_eq!(idx.radius(), 0.01);
     }
 }

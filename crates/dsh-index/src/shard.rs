@@ -464,17 +464,6 @@ impl<S: PointStore> Snapshot<S> {
         self.state.shards[id % n].store.row(id / n)
     }
 
-    /// Hint that the row of point `id` will be read soon: best-effort
-    /// software prefetch, used by the verification loop to gather rows a
-    /// few candidates ahead. Out-of-range ids are ignored.
-    #[inline]
-    pub(crate) fn prefetch_point(&self, id: usize) {
-        if id < self.state.total_rows {
-            let n = self.num_shards();
-            self.state.shards[id % n].store.prefetch_row(id / n);
-        }
-    }
-
     /// The one flat store that holds every row — one shard whose rows are
     /// one frozen chunk, as in a static or a compacted index — if there
     /// is one.

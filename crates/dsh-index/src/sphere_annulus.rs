@@ -17,7 +17,7 @@ use crate::measures;
 use crate::shard::Snapshot;
 use crate::table::HashTableIndex;
 use dsh_core::distance::{alpha_from_ratio, alpha_ratio};
-use dsh_core::points::PointStore;
+use dsh_core::points::{DenseMetric, PointStore};
 use dsh_core::AnalyticCpf;
 use dsh_sphere::unimodal::{annulus_rho, UnimodalFilterDsh};
 use rand::Rng;
@@ -78,7 +78,7 @@ pub fn over<S, B>(
     backend: impl FnOnce(&UnimodalFilterDsh, usize) -> B,
 ) -> AnnulusIndex<S, B>
 where
-    S: PointStore<Row = [f64]>,
+    S: PointStore<Row = [f64], Metric = DenseMetric>,
     B: Borrow<Snapshot<S>>,
 {
     assert!(repetition_factor >= 1.0);
@@ -91,7 +91,7 @@ where
 }
 
 /// [`over`] a static index of the non-empty `points` (any dense store).
-pub fn build<S: PointStore<Row = [f64]>>(
+pub fn build<S: PointStore<Row = [f64], Metric = DenseMetric>>(
     points: S,
     d: usize,
     spec: AnnulusSpec,

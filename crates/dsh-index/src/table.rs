@@ -333,12 +333,6 @@ impl QueryScratch {
 /// is the distance that hides its latency behind the walk.
 pub(crate) const STAMP_AHEAD: usize = 16;
 
-/// How many candidates ahead of the current one the verification loops
-/// prefetch the point row. One row is several cache lines, so the
-/// distance is shorter than [`STAMP_AHEAD`]: a deeper pipeline of row
-/// prefetches would evict its own oldest lines on wide rows.
-pub(crate) const ROW_AHEAD: usize = 4;
-
 /// An `L`-repetition DSH hash table over a [`PointStore`], built once.
 ///
 /// `S` is the storage backend, a flat [`dsh_core::points::BitStore`] /

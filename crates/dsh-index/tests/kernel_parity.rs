@@ -12,7 +12,8 @@
 //! block is tail-masked.
 //!
 //! The last test is end-to-end: a full recall-harness run (hamming ANN
-//! over a planted instance plus a dense verification sweep) is digested
+//! over a planted instance, a dense verification sweep, and every store
+//! metric through `PointStore::measure_many`) is digested
 //! to a single FNV hash, then the test re-executes itself in a child
 //! process with `DSH_FORCE_SCALAR=1` and asserts the child — pinned to
 //! the scalar tier — reproduces the digest bit-for-bit. Dispatch is
@@ -20,7 +21,9 @@
 //! compare both paths in one test run.
 
 use dsh_core::kernels::{self, Kernels};
-use dsh_core::points::{BitStore, BitVector, DenseStore};
+use dsh_core::points::{
+    BitMetric, BitStore, BitVector, ChunkedStore, DenseMetric, DenseStore, PointStore,
+};
 use dsh_hamming::BitSampling;
 use dsh_index::NearNeighborIndex;
 use dsh_math::rng::seeded;
@@ -189,10 +192,12 @@ fn batch_hamming_matches_scalar_on_tail_masked_bitstore_rows() {
 
 /// One deterministic recall-harness run, reduced to an FNV digest: a
 /// hamming ANN over a planted instance (exercising the CSR bucket walk,
-/// the stamp prefetch, and `hamming_many` verification) plus a dense
+/// the stamp prefetch, and `hamming_many` verification), a dense
 /// `dot_many`/`euclidean_many` sweep (exercising the f64 kernels and the
-/// row-gather prefetch). Every seed is fixed, so two processes disagree
-/// only if their kernels disagree.
+/// row-gather prefetch), and every store metric through
+/// `PointStore::measure_many`, checked against `measure` row by row.
+/// Every seed is fixed, so two processes disagree only if their kernels
+/// disagree.
 fn recall_harness_digest() -> u64 {
     let mut h = FNV_SEED;
 
@@ -234,7 +239,56 @@ fn recall_harness_digest() -> u64 {
     h = out.iter().fold(h, |h, x| fnv(h, x.to_bits()));
     store.euclidean_many(&ids, &q, &mut out);
     h = out.iter().fold(h, |h, x| fnv(h, x.to_bits()));
+
+    // The stores' metric hook over the same ids, for every metric, on
+    // the flat stores (batch kernels) and a multi-chunk copy (row by row).
+    let chunked = multi_chunk(&store);
+    for metric in [DenseMetric::InnerProduct, DenseMetric::Euclidean] {
+        h = measure_many_is_the_measure_loop(h, &store, &metric, &ids, &q);
+        h = measure_many_is_the_measure_loop(h, &chunked, &metric, &ids, &q);
+    }
+    let d = 130;
+    let bits = BitStore::from(dsh_data::hamming_data::uniform_hamming(&mut rng, n, d));
+    let q = BitVector::random(&mut rng, d);
+    let chunked = multi_chunk(&bits);
+    for metric in [BitMetric::Hamming, BitMetric::RelativeHamming(d)] {
+        h = measure_many_is_the_measure_loop(h, &bits, &metric, &ids, q.as_blocks());
+        h = measure_many_is_the_measure_loop(h, &chunked, &metric, &ids, q.as_blocks());
+    }
     h
+}
+
+/// `store`'s rows in a [`ChunkedStore`] of three frozen chunks and a
+/// non-empty tail.
+fn multi_chunk<S: PointStore>(store: &S) -> ChunkedStore<S> {
+    let mut chunked = ChunkedStore::new(store);
+    for i in 0..store.len() {
+        chunked.push_row(store.row(i));
+        if i % 20 == 19 {
+            chunked.freeze_tail();
+        }
+    }
+    chunked
+}
+
+/// `measure_many` of `ids` equals `measure` row by row, bit for bit,
+/// under the active tier; its values folded into `h`.
+fn measure_many_is_the_measure_loop<S: PointStore>(
+    h: u64,
+    store: &S,
+    metric: &S::Metric,
+    ids: &[usize],
+    q: &S::Row,
+) -> u64 {
+    let mut out = vec![f64::NAN; 3]; // cleared by the call
+    store.measure_many(metric, ids, q, &mut out);
+    let got: Vec<u64> = out.iter().map(|x| x.to_bits()).collect();
+    let want: Vec<u64> = ids
+        .iter()
+        .map(|&i| S::measure(metric, store.row(i), q).to_bits())
+        .collect();
+    assert_eq!(got, want, "measure_many: tier={}", kernels::active().name);
+    got.iter().fold(h, |h, &x| fnv(h, x))
 }
 
 const CHILD_MARKER: &str = "KERNEL_PARITY_CHILD";

@@ -11,7 +11,7 @@
 //! inner product 0.55: similar enough to be on-topic, but excluding
 //! near-duplicates (alpha ~ 1).
 
-use dsh_core::points::{DenseStore, DenseVector};
+use dsh_core::points::{DenseMetric, DenseStore, DenseVector};
 use dsh_core::AnalyticCpf;
 use dsh_data::sphere_data::{clustered_sphere, plant_at_alpha};
 use dsh_index::annulus::AnnulusIndex;
@@ -102,7 +102,7 @@ fn main() {
     // Baseline: what the naive nearest-neighbor recommender would return.
     let scan = LinearScan::new(
         corpus,
-        Box::new(|x: &[f64], y: &[f64]| -dsh_core::points::dot(x, y)),
+        DenseMetric::Custom(Box::new(|x, y| -dsh_core::points::dot(x, y))),
     );
     if let Some((i, neg_alpha)) = scan.argmin(&query) {
         println!(

@@ -4,7 +4,7 @@
 //!   every family the workspace exports, at block sizes on both sides of
 //!   the index's 64- and 256-row blocks;
 //! * the batched query paths, which hash their queries in blocks, answer
-//!   exactly like a query-at-a-time loop over every backend and verifier,
+//!   exactly like a query-at-a-time loop over every backend and answer,
 //!   and through the two derived front-ends over `[f64]` rows;
 //! * the block driver stays lazy: the walk asks the keys of a window of
 //!   tables at a time, and a table is hashed for the rows of a block from
@@ -23,8 +23,8 @@ use dsh_hamming::{
     ScaledBiasedAntiBitSampling, ScaledBitSampling,
 };
 use dsh_index::{
-    hyperplane, sphere_annulus, DynamicIndex, Frontend, HashTableIndex, QueryStats, ShardedIndex,
-    Snapshot, Verifier,
+    hyperplane, sphere_annulus, Answer, DynamicIndex, Frontend, HashTableIndex, QueryStats,
+    ShardedIndex, Snapshot,
 };
 use dsh_math::rng::seeded;
 use dsh_math::Polynomial;
@@ -182,13 +182,12 @@ fn hash_many_is_the_hash_loop_for_minhash() {
 
 /// Batches ending before, on and after a block boundary, at thread counts
 /// that put one, two and no full block on a worker.
-fn assert_batches_equal_the_query_loop<S, B, V>(index: &Frontend<S, B, V>, queries: &S, ctx: &str)
+fn assert_batches_equal_the_query_loop<S, B, A>(index: &Frontend<S, B, A>, queries: &S, ctx: &str)
 where
     S: PointStore,
     S::Row: AsRow<Row = S::Row>,
     B: Borrow<Snapshot<S>>,
-    V: Verifier<S::Row>,
-    V::Answer: PartialEq + Debug,
+    A: Answer + PartialEq + Debug,
 {
     for size in [1usize, 63, 64, 65, 129] {
         let mut batch = queries.empty_like();
@@ -196,7 +195,7 @@ where
             batch.push_row(queries.row(i));
         }
         let each = |i| index.query(batch.row(i));
-        let want: Vec<(V::Answer, QueryStats)> = (0..size).map(each).collect();
+        let want: Vec<(A, QueryStats)> = (0..size).map(each).collect();
         for threads in [1usize, 2, 5] {
             assert_eq!(
                 want,
@@ -207,8 +206,8 @@ where
     }
 }
 
-/// The three verifiers over `make`'s backend, each grown the same way.
-fn assert_verifiers_batch_like_they_loop<B: Borrow<Snapshot<BitStore>>>(
+/// The three answers over `make`'s backend, each grown the same way.
+fn assert_answers_batch_like_they_loop<B: Borrow<Snapshot<BitStore>>>(
     ctx: &str,
     d: usize,
     points: &[BitVector],
@@ -218,17 +217,17 @@ fn assert_verifiers_batch_like_they_loop<B: Borrow<Snapshot<BitStore>>>(
     assert_batches_equal_the_query_loop(
         &common::near_neighbor_over(d, points.len(), |g, l| make(g, l, 1)),
         queries,
-        &format!("{ctx}: FirstWithin"),
+        &format!("{ctx}: first within"),
     );
     assert_batches_equal_the_query_loop(
         &common::annulus_over(d, |g, l| make(g, l, 2)),
         queries,
-        &format!("{ctx}: Interval"),
+        &format!("{ctx}: first inside"),
     );
     assert_batches_equal_the_query_loop(
         &common::range_reporting_over(d, |g, l| make(g, l, 3)),
         queries,
-        &format!("{ctx}: AllWithin"),
+        &format!("{ctx}: all within"),
     );
 }
 
@@ -262,15 +261,15 @@ fn batched_queries_equal_the_query_loop_across_block_edges() {
         }};
     }
 
-    assert_verifiers_batch_like_they_loop("static", d, &points, &queries, |g, l, seed| {
+    assert_answers_batch_like_they_loop("static", d, &points, &queries, |g, l, seed| {
         HashTableIndex::build(g, BitStore::from(points.clone()), l, &mut seeded(seed))
     });
-    assert_verifiers_batch_like_they_loop("dynamic", d, &points, &queries, |g, l, seed| {
+    assert_answers_batch_like_they_loop("dynamic", d, &points, &queries, |g, l, seed| {
         grown!(DynamicIndex::build(g, bulk(), l, &mut seeded(seed)))
     });
     for shards in [1usize, 3] {
         let ctx = format!("{shards} shards");
-        assert_verifiers_batch_like_they_loop(&ctx, d, &points, &queries, |g, l, seed| {
+        assert_answers_batch_like_they_loop(&ctx, d, &points, &queries, |g, l, seed| {
             grown!(ShardedIndex::build(g, bulk(), l, shards, &mut seeded(seed)))
         });
     }

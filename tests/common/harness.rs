@@ -35,12 +35,13 @@
 
 use super::{bit_points, by_definition, dense_points};
 use dsh_core::family::DshFamily;
-use dsh_core::points::{AsRow, BitStore, BitVector, DenseStore, DenseVector, PointStore};
+use dsh_core::points::{
+    AsRow, BitMetric, BitStore, BitVector, DenseMetric, DenseStore, DenseVector, PointStore,
+};
 use dsh_hamming::BitSampling;
-use dsh_index::annulus::Measure;
 use dsh_index::{
-    measures, parallel, BatchError, DynamicIndex, HashTableIndex, LinearScan, ShardedIndex,
-    Snapshot, WriteBatch, WriteError, WriteOutcome,
+    parallel, BatchError, DynamicIndex, HashTableIndex, LinearScan, ShardedIndex, Snapshot,
+    WriteBatch, WriteError, WriteOutcome,
 };
 use dsh_math::rng::{index, seeded};
 use dsh_sphere::UnimodalFilterDsh;
@@ -477,7 +478,7 @@ pub struct Fixture<S: PointStore, P> {
     call: String,
     family: Box<dyn DshFamily<S::Row>>,
     empty: S,
-    measure: fn() -> Measure<S::Row>,
+    measure: fn() -> S::Metric,
     /// Whether a point always collides with itself (`h = g`).
     symmetric: bool,
     pub pool: Vec<P>,
@@ -494,7 +495,7 @@ impl Fixture<BitStore, BitVector> {
             call: format!("Fixture::bits({seed:#x}, {points}, {queries}, {l})"),
             family: Box::new(BitSampling::new(d)),
             empty: BitStore::with_dim(d),
-            measure: measures::hamming,
+            measure: || BitMetric::Hamming,
             symmetric: true,
             pool: bit_points(seed, points, d),
             queries: BitStore::from(bit_points(seed + 1, queries, d)),
@@ -513,7 +514,7 @@ impl Fixture<DenseStore, DenseVector> {
             call: format!("Fixture::dense({seed:#x}, {points}, {queries}, {l})"),
             family: Box::new(UnimodalFilterDsh::new(d, 0.4, 1.3)),
             empty: DenseStore::with_dim(d),
-            measure: measures::euclidean,
+            measure: || DenseMetric::Euclidean,
             symmetric: false,
             pool: dense_points(seed, points, d),
             queries: DenseStore::from(dense_points(seed + 1, queries, d)),

@@ -26,8 +26,8 @@ use dsh_data::hamming_data::{self, planted_hamming_instance, PlantedHammingInsta
 use dsh_data::sphere_data;
 use dsh_hamming::BitSampling;
 use dsh_index::{
-    hyperplane, measures, sphere_annulus, AnnulusIndex, AnnulusSpec, Frontend, NearNeighborIndex,
-    QueryStats, RangeReportingIndex, Snapshot, Verifier,
+    hyperplane, measures, sphere_annulus, AnnulusIndex, AnnulusSpec, Answer, Frontend,
+    NearNeighborIndex, QueryStats, RangeReportingIndex, Snapshot,
 };
 use dsh_math::rng::seeded;
 use harness::{Model, Op, Style, Subject};
@@ -177,7 +177,7 @@ where
 }
 
 // ---------------------------------------------------------------------------
-// Front-end parity: the three verifiers and the two derived constructors
+// Front-end parity: the three answers and the two derived constructors
 // answer identically over every backend. Each front-end under test is one
 // function generic over the backend (`make` builds it from the family
 // and `L` the front-end hands over, e.g.
@@ -249,17 +249,12 @@ pub fn sphere_annulus_over<B: Borrow<Snapshot<DenseStore>>>(
 /// Query-at-a-time answers of `index`, after checking that every batched
 /// path (`query_batch`, `query_batch_with_threads` at 1 and 4 threads)
 /// reproduces them.
-pub fn answers<S, B, V>(
-    index: &Frontend<S, B, V>,
-    queries: &S,
-    ctx: &str,
-) -> Vec<(V::Answer, QueryStats)>
+pub fn answers<S, B, A>(index: &Frontend<S, B, A>, queries: &S, ctx: &str) -> Vec<(A, QueryStats)>
 where
     S: PointStore,
     S::Row: AsRow<Row = S::Row>,
     B: Borrow<Snapshot<S>>,
-    V: Verifier<S::Row>,
-    V::Answer: PartialEq + Debug,
+    A: Answer + PartialEq + Debug,
 {
     let each = |i| index.query(queries.row(i));
     let sequential: Vec<_> = (0..queries.len()).map(each).collect();
@@ -293,19 +288,18 @@ fn front_end_script(n: usize, pool: usize) -> [Vec<Op>; 4] {
 /// Drive the mutable backend under `subject` through
 /// [`front_end_script`] — every write outcome checked against the
 /// harness model — and return its [`answers`] after each stage.
-pub fn front_end_stages<S, B, V, Q>(
-    mut subject: Frontend<S, B, V>,
+pub fn front_end_stages<S, B, A, Q>(
+    mut subject: Frontend<S, B, A>,
     pool: &[Q],
     n: usize,
     queries: &S,
     name: &str,
-) -> Vec<Vec<(V::Answer, QueryStats)>>
+) -> Vec<Vec<(A, QueryStats)>>
 where
     S: PointStore,
     S::Row: AsRow<Row = S::Row>,
     B: Borrow<Snapshot<S>> + Subject<S>,
-    V: Verifier<S::Row>,
-    V::Answer: PartialEq + Debug,
+    A: Answer + PartialEq + Debug,
     Q: AsRow<Row = S::Row>,
 {
     let mut model = Model::default();
@@ -328,15 +322,14 @@ where
 /// instantiated over an **empty** `DynamicIndex` and `ShardedIndex`es of
 /// 1, 2 and 8 shards, all sampled from `$seed` like the reference and
 /// driven through [`front_end_stages`]. Every subject must agree with
-/// the reference on the derived parameters (`$params`: the accessor to
-/// compare) and, once grown and compacted, on every answer (ids, order,
+/// the reference on the derived repetition count `L` and, once grown and
+/// compacted, on every answer (ids, order,
 /// full `QueryStats`); with the first subject on every answer at every
 /// stage; and at each stage the batched query paths must reproduce
 /// query-at-a-time (see [`answers`]).
 macro_rules! front_end_parity {
     (
         $name:expr,
-        $params:ident,
         seed: $seed:expr,
         reference: $reference:expr,
         over: |$make:ident| $over:expr,
@@ -355,9 +348,9 @@ macro_rules! front_end_parity {
             $over
         };
         assert_eq!(
-            reference.$params(),
-            dynamic.$params(),
-            "{name}: derived parameters"
+            reference.repetitions(),
+            dynamic.repetitions(),
+            "{name}: repetitions"
         );
         let first = $crate::common::front_end_stages(dynamic, pool, n, queries, name);
         assert_eq!(
@@ -372,9 +365,9 @@ macro_rules! front_end_parity {
                 $over
             };
             assert_eq!(
-                reference.$params(),
-                sharded.$params(),
-                "{name}: derived parameters"
+                reference.repetitions(),
+                sharded.repetitions(),
+                "{name}: repetitions"
             );
             let run = $crate::common::front_end_stages(sharded, pool, n, queries, name);
             assert_eq!(

@@ -34,7 +34,7 @@ fn expected_duplicates(collide: &[f64], l: usize) -> f64 {
 const R: f64 = 0.05;
 const R_PLUS: f64 = 0.2;
 
-/// Theorem 6.5 through `AllWithin`, at `L = ⌈2 / f(r)⌉`: the query's
+/// Theorem 6.5 through `RangeReportingIndex`, at `L = ⌈2 / f(r)⌉`: the query's
 /// `duplicates` sits within 4σ of [`expected_duplicates`], and the
 /// duplicates per reported point stay under `L · max_{[0, r+]} f`.
 /// Duplicates are not additive over tables, so σ comes from 200

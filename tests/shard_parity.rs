@@ -10,7 +10,7 @@
 //! (`tests/common/harness.rs`), like those of `tests/dynamic_parity.rs`,
 //! which also checks all of it against the static rebuild.
 //!
-//! The front-end tests run the three verifiers and the two derived
+//! The front-end tests run the three answers and the two derived
 //! constructors over every backend; the pinned-totals test at the bottom
 //! is the per-logical-segment `QueryStats` accounting regression for the
 //! cross-shard merge (the sharded mirror of the dynamic-index pins in
@@ -91,7 +91,6 @@ fn hamming_front_ends_sharded_equals_dynamic() {
 
     front_end_parity!(
         "NearNeighborIndex",
-        params,
         seed: seed + 2,
         reference: NearNeighborIndex::build(
             &BitSampling::new(d),
@@ -108,7 +107,6 @@ fn hamming_front_ends_sharded_equals_dynamic() {
     );
     front_end_parity!(
         "AnnulusIndex",
-        repetitions,
         seed: seed + 3,
         reference: common::annulus_over(d, |g, l| {
             HashTableIndex::build(g, all(), l, &mut seeded(seed + 3))
@@ -118,7 +116,6 @@ fn hamming_front_ends_sharded_equals_dynamic() {
     );
     front_end_parity!(
         "RangeReportingIndex",
-        repetitions,
         seed: seed + 4,
         reference: common::range_reporting_over(d, |g, l| {
             HashTableIndex::build(g, all(), l, &mut seeded(seed + 4))
@@ -140,7 +137,6 @@ fn sphere_front_ends_sharded_equals_dynamic() {
 
     front_end_parity!(
         "hyperplane",
-        repetitions,
         seed: seed + 2,
         reference: hyperplane::build(all(), d, 1.4, 0.4, 1.5, &mut seeded(seed + 2)),
         over: |make| common::hyperplane_over(d, make),
@@ -149,7 +145,6 @@ fn sphere_front_ends_sharded_equals_dynamic() {
     let spec = common::sphere_spec();
     front_end_parity!(
         "sphere_annulus",
-        repetitions,
         seed: seed + 3,
         reference: sphere_annulus::build(all(), d, spec, 1.4, 1.5, &mut seeded(seed + 3)),
         over: |make| common::sphere_annulus_over(d, make),
