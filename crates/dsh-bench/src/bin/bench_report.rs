@@ -3,8 +3,9 @@
 //! Times the runtime-dispatched kernel layer (`dsh_core::kernels`) on
 //! the workloads the serving path actually runs — dense `dot_many` /
 //! `euclidean_many` verification, packed Hamming verification, and the
-//! batched CSR candidate-collection walk — and the hash-evaluation
-//! prices the paper states: the filter family's cost in the threshold
+//! batched CSR candidate-collection walk, plus the filter families' cap
+//! generator (`gaussian_cap`) — and the hash-evaluation prices the paper
+//! states: the filter family's cost in the threshold
 //! `t` (Theorem 1.2), exact Valiant against TensorSketch (the remark
 //! after Theorem 5.1), and one evaluation of each family. It then
 //! re-executes itself in a child process with `DSH_FORCE_SCALAR=1` to
@@ -44,7 +45,7 @@ use dsh_data::sphere_data::uniform_sphere;
 use dsh_euclidean::ShiftedEuclideanDsh;
 use dsh_hamming::{AntiBitSampling, BitSampling, PolynomialHammingDsh};
 use dsh_index::{DynamicIndex, HashTableIndex, QueryStats, ShardedIndex};
-use dsh_math::rng::seeded;
+use dsh_math::rng::{derive_seed, seeded};
 use dsh_math::Polynomial;
 use dsh_sphere::tensor_sketch::SketchedPolynomialSphereDsh;
 use dsh_sphere::{CrossPolytopeAnti, FilterDshMinus, PolynomialSphereDsh, SimHash};
@@ -65,12 +66,13 @@ fn fnv(acc: u64, x: u64) -> u64 {
 /// Every row of `BENCH_kernels.json`, in emission order. `run_benches`
 /// names its samples from this list by position, and the test at the
 /// bottom pins the checked-in file to it.
-const KERNEL_ROWS: [&str; 27] = [
+const KERNEL_ROWS: [&str; 28] = [
     "dense_dot_many_verify",
     "dense_euclidean_many_verify",
     "bit_hamming_many_verify",
     "csr_candidate_collect_batch",
     "csr_bucket_walk_batch",
+    "gaussian_cap_fill_d64",
     "filter_eval_t1.0",
     "filter_eval_block_t1.0",
     "filter_eval_t1.5",
@@ -295,6 +297,26 @@ fn run_benches(s: &Sizes) -> Vec<Sample> {
         h
     });
     record(&mut samples, ns, checksum, s.csr_n, s.dense_d);
+
+    // The filter families' cap generator alone: `64 * hash_points` caps
+    // of 64 coordinates. The timed loop folds each cap with a plain xor
+    // so the generator, not the checksum, is what is timed; the FNV
+    // checksum is taken over the same caps afterwards.
+    let caps = 64 * s.hash_points as u64;
+    let mut cap = [0.0; 64];
+    let mut fill = |key: u64| {
+        kernels::gaussian_cap(derive_seed(0xCA9, key), &mut cap);
+        cap
+    };
+    let (ns, _) = time(s.reps, || {
+        (0..caps).fold(0u64, |acc, key| {
+            fill(key).iter().fold(acc, |a, x| a ^ x.to_bits())
+        })
+    });
+    let checksum = (0..caps).fold(FNV_SEED, |h, key| {
+        fill(key).iter().fold(h, |h, x| fnv(h, x.to_bits()))
+    });
+    record(&mut samples, ns, checksum, caps as usize, cap.len());
 
     // Theorem 1.2's `O(d t^4 e^{t^2/2})` evaluation cost: a filter hash
     // scans ~`1/Pr[Z >= t]` caps, so time should track `t e^{t^2/2}` —

@@ -12,21 +12,24 @@
 //! block is tail-masked.
 //!
 //! The last test is end-to-end: a full recall-harness run (hamming ANN
-//! over a planted instance, a dense verification sweep, and every store
-//! metric through `PointStore::measure_many`) is digested
+//! over a planted instance, a dense verification sweep, every store
+//! metric through `PointStore::measure_many`, and Gaussian caps with the
+//! filter hashes built on them) is digested
 //! to a single FNV hash, then the test re-executes itself in a child
 //! process with `DSH_FORCE_SCALAR=1` and asserts the child — pinned to
 //! the scalar tier — reproduces the digest bit-for-bit. Dispatch is
 //! resolved once per process, so the subprocess is the only way to
 //! compare both paths in one test run.
 
-use dsh_core::kernels::{self, Kernels};
+use dsh_core::family::DshFamily;
+use dsh_core::kernels::{self, ziggurat, Kernels};
 use dsh_core::points::{
     BitMetric, BitStore, BitVector, ChunkedStore, DenseMetric, DenseStore, PointStore,
 };
 use dsh_hamming::BitSampling;
 use dsh_index::NearNeighborIndex;
 use dsh_math::rng::seeded;
+use dsh_sphere::FilterDshMinus;
 use rand::rngs::StdRng;
 use rand::Rng as _;
 
@@ -195,9 +198,9 @@ fn batch_hamming_matches_scalar_on_tail_masked_bitstore_rows() {
 /// the stamp prefetch, and `hamming_many` verification), a dense
 /// `dot_many`/`euclidean_many` sweep (exercising the f64 kernels and the
 /// row-gather prefetch), and every store metric through
-/// `PointStore::measure_many`, checked against `measure` row by row.
-/// Every seed is fixed, so two processes disagree only if their kernels
-/// disagree.
+/// `PointStore::measure_many`, checked against `measure` row by row, and
+/// the filter families' Gaussian caps and hash values. Every seed is
+/// fixed, so two processes disagree only if their kernels disagree.
 fn recall_harness_digest() -> u64 {
     let mut h = FNV_SEED;
 
@@ -254,6 +257,35 @@ fn recall_harness_digest() -> u64 {
     for metric in [BitMetric::Hamming, BitMetric::RelativeHamming(d)] {
         h = measure_many_is_the_measure_loop(h, &bits, &metric, &ids, q.as_blocks());
         h = measure_many_is_the_measure_loop(h, &chunked, &metric, &ids, q.as_blocks());
+    }
+
+    // Gaussian caps, and a filter family's hashes through the dispatched
+    // `dot`, row by row and in one block. 4 096 caps of 64 slots: ~1.5 %
+    // of slots leave the fast path, and the sweep must reach its tail
+    // branch (`|z| >= R`, ~68 expected). `d = 200` hashes every row in two
+    // cap pieces.
+    let mut cap = [0.0; 64];
+    let mut tail_draws = 0;
+    for k in 0..4096 {
+        kernels::gaussian_cap(dsh_math::rng::derive_seed(0x51_D06, k), &mut cap);
+        h = cap.iter().fold(h, |h, z| fnv(h, z.to_bits()));
+        tail_draws += cap.iter().filter(|z| z.abs() >= ziggurat::R).count();
+    }
+    assert!(
+        tail_draws > 0,
+        "the cap sweep drew nothing from the tail branch"
+    );
+    let d = 200;
+    let sphere = DenseStore::from(dsh_data::sphere_data::uniform_sphere(&mut rng, 64, d));
+    let rows: Vec<&[f64]> = (0..sphere.len()).map(|i| sphere.row(i)).collect();
+    let pair = FilterDshMinus::new(d, 1.5).sample(&mut rng);
+    let mut block = vec![0; rows.len()];
+    for hasher in [&pair.data, &pair.query] {
+        hasher.hash_many(&rows, &mut block);
+        for (row, &b) in rows.iter().zip(&block) {
+            assert_eq!(hasher.hash(row), b, "hash_many differs from hash");
+            h = fnv(h, b);
+        }
     }
     h
 }

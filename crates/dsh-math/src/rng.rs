@@ -41,7 +41,8 @@ pub fn index(rng: &mut dyn Rng, n: usize) -> usize {
 }
 
 /// A minimal SplitMix64 generator for *hot inner loops* that re-derive a
-/// stream per item (e.g. one Gaussian cap per filter index). `StdRng`
+/// stream per item (e.g. the sub-stream of a Gaussian cap slot that
+/// leaves the ziggurat's fast path). `StdRng`
 /// (ChaCha12) costs a full key setup per instantiation; SplitMix64 is a
 /// three-multiply state transition. Statistical quality is ample for
 /// Monte-Carlo geometry (it passes BigCrush as a 64-bit mixer), and it is
@@ -71,46 +72,6 @@ impl SplitMix64 {
     #[inline]
     pub fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-}
-
-/// A stream of i.i.d. standard Gaussians over SplitMix64 (Marsaglia polar
-/// method with spare caching) — the fast path for lazily generated filter
-/// caps.
-#[derive(Debug, Clone)]
-pub struct GaussianStream {
-    rng: SplitMix64,
-    spare: Option<f64>,
-}
-
-impl GaussianStream {
-    /// Seed the stream.
-    pub fn new(seed: u64) -> Self {
-        GaussianStream {
-            rng: SplitMix64::new(seed),
-            spare: None,
-        }
-    }
-
-    /// Next standard normal variate.
-    // Not an Iterator: the stream is infinite and `Option` would be noise
-    // on the hot path.
-    #[allow(clippy::should_implement_trait)]
-    #[inline]
-    pub fn next(&mut self) -> f64 {
-        if let Some(s) = self.spare.take() {
-            return s;
-        }
-        loop {
-            let u = 2.0 * self.rng.next_f64() - 1.0;
-            let v = 2.0 * self.rng.next_f64() - 1.0;
-            let s = u * u + v * v;
-            if s > 0.0 && s < 1.0 {
-                let scale = (-2.0 * s.ln() / s).sqrt();
-                self.spare = Some(v * scale);
-                return u * scale;
-            }
-        }
     }
 }
 
@@ -218,33 +179,6 @@ mod tests {
             sum += x;
         }
         assert!((sum / 100_000.0 - 0.5).abs() < 0.005);
-    }
-
-    #[test]
-    fn gaussian_stream_moments() {
-        let mut g = GaussianStream::new(77);
-        let n = 200_000;
-        let xs: Vec<f64> = (0..n).map(|_| g.next()).collect();
-        let mean = xs.iter().sum::<f64>() / n as f64;
-        let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
-        assert!(mean.abs() < 0.01, "mean {mean}");
-        assert!((var - 1.0).abs() < 0.02, "var {var}");
-        // Tail mass beyond 2 sigma ~ 4.55%.
-        let tail = xs.iter().filter(|x| x.abs() > 2.0).count() as f64 / n as f64;
-        assert!((tail - 0.0455).abs() < 0.005, "tail {tail}");
-    }
-
-    #[test]
-    fn gaussian_stream_deterministic() {
-        let a: Vec<f64> = {
-            let mut g = GaussianStream::new(3);
-            (0..10).map(|_| g.next()).collect()
-        };
-        let b: Vec<f64> = {
-            let mut g = GaussianStream::new(3);
-            (0..10).map(|_| g.next()).collect()
-        };
-        assert_eq!(a, b);
     }
 
     #[test]

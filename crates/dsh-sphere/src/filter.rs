@@ -21,24 +21,28 @@
 //! `O(d t^4 e^{t^2/2})`.
 //!
 //! Implementation note: the caps are never stored. Cap `i` is the
-//! Gaussian stream of `derive_seed(seed, i)`, regenerated on demand, so the
-//! function is a fixed, deterministic object once sampled — exactly as the
-//! paper requires — at zero resident bytes (materializing the gated
-//! annulus workload's caps would be 35.6 MB against a 10.8 MB process).
-//! What that costs is the regeneration: a cap's 64 Gaussians take longer
-//! than the dot product that consumes them. `hash` is lazy per row — it
-//! scans the expected `1/Pr[Z >= t]` caps until the row's first hit,
-//! generating each as it goes. `hash_many` is lazy per *block*: it
-//! generates cap `i` once, tests it against every row of the block still
-//! without a hit, retires the rows that hit, and stops when none are
-//! left. A cap is then generated `max` over the block's first-hit indices
-//! times instead of their sum: at `t = 1.7` that is 22.4 caps generated
-//! per row alone, 1.6 per row in a 64-row block and 0.5 in a 256-row
-//! block, for bit-identical values (each row still accumulates its dot
-//! product left to right over the same Gaussians).
+//! Gaussian cap `derive_seed(seed, i)` of [`kernels::gaussian_cap`] (a
+//! counter-based ziggurat), regenerated on demand, so the function is a
+//! fixed, deterministic object once sampled — exactly as the paper
+//! requires — at zero resident bytes (materializing the gated annulus
+//! workload's caps would be 35.6 MB against a 10.8 MB process). What that
+//! costs is the regeneration: a 64-coordinate cap takes ≈ 180 ns to
+//! generate (`BENCH_kernels.json`'s `gaussian_cap_fill_d64`; the polar
+//! method it replaced took ≈ 1 µs) against ≈ 20 ns for the dispatched
+//! dot product that consumes it, so generation is still most of a row's
+//! hash. `hash` is lazy per row — it scans the expected `1/Pr[Z >= t]`
+//! caps until the row's first hit, generating each as it goes.
+//! `hash_many` is lazy per *block*: it generates cap `i` once, tests it
+//! against every row of the block still without a hit, retires the rows
+//! that hit, and stops when none are left. A cap is then generated `max`
+//! over the block's first-hit indices times instead of their sum: at
+//! `t = 1.7` that is 22.4 caps generated per row alone, 1.6 per row in a
+//! 64-row block and 0.5 in a 256-row block. Both take every dot product
+//! through one helper, `cap_dots`, so the values are bit-identical.
 
 use dsh_core::cpf::AnalyticCpf;
 use dsh_core::family::{DshFamily, HasherPair, PointHasher};
+use dsh_core::kernels::{self, ziggurat};
 use dsh_math::{bivariate, normal, rng};
 use rand::Rng;
 
@@ -68,10 +72,43 @@ struct FilterHasher {
     sentinel: u64,
 }
 
+/// Cap coordinates generated per [`kernels::gaussian_cap`] call: a cap is
+/// filled and consumed in pieces of this many slots, so rows of any
+/// dimension hash from one fixed stack buffer (one piece at `d <= 128`).
+const CAP_CHUNK: usize = 128;
+
+/// `dots[r] = <z, rows[r]>` for every `r` in `pending`, with `z` the
+/// Gaussian cap `key`: the cap is generated once, [`CAP_CHUNK`] slots at a
+/// time into `cap`, and each piece's dot product (the dispatched
+/// [`kernels::dot`]) is added left to right. `FilterHasher::hash` and
+/// `hash_many` both take their dot products here, so a row hashes to the
+/// same value alone or in a block.
+fn cap_dots(
+    key: u64,
+    rows: &[&[f64]],
+    pending: &[usize],
+    cap: &mut [f64; CAP_CHUNK],
+    dots: &mut [f64],
+) {
+    let dim = pending.iter().map(|&r| rows[r].len()).max().unwrap_or(0);
+    for &r in pending {
+        dots[r] = 0.0;
+    }
+    for start in (0..dim).step_by(CAP_CHUNK) {
+        let z = &mut cap[..CAP_CHUNK.min(dim - start)];
+        kernels::gaussian_cap(ziggurat::cap_chunk_key(key, start), z);
+        for &r in pending {
+            let x = rows[r].get(start..).unwrap_or_default();
+            let n = x.len().min(z.len());
+            dots[r] += kernels::dot(&x[..n], &z[..n]);
+        }
+    }
+}
+
 impl FilterHasher {
-    /// The Gaussian stream whose prefix is cap `i`.
-    fn cap(&self, i: usize) -> rng::GaussianStream {
-        rng::GaussianStream::new(rng::derive_seed(self.seed, i as u64))
+    /// The key of cap `i`'s Gaussian coordinates.
+    fn cap_key(&self, i: usize) -> u64 {
+        rng::derive_seed(self.seed, i as u64)
     }
 
     /// Whether a point with inner product `dot` to a cap lies in it.
@@ -85,14 +122,13 @@ impl FilterHasher {
 }
 
 impl PointHasher<[f64]> for FilterHasher {
+    // lint: hot
     fn hash(&self, xs: &[f64]) -> u64 {
+        let mut cap = [0.0; CAP_CHUNK];
+        let mut dot = [0.0];
         for i in 0..self.m {
-            let mut cap = self.cap(i);
-            let mut dot = 0.0;
-            for &c in xs {
-                dot += c * cap.next();
-            }
-            if self.hits(dot) {
+            cap_dots(self.cap_key(i), &[xs], &[0], &mut cap, &mut dot);
+            if self.hits(dot[0]) {
                 return i as u64;
             }
         }
@@ -101,22 +137,16 @@ impl PointHasher<[f64]> for FilterHasher {
 
     fn hash_many(&self, rows: &[&[f64]], out: &mut [u64]) {
         let rows = &rows[..rows.len().min(out.len())];
-        // A cap is a prefix of its stream, so the longest row's worth
-        // serves every row.
-        let mut cap = vec![0.0; rows.iter().map(|xs| xs.len()).max().unwrap_or(0)];
+        let mut cap = [0.0; CAP_CHUNK];
+        let mut dots = vec![0.0; rows.len()];
         let mut pending: Vec<usize> = (0..rows.len()).collect();
         for i in 0..self.m {
             if pending.is_empty() {
                 break;
             }
-            let mut stream = self.cap(i);
-            cap.fill_with(|| stream.next());
+            cap_dots(self.cap_key(i), rows, &pending, &mut cap, &mut dots);
             pending.retain(|&r| {
-                let mut dot = 0.0;
-                for (&c, &z) in rows[r].iter().zip(&cap) {
-                    dot += c * z;
-                }
-                let hit = self.hits(dot);
+                let hit = self.hits(dots[r]);
                 if hit {
                     out[r] = i as u64;
                 }

@@ -46,8 +46,8 @@ struct MinHasher {
     /// All `m` caps, materialized as one flat matrix: unlike the
     /// first-index filter hasher (which stops at the first hit and
     /// therefore generates caps lazily), min-wise hashing always scans
-    /// every cap, so the contiguous rows are pure win. Row `i` equals the
-    /// seeded Gaussian stream the lazy hasher would generate for cap `i`.
+    /// every cap, so the contiguous rows are pure win. Row `i` is the
+    /// Gaussian cap the lazy hasher generates for cap `i`.
     caps: Arc<GaussianMatrix>,
     seed: u64,
     t: f64,

@@ -1,6 +1,7 @@
 //! Unit-sphere geometry helpers: controlled-inner-product pairs,
 //! alpha-correlated hypercube corners, Gaussian projections.
 
+use dsh_core::kernels;
 use dsh_core::points::{self, DenseVector};
 use rand::Rng;
 
@@ -77,20 +78,14 @@ impl GaussianMatrix {
         GaussianMatrix { data, m, d }
     }
 
-    /// Materialize `m` rows from per-row seeded Gaussian streams: row `i`
-    /// holds the first `d` values of the stream seeded with
-    /// `derive_seed(seed, i)` — the cap-generation scheme of the filter
-    /// hashers, so a matrix built this way reproduces their projections
-    /// exactly.
+    /// Materialize `m` rows of seeded Gaussian caps: row `i` is cap
+    /// `derive_seed(seed, i)` of [`kernels::gaussian_cap`], the cap the
+    /// filter hashers generate for index `i`.
     pub fn from_seeded_rows(seed: u64, m: usize, d: usize) -> Self {
         assert!(d > 0, "row dimension must be positive");
-        let mut data = Vec::with_capacity(m * d);
-        for i in 0..m {
-            let mut stream =
-                dsh_math::rng::GaussianStream::new(dsh_math::rng::derive_seed(seed, i as u64));
-            for _ in 0..d {
-                data.push(stream.next());
-            }
+        let mut data = vec![0.0; m * d];
+        for (i, row) in data.chunks_exact_mut(d).enumerate() {
+            kernels::gaussian_cap(dsh_math::rng::derive_seed(seed, i as u64), row);
         }
         GaussianMatrix { data, m, d }
     }
@@ -196,15 +191,14 @@ mod tests {
 
     #[test]
     fn seeded_rows_reproduce_gaussian_streams() {
-        use dsh_math::rng::{derive_seed, GaussianStream};
+        use dsh_math::rng::derive_seed;
         let m = GaussianMatrix::from_seeded_rows(0xCAFE, 4, 6);
         assert_eq!(m.rows(), 4);
         assert_eq!(m.dim(), 6);
         for i in 0..4 {
-            let mut stream = GaussianStream::new(derive_seed(0xCAFE, i as u64));
-            for &v in m.row(i) {
-                assert_eq!(v, stream.next(), "row {i} diverged from its stream");
-            }
+            let mut cap = [0.0; 6];
+            kernels::gaussian_cap(derive_seed(0xCAFE, i as u64), &mut cap);
+            assert_eq!(m.row(i), cap, "row {i} diverged from its cap");
         }
     }
 
