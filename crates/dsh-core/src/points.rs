@@ -422,6 +422,18 @@ pub enum DenseMetric {
     Custom(CustomMeasure),
 }
 
+/// The caller-owned output of [`PointStore::measure_many`]. A
+/// verification loop keeps one across calls, so measuring allocates only
+/// when a call measures more rows than any call before it.
+#[derive(Debug, Clone, Default)]
+pub struct Measures {
+    /// The measures of the last call, in `ids` order.
+    pub values: Vec<f64>,
+    /// Integer kernel output a store converts into `values` (the
+    /// Hamming distances of a [`BitStore`]).
+    pub counts: Vec<u64>,
+}
+
 // ---------------------------------------------------------------------------
 // Point stores
 // ---------------------------------------------------------------------------
@@ -467,19 +479,20 @@ pub trait PointStore: Clone + Send + Sync {
     /// The measure `metric` between the rows `x` and `y`.
     fn measure(metric: &Self::Metric, x: &Self::Row, y: &Self::Row) -> f64;
 
-    /// [`PointStore::measure`] of rows `ids` to `q`, written to `out`
-    /// (cleared first) in `ids` order and bit-identical to measuring row
-    /// by row. The flat stores override this with their batch kernels,
-    /// which prefetch the rows a few ids ahead themselves.
+    /// [`PointStore::measure`] of rows `ids` to `q`, written to
+    /// `out.values` (cleared first) in `ids` order and bit-identical to
+    /// measuring row by row. The flat stores override this with their
+    /// batch kernels, which prefetch the rows a few ids ahead themselves.
     fn measure_many(
         &self,
         metric: &Self::Metric,
         ids: &[usize],
         q: &Self::Row,
-        out: &mut Vec<f64>,
+        out: &mut Measures,
     ) {
-        out.clear();
-        out.extend(ids.iter().map(|&i| Self::measure(metric, self.row(i), q)));
+        out.values.clear();
+        out.values
+            .extend(ids.iter().map(|&i| Self::measure(metric, self.row(i), q)));
     }
 
     /// Append one row (must match the store's row shape).
@@ -634,13 +647,14 @@ impl PointStore for DenseStore {
             DenseMetric::Custom(f) => f(x, y),
         }
     }
-    fn measure_many(&self, metric: &DenseMetric, ids: &[usize], q: &[f64], out: &mut Vec<f64>) {
+    fn measure_many(&self, metric: &DenseMetric, ids: &[usize], q: &[f64], out: &mut Measures) {
+        let values = &mut out.values;
         match metric {
-            DenseMetric::InnerProduct => self.dot_many(ids, q, out),
-            DenseMetric::Euclidean => self.euclidean_many(ids, q, out),
+            DenseMetric::InnerProduct => self.dot_many(ids, q, values),
+            DenseMetric::Euclidean => self.euclidean_many(ids, q, values),
             DenseMetric::Custom(f) => {
-                out.clear();
-                out.extend(ids.iter().map(|&i| f(self.row(i), q)));
+                values.clear();
+                values.extend(ids.iter().map(|&i| f(self.row(i), q)));
             }
         }
     }
@@ -804,11 +818,14 @@ impl PointStore for BitStore {
     fn measure(metric: &BitMetric, x: &[u64], y: &[u64]) -> f64 {
         metric.of(hamming(x, y), x.len())
     }
-    fn measure_many(&self, metric: &BitMetric, ids: &[usize], q: &[u64], out: &mut Vec<f64>) {
-        let mut dists = Vec::with_capacity(ids.len());
-        self.hamming_many(ids, q, &mut dists);
-        out.clear();
-        out.extend(dists.into_iter().map(|h| metric.of(h, self.blocks_per_row)));
+    fn measure_many(&self, metric: &BitMetric, ids: &[usize], q: &[u64], out: &mut Measures) {
+        self.hamming_many(ids, q, &mut out.counts);
+        out.values.clear();
+        let values = out
+            .counts
+            .iter()
+            .map(|&h| metric.of(h, self.blocks_per_row));
+        out.values.extend(values);
     }
     fn push_row(&mut self, row: &[u64]) {
         BitStore::push_row(self, row);

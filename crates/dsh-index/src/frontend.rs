@@ -16,6 +16,13 @@
 //! | [`crate::AnnulusIndex`] | `Option<`[`crate::annulus::AnnulusMatch`]`>` | first inside `[lo, hi]`, after at most `8L` entries (Thm 6.1) |
 //! | [`crate::RangeReportingIndex`] | `Vec<usize>` | all within `r_plus` (Thm 6.5) |
 //!
+//! A first-match query stops after the table holding its match, or at
+//! its entry limit, whichever comes first: it verifies each table's new
+//! candidates as the walk finishes that table. So its answer and
+//! distance computations are those of verifying the whole retrieved
+//! list, while its walk counters in [`QueryStats`] stop with it. A
+//! range-reporting query walks to its limit.
+//!
 //! Hyperplane queries (§6.1) and sphere-annulus search (Theorem 6.4) are
 //! parameter derivations that return an [`crate::AnnulusIndex`]; see
 //! [`crate::hyperplane`] and [`crate::sphere_annulus`].
@@ -31,8 +38,8 @@
 use crate::annulus::AnnulusMatch;
 use crate::parallel;
 use crate::shard::Snapshot;
-use crate::table::QueryStats;
-use dsh_core::points::{AsRow, PointStore};
+use crate::table::{QueryScratch, QueryStats};
+use dsh_core::points::{AsRow, Measures, PointStore};
 use std::borrow::Borrow;
 use std::marker::PhantomData;
 
@@ -76,60 +83,97 @@ impl Answer for Vec<usize> {
     }
 }
 
-/// Candidates measured per batch-kernel call while looking for a first
-/// match: enough to amortise the call, few enough that the work past the
-/// match stays small.
-const FIRST_MATCH_BLOCK: usize = 8;
-
-/// The one verification loop: measure the candidates `cands` (in
+/// The one verification loop: measure the candidates `ids` (in
 /// retrieval order) that `snapshot` retrieved for query row `q` under
-/// `metric`, and keep the ones `select` accepts — the first, or all,
-/// as `A` says. Every candidate looked at up to the answer counts one
-/// distance computation, so a first-match answer pays only for what it
-/// looked at.
+/// `metric`, and keep the ones `select` accepts into `answer` — the
+/// first, or all, as `A` says. Every candidate looked at counts one
+/// distance computation in `computed`, so a first-match answer pays only
+/// for what it looked at. Returns whether the answer is complete (a
+/// first-match answer has its match).
 ///
-/// A flat snapshot measures through the store's batch kernel
-/// ([`PointStore::measure_many`]): the whole list at once for an
-/// all-match answer, [`FIRST_MATCH_BLOCK`] candidates at a time for a
-/// first-match one. A segmented snapshot measures row by row.
-pub(crate) fn verify<S: PointStore, A: Answer>(
+/// A flat snapshot measures `ids` in one call of the store's batch
+/// kernel ([`PointStore::measure_many`]) into the caller's `measures`; a
+/// segmented one measures row by row as it goes.
+#[allow(clippy::too_many_arguments)] // the query, its rule, and two outputs
+fn verify<S: PointStore, A: Answer>(
     snapshot: &Snapshot<S>,
     metric: &S::Metric,
     select: Select,
-    cands: &[usize],
+    ids: &[usize],
     q: &S::Row,
-    stats: &mut QueryStats,
-) -> A {
+    measures: &mut Measures,
+    answer: &mut A,
+    computed: &mut usize,
+) -> bool {
     let flat = snapshot.flat_rows();
-    let block = match (A::FIRST, flat) {
-        (false, _) => cands.len(),
-        (true, Some(_)) => FIRST_MATCH_BLOCK,
-        (true, None) => 1,
-    };
-    let mut answer = A::default();
-    let mut values = Vec::with_capacity(block.min(cands.len()));
-    for ids in cands.chunks(block.max(1)) {
-        match flat {
-            Some(rows) => rows.measure_many(metric, ids, q, &mut values),
-            None => {
-                values.clear();
-                values.extend(
-                    ids.iter()
-                        .map(|&i| S::measure(metric, snapshot.point(i), q)),
-                );
-            }
-        }
-        for (&id, &value) in ids.iter().zip(&values) {
-            stats.distance_computations += 1;
-            if value >= select.lo && value <= select.hi {
-                answer.keep(id, value);
-                if A::FIRST {
-                    return answer;
-                }
+    if let Some(rows) = flat {
+        rows.measure_many(metric, ids, q, measures);
+    }
+    for (k, &id) in ids.iter().enumerate() {
+        let value = match flat {
+            Some(_) => measures.values[k],
+            None => S::measure(metric, snapshot.point(id), q),
+        };
+        *computed += 1;
+        if value >= select.lo && value <= select.hi {
+            answer.keep(id, value);
+            if A::FIRST {
+                return true;
             }
         }
     }
-    answer
+    false
+}
+
+/// Answer query row `q`, whose probe key in table `j` is `key_of(j)`:
+/// the one row function of every front-end query, one-row or batched.
+///
+/// A first-match answer verifies each table's new candidates as the walk
+/// finishes the table, and ends the walk after the table holding its
+/// match (candidates past the match in that table are retrieved but not
+/// measured); if the retrieval limit ends the walk first, it verifies
+/// the candidates the last table left. An all-match answer walks to the
+/// limit and verifies everything afterwards. Either way the answer and
+/// its distance computations are those of verifying the whole
+/// retrieved list in order.
+fn answer_row<S: PointStore, A: Answer>(
+    snapshot: &Snapshot<S>,
+    metric: &S::Metric,
+    select: Select,
+    limit: Option<usize>,
+    q: &S::Row,
+    key_of: &mut dyn FnMut(usize) -> u64,
+    scratch: &mut QueryScratch,
+) -> (A, QueryStats) {
+    let QueryScratch { visited, measures } = scratch;
+    let (mut answer, mut computed, mut verified) = (A::default(), 0, 0);
+    let mut check = |ids: &[usize]| {
+        verify(
+            snapshot,
+            metric,
+            select,
+            ids,
+            q,
+            measures,
+            &mut answer,
+            &mut computed,
+        )
+    };
+    let mut each_table = |cands: &[usize]| {
+        let new = &cands[verified..];
+        verified = cands.len();
+        check(new)
+    };
+    let mut no_op = |_: &[usize]| false;
+    let stop: &mut dyn FnMut(&[usize]) -> bool = if A::FIRST {
+        &mut each_table
+    } else {
+        &mut no_op
+    };
+    let (cands, mut stats) = snapshot.candidates_row(key_of, limit, visited, stop);
+    check(&cands[verified..]);
+    stats.distance_computations = computed;
+    (answer, stats)
 }
 
 /// The contract of every static `build` constructor: the point set is
@@ -201,12 +245,18 @@ impl<S: PointStore, B: Borrow<Snapshot<S>>, A: Answer> Frontend<S, B, A> {
     where
         Q: AsRow<Row = S::Row> + ?Sized,
     {
-        let snapshot = self.snapshot();
-        let (cands, mut stats) =
-            snapshot.candidates_with(q, self.limit(), &mut snapshot.new_scratch());
-        let q = q.as_row();
-        let answer = verify(snapshot, &self.metric, self.select, &cands, q, &mut stats);
-        (answer, stats)
+        let (snapshot, q) = (self.snapshot(), q.as_row());
+        let mut key_of = snapshot.query_keys(q);
+        let scratch = &mut snapshot.new_scratch();
+        answer_row(
+            snapshot,
+            &self.metric,
+            self.select,
+            self.limit(),
+            q,
+            &mut key_of,
+            scratch,
+        )
     }
 
     /// Run [`Frontend::query`] for a batch of queries, fanned out across
@@ -222,16 +272,16 @@ impl<S: PointStore, B: Borrow<Snapshot<S>>, A: Answer> Frontend<S, B, A> {
 
     /// [`Frontend::query_batch`] with an explicit worker-thread count
     /// (the output does not depend on it). Workers hash their queries in
-    /// blocks ([`dsh_core::family::PointHasher::hash_many`]) and verify
-    /// each row as soon as it is walked.
+    /// blocks ([`dsh_core::family::PointHasher::hash_many`]) and answer
+    /// each row as [`Frontend::query`] does, with one scratch per worker.
     pub fn query_batch_with_threads<QS>(&self, queries: &QS, threads: usize) -> Vec<(A, QueryStats)>
     where
         QS: PointStore<Row = S::Row>,
     {
-        let (snapshot, metric, select) = (self.snapshot(), &self.metric, self.select);
-        snapshot.map_rows_blocked(queries, self.limit(), threads, |q, cands, mut stats| {
-            let answer = verify(snapshot, metric, select, &cands, q, &mut stats);
-            (answer, stats)
+        let (snapshot, metric, select, limit) =
+            (self.snapshot(), &self.metric, self.select, self.limit());
+        snapshot.map_rows_blocked(queries, threads, |q, key_of, scratch| {
+            answer_row(snapshot, metric, select, limit, q, key_of, scratch)
         })
     }
 }
@@ -249,17 +299,28 @@ mod tests {
         let (lo, hi, limit) = (0.0, 0.05, None);
         let (select, metric) = (Select { lo, hi, limit }, BitMetric::RelativeHamming(64));
         let q = BitVector::zeros(64);
-        let mut stats = QueryStats::default();
-        let answer = verify(snapshot, &metric, select, cands, q.as_blocks(), &mut stats);
-        (answer, stats.distance_computations)
+        let (mut answer, mut computed) = (A::default(), 0);
+        let measures = &mut Measures::default();
+        let done = verify(
+            snapshot,
+            &metric,
+            select,
+            cands,
+            q.as_blocks(),
+            measures,
+            &mut answer,
+            &mut computed,
+        );
+        assert_eq!(done, A::FIRST && cands.contains(&0));
+        (answer, computed)
     }
 
     /// The one accepted candidate (id 0, at relative distance 3/64 from
-    /// the query; every other id is at 10/64) sits on both sides of a
-    /// first-match block edge, last, or nowhere in the list. A first-match
-    /// answer counts the candidates up to and including it, an all-match
-    /// answer the whole list, over a flat snapshot (batch kernel) and a
-    /// multi-chunk one (row by row) alike.
+    /// the query; every other id is at 10/64) sits first, on both sides
+    /// of the kernels' 8-row prefetch distance, last, or nowhere in the
+    /// list. A first-match answer counts the candidates up to and
+    /// including it, an all-match answer the whole list, over a flat
+    /// snapshot (batch kernel) and a multi-chunk one (row by row) alike.
     #[test]
     fn first_match_accounting_across_block_edges() {
         let (n, d) = (20, 64);
@@ -292,8 +353,7 @@ mod tests {
                 row,
                 BitVector::zeros(d).as_blocks(),
             );
-            let edge = FIRST_MATCH_BLOCK;
-            for at in [Some(0), Some(edge - 1), Some(edge), Some(n - 1), None] {
+            for at in [Some(0), Some(7), Some(8), Some(n - 1), None] {
                 let mut cands: Vec<usize> = (1..n).collect();
                 if let Some(at) = at {
                     cands.insert(at, 0);

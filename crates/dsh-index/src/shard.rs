@@ -90,7 +90,7 @@ use crate::batch::{
 };
 use crate::dynamic::Tombstones;
 use crate::parallel;
-use crate::table::{hash_store, CsrBuckets, QueryScratch, QueryStats, STAMP_AHEAD};
+use crate::table::{hash_store, CsrBuckets, QueryScratch, QueryStats, Visited, STAMP_AHEAD};
 use dsh_core::family::{DshFamily, HasherPair};
 use dsh_core::points::{AsRow, ChunkedStore, PointStore};
 use rand::Rng;
@@ -493,7 +493,10 @@ impl<S: PointStore> Snapshot<S> {
 
     /// The one walk: tables outermost, then the logical segments in
     /// creation order, then the delta, stopping once `retrieval_limit`
-    /// entries have been pulled.
+    /// entries have been pulled or `stop` says so. After each table whose
+    /// probes all ran, `stop` sees the distinct candidates found so far
+    /// (the previous call's list is a prefix); `true` ends the walk there,
+    /// so the stats count the work up to the end of that table.
     ///
     /// Tables are probed in windows of [`PROBE_WINDOW`]: the window's
     /// keys are taken, then each stage of every sealed bucket lookup in
@@ -501,19 +504,20 @@ impl<S: PointStore> Snapshot<S> {
     /// [`CsrBuckets::prefetch_slot`]), and only then is the window
     /// consumed table by table. Table `j`'s probe key is `key_of(j)`,
     /// asked for only once the walk reaches the window holding table
-    /// `j`, so a limited query that stops early never pays for later
-    /// windows' keys (it does pay for the rest of its last window). The
-    /// closure is `dyn` so that the walk is compiled once, whoever feeds
-    /// it keys: generic over the closure, it read ~1 us slower on the
-    /// gate's single-row wire path.
-    fn candidates_row(
+    /// `j`, so a query that stops early, at the limit or at `stop`,
+    /// never pays for later windows' keys (it does pay for the rest of
+    /// its last window). The closures are `dyn` so that the walk is
+    /// compiled once, whoever feeds it keys: generic over the key
+    /// closure, it read ~1 us slower on the gate's single-row wire path.
+    pub(crate) fn candidates_row(
         &self,
         key_of: &mut dyn FnMut(usize) -> u64,
         retrieval_limit: Option<usize>,
-        scratch: &mut QueryScratch,
+        visited: &mut Visited,
+        stop: &mut dyn FnMut(&[usize]) -> bool,
     ) -> (Vec<usize>, QueryStats) {
         let state = &*self.state;
-        let generation = scratch.begin(state.total_rows);
+        let generation = visited.begin(state.total_rows);
         let limit = retrieval_limit.unwrap_or(usize::MAX);
         let mut stats = QueryStats::default();
         let mut out = Vec::new();
@@ -589,12 +593,12 @@ impl<S: PointStore> Snapshot<S> {
                         &mut [(s, bucket)] if state.shards[s].tombstones.dead() == 0 => {
                             let at = (state.shards.len(), s);
                             consume_bucket(
-                                bucket, at, limit, &mut stats, scratch, generation, &mut out,
+                                bucket, at, limit, &mut stats, visited, generation, &mut out,
                             );
                         }
                         probe => {
                             self.consume_merged(
-                                probe, limit, &mut stats, scratch, generation, &mut out,
+                                probe, limit, &mut stats, visited, generation, &mut out,
                             );
                         }
                     }
@@ -602,6 +606,9 @@ impl<S: PointStore> Snapshot<S> {
                         break 'windows;
                     }
                     start = end;
+                }
+                if stop(&out) {
+                    break 'windows;
                 }
             }
         }
@@ -621,7 +628,7 @@ impl<S: PointStore> Snapshot<S> {
         probe: &mut [(usize, &[u32])],
         limit: usize,
         stats: &mut QueryStats,
-        scratch: &mut QueryScratch,
+        visited: &mut Visited,
         generation: u8,
         out: &mut Vec<usize>,
     ) {
@@ -658,12 +665,12 @@ impl<S: PointStore> Snapshot<S> {
             // few merge steps from now (the stamp probe is the one random
             // access per emitted entry).
             if let Some(&ahead) = bucket.get(STAMP_AHEAD) {
-                scratch.prefetch(ahead as usize * n + shard);
+                visited.prefetch(ahead as usize * n + shard);
             }
             if shards[shard].tombstones.is_dead(bucket[0] as usize) {
                 continue;
             }
-            if scratch.visit(global, generation) {
+            if visited.visit(global, generation) {
                 out.push(global);
             } else {
                 stats.duplicates += 1;
@@ -696,8 +703,16 @@ impl<S: PointStore> Snapshot<S> {
     where
         Q: AsRow<Row = S::Row> + ?Sized,
     {
-        let (q, pairs) = (q.as_row(), &self.state.pairs);
-        self.candidates_row(&mut |j| pairs[j].query.hash(q), retrieval_limit, scratch)
+        let mut key_of = self.query_keys(q.as_row());
+        let visited = &mut scratch.visited;
+        self.candidates_row(&mut key_of, retrieval_limit, visited, &mut |_| false)
+    }
+
+    /// Row `q`'s probe key in table `j`, hashed when asked: the key
+    /// source of a one-row walk.
+    pub(crate) fn query_keys<'a>(&'a self, q: &'a S::Row) -> impl FnMut(usize) -> u64 + 'a {
+        let pairs = &self.state.pairs;
+        move |j| pairs[j].query.hash(q)
     }
 
     /// Batched [`Snapshot::candidates`], fanned out across worker
@@ -725,13 +740,14 @@ impl<S: PointStore> Snapshot<S> {
     where
         QS: PointStore<Row = S::Row>,
     {
-        self.map_rows_blocked(queries, retrieval_limit, threads, |_, cands, stats| {
-            (cands, stats)
+        self.map_rows_blocked(queries, threads, |_, key_of, scratch| {
+            let visited = &mut scratch.visited;
+            self.candidates_row(key_of, retrieval_limit, visited, &mut |_| false)
         })
     }
 
-    /// The one batched-query driver: `finish(q, candidates, stats)` of
-    /// every row of `queries`, in order, fanned out over up to `threads`
+    /// The one batched-query driver: `walk(q, key_of, scratch)` of every
+    /// row `q` of `queries`, in order, fanned out over up to `threads`
     /// workers (capped so each serves several queries per scratch buffer)
     /// and, per worker, hashed in blocks of [`QUERY_BLOCK`] rows.
     ///
@@ -741,9 +757,12 @@ impl<S: PointStore> Snapshot<S> {
     /// a [`PROBE_WINDOW`] of tables at a time) triggers one
     /// [`dsh_core::family::PointHasher::hash_many`] of `g_j` over that row
     /// and the rows after it. Rows before it stopped short of that
-    /// window, and a window no row reaches is never hashed, so a limited
-    /// query costs at most its block-mates' windows. The walk is
-    /// [`Snapshot::candidates_row`], reading its keys from the matrix.
+    /// window, and a window no row reaches is never hashed, so a query
+    /// that stops early costs at most its block-mates' windows. `walk`
+    /// runs [`Snapshot::candidates_row`] with `key_of` reading its keys
+    /// from the matrix, against the worker's one scratch — the same walk
+    /// a one-row query runs with keys hashed as asked, so a batch answers
+    /// exactly as the row loop does.
     ///
     /// Each row is walked *and finished* before the next is walked.
     /// Walking the block first and finishing afterwards holds up to
@@ -754,9 +773,8 @@ impl<S: PointStore> Snapshot<S> {
     pub(crate) fn map_rows_blocked<QS, U>(
         &self,
         queries: &QS,
-        retrieval_limit: Option<usize>,
         threads: usize,
-        finish: impl Fn(&S::Row, Vec<usize>, QueryStats) -> U + Sync,
+        walk: impl Fn(&S::Row, &mut dyn FnMut(usize) -> u64, &mut QueryScratch) -> U + Sync,
     ) -> Vec<U>
     where
         QS: PointStore<Row = S::Row>,
@@ -791,8 +809,7 @@ impl<S: PointStore> Snapshot<S> {
                 }
                 table[r]
             };
-            let (cands, stats) = self.candidates_row(&mut key_of, retrieval_limit, &mut st.scratch);
-            finish(rows[r], cands, stats)
+            walk(rows[r], &mut key_of, &mut st.scratch)
         })
     }
 
@@ -918,17 +935,17 @@ fn consume_bucket(
     (n, shard): (usize, usize),
     limit: usize,
     stats: &mut QueryStats,
-    scratch: &mut QueryScratch,
+    visited: &mut Visited,
     generation: u8,
     out: &mut Vec<usize>,
 ) {
     let take = bucket.len().min(limit - stats.candidates_retrieved);
     for (k, &local) in bucket[..take].iter().enumerate() {
         if let Some(&ahead) = bucket.get(k + STAMP_AHEAD) {
-            scratch.prefetch(ahead as usize * n + shard);
+            visited.prefetch(ahead as usize * n + shard);
         }
         let global = local as usize * n + shard;
-        if scratch.visit(global, generation) {
+        if visited.visit(global, generation) {
             out.push(global);
         } else {
             stats.duplicates += 1;

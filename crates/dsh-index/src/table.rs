@@ -40,13 +40,22 @@
 use crate::parallel;
 use crate::shard::Snapshot;
 use dsh_core::family::{DshFamily, PointHasher};
-use dsh_core::points::PointStore;
+use dsh_core::points::{Measures, PointStore};
 use rand::Rng;
 use std::borrow::Borrow;
 use std::ops::Deref;
 use std::sync::Arc;
 
 /// Counters describing the work a query performed.
+///
+/// A raw candidate walk ([`Snapshot::candidates`]) and a range-reporting
+/// query count every table up to the retrieval limit. A first-match
+/// front-end query ([`crate::NearNeighborIndex`],
+/// [`crate::AnnulusIndex`]) stops after the table holding its match, so
+/// its `tables_probed`, `candidates_retrieved`, `distinct_candidates`
+/// and `duplicates` count the walk up to the end of that table (or up to
+/// the limit, if the limit came first). Its `distance_computations` stop
+/// at the match itself.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueryStats {
     /// Number of hash tables probed.
@@ -261,31 +270,45 @@ impl CsrBuckets {
     }
 }
 
-/// Reusable per-worker query state: a generation-stamped `seen` array.
-///
-/// Marking a point visited writes the current generation into its stamp
-/// slot; starting a new query just bumps the generation, so the O(n)
-/// clearing cost of a fresh `vec![false; n]` per query is paid once per
-/// 255 queries instead of once per query. Stamps are a single byte so
-/// the array is no larger (hence no colder) than the seed's `Vec<bool>`.
+/// Reusable per-worker query state, kept across the queries a worker
+/// answers: the walk's visited stamps and the verifier's [`Measures`]
+/// buffers.
 ///
 /// A scratch serves any index: each query grows it to that index's id
 /// space first, so one taken before inserts, from another index, or
 /// from [`Default`] answers exactly as a fresh one does.
 #[derive(Default)]
 pub struct QueryScratch {
-    stamps: Vec<u8>,
-    generation: u8,
+    pub(crate) visited: Visited,
+    pub(crate) measures: Measures,
 }
 
 impl QueryScratch {
     pub(crate) fn new(n: usize) -> Self {
         QueryScratch {
-            stamps: vec![0; n],
-            generation: 0,
+            visited: Visited {
+                stamps: vec![0; n],
+                generation: 0,
+            },
+            measures: Measures::default(),
         }
     }
+}
 
+/// The walk's dedupe state: a generation-stamped `seen` array.
+///
+/// Marking a point visited writes the current generation into its stamp
+/// slot; starting a new query just bumps the generation, so the O(n)
+/// clearing cost of a fresh `vec![false; n]` per query is paid once per
+/// 255 queries instead of once per query. Stamps are a single byte so
+/// the array is no larger (hence no colder) than the seed's `Vec<bool>`.
+#[derive(Default)]
+pub(crate) struct Visited {
+    stamps: Vec<u8>,
+    generation: u8,
+}
+
+impl Visited {
     /// Start a new query over ids `0..n`: grow the stamps to `n` (new
     /// slots are 0, never a generation), then bump the generation,
     /// resetting the stamps on the (once per 255 queries) wrap-around.
@@ -598,14 +621,14 @@ mod tests {
 
     #[test]
     fn scratch_generation_wraparound_resets() {
-        let mut scratch = QueryScratch::new(4);
-        scratch.generation = u8::MAX - 1;
-        scratch.stamps = vec![u8::MAX - 1; 4];
-        let g = scratch.begin(4); // reaches u8::MAX
+        let mut visited = QueryScratch::new(4).visited;
+        visited.generation = u8::MAX - 1;
+        visited.stamps = vec![u8::MAX - 1; 4];
+        let g = visited.begin(4); // reaches u8::MAX
         assert_eq!(g, u8::MAX);
-        let g = scratch.begin(4); // wraps: stamps reset, generation restarts
+        let g = visited.begin(4); // wraps: stamps reset, generation restarts
         assert_eq!(g, 1);
-        assert!(scratch.stamps.iter().all(|&s| s == 0));
+        assert!(visited.stamps.iter().all(|&s| s == 0));
     }
 
     #[test]

@@ -24,7 +24,7 @@
 use dsh_core::family::DshFamily;
 use dsh_core::kernels::{self, ziggurat, Kernels};
 use dsh_core::points::{
-    BitMetric, BitStore, BitVector, ChunkedStore, DenseMetric, DenseStore, PointStore,
+    BitMetric, BitStore, BitVector, ChunkedStore, DenseMetric, DenseStore, Measures, PointStore,
 };
 use dsh_hamming::BitSampling;
 use dsh_index::NearNeighborIndex;
@@ -312,9 +312,12 @@ fn measure_many_is_the_measure_loop<S: PointStore>(
     ids: &[usize],
     q: &S::Row,
 ) -> u64 {
-    let mut out = vec![f64::NAN; 3]; // cleared by the call
+    let mut out = Measures {
+        values: vec![f64::NAN; 3], // cleared by the call
+        counts: vec![7; 5],        // so is a store's integer buffer
+    };
     store.measure_many(metric, ids, q, &mut out);
-    let got: Vec<u64> = out.iter().map(|x| x.to_bits()).collect();
+    let got: Vec<u64> = out.values.iter().map(|x| x.to_bits()).collect();
     let want: Vec<u64> = ids
         .iter()
         .map(|&i| S::measure(metric, store.row(i), q).to_bits())

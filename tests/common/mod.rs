@@ -103,6 +103,85 @@ pub fn by_definition<S: PointStore>(
     answers
 }
 
+/// How a snapshot lays out the ids a query walks, as far as the query's
+/// answer and `QueryStats` can tell: the rows, which ids are live, and
+/// the first id of each logical probe of a table (the sealed segments in
+/// creation order, then the delta), ascending. A flat layout is `[0]`.
+pub struct Layout<'a, S> {
+    pub points: &'a S,
+    pub live: &'a [bool],
+    pub probe_starts: &'a [usize],
+}
+
+/// A first-match query by its definition, the classic LSH query loop
+/// (Indyk & Motwani, STOC 1998): sample the `l` pairs `(h_j, g_j)` from
+/// `rng` as every build does; then per query walk tables `0..l` in
+/// order, take the live rows with `h_j(x) == g_j(q)` in ascending id
+/// order, dedupe across tables, measure each table's new rows in order
+/// under `metric`, and stop after the table holding the first one inside
+/// `[lo, hi]`, or once `limit` raw entries are pulled (mid-bucket if need
+/// be; the rows pulled are still measured). Returns the match as (id,
+/// measure) and the query's stats. A table the walk finishes counts
+/// every logical probe of `layout`; the table the limit cuts counts the
+/// probes up to the one holding its last entry.
+pub fn first_match_by_definition<S: PointStore>(
+    family: &(impl DshFamily<S::Row> + ?Sized),
+    l: usize,
+    rng: &mut dyn Rng,
+    layout: &Layout<S>,
+    queries: &S,
+    metric: &S::Metric,
+    (lo, hi, limit): (f64, f64, usize),
+) -> Vec<(Option<(usize, f64)>, QueryStats)> {
+    let (points, probes) = (layout.points, layout.probe_starts.len());
+    let pairs: Vec<_> = (0..l).map(|_| family.sample(rng)).collect();
+    let stored: Vec<Vec<u64>> = pairs
+        .iter()
+        .map(|pair| {
+            (0..points.len())
+                .map(|i| pair.data.hash(points.row(i)))
+                .collect()
+        })
+        .collect();
+    let answer = |q: &S::Row| {
+        let (mut hit, mut stats, mut seen) = (None, QueryStats::default(), HashSet::new());
+        for (keys, pair) in stored.iter().zip(&pairs) {
+            let key = pair.query.hash(q);
+            let (mut new, mut last) = (Vec::new(), 0);
+            let rows = (0..points.len()).filter(|&i| layout.live[i] && keys[i] == key);
+            for i in rows.take(limit - stats.candidates_retrieved) {
+                stats.candidates_retrieved += 1;
+                last = i;
+                if seen.insert(i) {
+                    new.push(i);
+                } else {
+                    stats.duplicates += 1;
+                }
+            }
+            let cut = stats.candidates_retrieved == limit;
+            stats.tables_probed += if cut {
+                layout.probe_starts.partition_point(|&start| start <= last)
+            } else {
+                probes
+            };
+            for i in new {
+                stats.distance_computations += 1;
+                let value = S::measure(metric, points.row(i), q);
+                if lo <= value && value <= hi {
+                    hit = Some((i, value));
+                    break;
+                }
+            }
+            if hit.is_some() || cut {
+                break;
+            }
+        }
+        stats.distinct_candidates = seen.len();
+        (hit, stats)
+    };
+    (0..queries.len()).map(|i| answer(queries.row(i))).collect()
+}
+
 /// Parameters of one recall@1 sweep over planted Hamming instances.
 pub struct RecallSweep {
     /// Base RNG seed; run `i` uses `seed + i`.
