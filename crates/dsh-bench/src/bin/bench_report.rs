@@ -4,10 +4,12 @@
 //! the workloads the serving path actually runs — dense `dot_many` /
 //! `euclidean_many` verification, packed Hamming verification, and the
 //! batched CSR candidate-collection walk, plus the filter families' cap
-//! generator (`gaussian_cap`) — and the hash-evaluation prices the paper
+//! generator (`gaussian_cap`) — the hash-evaluation prices the paper
 //! states: the filter family's cost in the threshold
 //! `t` (Theorem 1.2), exact Valiant against TensorSketch (the remark
-//! after Theorem 5.1), and one evaluation of each family. It then
+//! after Theorem 5.1), and one evaluation of each family — and range
+//! reporting (Theorem 6.5) over a dynamic index before and after one
+//! insert moves a row out of its frozen chunk. It then
 //! re-executes itself in a child process with `DSH_FORCE_SCALAR=1` to
 //! time the identical workloads on the scalar tier with prefetch
 //! disabled. Dispatch is resolved once per process, so the subprocess is
@@ -36,15 +38,18 @@
 //! - `--smoke`: small workloads, no files written — a fast CI tripwire
 //!   for dispatch-path divergence and write-path parity.
 
-use dsh_core::combinators::Power;
+use dsh_core::combinators::{Concat, Power};
 use dsh_core::family::{DshFamily, PointHasher};
 use dsh_core::kernels;
 use dsh_core::points::{BitStore, BitVector, DenseStore, DenseVector, PointStore};
-use dsh_data::hamming_data::uniform_hamming;
+use dsh_core::BoxedDshFamily;
+use dsh_data::hamming_data::{point_at_distance, uniform_hamming};
 use dsh_data::sphere_data::uniform_sphere;
 use dsh_euclidean::ShiftedEuclideanDsh;
 use dsh_hamming::{AntiBitSampling, BitSampling, PolynomialHammingDsh};
-use dsh_index::{DynamicIndex, HashTableIndex, QueryStats, ShardedIndex};
+use dsh_index::{
+    measures, DynamicIndex, HashTableIndex, QueryStats, RangeReportingIndex, ShardedIndex,
+};
 use dsh_math::rng::{derive_seed, seeded};
 use dsh_math::Polynomial;
 use dsh_sphere::tensor_sketch::SketchedPolynomialSphereDsh;
@@ -66,7 +71,7 @@ fn fnv(acc: u64, x: u64) -> u64 {
 /// Every row of `BENCH_kernels.json`, in emission order. `run_benches`
 /// names its samples from this list by position, and the test at the
 /// bottom pins the checked-in file to it.
-const KERNEL_ROWS: [&str; 28] = [
+const KERNEL_ROWS: [&str; 30] = [
     "dense_dot_many_verify",
     "dense_euclidean_many_verify",
     "bit_hamming_many_verify",
@@ -95,6 +100,8 @@ const KERNEL_ROWS: [&str; 28] = [
     "hash_eval_filter_minus_t1.5",
     "hash_eval_filter_minus_t1.5_block",
     "hash_eval_shifted_euclidean",
+    "range_query_flat",
+    "range_query_one_insert",
 ];
 
 /// One measured workload: best-of-reps wall time plus the output
@@ -117,6 +124,8 @@ struct Sizes {
     csr_n: usize,
     csr_queries: usize,
     hash_points: usize,
+    range_centres: usize,
+    range_uniform: usize,
     reps: usize,
 }
 
@@ -128,6 +137,8 @@ const FULL: Sizes = Sizes {
     csr_n: 500_000,
     csr_queries: 256,
     hash_points: 1024,
+    range_centres: 1000,
+    range_uniform: 28_000,
     reps: 15,
 };
 
@@ -139,6 +150,8 @@ const SMOKE: Sizes = Sizes {
     csr_n: 10_000,
     csr_queries: 32,
     hash_points: 16,
+    range_centres: 50,
+    range_uniform: 1_400,
     reps: 5,
 };
 
@@ -373,8 +386,63 @@ fn run_benches(s: &Sizes) -> Vec<Sample> {
         }
     }
 
+    record_range_queries(&mut samples, s);
+
     assert_eq!(samples.len(), KERNEL_ROWS.len(), "KERNEL_ROWS is stale");
     samples
+}
+
+/// The two `range_query_*` rows: range reporting (Theorem 6.5) at the
+/// `lib-range-hamming` shape — `d = 256`, every centre with 100 points
+/// at 8–12 bits, uniform points besides, `(1 - t)^10 t` at `L = 67`,
+/// `r = 0.05`, `r_plus = 0.2` — over a `DynamicIndex`, each centre
+/// queried once in a one-thread batch. The first row reads a store that
+/// is one frozen chunk; the second reads it after one uniform insert
+/// has put a row in the tail, so candidate lists span two parts. The
+/// insert is far from every centre, so both rows must fold the same
+/// answers.
+fn record_range_queries(samples: &mut Vec<Sample>, s: &Sizes) {
+    let d = 256;
+    let mut rng = seeded(0xB3A6);
+    let centres: Vec<BitVector> = (0..s.range_centres)
+        .map(|_| BitVector::random(&mut rng, d))
+        .collect();
+    let mut points = uniform_hamming(&mut rng, s.range_uniform, d);
+    for c in &centres {
+        for _ in 0..100 {
+            let bits = rng.random_range(8..13);
+            points.push(point_at_distance(&mut rng, c, bits));
+        }
+    }
+    for i in (1..points.len()).rev() {
+        points.swap(i, rng.random_range(0..i + 1));
+    }
+    let n = points.len();
+    let family = Concat::new(vec![
+        Box::new(Power::new(BitSampling::new(d), 10)) as BoxedDshFamily<[u64]>,
+        Box::new(AntiBitSampling::new(d)),
+    ]);
+    let index = DynamicIndex::build(&family, BitStore::from(points), 67, &mut rng);
+    let mut range = RangeReportingIndex::over(index, measures::relative_hamming(d), 0.05, 0.2);
+    let queries = BitStore::from(centres);
+    let timed = |range: &RangeReportingIndex<BitStore, DynamicIndex<BitStore>>| {
+        time(s.reps, || {
+            let answers = range.query_batch_with_threads(&queries, 1);
+            answers.iter().fold(FNV_SEED, |h, (ids, _)| {
+                ids.iter()
+                    .fold(fnv(h, ids.len() as u64), |h, &i| fnv(h, i as u64))
+            })
+        })
+    };
+    let (ns, checksum) = timed(&range);
+    record(samples, ns, checksum, n, d);
+    range
+        .backend_mut()
+        .insert(&BitVector::random(&mut rng, d))
+        .expect("one insert fits the id space");
+    let (ns, after) = timed(&range);
+    assert_eq!(after, checksum, "one far insert changed the range answers");
+    record(samples, ns, after, n, d);
 }
 
 /// Group-commit sizes the ingest benchmark sweeps. Every size divides

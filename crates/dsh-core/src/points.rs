@@ -21,6 +21,7 @@
 //!   contract of the concurrent sharded serving layer.
 
 use rand::Rng;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// A point of `{0,1}^d`, bit-packed into 64-bit blocks.
@@ -427,11 +428,15 @@ pub enum DenseMetric {
 /// when a call measures more rows than any call before it.
 #[derive(Debug, Clone, Default)]
 pub struct Measures {
-    /// The measures of the last call, in `ids` order.
+    /// The measures, in `ids` order: each call appends its own, and the
+    /// caller clears what it has read.
     pub values: Vec<f64>,
     /// Integer kernel output a store converts into `values` (the
     /// Hamming distances of a [`BitStore`]).
     pub counts: Vec<u64>,
+    /// The ids of one run of a [`ChunkedStore`] call, made local to the
+    /// chunk (or tail) holding them.
+    pub locals: Vec<usize>,
 }
 
 // ---------------------------------------------------------------------------
@@ -479,21 +484,12 @@ pub trait PointStore: Clone + Send + Sync {
     /// The measure `metric` between the rows `x` and `y`.
     fn measure(metric: &Self::Metric, x: &Self::Row, y: &Self::Row) -> f64;
 
-    /// [`PointStore::measure`] of rows `ids` to `q`, written to
-    /// `out.values` (cleared first) in `ids` order and bit-identical to
-    /// measuring row by row. The flat stores override this with their
-    /// batch kernels, which prefetch the rows a few ids ahead themselves.
-    fn measure_many(
-        &self,
-        metric: &Self::Metric,
-        ids: &[usize],
-        q: &Self::Row,
-        out: &mut Measures,
-    ) {
-        out.values.clear();
-        out.values
-            .extend(ids.iter().map(|&i| Self::measure(metric, self.row(i), q)));
-    }
+    /// [`PointStore::measure`] of rows `ids` to `q`, appended to
+    /// `out.values` in `ids` order and bit-identical to measuring row by
+    /// row. The flat stores run their batch kernels, which prefetch the
+    /// rows a few ids ahead themselves; a [`ChunkedStore`] hands each run
+    /// of ids one part holds to that part's kernel.
+    fn measure_many(&self, metric: &Self::Metric, ids: &[usize], q: &Self::Row, out: &mut Measures);
 
     /// Append one row (must match the store's row shape).
     fn push_row(&mut self, row: &Self::Row);
@@ -648,14 +644,12 @@ impl PointStore for DenseStore {
         }
     }
     fn measure_many(&self, metric: &DenseMetric, ids: &[usize], q: &[f64], out: &mut Measures) {
-        let values = &mut out.values;
+        let (values, data, dim) = (&mut out.values, &self.data, self.dim);
+        values.reserve(ids.len());
         match metric {
-            DenseMetric::InnerProduct => self.dot_many(ids, q, values),
-            DenseMetric::Euclidean => self.euclidean_many(ids, q, values),
-            DenseMetric::Custom(f) => {
-                values.clear();
-                values.extend(ids.iter().map(|&i| f(self.row(i), q)));
-            }
+            DenseMetric::InnerProduct => crate::kernels::dot_many(data, dim, ids, q, values),
+            DenseMetric::Euclidean => crate::kernels::euclidean_many(data, dim, ids, q, values),
+            DenseMetric::Custom(f) => values.extend(ids.iter().map(|&i| f(self.row(i), q))),
         }
     }
     fn push_row(&mut self, row: &[f64]) {
@@ -820,7 +814,6 @@ impl PointStore for BitStore {
     }
     fn measure_many(&self, metric: &BitMetric, ids: &[usize], q: &[u64], out: &mut Measures) {
         self.hamming_many(ids, q, &mut out.counts);
-        out.values.clear();
         let values = out
             .counts
             .iter()
@@ -918,13 +911,17 @@ impl<S: PointStore> ChunkedStore<S> {
         &self.tail
     }
 
-    /// The one frozen chunk holding every row, if that is the layout (a
-    /// store wrapped by [`ChunkedStore::from_store`], or consolidated).
-    pub fn single_chunk(&self) -> Option<&S> {
-        match &self.chunks[..] {
-            [only] if self.tail.is_empty() => Some(only),
-            _ => None,
+    /// The part holding row `i` — a frozen chunk or the tail — and the
+    /// ids it holds.
+    fn part(&self, i: usize) -> (&S, Range<usize>) {
+        if i >= self.tail_start {
+            return (&self.tail, self.tail_start..usize::MAX);
         }
+        // partition_point returns the first chunk starting past `i`;
+        // its predecessor is the chunk holding row `i`.
+        let c = self.starts.partition_point(|&s| s <= i) - 1;
+        let end = self.starts.get(c + 1).map_or(self.tail_start, |&s| s);
+        (&self.chunks[c], self.starts[c]..end)
     }
 
     /// Freeze the tail into a new shared chunk and start an empty one.
@@ -964,17 +961,30 @@ impl<S: PointStore> PointStore for ChunkedStore<S> {
     }
 
     fn row(&self, i: usize) -> &S::Row {
-        if i >= self.tail_start {
-            return self.tail.row(i - self.tail_start);
-        }
-        // partition_point returns the first chunk starting past `i`;
-        // its predecessor is the chunk holding row `i`.
-        let c = self.starts.partition_point(|&s| s <= i) - 1;
-        self.chunks[c].row(i - self.starts[c])
+        let (part, ids) = self.part(i);
+        part.row(i - ids.start)
     }
 
     fn measure(metric: &S::Metric, x: &S::Row, y: &S::Row) -> f64 {
         S::measure(metric, x, y)
+    }
+
+    /// Splits `ids` into maximal runs one part holds and measures each
+    /// run with that part's kernel, as part-local ids copied into
+    /// `out.locals`.
+    fn measure_many(&self, metric: &S::Metric, ids: &[usize], q: &S::Row, out: &mut Measures) {
+        let mut rest = ids;
+        while let Some(&first) = rest.first() {
+            let (part, span) = self.part(first);
+            let len = rest.iter().position(|i| !span.contains(i));
+            let (run, after) = rest.split_at(len.unwrap_or(rest.len()));
+            rest = after;
+            let mut locals = std::mem::take(&mut out.locals);
+            locals.clear();
+            locals.extend(run.iter().map(|&i| i - span.start));
+            part.measure_many(metric, &locals, q, out);
+            out.locals = locals;
+        }
     }
 
     fn push_row(&mut self, row: &S::Row) {
@@ -1486,9 +1496,9 @@ mod proptests {
         assert_eq!(chunked.chunks.len(), 1);
         assert_eq!(chunked.tail_rows(), 0);
         // Shared, not copied.
-        assert!(std::ptr::eq(chunked.single_chunk().unwrap(), &*dense));
+        assert!(std::ptr::eq(&*chunked.chunks[0], &*dense));
         chunked.push_row(&[7.0, 8.0, 9.0]);
-        assert!(chunked.single_chunk().is_none());
+        assert_eq!((chunked.chunks.len(), chunked.tail_rows()), (1, 1));
         assert_eq!(chunked.row(1), &[4.0, 5.0, 6.0]);
         assert_eq!(chunked.row(2), &[7.0, 8.0, 9.0]);
         // Empty initial store: no chunk at all.

@@ -252,7 +252,7 @@ mod tests {
     use super::*;
     use crate::batch::MAX_POINTS;
     use crate::table::{HashTableIndex, QueryStats};
-    use dsh_core::points::{BitMetric, BitStore, BitVector};
+    use dsh_core::points::{BitMetric, BitStore, BitVector, Measures};
     use dsh_hamming::BitSampling;
     use dsh_math::rng::seeded;
 
@@ -598,6 +598,11 @@ mod tests {
 
         fn measure(metric: &BitMetric, x: &[u64], y: &[u64]) -> f64 {
             BitStore::measure(metric, x, y)
+        }
+
+        fn measure_many(&self, metric: &BitMetric, ids: &[usize], q: &[u64], out: &mut Measures) {
+            out.values
+                .extend(ids.iter().map(|&i| Self::measure(metric, self.row(i), q)));
         }
 
         fn push_row(&mut self, _row: &[u64]) {

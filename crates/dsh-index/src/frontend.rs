@@ -91,9 +91,12 @@ impl Answer for Vec<usize> {
 /// for what it looked at. Returns whether the answer is complete (a
 /// first-match answer has its match).
 ///
-/// A flat snapshot measures `ids` in one call of the store's batch
-/// kernel ([`PointStore::measure_many`]) into the caller's `measures`; a
-/// segmented one measures row by row as it goes.
+/// A one-shard snapshot measures `ids` into the caller's `measures` in
+/// one [`PointStore::measure_many`] call of its [`ChunkedStore`], which
+/// runs the batch kernels whatever the chunk layout; a multi-shard one
+/// measures row by row.
+///
+/// [`ChunkedStore`]: dsh_core::points::ChunkedStore
 #[allow(clippy::too_many_arguments)] // the query, its rule, and two outputs
 fn verify<S: PointStore, A: Answer>(
     snapshot: &Snapshot<S>,
@@ -105,15 +108,17 @@ fn verify<S: PointStore, A: Answer>(
     answer: &mut A,
     computed: &mut usize,
 ) -> bool {
-    let flat = snapshot.flat_rows();
-    if let Some(rows) = flat {
-        rows.measure_many(metric, ids, q, measures);
+    measures.values.clear();
+    match snapshot.num_shards() {
+        1 => snapshot
+            .shard_rows(0)
+            .measure_many(metric, ids, q, measures),
+        _ => measures.values.extend(
+            ids.iter()
+                .map(|&id| S::measure(metric, snapshot.point(id), q)),
+        ),
     }
-    for (k, &id) in ids.iter().enumerate() {
-        let value = match flat {
-            Some(_) => measures.values[k],
-            None => S::measure(metric, snapshot.point(id), q),
-        };
+    for (&id, &value) in ids.iter().zip(&measures.values) {
         *computed += 1;
         if value >= select.lo && value <= select.hi {
             answer.keep(id, value);
@@ -130,8 +135,8 @@ fn verify<S: PointStore, A: Answer>(
 ///
 /// A first-match answer verifies each table's new candidates as the walk
 /// finishes the table, and ends the walk after the table holding its
-/// match (candidates past the match in that table are retrieved but not
-/// measured); if the retrieval limit ends the walk first, it verifies
+/// match (candidates past the match in that table are measured but not
+/// counted); if the retrieval limit ends the walk first, it verifies
 /// the candidates the last table left. An all-match answer walks to the
 /// limit and verifies everything afterwards. Either way the answer and
 /// its distance computations are those of verifying the whole
@@ -320,7 +325,8 @@ mod tests {
     /// of the kernels' 8-row prefetch distance, last, or nowhere in the
     /// list. A first-match answer counts the candidates up to and
     /// including it, an all-match answer the whole list, over a flat
-    /// snapshot (batch kernel) and a multi-chunk one (row by row) alike.
+    /// snapshot (one kernel run) and one whose last five rows sit in the
+    /// tail (a run per part, the last one back in chunk 0) alike.
     #[test]
     fn first_match_accounting_across_block_edges() {
         let (n, d) = (20, 64);
@@ -345,8 +351,9 @@ mod tests {
         for p in &points[15..] {
             grown.insert(p).unwrap();
         }
-        assert!(flat.flat_rows().is_some() && grown.flat_rows().is_none());
-        for snapshot in [&*flat, &*grown] {
+        let tails = [&*flat, &*grown].map(|s| (s.num_shards(), s.shard_rows(0).tail_rows()));
+        assert_eq!(tails, [(1, 0), (1, 5)]);
+        for (shape, snapshot) in [("flat", &*flat), ("grown", &*grown)] {
             let row = snapshot.point(0);
             let value = BitStore::measure(
                 &BitMetric::RelativeHamming(d),
@@ -358,7 +365,7 @@ mod tests {
                 if let Some(at) = at {
                     cands.insert(at, 0);
                 }
-                let ctx = format!("flat {}, match at {at:?}", snapshot.flat_rows().is_some());
+                let ctx = format!("{shape}, match at {at:?}");
                 let counted = at.map_or(cands.len(), |at| at + 1);
                 let (hit, evals) = verified::<Option<AnnulusMatch>>(snapshot, &cands);
                 assert_eq!(

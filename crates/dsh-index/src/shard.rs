@@ -464,14 +464,9 @@ impl<S: PointStore> Snapshot<S> {
         self.state.shards[id % n].store.row(id / n)
     }
 
-    /// The one flat store that holds every row — one shard whose rows are
-    /// one frozen chunk, as in a static or a compacted index — if there
-    /// is one.
-    pub(crate) fn flat_rows(&self) -> Option<&S> {
-        match &self.state.shards[..] {
-            [only] => only.store.single_chunk(),
-            _ => None,
-        }
+    /// The rows of shard `s`, by shard-local id.
+    pub(crate) fn shard_rows(&self, s: usize) -> &ChunkedStore<S> {
+        &self.state.shards[s].store
     }
 
     fn shards(&self) -> impl Iterator<Item = &Shard<S>> {

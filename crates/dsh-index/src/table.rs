@@ -526,7 +526,8 @@ mod tests {
         assert!(!idx.is_empty());
         assert_eq!(idx.point(0), p0);
         // The store is the snapshot's one frozen chunk, not a copy of it.
-        assert!(std::ptr::eq(idx.store(), idx.flat_rows().unwrap()));
+        assert_eq!((idx.num_shards(), idx.shard_rows(0).tail_rows()), (1, 0));
+        assert!((0..5).all(|i| std::ptr::eq(idx.store().row(i), idx.point(i))));
     }
 
     #[test]

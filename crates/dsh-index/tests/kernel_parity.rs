@@ -243,20 +243,32 @@ fn recall_harness_digest() -> u64 {
     store.euclidean_many(&ids, &q, &mut out);
     h = out.iter().fold(h, |h, x| fnv(h, x.to_bits()));
 
-    // The stores' metric hook over the same ids, for every metric, on
-    // the flat stores (batch kernels) and a multi-chunk copy (row by row).
+    // The stores' metric hook, for every metric, on the flat stores and
+    // a multi-chunk copy (a kernel call per run of ids one part holds):
+    // over the same ids, and over id lists shaped to the copy's parts.
     let chunked = multi_chunk(&store);
-    for metric in [DenseMetric::InnerProduct, DenseMetric::Euclidean] {
-        h = measure_many_is_the_measure_loop(h, &store, &metric, &ids, &q);
-        h = measure_many_is_the_measure_loop(h, &chunked, &metric, &ids, &q);
+    let id_lists = [
+        ids,
+        vec![],
+        vec![3, 0, 19, 7, 7],   // chunk 0 only
+        vec![60, 63, 61],       // the tail only
+        (0..n).rev().collect(), // descending across every part
+    ];
+    for ids in &id_lists {
+        for metric in [DenseMetric::InnerProduct, DenseMetric::Euclidean] {
+            h = measure_many_is_the_measure_loop(h, &store, &metric, ids, &q);
+            h = measure_many_is_the_measure_loop(h, &chunked, &metric, ids, &q);
+        }
     }
     let d = 130;
     let bits = BitStore::from(dsh_data::hamming_data::uniform_hamming(&mut rng, n, d));
     let q = BitVector::random(&mut rng, d);
     let chunked = multi_chunk(&bits);
-    for metric in [BitMetric::Hamming, BitMetric::RelativeHamming(d)] {
-        h = measure_many_is_the_measure_loop(h, &bits, &metric, &ids, q.as_blocks());
-        h = measure_many_is_the_measure_loop(h, &chunked, &metric, &ids, q.as_blocks());
+    for ids in &id_lists {
+        for metric in [BitMetric::Hamming, BitMetric::RelativeHamming(d)] {
+            h = measure_many_is_the_measure_loop(h, &bits, &metric, ids, q.as_blocks());
+            h = measure_many_is_the_measure_loop(h, &chunked, &metric, ids, q.as_blocks());
+        }
     }
 
     // Gaussian caps, and a filter family's hashes through the dispatched
@@ -290,8 +302,8 @@ fn recall_harness_digest() -> u64 {
     h
 }
 
-/// `store`'s rows in a [`ChunkedStore`] of three frozen chunks and a
-/// non-empty tail.
+/// `store`'s rows in a [`ChunkedStore`] of frozen 20-row chunks and a
+/// non-empty tail (three chunks and a 4-row tail for 64 rows).
 fn multi_chunk<S: PointStore>(store: &S) -> ChunkedStore<S> {
     let mut chunked = ChunkedStore::new(store);
     for i in 0..store.len() {
@@ -304,7 +316,8 @@ fn multi_chunk<S: PointStore>(store: &S) -> ChunkedStore<S> {
 }
 
 /// `measure_many` of `ids` equals `measure` row by row, bit for bit,
-/// under the active tier; its values folded into `h`.
+/// under the active tier, appended after what `values` already held;
+/// its values folded into `h`.
 fn measure_many_is_the_measure_loop<S: PointStore>(
     h: u64,
     store: &S,
@@ -312,18 +325,21 @@ fn measure_many_is_the_measure_loop<S: PointStore>(
     ids: &[usize],
     q: &S::Row,
 ) -> u64 {
+    let prefix = [f64::NAN, -1.5, 0.25]; // must survive the call
     let mut out = Measures {
-        values: vec![f64::NAN; 3], // cleared by the call
-        counts: vec![7; 5],        // so is a store's integer buffer
+        values: prefix.to_vec(),
+        counts: vec![7; 5],  // a store's integer scratch, stale
+        locals: vec![9; 70], // a chunked store's run scratch, stale
     };
     store.measure_many(metric, ids, q, &mut out);
     let got: Vec<u64> = out.values.iter().map(|x| x.to_bits()).collect();
-    let want: Vec<u64> = ids
-        .iter()
-        .map(|&i| S::measure(metric, store.row(i), q).to_bits())
+    let want: Vec<u64> = prefix
+        .into_iter()
+        .chain(ids.iter().map(|&i| S::measure(metric, store.row(i), q)))
+        .map(f64::to_bits)
         .collect();
     assert_eq!(got, want, "measure_many: tier={}", kernels::active().name);
-    got.iter().fold(h, |h, &x| fnv(h, x))
+    got[prefix.len()..].iter().fold(h, |h, &x| fnv(h, x))
 }
 
 const CHILD_MARKER: &str = "KERNEL_PARITY_CHILD";
